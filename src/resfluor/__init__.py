@@ -34,7 +34,6 @@ from .polarization import (
 )
 from .correlation import G2Trace, cross_check_saturation, fit_rabi_from_g2, g2, g2_trace
 from .measurement import (
-    CountRecord,
     DetectorParams,
     interference_dip_rate,
     photon_rate_to_power,

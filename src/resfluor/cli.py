@@ -7,6 +7,7 @@ domain error, 4 fit non-convergence (the result file is still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -135,7 +136,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         grid = _sim_grid(cfg)
         if cfg.simulate.get("noise", False):
             trace = synth.noisy_extinction_trace(
-                model, grid, drive.incident_rate, cfg.detector, cfg.seed, cfg.threads
+                model, grid, drive.incident_rate, cfg.detector, cfg.seed
             )
         else:
             trace = extinction_spectrum(model, grid)
@@ -171,8 +172,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         )
         if cfg.simulate.get("noise", False):
             trace = synth.noisy_g2_trace(
-                delays, mol, drive, cfg.simulate.get("plateau_coincidences", 1e4),
-                cfg.seed, cfg.threads
+                delays, mol, drive, cfg.simulate.get("plateau_coincidences", 1e4), cfg.seed
             )
         else:
             trace = g2_trace(delays, mol, drive)
@@ -212,7 +212,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             grid, np.full_like(grid, drive.incident_rate),
             freq_kind="pixel_index", value_kind="counts_per_s",
         )
-        trace = simulate_counts(rate, cfg.detector, cfg.seed, cfg.threads)
+        trace = simulate_counts(rate, cfg.detector, cfg.seed)
         _write_trace(trace, out, "counts", formats)
         print(
             f"counts: mean {trace.values.mean():.1f} per "
@@ -341,8 +341,7 @@ def _reproduce_fig2(cfg: RunConfig):
                             psi=math.pi / 2.0, mol=mol, drive=drive)
     grid = np.linspace(-150.0, 150.0, 301)
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
-    noisy = synth.noisy_extinction_trace(model, grid, drive.incident_rate, det,
-                                         cfg.seed, cfg.threads)
+    noisy = synth.noisy_extinction_trace(model, grid, drive.incident_rate, det, cfg.seed)
     clean = extinction_spectrum(model, grid)
     files = {"fig2_transmission.csv": "raw transmission spectrum (11.5% dip)",
              "fig2_model.csv": "noiseless model curve"}
@@ -446,7 +445,7 @@ def _reproduce_fig6(cfg: RunConfig):
     clean = extinction_spectrum(model, grid)
     rate = SpectrumTrace(grid, clean.values * incident, freq_kind="detuning_MHz",
                          value_kind="counts_per_s", meta=clean.meta)
-    counts = simulate_counts(rate, det, cfg.seed, cfg.threads)
+    counts = simulate_counts(rate, det, cfg.seed)
     snr = snr_of_detection(dip, incident, det, det.integration_time)
     files = {"fig6_counts.csv": "raw counts, 4 s per pixel",
              "fig6_model.csv": "noiseless transmission model"}
@@ -507,9 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=os.environ.get("RESFLUOR_CONFIG"),
                         help="INI config file (default: RESFLUOR_CONFIG env var)")
         sp.add_argument("--profile", default="dbatt-paper")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="RNG seed in [0, 2**64) (default: [run] seed)")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="must be >= 1; kept for compatibility, changes no output")
 
     sim = sub.add_parser("simulate", help="forward-model a spectrum or correlation")
     sim.add_argument("subcommand",
@@ -533,14 +534,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, profile=args.profile)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
+        flags = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
+        # replace() validates the flags by the rules of the INI file
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
         if args.command == "simulate":
             return cmd_simulate(args, cfg)

@@ -148,6 +148,14 @@ class RunConfig:
     threads: int
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # seed is one Philox key word; threads is accepted for compatibility
+        # and changes no output, since sampling runs in the calling thread.
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"[run] seed must be in [0, 2**64), got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(f"[run] threads must be >= 1, got {self.threads}")
+
 
 def _merged_raw(path: Optional[str], profile: str = "dbatt-paper") -> dict:
     if profile not in PROFILES:

@@ -1,15 +1,15 @@
 """Photon-counting statistics, detector model and SNR analysis.
 
-Sampling uses numpy's Philox counter-based generator with one substream per
-pixel keyed by (seed, pixel index), so results are deterministic and
-independent of how pixels are partitioned across threads.  The generator
-name is embedded in all stochastic output metadata.
+Sampling uses numpy's Philox counter-based generator.  Pixels are taken in
+fixed blocks of BLOCK_PIXELS, and block b draws from one generator keyed by
+(seed, b) (Salmon et al., SC'11), so the counts depend only on the rate
+trace and the seed.  The scheme's name, RNG_NAME, is embedded in all
+stochastic output metadata.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +17,10 @@ import numpy as np
 from .physics import HC_J_NM
 from .spectra import SpectrumTrace
 
-RNG_NAME = "numpy-philox4x64 keyed by (seed, pixel index)"
+RNG_NAME = "numpy-philox4x64 keyed by (seed, block index), 4096-pixel blocks"
 
-_MASK64 = (1 << 64) - 1
-
-
-def pixel_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one pixel/trial."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64))
-    )
+# Part of the stream: changing it changes every count, so RNG_NAME too.
+BLOCK_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -49,55 +43,35 @@ class DetectorParams:
             raise ValueError(f"integration_time must be > 0, got {self.integration_time}")
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One Poisson photon-counting observation."""
-
-    expected_rate: float
-    sampled_counts: int
-    seed: int
-    integration_time: float
-
-    @classmethod
-    def sample(cls, rate: float, det: DetectorParams, seed: int, index: int = 0):
-        mean = (rate * det.quantum_efficiency + det.dark_rate) * det.integration_time
-        n = int(pixel_rng(seed, index).poisson(mean))
-        return cls(expected_rate=rate, sampled_counts=n, seed=seed,
-                   integration_time=det.integration_time)
-
-
 def simulate_counts(
     rate_trace: SpectrumTrace,
     det: DetectorParams,
     seed: int,
-    n_threads: int = 1,
 ) -> SpectrumTrace:
     """Independent Poisson draw per pixel with mean (rate*qe + dark)*t.
 
-    Bit-identical for any n_threads, because every pixel draws from its own
-    (seed, index)-keyed substream.
+    Block b holds pixels [b*BLOCK_PIXELS, (b+1)*BLOCK_PIXELS) and is drawn
+    with one vectorised call on a Philox generator keyed by (seed, b).  The
+    partition is fixed, so the counts depend only on the rates and the seed,
+    and a block's counts only on its own rates, the seed and b.
+    seed must be in [0, 2**64), the range of one Philox key word.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rates = rate_trace.values
     if np.any(rates < 0):
         raise ValueError("count rates must be >= 0")
     means = (rates * det.quantum_efficiency + det.dark_rate) * det.integration_time
 
-    def draw_block(block):
-        lo, hi = block
-        return [int(pixel_rng(seed, i).poisson(means[i])) for i in range(lo, hi)]
-
-    n = means.size
-    if n_threads <= 1:
-        counts = draw_block((0, n))
-    else:
-        edges = np.linspace(0, n, n_threads + 1, dtype=int)
-        blocks = list(zip(edges[:-1], edges[1:]))
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            counts = [c for part in ex.map(draw_block, blocks) for c in part]
+    counts = np.empty(means.size)
+    for b, lo in enumerate(range(0, means.size, BLOCK_PIXELS)):
+        key = np.array([seed, b], dtype=np.uint64)
+        block = slice(lo, lo + BLOCK_PIXELS)
+        counts[block] = np.random.Generator(np.random.Philox(key=key)).poisson(means[block])
 
     return SpectrumTrace(
         rate_trace.grid,
-        np.array(counts, dtype=float),
+        counts,
         freq_kind=rate_trace.freq_kind,
         value_kind="counts",
         meta={

@@ -17,7 +17,6 @@ def noisy_extinction_trace(
     incident_rate: float,
     det: DetectorParams,
     seed: int,
-    n_threads: int = 1,
 ) -> SpectrumTrace:
     """Shot-noised normalized transmission: Poisson counts per pixel at
     rate incident*I_d/I_e plus dark counts, dark-subtracted and renormalized."""
@@ -29,7 +28,7 @@ def noisy_extinction_trace(
         value_kind="counts_per_s",
         meta=clean.meta,
     )
-    counts = simulate_counts(rate, det, seed, n_threads)
+    counts = simulate_counts(rate, det, seed)
     t = det.integration_time
     norm = (counts.values - det.dark_rate * t) / (incident_rate * det.quantum_efficiency * t)
     return SpectrumTrace(
@@ -54,7 +53,6 @@ def noisy_g2_trace(
     drive: DriveParams,
     plateau_coincidences: float,
     seed: int,
-    n_threads: int = 1,
 ) -> G2Trace:
     """Coincidence-noised g2: Poisson draws at plateau_coincidences per bin
     on the plateau, renormalized by the plateau mean over the last 20% of
@@ -67,7 +65,7 @@ def noisy_g2_trace(
         value_kind="counts_per_s",
     )
     det = DetectorParams(dark_rate=0.0, integration_time=1.0)
-    counts = simulate_counts(rate, det, seed, n_threads)
+    counts = simulate_counts(rate, det, seed)
     tail = max(3, int(0.2 * counts.values.size))
     plateau = float(np.mean(counts.values[-tail:]))
     if plateau <= 0:

@@ -78,6 +78,19 @@ class TestSimulate:
     def test_bad_threads_rejected(self, tmp_path):
         assert main(["simulate", "counts", "--threads", "0",
                      "--out", str(tmp_path)]) == 2
+        assert main(["simulate", "counts", "--threads", "-3",
+                     "--out", str(tmp_path)]) == 2
+        cfg = _ini(tmp_path, "[run]\nthreads = -3\n")
+        assert main(["simulate", "counts", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+
+    def test_seed_outside_64_bits_rejected(self, tmp_path):
+        for seed in (-1, 1 << 64):
+            assert main(["simulate", "counts", "--seed", str(seed),
+                         "--out", str(tmp_path / "bad")]) == 2
+        assert not os.path.exists(tmp_path / "bad")
+        assert main(["simulate", "counts", "--seed", str((1 << 64) - 1),
+                     "--out", str(tmp_path / "top")]) == 0
 
 
 class TestAnalyze:

@@ -84,6 +84,17 @@ def test_physical_validation_is_config_error(tmp_path):
         load_config(str(p))
 
 
+def test_run_section_validated(tmp_path):
+    for text in ("threads = 0", "threads = -3", "seed = -1",
+                 f"seed = {1 << 64}"):
+        p = tmp_path / "run.ini"
+        p.write_text(f"[run]\n{text}\n")
+        with pytest.raises(ConfigError, match=r"\[run\] " + text.split()[0]):
+            load_config(str(p))
+    top = load_config(overrides={"run": {"seed": (1 << 64) - 1, "threads": 8}})
+    assert (top.seed, top.threads) == ((1 << 64) - 1, 8)
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/no/such/file.ini")

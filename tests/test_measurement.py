@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from resfluor.measurement import (
-    CountRecord,
+    BLOCK_PIXELS,
     DetectorParams,
     PowerCalibration,
     RNG_NAME,
     interference_dip_rate,
     photon_rate_to_power,
-    pixel_rng,
     saturation_power_calibration,
     shot_noise_contrast,
     simulate_counts,
@@ -25,23 +24,46 @@ def _rate_trace(n=2000, rate=1000.0):
 
 
 class TestRng:
-    def test_pixel_streams_deterministic_and_independent(self):
-        a = pixel_rng(42, 7).poisson(100.0, size=5)
-        b = pixel_rng(42, 7).poisson(100.0, size=5)
-        c = pixel_rng(42, 8).poisson(100.0, size=5)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+    def test_block_streams_deterministic_and_independent(self):
+        tr = _rate_trace(2 * BLOCK_PIXELS, rate=100.0)
+        det = DetectorParams(dark_rate=0.0)
+        a = simulate_counts(tr, det, seed=42).values
+        assert np.array_equal(a, simulate_counts(tr, det, seed=42).values)
+        assert not np.array_equal(a, simulate_counts(tr, det, seed=43).values)
+        # constant mean: block 1 draws from its own key, not block 0's
+        assert not np.array_equal(a[:BLOCK_PIXELS], a[BLOCK_PIXELS:])
 
-    def test_thread_partition_invariance(self):
-        tr = _rate_trace(501)
+    def test_block_locality(self):
+        n = 2 * BLOCK_PIXELS + 3
+        tr = SpectrumTrace(np.arange(float(n)), np.linspace(0.0, 5000.0, n),
+                           freq_kind="pixel_index", value_kind="counts_per_s")
+        head = SpectrumTrace(tr.grid[:BLOCK_PIXELS], tr.values[:BLOCK_PIXELS],
+                             freq_kind="pixel_index", value_kind="counts_per_s")
         det = DetectorParams(dark_rate=50.0, integration_time=0.2)
-        one = simulate_counts(tr, det, seed=9, n_threads=1)
-        eight = simulate_counts(tr, det, seed=9, n_threads=8)
-        three = simulate_counts(tr, det, seed=9, n_threads=3)
-        assert np.array_equal(one.values, eight.values)
-        assert np.array_equal(one.values, three.values)
-        assert one.meta["rng"] == RNG_NAME
-        assert one.meta["seed"] == 9
+        full = simulate_counts(tr, det, seed=9)
+        assert np.array_equal(full.values[:BLOCK_PIXELS],
+                              simulate_counts(head, det, seed=9).values)
+        assert full.meta["rng"] == RNG_NAME
+        assert full.meta["seed"] == 9
+
+    def test_stream_pin(self):
+        # A change to the stream must update this pin and RNG_NAME together.
+        assert RNG_NAME == ("numpy-philox4x64 keyed by (seed, block index), "
+                            "4096-pixel blocks")
+        tr = SpectrumTrace(np.arange(8.0), np.geomspace(1.0, 1e4, 8),
+                           freq_kind="pixel_index", value_kind="counts_per_s")
+        det = DetectorParams(dark_rate=5.0, integration_time=0.5)
+        counts = simulate_counts(tr, det, seed=2024).values
+        assert counts.tolist() == [7.0, 5.0, 6.0, 20.0, 89.0, 344.0, 1280.0, 5090.0]
+
+    def test_seed_range(self):
+        tr = _rate_trace(10)
+        det = DetectorParams(dark_rate=0.0)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                simulate_counts(tr, det, seed=bad)
+        top = simulate_counts(tr, det, seed=(1 << 64) - 1).values
+        assert not np.array_equal(top, simulate_counts(tr, det, seed=0).values)
 
     def test_seed_changes_output(self):
         tr = _rate_trace(200)
@@ -75,14 +97,6 @@ class TestPoissonStatistics:
                            freq_kind="pixel_index", value_kind="counts_per_s")
         with pytest.raises(ValueError):
             simulate_counts(tr, DetectorParams(dark_rate=0.0), seed=0)
-
-    def test_count_record(self):
-        det = DetectorParams(dark_rate=10.0, integration_time=2.0)
-        rec = CountRecord.sample(500.0, det, seed=5)
-        assert rec.sampled_counts >= 0
-        assert rec.integration_time == 2.0
-        # reproducible
-        assert rec == CountRecord.sample(500.0, det, seed=5)
 
 
 class TestBudgets:
