@@ -7,7 +7,6 @@ domain error, 4 fit non-convergence (the result file is still written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -533,10 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, profile=args.profile)
-        flags = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
-        # replace() validates the flags by the rules of the INI file
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+        # flags enter the config, its checks and its hash as INI values do
+        flags = {"run": {"seed": args.seed, "threads": args.threads},
+                 "output": {"dir": args.out}}
+        cfg = load_config(args.config, profile=args.profile, overrides={
+            section: {k: v for k, v in kv.items() if v is not None}
+            for section, kv in flags.items()})
 
         if args.command == "simulate":
             return cmd_simulate(args, cfg)

@@ -78,6 +78,7 @@ class FitResult:
     iterations: int
     covariance: Optional[np.ndarray] = None
     param_order: list = field(default_factory=list)
+    nfev: int = 0            # residual evaluations made by minimize
 
     @property
     def converged(self) -> bool:
@@ -91,6 +92,9 @@ class FitResult:
                 "cost": self.cost,
                 "status": self.status,
                 "iterations": self.iterations,
+                "nfev": self.nfev,
+                "param_order": self.param_order,
+                "covariance": None if self.covariance is None else self.covariance.tolist(),
             },
             indent=2,
         )
@@ -166,7 +170,14 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
 
     theta = np.array([_to_internal(pars[i].value, pars[i].lo, pars[i].hi) for i in free])
 
-    r0 = np.asarray(problem.residual(external(theta)), dtype=float)
+    nfev = 0
+
+    def residual(t):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(problem.residual(external(t)), dtype=float)
+
+    r0 = residual(theta)
     if r0.size < nfree:
         raise RankDeficientError(
             f"residual dimension {r0.size} < free parameter count {nfree}"
@@ -194,7 +205,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
             h = opts.diff_step * (1.0 + abs(theta[k]))
             tp = theta.copy()
             tp[k] += h
-            J[:, k] = (np.asarray(problem.residual(external(tp)), float) - r) / h
+            J[:, k] = (residual(tp) - r) / h
 
         g = J.T @ (w * r)
         if np.max(np.abs(g)) < opts.gtol:
@@ -213,7 +224,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
                 mu = max(mu * 10.0, 1e-10 * np.max(diag))
                 continue
             t_new = theta + step
-            r_new = np.asarray(problem.residual(external(t_new)), float)
+            r_new = residual(t_new)
             if np.all(np.isfinite(r_new)) and cost_of(r_new) <= cost:
                 c_new = cost_of(r_new)
                 rel = (cost - c_new) / max(cost, 1e-300)
@@ -246,7 +257,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
         h = opts.diff_step * (1.0 + abs(theta[k]))
         tp = theta.copy()
         tp[k] += h
-        J[:, k] = (np.asarray(problem.residual(external(tp)), float) - r) / h
+        J[:, k] = (residual(tp) - r) / h
     A = J.T @ (w[:, None] * J)
     dof = max(r.size - nfree, 1)
     scale = cost / dof if problem.weights is None else 1.0
@@ -273,6 +284,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
         cost=cost,
         status=status,
         iterations=it,
+        nfev=nfev,
         covariance=cov,
         param_order=[pars[i].name for i in free],
     )

@@ -30,7 +30,6 @@ from .estimation import (
     FitResult,
     Parameter,
     RankDeficientError,
-    extinction_fit_model,
     minimize,
 )
 
@@ -106,6 +105,23 @@ def apply_chain(chain: PolarizationChain, v: np.ndarray) -> np.ndarray:
     return chain.matrix() @ v
 
 
+def _jones_overlaps(chain: PolarizationChain, e_laser: np.ndarray, e_dipole_axis: float):
+    """Unnormalised (|U d|^2, <U e, U d>, |U e|^2) of the chain U, laser
+    Jones vector e and (real, unit) dipole axis vector d.
+
+    Raises DegenerateConfigurationError when the chain extinguishes the laser.
+    """
+    u_l = apply_chain(chain, e_laser)
+    u_d = apply_chain(chain, axis_vector(e_dipole_axis))
+    n = float(np.vdot(u_l, u_l).real)
+    if n < 1e-24 * float(np.vdot(e_laser, e_laser).real):
+        raise DegenerateConfigurationError(
+            "chain extinguishes the laser field; transmitted-intensity "
+            "normalization is undefined"
+        )
+    return float(np.vdot(u_d, u_d).real), complex(np.vdot(u_l, u_d)), n
+
+
 def transform_extinction_triple(
     chain: PolarizationChain,
     e_laser: np.ndarray,
@@ -122,17 +138,9 @@ def transform_extinction_triple(
     """
     if a0 < 0 or b0 < 0:
         raise ValueError("A0 and B0 must be non-negative")
-    u_l = apply_chain(chain, e_laser)
-    u_d = apply_chain(chain, axis_vector(e_dipole_axis))
-    n = float(np.vdot(u_l, u_l).real)
-    if n < 1e-24 * float(np.vdot(e_laser, e_laser).real):
-        raise DegenerateConfigurationError(
-            "chain extinguishes the laser field; transmitted-intensity "
-            "normalization is undefined"
-        )
-    a_new = a0 * float(np.vdot(u_d, u_d).real) / n
-    overlap = complex(np.vdot(u_l, u_d)) / n
-    bc = b0 * np.exp(1j * psi0) * overlap
+    dd, overlap, n = _jones_overlaps(chain, e_laser, e_dipole_axis)
+    a_new = a0 * dd / n
+    bc = b0 * np.exp(1j * psi0) * (overlap / n)
     return a_new, float(abs(bc)), normalize_phase(float(np.angle(bc)))
 
 
@@ -168,7 +176,7 @@ def separate_components(
     spectra: (theta_qwp, SpectrumTrace) pairs sharing one underlying
     molecule/drive state.  Every trace is modeled by the extinction spectrum
     whose per-trace (A', B', psi') derive from the shared intrinsic triple
-    via transform_extinction_triple.  Returns the fitted
+    as in transform_extinction_triple.  Returns the fitted
     (A0, B0, psi0, gamma, center) with standard errors.
     """
     if len(spectra) < 3:
@@ -180,8 +188,17 @@ def separate_components(
     for tr in traces[1:]:
         traces[0].require_same_units(tr)
 
-    chains = [geometry.chain(t) for t in thetas]
+    # The model is linear in A0 and B0 exp(i psi0): each angle's chain enters
+    # only through k_A = |U d|^2 / |U e|^2 and k_B = <U e, U d> / |U e|^2,
+    # computed once here and spread over that trace's pixels.
     e_l = geometry.laser_vector()
+    factors = [_jones_overlaps(geometry.chain(t), e_l, geometry.dipole_angle)
+               for t in thetas]
+    sizes = [tr.grid.size for tr in traces]
+    k_a = np.repeat([dd / n for dd, _, n in factors], sizes)
+    k_b = np.repeat([overlap / n for _, overlap, n in factors], sizes)
+    grid = np.concatenate([tr.grid for tr in traces])
+    values = np.concatenate([tr.values for tr in traces])
 
     # seed gamma/center from the most structured trace
     spans = [float(np.ptp(tr.values)) for tr in traces]
@@ -198,14 +215,10 @@ def separate_components(
 
     def residual(p):
         a0, b0, psi0, gamma, center = p
-        out = []
-        for chain, tr in zip(chains, traces):
-            ap, bp, psip = transform_extinction_triple(
-                chain, e_l, geometry.dipole_angle, a0, b0, psi0
-            )
-            model = extinction_fit_model(tr.grid, gamma, ap, bp, psip, center, 1.0)
-            out.append(model - tr.values)
-        return np.concatenate(out)
+        bc = b0 * complex(math.cos(psi0), math.sin(psi0)) * k_b
+        d = grid - center
+        lor = 1.0 / (d * d + gamma * gamma / 4.0)
+        return 1.0 + lor * (a0 * k_a - d * bc.real - gamma / 2.0 * bc.imag) - values
 
     res = minimize(FitProblem(residual, pars), opts)
     if res.status == "max_iter":

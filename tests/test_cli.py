@@ -142,6 +142,17 @@ class TestAnalyze:
         assert payload["status"] == "converged"
         assert payload["params"]["psi0"] == pytest.approx(math.pi / 2.0, abs=1e-4)
 
+    def test_separate_degenerate_geometry_is_exit_3(self, tmp_path):
+        # the series includes theta = 0, where a polarizer at 90 deg
+        # extinguishes the laser (DegenerateConfigurationError, a ValueError)
+        out = str(tmp_path / "out")
+        assert main(["reproduce", "fig4", "--out", out]) == 0
+        cfg = _ini(tmp_path, "[geometry]\npolarizer_angle_deg = 90\n")
+        assert main(["analyze", "separate",
+                     os.path.join(out, "fig4", "manifest.json"),
+                     "--config", cfg, "--out", out]) == 3
+        assert not os.path.exists(os.path.join(out, "separate.json"))
+
     def test_unparseable_input_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("")
@@ -167,6 +178,20 @@ class TestReproduce:
         assert "paper_anchored" in manifest and "synthetic_defaults" in manifest
         for name in manifest["files"]:
             assert os.path.exists(os.path.join(out, fig, name)), name
+
+    def test_config_hash_sees_flags(self, tmp_path):
+        # the same run given by flag and by INI file has one config hash
+        cfg = _ini(tmp_path, "[run]\nseed = 7\nthreads = 2\n")
+        out = str(tmp_path / "out")
+        hashes = []
+        for extra in (["--seed", "7", "--threads", "2"], ["--config", cfg]):
+            assert main(["reproduce", "fig3", "--out", out] + extra) == 0
+            with open(os.path.join(out, "fig3", "manifest.json")) as fh:
+                hashes.append(json.load(fh)["config_hash"])
+        assert hashes[0] == hashes[1]
+        assert main(["reproduce", "fig3", "--out", out, "--seed", "8"]) == 0
+        with open(os.path.join(out, "fig3", "manifest.json")) as fh:
+            assert json.load(fh)["config_hash"] != hashes[0]
 
     def test_unknown_figure_is_exit_2(self, tmp_path):
         assert main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2

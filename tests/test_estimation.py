@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -90,6 +91,26 @@ class TestMinimize:
         assert res.params["c1"] == 0.25
         assert res.errors["c1"] == 0.0
         assert res.params["c0"] == pytest.approx(5.0 + 0.5 * 0.5 - 0.25 * 0.5, rel=1e-6)
+
+    def test_diagnostics_in_result_and_json(self):
+        x = np.linspace(0, 1, 20)
+        y = 1.0 - 2.0 * x + 0.5 * x * x
+        calls = []
+
+        def residual(p):
+            calls.append(1)
+            return p[0] + p[1] * x + p[2] * x * x - y
+
+        pars = [Parameter("c0", 0.0), Parameter("c1", 0.0),
+                Parameter("c2", 0.5, fixed=True)]
+        res = minimize(FitProblem(residual, pars))
+        assert res.nfev == len(calls) > 0
+        payload = json.loads(res.to_json())
+        assert payload["nfev"] == res.nfev
+        assert payload["param_order"] == ["c0", "c1"]
+        assert np.array_equal(np.array(payload["covariance"]), res.covariance)
+        assert np.array(payload["covariance"]).shape == (2, 2)
+        assert (payload["status"], payload["iterations"]) == (res.status, res.iterations)
 
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resfluor import polarization
 from resfluor.estimation import RankDeficientError
 from resfluor.physics import DriveParams, MoleculeParams, normalize_phase
 from resfluor.polarization import (
@@ -183,3 +184,39 @@ class TestSeparation:
         degenerate = [(series[0][0], tr) for _, tr in series[:3]]
         with pytest.raises(RankDeficientError):
             separate_components(degenerate, GEO)
+
+    def test_round_trip_mixed_grids_leaky_polarizer(self):
+        # traces of different lengths and spans, seen through a polarizer
+        # with coherent leakage: each trace must get its own angle's factors
+        geo = SeparationGeometry(polarizer_extinction_ratio=1e-3)
+        grids = [np.linspace(-140.0, 140.0, 201), np.linspace(-90.0, 160.0, 157),
+                 np.linspace(-120.0, 100.0, 263), np.linspace(-150.0, 150.0, 96),
+                 np.linspace(-100.0, 130.0, 310)]
+        a0, b0, psi0 = 10.76, 3.48, 1.1
+        series = []
+        for th, grid in zip(self.ANGLES, grids):
+            ap, bp, pp = transform_extinction_triple(
+                geo.chain(th), geo.laser_vector(), geo.dipole_angle, a0, b0, psi0)
+            model = ExtinctionModel(A=ap, B=bp, psi=pp, mol=MOL,
+                                    drive=DriveParams(rabi=0.0))
+            series.append((th, extinction_spectrum(model, grid)))
+        res = separate_components(series, geo)
+        assert res.converged
+        assert res.params["A0"] == pytest.approx(a0, rel=1e-8)
+        assert res.params["B0"] == pytest.approx(b0, rel=1e-8)
+        assert normalize_phase(res.params["psi0"] - psi0) == pytest.approx(0.0, abs=1e-8)
+        assert res.params["gamma"] == pytest.approx(MOL.gamma, rel=1e-8)
+        assert res.params["center"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_extinguished_laser_rejected_before_fit(self, monkeypatch):
+        # polarizer crossed with the laser: at theta = 0 the QWP fast axis is
+        # along the laser, which then reaches the polarizer unchanged
+        series = self._series(5.0, 2.0, 1.0)
+        geo = SeparationGeometry(polarizer_angle=math.pi / 2.0)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("minimize called on a degenerate geometry")
+
+        monkeypatch.setattr(polarization, "minimize", no_fit)
+        with pytest.raises(DegenerateConfigurationError):
+            separate_components(series, geo)
