@@ -1,7 +1,7 @@
 """Command-line interface: simulate / analyze / reproduce.
 
-Exit codes: 0 success, 2 configuration or input parse error, 3 numeric
-domain error, 4 fit non-convergence (the result file is still written).
+Exit codes: 0 success, 2 configuration or input error, 3 numeric domain
+error, 4 fit non-convergence (the result file is still written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import estimation, synth
+from . import synth
 from .config import ConfigError, RunConfig, load_config
 from .correlation import G2Trace, annotate, cross_check_saturation, fit_rabi_from_g2, g2_trace
 from .estimation import (
@@ -36,7 +36,6 @@ from .physics import (
     coherent_emission_rate,
     rabi_for_saturation,
     saturation_parameter,
-    total_emission_rate,
 )
 from .polarization import separate_components, transform_extinction_triple
 from .spectra import (
@@ -82,42 +81,73 @@ def _write_json(obj: dict, out_dir: str, name: str) -> str:
     return path
 
 
-def _read_trace(path: str) -> SpectrumTrace:
+def _read_trace(path: str, cls):
+    """Parse the CSV file at path as a cls (SpectrumTrace or G2Trace).  A
+    missing, unparseable or empty trace is a ConfigError."""
     try:
         with open(path) as fh:
-            return SpectrumTrace.from_csv(fh.read())
+            trace = cls.from_csv(fh.read())
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse spectrum trace {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse trace {path}: {exc}") from exc
+    if trace.values.size == 0:
+        raise ConfigError(f"trace {path} has no data rows")
+    return trace
 
 
-def _read_g2(path: str) -> G2Trace:
+def _load_series(manifest_path: str, key: str) -> list:
+    """(entry[key], trace) for each entry of a manifest's "series" list;
+    entry["file"] is relative to the manifest's directory.  A malformed
+    manifest or entry is a ConfigError that names it."""
     try:
-        with open(path) as fh:
-            return G2Trace.from_csv(fh.read())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse g2 trace {path}: {exc}") from exc
+        with open(manifest_path) as fh:
+            series = json.load(fh)["series"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot parse manifest {manifest_path}: {exc}") from exc
+    if not isinstance(series, list):
+        raise ConfigError(f"manifest {manifest_path}: 'series' is not a list")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    pairs = []
+    for i, entry in enumerate(series):
+        where = f"manifest {manifest_path}, series entry {i}"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: not an object")
+        value, path = entry.get(key), entry.get("file")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
+        if not isinstance(path, str):
+            raise ConfigError(f"{where}: 'file' must be a path, got {path!r}")
+        pairs.append((value, _read_trace(os.path.join(base, path), SpectrumTrace)))
+    return pairs
 
 
-def _extinction_model(cfg: RunConfig) -> ExtinctionModel:
-    """Map the config's fractional peak/dip amplitudes onto (A, B)."""
-    mol, drive = cfg.molecule, cfg.drive
-    l0 = 1.0 / (mol.gamma**2 / 4.0 + drive.rabi**2 * mol.gamma / (2.0 * mol.gamma0))
-    a_frac = cfg.simulate.get("extinction_a", 0.0)
-    b_dip = cfg.simulate.get("extinction_b_dip", 0.0)
-    return ExtinctionModel(
-        A=a_frac / l0,
-        B=b_dip / (l0 * mol.gamma / 2.0),
-        psi=drive.psi,
-        mol=mol,
-        drive=drive,
-    )
+def _amplitudes(mol, rabi: float, a_frac: float, b_dip: float) -> tuple:
+    """(A, B) of the extinction model whose A-term peak and B-term dip (at
+    psi = pi/2) on resonance are the fractions a_frac and b_dip of the
+    baseline, at the power-broadened width of the given Rabi frequency."""
+    l0 = 1.0 / (mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0))
+    return a_frac / l0, b_dip / (l0 * mol.gamma / 2.0)
 
 
-def _sim_grid(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(
-        cfg.simulate.get("grid_min", -150.0),
-        cfg.simulate.get("grid_max", 150.0),
-        cfg.simulate.get("points", 301),
+def _mollow_grid(fpc, rabi: float, gamma: float) -> np.ndarray:
+    """Emission grid for a Mollow spectrum seen through the FPC: spans
+    +-(1.5 FSR + 2 rabi + 20 gamma), so it covers more than one FSR, at 8
+    points per instrument FWHM."""
+    half = fpc.fsr * 1.5 + 2.0 * rabi + 20.0 * gamma
+    step = fpc.fwhm / 8.0
+    n = 2 * int(math.ceil(half / step)) + 1
+    return np.linspace(-half, half, n)
+
+
+def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
+    """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
+    times scale."""
+    sat = np.array([cal.saturation(p) for p in powers])
+    return tuple(
+        SpectrumTrace(powers, values, freq_kind="power_pW", value_kind="rate_factor",
+                      meta={"generator": f"{generator}_{part}", "p_sat_pw": cal.p_at_s1})
+        for part, values in (("coherent", scale * sat / (1 + sat) ** 2),
+                             ("total", scale * sat / (1 + sat)))
     )
 
 
@@ -131,8 +161,14 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     s = saturation_parameter(mol, drive) if drive.detuning == 0 else float("nan")
 
     if args.subcommand == "extinction":
-        model = _extinction_model(cfg)
-        grid = _sim_grid(cfg)
+        a, b = _amplitudes(mol, drive.rabi, cfg.simulate.get("extinction_a", 0.0),
+                           cfg.simulate.get("extinction_b_dip", 0.0))
+        model = ExtinctionModel(A=a, B=b, psi=drive.psi, mol=mol, drive=drive)
+        grid = np.linspace(
+            cfg.simulate.get("grid_min", -150.0),
+            cfg.simulate.get("grid_max", 150.0),
+            cfg.simulate.get("points", 301),
+        )
         if cfg.simulate.get("noise", False):
             trace = synth.noisy_extinction_trace(
                 model, grid, drive.incident_rate, cfg.detector, cfg.seed
@@ -144,13 +180,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         print(f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz")
 
     elif args.subcommand == "mollow":
-        # grid chosen from the instrument and drive; must cover one FSR
-        half = cfg.fpc.fsr * 1.5 + 2.0 * drive.rabi + 20.0 * mol.gamma
-        step = cfg.fpc.fwhm / 8.0
-        n = 2 * int(math.ceil(half / step)) + 1
-        grid = np.linspace(-half, half, n)
         scale = cfg.simulate.get("emission_scale", 1.0)
-        emission = mollow_spectrum(mol, drive, grid, emission_scale=scale)
+        emission = mollow_spectrum(mol, drive, _mollow_grid(cfg.fpc, drive.rabi, mol.gamma),
+                                   emission_scale=scale)
         coh = coherent_emission_rate(s) * scale
         detected = convolve_instrument(
             emission,
@@ -184,20 +216,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             cfg.simulate.get("power_max_pw", 1e4),
             cfg.simulate.get("power_points", 25),
         )
-        scale = cfg.simulate.get("emission_scale", 1.0)
-        sat = np.array([cfg.power_calibration.saturation(p) for p in powers])
-        coh = SpectrumTrace(
-            powers, scale * sat / (1 + sat) ** 2,
-            freq_kind="power_pW", value_kind="rate_factor",
-            meta={"generator": "saturation_sweep_coherent",
-                  "p_sat_pw": cfg.power_calibration.p_at_s1},
-        )
-        tot = SpectrumTrace(
-            powers, scale * sat / (1 + sat),
-            freq_kind="power_pW", value_kind="rate_factor",
-            meta={"generator": "saturation_sweep_total",
-                  "p_sat_pw": cfg.power_calibration.p_at_s1},
-        )
+        coh, tot = _saturation_traces(cfg.power_calibration, powers,
+                                      cfg.simulate.get("emission_scale", 1.0),
+                                      "saturation_sweep")
         _write_trace(coh, out, "saturation_coherent", formats)
         _write_trace(tot, out, "saturation_total", formats)
         print(
@@ -224,120 +245,92 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze: each fit returns (FitResult, extra JSON fields, extra stdout lines)
 # ---------------------------------------------------------------------------
+
+def _fit_spectrum(inputs, cfg: RunConfig):
+    trace = _read_trace(inputs[0], SpectrumTrace)
+    try:
+        res = fit_extinction(trace)
+    except ValueError as exc:
+        raise ConfigError(f"{inputs[0]}: {exc}") from exc
+    return res, {}, []
+
+
+def _separate(inputs, cfg: RunConfig):
+    pairs = [(math.radians(theta), trace)
+             for theta, trace in _load_series(inputs[0], "theta_deg")]
+    res = separate_components(pairs, cfg.geometry)
+    return res, {}, [f"psi0 = {math.degrees(res.params['psi0']):.2f} deg"]
+
+
+def _g2_fit(inputs, cfg: RunConfig):
+    mol = cfg.molecule
+    trace = _read_trace(inputs[0], G2Trace)
+    try:
+        res = fit_rabi_from_g2(trace, mol)
+    except ValueError as exc:
+        raise ConfigError(f"{inputs[0]}: {exc}") from exc
+    rabi = res.params["rabi"]
+    return res, {"saturation": cross_check_saturation(rabi, mol)}, [annotate(rabi, mol)]
+
+
+def _linewidth_sweep(inputs, cfg: RunConfig):
+    table, res = fit_linewidth_vs_power(_load_series(inputs[0], "power_pw"))
+    widths = [{"power_pw": p, "fwhm_MHz": w, "fwhm_err_MHz": e} for p, w, e in table]
+    return res, {"linewidths": widths}, []
+
+
+def _saturation_fit(inputs, cfg: RunConfig):
+    if len(inputs) != 2:
+        raise ConfigError("saturation-fit needs two inputs: coherent.csv total.csv")
+    coh = _read_trace(inputs[0], SpectrumTrace)
+    tot = _read_trace(inputs[1], SpectrumTrace)
+    if coh.grid.size != tot.grid.size or not np.allclose(coh.grid, tot.grid):
+        raise ConfigError("saturation-fit: power grids of the two channels differ")
+    return fit_saturation_curves(coh.grid, coh.values, tot.values), {}, []
+
+
+ANALYSES = {
+    "fit-spectrum": (_fit_spectrum, "fit_spectrum.json"),
+    "separate": (_separate, "separate.json"),
+    "g2-fit": (_g2_fit, "g2_fit.json"),
+    "linewidth-sweep": (_linewidth_sweep, "linewidth_sweep.json"),
+    "saturation-fit": (_saturation_fit, "saturation_fit.json"),
+}
+
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    out = cfg.out_dir
-    mol = cfg.molecule
-    code = EXIT_OK
-
-    if args.subcommand == "fit-spectrum":
-        trace = _read_trace(args.inputs[0])
-        try:
-            res = fit_extinction(trace)
-        except ValueError as exc:
-            raise ConfigError(f"{args.inputs[0]}: {exc}") from exc
-        _write_json(json.loads(res.to_json()), out, "fit_spectrum.json")
-        print(res.table())
-        if not res.converged:
-            code = EXIT_NOCONV
-
-    elif args.subcommand == "separate":
-        manifest_path = args.inputs[0]
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-            series = manifest["series"]
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot parse manifest {manifest_path}: {exc}") from exc
-        base = os.path.dirname(os.path.abspath(manifest_path))
-        pairs = []
-        for entry in series:
-            path = entry["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base, path)
-            pairs.append((math.radians(entry["theta_deg"]), _read_trace(path)))
-        try:
-            res = separate_components(pairs, cfg.geometry)
-        except NotConvergedError as exc:
-            res = exc.result
-            _write_json(json.loads(res.to_json()), out, "separate.json")
-            print(res.table())
-            return EXIT_NOCONV
-        _write_json(json.loads(res.to_json()), out, "separate.json")
-        print(res.table())
-        print(f"psi0 = {math.degrees(res.params['psi0']):.2f} deg")
-
-    elif args.subcommand == "g2-fit":
-        trace = _read_g2(args.inputs[0])
-        try:
-            res = fit_rabi_from_g2(trace, mol)
-        except NotConvergedError as exc:
-            res = exc.result
-            _write_json(json.loads(res.to_json()), out, "g2_fit.json")
-            return EXIT_NOCONV
-        except ValueError as exc:
-            raise ConfigError(f"{args.inputs[0]}: {exc}") from exc
-        payload = json.loads(res.to_json())
-        payload["saturation"] = cross_check_saturation(res.params["rabi"], mol)
-        _write_json(payload, out, "g2_fit.json")
-        print(res.table())
-        print(annotate(res.params["rabi"], mol))
-        if not res.converged:
-            code = EXIT_NOCONV
-
-    elif args.subcommand == "linewidth-sweep":
-        manifest_path = args.inputs[0]
-        try:
-            with open(manifest_path) as fh:
-                entries = json.load(fh)["series"]
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot parse manifest {manifest_path}: {exc}") from exc
-        base = os.path.dirname(os.path.abspath(manifest_path))
-        spectra = []
-        for entry in entries:
-            path = entry["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base, path)
-            spectra.append((entry["power_pw"], _read_trace(path)))
-        table, res = fit_linewidth_vs_power(spectra)
-        payload = json.loads(res.to_json())
-        payload["linewidths"] = [
-            {"power_pw": p, "fwhm_MHz": w, "fwhm_err_MHz": e} for p, w, e in table
-        ]
-        _write_json(payload, out, "linewidth_sweep.json")
-        print(res.table())
-        if not res.converged:
-            code = EXIT_NOCONV
-
-    elif args.subcommand == "saturation-fit":
-        coh = _read_trace(args.inputs[0])
-        tot = _read_trace(args.inputs[1])
-        if coh.grid.size != tot.grid.size or not np.allclose(coh.grid, tot.grid):
-            raise ConfigError("saturation-fit: power grids of the two channels differ")
-        res = fit_saturation_curves(coh.grid, coh.values, tot.values)
-        _write_json(json.loads(res.to_json()), out, "saturation_fit.json")
-        print(res.table())
-        if not res.converged:
-            code = EXIT_NOCONV
-
-    else:
-        raise ConfigError(f"unknown analyze subcommand {args.subcommand!r}")
-    return code
+    """Run the fit, write its JSON, print its table and map its status to
+    the exit code.  A fit that stops unconverged with NotConvergedError
+    still writes the result it carries, with the error message; input that
+    cannot determine the fit (RankDeficientError) is an input error."""
+    fit, name = ANALYSES[args.subcommand]
+    try:
+        res, extra, lines = fit(args.inputs, cfg)
+    except NotConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        res, extra, lines = exc.result, {"error": str(exc)}, []
+    except RankDeficientError as exc:
+        raise ConfigError(f"input cannot determine the fit: {exc}") from exc
+    _write_json({**json.loads(res.to_json()), **extra}, cfg.out_dir, name)
+    print(res.table())
+    for line in lines:
+        print(line)
+    return EXIT_OK if res.converged else EXIT_NOCONV
 
 
 # ---------------------------------------------------------------------------
-# reproduce
+# reproduce: each figure returns (traces, files, paper-anchored numbers,
+# synthetic defaults, extra manifest fields)
 # ---------------------------------------------------------------------------
 
 def _reproduce_fig2(cfg: RunConfig):
     mol = cfg.molecule
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0,
                         incident_rate=cfg.drive.incident_rate)
-    l0 = 4.0 / mol.gamma**2
-    model = ExtinctionModel(A=0.0, B=0.115 / (l0 * mol.gamma / 2.0),
-                            psi=math.pi / 2.0, mol=mol, drive=drive)
+    a, b = _amplitudes(mol, 0.0, 0.0, 0.115)
+    model = ExtinctionModel(A=a, B=b, psi=math.pi / 2.0, mol=mol, drive=drive)
     grid = np.linspace(-150.0, 150.0, 301)
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
     noisy = synth.noisy_extinction_trace(model, grid, drive.incident_rate, det, cfg.seed)
@@ -348,38 +341,31 @@ def _reproduce_fig2(cfg: RunConfig):
                 "gamma_MHz": mol.gamma}
     synthetic = {"A_B_split": "single-trace A/B decomposition is not unique; "
                               "the dip is carried by the B-term here"}
-    return [(noisy, "fig2_transmission"), (clean, "fig2_model")], files, anchored, synthetic
+    traces = [(noisy, "fig2_transmission"), (clean, "fig2_model")]
+    return traces, files, anchored, synthetic, {}
 
 
 def _reproduce_fig3(cfg: RunConfig):
-    powers = np.geomspace(5.0, 1e4, 41)
-    sat = powers / cfg.power_calibration.p_at_s1
-    coh = SpectrumTrace(powers, sat / (1 + sat) ** 2, freq_kind="power_pW",
-                        value_kind="rate_factor",
-                        meta={"generator": "fig3_coherent",
-                              "p_sat_pw": cfg.power_calibration.p_at_s1})
-    tot = SpectrumTrace(powers, sat / (1 + sat), freq_kind="power_pW",
-                        value_kind="rate_factor",
-                        meta={"generator": "fig3_total",
-                              "p_sat_pw": cfg.power_calibration.p_at_s1})
+    coh, tot = _saturation_traces(cfg.power_calibration, np.geomspace(5.0, 1e4, 41),
+                                  1.0, "fig3")
     files = {"fig3_coherent.csv": "coherent part, S/(1+S)^2",
              "fig3_total.csv": "fluorescence excitation signal, S/(1+S)"}
     anchored = {"p_sat_pw": 350.0, "power_span_pw": [5.0, 1e4]}
-    return [(coh, "fig3_coherent"), (tot, "fig3_total")], files, anchored, {}
+    return [(coh, "fig3_coherent"), (tot, "fig3_total")], files, anchored, {}, {}
 
 
 def _reproduce_fig4(cfg: RunConfig):
     mol = cfg.molecule
     geo = cfg.geometry
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0)
-    l0 = 4.0 / mol.gamma**2
     # intrinsic triple sized so the projected spectra show percent-scale features
-    a0 = 0.08 / l0 / 0.5
-    b0 = 0.30 / (l0 * mol.gamma / 2.0) / math.cos(geo.dipole_angle)
+    a, b = _amplitudes(mol, 0.0, 0.08, 0.30)
+    a0 = a / 0.5
+    b0 = b / math.cos(geo.dipole_angle)
     psi0 = math.pi / 2.0
     grid = np.linspace(-150.0, 150.0, 301)
     traces, series = [], []
-    for i, theta in enumerate(cfg.qwp_angles):
+    for theta in cfg.qwp_angles:
         ap, bp, pp = transform_extinction_triple(
             geo.chain(theta), geo.laser_vector(), geo.dipole_angle, a0, b0, psi0
         )
@@ -395,7 +381,7 @@ def _reproduce_fig4(cfg: RunConfig):
     synthetic = {"qwp_angles_deg": [math.degrees(t) for t in cfg.qwp_angles],
                  "note": "QWP angle values are not published; an evenly "
                          "spaced series is used"}
-    return traces, files, anchored, synthetic, series
+    return traces, files, anchored, synthetic, {"series": series}
 
 
 def _reproduce_fig5(cfg: RunConfig):
@@ -406,11 +392,8 @@ def _reproduce_fig5(cfg: RunConfig):
     for i, s in enumerate(sats):
         rabi = rabi_for_saturation(mol, s)
         drive = DriveParams(rabi=rabi)
-        half = cfg.fpc.fsr * 1.5 + 2.0 * rabi + 20.0 * mol.gamma
-        step = cfg.fpc.fwhm / 8.0
-        n = 2 * int(math.ceil(half / step)) + 1
-        grid = np.linspace(-half, half, n)
-        emission = mollow_spectrum(mol, drive, grid, emission_scale=1000.0)
+        emission = mollow_spectrum(mol, drive, _mollow_grid(cfg.fpc, rabi, mol.gamma),
+                                   emission_scale=1000.0)
         detected = convolve_instrument(
             emission, cfg.fpc,
             laser_background_rate=50.0,
@@ -427,7 +410,7 @@ def _reproduce_fig5(cfg: RunConfig):
                 "laser_background": "same order as molecular fluorescence"}
     synthetic = {"saturation_series": sats, "emission_scale": 1000.0,
                  "laser_background_rate_cps": 50.0}
-    return traces, files, anchored, synthetic
+    return traces, files, anchored, synthetic, {}
 
 
 def _reproduce_fig6(cfg: RunConfig):
@@ -436,9 +419,8 @@ def _reproduce_fig6(cfg: RunConfig):
     coherent = 1.1
     dip = interference_dip_rate(incident, coherent)
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0, incident_rate=incident)
-    l0 = 4.0 / mol.gamma**2
-    model = ExtinctionModel(A=0.0, B=(dip / incident) / (l0 * mol.gamma / 2.0),
-                            psi=math.pi / 2.0, mol=mol, drive=drive)
+    a, b = _amplitudes(mol, 0.0, 0.0, dip / incident)
+    model = ExtinctionModel(A=a, B=b, psi=math.pi / 2.0, mol=mol, drive=drive)
     det = DetectorParams(dark_rate=150.0, integration_time=4.0)
     grid = np.linspace(-150.0, 150.0, 151)
     clean = extinction_spectrum(model, grid)
@@ -452,27 +434,24 @@ def _reproduce_fig6(cfg: RunConfig):
                 "dip_cps_paper": 50.0, "dip_cps_computed": dip,
                 "dark_rate_cps": 150.0, "integration_time_s": 4.0,
                 "snr_per_pixel": snr}
-    return [(counts, "fig6_counts"), (clean, "fig6_model")], files, anchored, {}
+    return [(counts, "fig6_counts"), (clean, "fig6_model")], files, anchored, {}, {}
+
+
+FIGURES = {
+    "fig2": _reproduce_fig2,
+    "fig3": _reproduce_fig3,
+    "fig4": _reproduce_fig4,
+    "fig5": _reproduce_fig5,
+    "fig6": _reproduce_fig6,
+}
 
 
 def cmd_reproduce(args, cfg: RunConfig) -> int:
     fig = args.figure
-    out = os.path.join(cfg.out_dir, fig)
-    extra = {}
-    if fig == "fig2":
-        traces, files, anchored, synthetic = _reproduce_fig2(cfg)
-    elif fig == "fig3":
-        traces, files, anchored, synthetic = _reproduce_fig3(cfg)
-    elif fig == "fig4":
-        traces, files, anchored, synthetic, series = _reproduce_fig4(cfg)
-        extra["series"] = series
-    elif fig == "fig5":
-        traces, files, anchored, synthetic = _reproduce_fig5(cfg)
-    elif fig == "fig6":
-        traces, files, anchored, synthetic = _reproduce_fig6(cfg)
-    else:
+    if fig not in FIGURES:
         raise ConfigError(f"unknown figure id {fig!r} (use fig2..fig6)")
-
+    traces, files, anchored, synthetic, extra = FIGURES[fig](cfg)
+    out = os.path.join(cfg.out_dir, fig)
     for trace, stem in traces:
         _write_trace(trace, out, stem, cfg.formats)
     manifest = {
@@ -517,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sim)
 
     ana = sub.add_parser("analyze", help="fit measured or synthetic traces")
-    ana.add_argument("subcommand",
-                     choices=["fit-spectrum", "separate", "g2-fit",
-                              "linewidth-sweep", "saturation-fit"])
+    ana.add_argument("subcommand", choices=list(ANALYSES))
     ana.add_argument("inputs", nargs="+")
     common(ana)
 
@@ -542,8 +519,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args, cfg)
         if args.command == "analyze":
-            if args.subcommand == "saturation-fit" and len(args.inputs) != 2:
-                raise ConfigError("saturation-fit needs two inputs: coherent.csv total.csv")
             return cmd_analyze(args, cfg)
         if args.command == "reproduce":
             return cmd_reproduce(args, cfg)
@@ -551,9 +526,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotConvergedError, RankDeficientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -87,6 +87,16 @@ def _g2_shape(tau_ns, a_rate, mu_sq):
     return 1.0 - damped
 
 
+def _g2_rates(gamma0: float, gamma: float, rabi: float):
+    """Damping rate a and squared oscillation frequency mu^2 (angular, per
+    us) of g2 for population decay gamma0, linewidth gamma and Rabi
+    frequency rabi (cyclic MHz)."""
+    g1 = cyclic_to_angular(gamma0)
+    g2r = math.pi * gamma
+    w = cyclic_to_angular(rabi)
+    return 0.5 * (g1 + g2r), w * w - (0.5 * (g2r - g1)) ** 2
+
+
 def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     """g2 at delay tau (ns); negative delays are mirrored.
 
@@ -95,12 +105,7 @@ def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     """
     if drive.detuning != 0.0:
         raise ValueError("g2 requires resonant drive (detuning = 0)")
-    g1 = cyclic_to_angular(mol.gamma0)
-    g2r = math.pi * mol.gamma
-    w = cyclic_to_angular(drive.rabi)
-    a = 0.5 * (g1 + g2r)
-    mu_sq = w * w - (0.5 * (g2r - g1)) ** 2
-    out = _g2_shape(tau_ns, a, mu_sq)
+    out = _g2_shape(tau_ns, *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
     return out if np.ndim(tau_ns) else float(out)
 
 
@@ -126,7 +131,7 @@ def fit_rabi_from_g2(
     gamma0 is fixed from the molecule by default (lifetime-derived); pass
     float_gamma0=True to let it vary.
     """
-    a0 = 0.5 * (cyclic_to_angular(mol.gamma0) + math.pi * mol.gamma)
+    a0, _ = _g2_rates(mol.gamma0, mol.gamma, 0.0)
     decay_ns = 1e3 / a0
     if trace.delays.max() < 3.0 * decay_ns:
         raise ValueError(
@@ -153,13 +158,8 @@ def fit_rabi_from_g2(
 
     def residual(p):
         rabi, amp, bg, gam0 = p
-        gam = max(mol.gamma, gam0)
-        g1 = cyclic_to_angular(gam0)
-        g2r = math.pi * gam
-        w = cyclic_to_angular(rabi)
-        a = 0.5 * (g1 + g2r)
-        mu_sq = w * w - (0.5 * (g2r - g1)) ** 2
-        return bg + amp * _g2_shape(trace.delays, a, mu_sq) - trace.values
+        rates = _g2_rates(gam0, max(mol.gamma, gam0), rabi)
+        return bg + amp * _g2_shape(trace.delays, *rates) - trace.values
 
     res = minimize(FitProblem(residual, pars), opts)
     if res.status == "max_iter":

@@ -15,8 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .physics import MoleculeParams, DriveParams
-from .spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum, lorentzian_profile
+from .spectra import SpectrumTrace
 
 
 class RankDeficientError(RuntimeError):
@@ -198,15 +197,18 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
     it = 0
     rank_flag = False
 
-    for it in range(1, opts.max_iter + 1):
-        # forward-difference Jacobian in internal coordinates
+    def jacobian(theta, r):
+        """Forward-difference Jacobian in internal coordinates."""
         J = np.empty((r.size, nfree))
         for k in range(nfree):
             h = opts.diff_step * (1.0 + abs(theta[k]))
             tp = theta.copy()
             tp[k] += h
             J[:, k] = (residual(tp) - r) / h
+        return J
 
+    for it in range(1, opts.max_iter + 1):
+        J = jacobian(theta, r)
         g = J.T @ (w * r)
         if np.max(np.abs(g)) < opts.gtol:
             status = "converged"
@@ -252,12 +254,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
         status = "rank_deficient"
 
     # curvature-based errors at the solution, mapped to external coordinates
-    J = np.empty((r.size, nfree))
-    for k in range(nfree):
-        h = opts.diff_step * (1.0 + abs(theta[k]))
-        tp = theta.copy()
-        tp[k] += h
-        J[:, k] = (residual(tp) - r) / h
+    J = jacobian(theta, r)
     A = J.T @ (w[:, None] * J)
     dof = max(r.size - nfree, 1)
     scale = cost / dof if problem.weights is None else 1.0
@@ -339,6 +336,11 @@ def fit_extinction(
     opts: Optional[FitOptions] = None,
 ) -> FitResult:
     """Fit {A, B, psi, gamma, center, baseline} to a transmission trace."""
+    nfree = sum(name not in fixed for name in ("A", "B", "psi", "gamma", "center", "baseline"))
+    if data.grid.size < nfree:
+        raise ValueError(
+            f"trace has {data.grid.size} points, fewer than the {nfree} free parameters"
+        )
     span = data.grid[-1] - data.grid[0]
     center0, gamma0, a0, b0, psi0, base0 = _init_extinction(data)
     if span < 3.0 * gamma0:

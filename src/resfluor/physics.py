@@ -9,7 +9,7 @@ use angular rates 2*pi*f internally; :func:`cyclic_to_angular` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi

@@ -16,13 +16,12 @@ intensity projection, which is why the A-term only changes magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .physics import MoleculeParams, normalize_phase
-from .spectra import SpectrumTrace
+from .physics import normalize_phase
 from . import estimation
 from .estimation import (
     FitOptions,

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from resfluor import estimation
 from resfluor.cli import main
 from resfluor.correlation import G2Trace
+from resfluor.estimation import FitOptions
 from resfluor.spectra import SpectrumTrace
 
 
@@ -164,6 +167,116 @@ class TestAnalyze:
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_empty_and_one_row_traces_are_exit_2(self, tmp_path, capfd):
+        out = str(tmp_path / "out")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("frequency_MHz,value\n")
+        g2_empty = tmp_path / "g2_empty.csv"
+        g2_empty.write_text("delay_ns,g2\n")
+        one = tmp_path / "one.csv"
+        one.write_text("frequency_MHz,value\n0.0,1.0\n")
+        assert main(["analyze", "fit-spectrum", str(empty), "--out", out]) == 2
+        assert "no data rows" in capfd.readouterr().err
+        assert main(["analyze", "saturation-fit", str(empty), str(empty),
+                     "--out", out]) == 2
+        assert main(["analyze", "g2-fit", str(g2_empty), "--out", out]) == 2
+        assert main(["analyze", "fit-spectrum", str(one), "--out", out]) == 2
+        err = capfd.readouterr().err
+        assert "fewer than the 6 free parameters" in err
+        assert "DLASCL" not in err
+        assert not os.path.exists(out)
+
+    @staticmethod
+    def _power_series(tmp_path, powers):
+        """Noiseless extinction traces at the given powers (pW) and a
+        linewidth-sweep manifest that lists them."""
+        series = []
+        for p in powers:
+            cfg = _ini(tmp_path, f"[drive]\npower_pw = {p}\n", name=f"p{p}.ini")
+            assert main(["simulate", "extinction", "--config", cfg,
+                         "--out", str(tmp_path / f"p{p}")]) == 0
+            series.append({"power_pw": p, "file": f"p{p}/extinction.csv"})
+        manifest = tmp_path / "sweep.json"
+        manifest.write_text(json.dumps({"series": series}))
+        return str(manifest)
+
+    def test_linewidth_sweep_recovers_gamma_and_p_sat(self, tmp_path):
+        manifest = self._power_series(tmp_path, [50.0, 350.0, 1000.0, 2500.0])
+        out = str(tmp_path / "out")
+        assert main(["analyze", "linewidth-sweep", manifest, "--out", out]) == 0
+        with open(os.path.join(out, "linewidth_sweep.json")) as fh:
+            payload = json.load(fh)
+        assert payload["status"] == "converged"
+        assert payload["params"]["gamma"] == pytest.approx(17.0, rel=1e-5)
+        assert payload["params"]["p_sat"] == pytest.approx(350.0, rel=1e-5)
+        assert [w["power_pw"] for w in payload["linewidths"]] == [50.0, 350.0, 1000.0, 2500.0]
+        assert payload["linewidths"][1]["fwhm_MHz"] == pytest.approx(
+            17.0 * math.sqrt(2.0), rel=1e-5)
+
+    def test_linewidth_sweep_too_few_powers_is_exit_2(self, tmp_path, capsys):
+        manifest = self._power_series(tmp_path, [50.0, 2500.0])
+        out = str(tmp_path / "out")
+        assert main(["analyze", "linewidth-sweep", manifest, "--out", out]) == 2
+        assert ">= 3 powers" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["separate", "linewidth-sweep"])
+    @pytest.mark.parametrize("series, complaint", [
+        ([{"value": 10.0}], "'file' must be a path"),
+        ([{"file": "p50.0/extinction.csv"}], "must be a finite number, got None"),
+        ([{"value": "zero", "file": "p50.0/extinction.csv"}],
+         "must be a finite number, got 'zero'"),
+        ([1, 2, 3], "series entry 0: not an object"),
+        ("p50.0/extinction.csv", "'series' is not a list"),
+        ({"value": 10.0}, "'series' is not a list"),
+        ([{"value": 10.0, "file": "none.csv"}], "cannot parse trace"),
+    ], ids=["no-file", "no-value", "text-value", "not-objects", "string", "object",
+            "missing-trace"])
+    def test_malformed_manifest_is_exit_2(self, tmp_path, capsys, command, series,
+                                          complaint):
+        self._power_series(tmp_path, [50.0])
+        key = {"separate": "theta_deg", "linewidth-sweep": "power_pw"}[command]
+        text = json.dumps({"series": series}).replace('"value"', f'"{key}"')
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(text)
+        out = str(tmp_path / "out")
+        assert main(["analyze", command, str(manifest), "--out", out]) == 2
+        assert complaint in capsys.readouterr().err
+        assert not os.path.exists(out)
+        manifest.write_text("[1, 2]")
+        assert main(["analyze", command, str(manifest), "--out", out]) == 2
+        assert "cannot parse manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("separate", "resfluor.polarization", "separate.json"),
+        ("g2-fit", "resfluor.correlation", "g2_fit.json"),
+        ("linewidth-sweep", "resfluor.estimation", "linewidth_sweep.json"),
+    ])
+    def test_nonconvergence_writes_result_and_is_exit_4(self, tmp_path, capsys,
+                                                        monkeypatch, command, module,
+                                                        name):
+        # a one-iteration budget stops every fit unconverged
+        if command == "separate":
+            assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+            inputs = [str(tmp_path / "fig4" / "manifest.json")]
+        elif command == "g2-fit":
+            cfg = _ini(tmp_path, "[drive]\nrabi = 60.0\n")
+            assert main(["simulate", "g2", "--config", cfg, "--out", str(tmp_path)]) == 0
+            inputs = [str(tmp_path / "g2.csv")]
+        else:
+            inputs = [self._power_series(tmp_path, [50.0, 350.0, 2500.0])]
+        capsys.readouterr()
+        real = estimation.minimize
+        monkeypatch.setattr(importlib.import_module(module), "minimize",
+                            lambda problem, opts=None: real(problem, FitOptions(max_iter=1)))
+        out = str(tmp_path / "out")
+        assert main(["analyze", command, *inputs, "--out", out]) == 4
+        with open(os.path.join(out, name)) as fh:
+            payload = json.load(fh)
+        assert payload["status"] != "converged"
+        assert payload["error"]
+        assert f"status: {payload['status']}" in capsys.readouterr().out
 
 
 class TestReproduce:

@@ -189,6 +189,16 @@ class TestExtinctionFit:
         with pytest.raises(ValueError):
             fit_extinction(tr)
 
+    def test_fewer_points_than_free_parameters_rejected(self):
+        # rejected before the line-shape seed, which would reach LAPACK
+        for n in (0, 1, 5):
+            tr = SpectrumTrace(np.arange(float(n)), np.ones(n))
+            with pytest.raises(ValueError, match=f"{n} points, fewer than the 6 free"):
+                fit_extinction(tr)
+        tr = SpectrumTrace(np.arange(3.0), np.ones(3))
+        with pytest.raises(ValueError, match="fewer than the 4 free"):
+            fit_extinction(tr, fixed=("A", "psi"), init={"A": 0.0, "psi": 0.0})
+
 
 class TestSweeps:
     def test_linewidth_vs_power_round_trip(self):

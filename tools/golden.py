@@ -1,0 +1,117 @@
+"""Golden-output run of the resfluor CLI.
+
+    python3 tools/golden.py OUT
+
+Runs, in this process and at ``--seed 7``, every ``reproduce`` figure, eight
+``simulate`` runs and the ``analyze`` fits that read their outputs.  Each run
+writes into its own directory ``OUT/<run>/``, plus ``OUT/<run>/stdout.txt``
+with what the command printed and its exit code.  The tool then writes
+``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per file under OUT, sorted
+by path.
+
+A change that must not alter behaviour runs the tool on the old and on the
+new tree and diffs the two sums files.  Paths given to the CLI are relative
+to OUT, so neither the printed paths nor the hashed ``[output] dir`` depend
+on where OUT is.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from resfluor.cli import main as resfluor_main  # noqa: E402
+
+SEED = "7"
+
+CONFIGS = {
+    "noise.ini": "[simulate]\nnoise = true\n",
+    "rabi100.ini": "[drive]\nrabi = 100.0\n",
+    "g2-noise.ini": "[drive]\nrabi = 50.0\n\n[simulate]\nnoise = true\n",
+}
+
+# (run name, arguments); every run also gets --out <run name> --seed 7.
+# The analyze runs read what the runs before them wrote.
+RUNS = (
+    ("reproduce-fig2", ["reproduce", "fig2"]),
+    ("reproduce-fig3", ["reproduce", "fig3"]),
+    ("reproduce-fig4", ["reproduce", "fig4"]),
+    ("reproduce-fig5", ["reproduce", "fig5"]),
+    ("reproduce-fig6", ["reproduce", "fig6"]),
+    ("simulate-extinction", ["simulate", "extinction"]),
+    ("simulate-extinction-noisy", ["simulate", "extinction", "--config", "noise.ini"]),
+    ("simulate-mollow", ["simulate", "mollow"]),
+    ("simulate-mollow-rabi100", ["simulate", "mollow", "--config", "rabi100.ini"]),
+    ("simulate-g2", ["simulate", "g2"]),
+    ("simulate-g2-noisy", ["simulate", "g2", "--config", "g2-noise.ini"]),
+    ("simulate-saturation-sweep", ["simulate", "saturation-sweep"]),
+    ("simulate-counts", ["simulate", "counts"]),
+    ("analyze-fit-spectrum", ["analyze", "fit-spectrum",
+                              "simulate-extinction/extinction.csv"]),
+    ("analyze-fit-spectrum-noisy", ["analyze", "fit-spectrum",
+                                    "simulate-extinction-noisy/extinction.csv"]),
+    ("analyze-separate", ["analyze", "separate", "reproduce-fig4/fig4/manifest.json"]),
+    ("analyze-g2-fit", ["analyze", "g2-fit", "simulate-g2/g2.csv"]),
+    ("analyze-g2-fit-noisy", ["analyze", "g2-fit", "simulate-g2-noisy/g2.csv",
+                              "--config", "g2-noise.ini"]),
+    ("analyze-saturation-fit", ["analyze", "saturation-fit",
+                                "simulate-saturation-sweep/saturation_coherent.csv",
+                                "simulate-saturation-sweep/saturation_total.csv"]),
+    ("analyze-saturation-fit-fig3", ["analyze", "saturation-fit",
+                                     "reproduce-fig3/fig3/fig3_coherent.csv",
+                                     "reproduce-fig3/fig3/fig3_total.csv"]),
+)
+
+
+def run_all(out):
+    """Run every command of RUNS with OUT as the working directory."""
+    for name, text in CONFIGS.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
+    for name, args in RUNS:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = resfluor_main([*args, "--out", name, "--seed", SEED])
+        os.makedirs(name, exist_ok=True)
+        with open(os.path.join(name, "stdout.txt"), "w") as fh:
+            fh.write(printed.getvalue() + f"exit {code}\n")
+
+
+def write_sums(out):
+    lines = []
+    for dirpath, _, filenames in os.walk(out):
+        for fname in filenames:
+            path = os.path.join(dirpath, fname)
+            rel = os.path.relpath(path, out).replace(os.sep, "/")
+            if rel == "SHA256SUMS":
+                continue
+            with open(path, "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}\n")
+    lines.sort(key=lambda line: line.split("  ", 1)[1])
+    with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
+        fh.writelines(lines)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/golden.py OUT", file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    os.makedirs(out, exist_ok=True)
+    os.environ.pop("RESFLUOR_CONFIG", None)
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        run_all(out)
+    finally:
+        os.chdir(cwd)
+    write_sums(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
