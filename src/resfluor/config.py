@@ -209,12 +209,11 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
     except ValueError as exc:
         raise ConfigError(f"[molecule]: {exc}") from exc
 
-    cal = PowerCalibration(get("drive", "p_sat_pw"))
-    rabi = get("drive", "rabi")
-    if "power_pw" in raw["drive"]:
-        s = cal.saturation(get("drive", "power_pw"))
-        rabi = rabi_for_saturation(mol, s)
     try:
+        cal = PowerCalibration(get("drive", "p_sat_pw"))
+        rabi = get("drive", "rabi")
+        if "power_pw" in raw["drive"]:
+            rabi = rabi_for_saturation(mol, cal.saturation(get("drive", "power_pw")))
         drive = DriveParams(
             rabi=rabi,
             detuning=get("drive", "detuning"),
@@ -243,11 +242,14 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
     except ValueError as exc:
         raise ConfigError(f"[fpc]: {exc}") from exc
 
-    geo = SeparationGeometry(
-        dipole_angle=math.radians(get("geometry", "dipole_angle_deg")),
-        polarizer_angle=math.radians(get("geometry", "polarizer_angle_deg")),
-        polarizer_extinction_ratio=get("geometry", "polarizer_extinction_ratio"),
-    )
+    try:
+        geo = SeparationGeometry(
+            dipole_angle=math.radians(get("geometry", "dipole_angle_deg")),
+            polarizer_angle=math.radians(get("geometry", "polarizer_angle_deg")),
+            polarizer_extinction_ratio=get("geometry", "polarizer_extinction_ratio"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[geometry]: {exc}") from exc
     qwp = [math.radians(a) for a in get("geometry", "qwp_angles_deg")]
 
     sim = {k: get("simulate", k) for k in _SCHEMA["simulate"] if k in raw["simulate"]}

@@ -49,11 +49,18 @@ class Parameter:
 @dataclass
 class FitProblem:
     """residual(p) maps the full parameter vector (declared order, fixed
-    entries included) to a residual vector; weights are inverse variances."""
+    entries included) to a residual vector; weights are inverse variances.
+
+    jacobian(p), when given, returns the closed-form d residual / d p at the
+    same vector: one row per residual entry, one column per declared
+    parameter (fixed ones included).  Without it minimize takes forward
+    differences of the residual.
+    """
 
     residual: Callable[[np.ndarray], np.ndarray]
     params: list
     weights: Optional[np.ndarray] = None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def free_indices(self):
         return [i for i, p in enumerate(self.params) if not p.fixed]
@@ -78,6 +85,9 @@ class FitResult:
     covariance: Optional[np.ndarray] = None
     param_order: list = field(default_factory=list)
     nfev: int = 0            # residual evaluations made by minimize
+    njev: int = 0            # closed-form Jacobian evaluations
+    grad_norm: float = math.nan  # inf-norm of the internal gradient, last iteration
+    cond: float = math.nan   # normal-matrix condition number, last iteration
 
     @property
     def converged(self) -> bool:
@@ -92,6 +102,9 @@ class FitResult:
                 "status": self.status,
                 "iterations": self.iterations,
                 "nfev": self.nfev,
+                "njev": self.njev,
+                "grad_norm": self.grad_norm,
+                "cond": self.cond if math.isfinite(self.cond) else None,
                 "param_order": self.param_order,
                 "covariance": None if self.covariance is None else self.covariance.tolist(),
             },
@@ -167,9 +180,14 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
             out[i] = _to_external(theta[k], pars[i].lo, pars[i].hi)
         return out
 
+    def dext_dint(theta):
+        return np.array([_dext_dint(theta[k], pars[i].lo, pars[i].hi)
+                         for k, i in enumerate(free)])
+
     theta = np.array([_to_internal(pars[i].value, pars[i].lo, pars[i].hi) for i in free])
 
     nfev = 0
+    njev = 0
 
     def residual(t):
         nonlocal nfev
@@ -196,9 +214,16 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
     status = "max_iter"
     it = 0
     rank_flag = False
+    grad_norm = cond = math.nan
 
     def jacobian(theta, r):
-        """Forward-difference Jacobian in internal coordinates."""
+        """Jacobian in internal coordinates: the problem's closed form,
+        chained through the bound transforms, or forward differences."""
+        nonlocal njev
+        if problem.jacobian is not None:
+            njev += 1
+            J = np.asarray(problem.jacobian(external(theta)), dtype=float)
+            return J[:, free] * dext_dint(theta)
         J = np.empty((r.size, nfree))
         for k in range(nfree):
             h = opts.diff_step * (1.0 + abs(theta[k]))
@@ -210,13 +235,18 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
     for it in range(1, opts.max_iter + 1):
         J = jacobian(theta, r)
         g = J.T @ (w * r)
-        if np.max(np.abs(g)) < opts.gtol:
+        grad_norm = float(np.max(np.abs(g)))
+        A = J.T @ (w[:, None] * J)
+        cond = math.inf  # also when A is singular or not finite
+        if np.all(np.isfinite(A)):
+            lam = np.linalg.eigvalsh(A)
+            if lam[0] > 0:
+                cond = float(lam[-1] / lam[0])
+        if grad_norm < opts.gtol:
             status = "converged"
             break
-        A = J.T @ (w[:, None] * J)
         diag = np.diag(A).copy()
         diag[diag <= 0] = 1.0
-        cond = np.linalg.cond(A) if np.all(np.isfinite(A)) else np.inf
 
         accepted = False
         for _ in range(50):
@@ -227,8 +257,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
                 continue
             t_new = theta + step
             r_new = residual(t_new)
-            if np.all(np.isfinite(r_new)) and cost_of(r_new) <= cost:
-                c_new = cost_of(r_new)
+            if np.all(np.isfinite(r_new)) and (c_new := cost_of(r_new)) <= cost:
                 rel = (cost - c_new) / max(cost, 1e-300)
                 theta, r, cost = t_new, r_new, c_new
                 mu *= 0.25
@@ -262,8 +291,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
         cov_int = np.linalg.pinv(A, rcond=1e-14) * scale
     except np.linalg.LinAlgError:
         cov_int = np.full((nfree, nfree), np.nan)
-    dpdt = np.array([_dext_dint(theta[k], pars[free[k]].lo, pars[free[k]].hi)
-                     for k in range(nfree)])
+    dpdt = dext_dint(theta)
     cov = cov_int * np.outer(dpdt, dpdt)
 
     p_ext = external(theta)
@@ -282,6 +310,9 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
         status=status,
         iterations=it,
         nfev=nfev,
+        njev=njev,
+        grad_norm=grad_norm,
+        cond=cond,
         covariance=cov,
         param_order=[pars[i].name for i in free],
     )

@@ -131,12 +131,12 @@ class PowerCalibration:
     p_at_s1: float
 
     def __post_init__(self):
-        if self.p_at_s1 <= 0:
-            raise ValueError(f"P at S=1 must be positive, got {self.p_at_s1}")
+        if not (math.isfinite(self.p_at_s1) and self.p_at_s1 > 0):
+            raise ValueError(f"P at S=1 must be positive and finite, got {self.p_at_s1}")
 
     def saturation(self, power: float) -> float:
-        if power < 0:
-            raise ValueError("power must be >= 0")
+        if not (math.isfinite(power) and power >= 0):
+            raise ValueError(f"power must be finite and >= 0, got {power}")
         return power / self.p_at_s1
 
     def power(self, s: float) -> float:

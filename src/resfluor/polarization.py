@@ -152,6 +152,11 @@ class SeparationGeometry:
     polarizer_extinction_ratio: float = 0.0
     laser: tuple = (0.0, 1.0)                    # along the lab y-axis
 
+    def __post_init__(self):
+        er = self.polarizer_extinction_ratio
+        if not 0.0 <= er <= 1.0:  # also false for nan
+            raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
+
     def laser_vector(self) -> np.ndarray:
         return np.array(self.laser, dtype=complex)
 
@@ -199,27 +204,52 @@ def separate_components(
     grid = np.concatenate([tr.grid for tr in traces])
     values = np.concatenate([tr.values for tr in traces])
 
-    # seed gamma/center from the most structured trace
+    def terms(p):
+        """d, the Lorentzian and Re/Im of e^{i psi0} k_B: the parts of the
+        model that the residual and its Jacobian share."""
+        _, _, psi0, gamma, center = p
+        d = grid - center
+        lor = 1.0 / (d * d + gamma * gamma / 4.0)
+        u = complex(math.cos(psi0), math.sin(psi0)) * k_b
+        return d, lor, u.real, u.imag
+
+    def residual(p):
+        a0, b0, _, gamma, _ = p
+        d, lor, ur, ui = terms(p)
+        return 1.0 + lor * (a0 * k_a - b0 * (d * ur + gamma / 2.0 * ui)) - values
+
+    def jacobian(p):
+        a0, b0, _, gamma, _ = p
+        d, lor, ur, ui = terms(p)
+        quad = d * ur + gamma / 2.0 * ui
+        m = a0 * k_a - b0 * quad  # residual + values - 1 = lor * m
+        return np.column_stack([
+            lor * k_a,                                          # A0
+            -lor * quad,                                        # B0
+            b0 * lor * (d * ui - gamma / 2.0 * ur),             # psi0
+            -lor * (gamma / 2.0 * lor * m + b0 / 2.0 * ui),     # gamma
+            lor * (2.0 * d * lor * m + b0 * ur),                # center
+        ])
+
+    # Seed gamma/center from the most structured trace.  At that (gamma,
+    # center) the model is linear in (A0, B0 cos psi0, B0 sin psi0) over all
+    # traces, and the A0, B0 and psi0 columns of the Jacobian at B0 = 1,
+    # psi0 = 0 are that linear basis: one least-squares solve seeds the triple.
     spans = [float(np.ptp(tr.values)) for tr in traces]
     k = int(np.argmax(spans))
-    center0, gamma0, a_lin, b_lin, psi_lin, _ = estimation._init_extinction(traces[k])
+    center0, gamma0, *_ = estimation._init_extinction(traces[k])
+    basis = jacobian((0.0, 1.0, 0.0, gamma0, center0))[:, :3]
+    coef, *_ = np.linalg.lstsq(basis, values - 1.0, rcond=None)
 
     pars = [
-        Parameter("A0", max(a_lin, 1e-3), lo=0.0),
-        Parameter("B0", max(b_lin, 1e-3), lo=0.0),
-        Parameter("psi0", psi_lin),
+        Parameter("A0", max(float(coef[0]), 1e-3), lo=0.0),
+        Parameter("B0", max(math.hypot(coef[1], coef[2]), 1e-3), lo=0.0),
+        Parameter("psi0", math.atan2(coef[2], coef[1])),
         Parameter("gamma", gamma0, lo=1e-12),
         Parameter("center", center0),
     ]
 
-    def residual(p):
-        a0, b0, psi0, gamma, center = p
-        bc = b0 * complex(math.cos(psi0), math.sin(psi0)) * k_b
-        d = grid - center
-        lor = 1.0 / (d * d + gamma * gamma / 4.0)
-        return 1.0 + lor * (a0 * k_a - d * bc.real - gamma / 2.0 * bc.imag) - values
-
-    res = minimize(FitProblem(residual, pars), opts)
+    res = minimize(FitProblem(residual, pars, jacobian=jacobian), opts)
     if res.status == "max_iter":
         raise estimation.NotConvergedError(
             f"component separation did not converge (last cost {res.cost:.3g})", res

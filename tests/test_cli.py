@@ -96,6 +96,20 @@ class TestSimulate:
                      "--out", str(tmp_path / "top")]) == 0
 
 
+    @pytest.mark.parametrize("text", [
+        "[drive]\np_sat_pw = -1", "[drive]\npower_pw = -5",
+        "[geometry]\npolarizer_extinction_ratio = -0.5",
+        "[geometry]\npolarizer_extinction_ratio = nan",
+        "[geometry]\npolarizer_extinction_ratio = 2",
+    ])
+    def test_bad_drive_and_geometry_values_are_exit_2(self, tmp_path, capsys, text):
+        cfg = _ini(tmp_path, text + "\n")
+        assert main(["simulate", "extinction", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert text.split("\n")[0] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+
 class TestAnalyze:
     def test_fit_spectrum_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "out")

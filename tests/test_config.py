@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -93,6 +94,25 @@ def test_run_section_validated(tmp_path):
             load_config(str(p))
     top = load_config(overrides={"run": {"seed": (1 << 64) - 1, "threads": 8}})
     assert (top.seed, top.threads) == ((1 << 64) - 1, 8)
+
+
+@pytest.mark.parametrize("text", [
+    "[drive]\np_sat_pw = -1", "[drive]\np_sat_pw = nan", "[drive]\npower_pw = -5",
+    "[drive]\npower_pw = inf", "[geometry]\npolarizer_extinction_ratio = -0.5",
+    "[geometry]\npolarizer_extinction_ratio = nan",
+    "[geometry]\npolarizer_extinction_ratio = 1.5",
+])
+def test_drive_and_geometry_values_validated(tmp_path, text):
+    p = tmp_path / "run.ini"
+    p.write_text(text + "\n")
+    with pytest.raises(ConfigError, match=re.escape(text.split("\n")[0] + ":")):
+        load_config(str(p))
+
+
+def test_polarizer_extinction_ratio_range_is_closed():
+    for er in (0.0, 1e-3, 1.0):
+        assert load_config(overrides={"geometry": {"polarizer_extinction_ratio": er}}
+                           ).geometry.polarizer_extinction_ratio == er
 
 
 def test_missing_file_is_config_error():

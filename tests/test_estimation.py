@@ -111,6 +111,53 @@ class TestMinimize:
         assert np.array_equal(np.array(payload["covariance"]), res.covariance)
         assert np.array(payload["covariance"]).shape == (2, 2)
         assert (payload["status"], payload["iterations"]) == (res.status, res.iterations)
+        # forward differences: no Jacobian calls, each column is a residual
+        # call; a closed-form Jacobian is counted in njev, not in nfev
+        assert payload["njev"] == res.njev == 0
+        assert res.nfev >= 1 + 2 * (res.iterations + 1)
+        assert payload["grad_norm"] == res.grad_norm < FitOptions().gtol
+        assert payload["cond"] == res.cond >= 1.0
+        with_jac = minimize(FitProblem(
+            residual, pars, jacobian=lambda p: np.column_stack([np.ones_like(x), x, x * x])))
+        assert with_jac.njev == with_jac.iterations + 1
+        assert with_jac.nfev == len(calls) - res.nfev
+        assert json.loads(with_jac.to_json())["njev"] == with_jac.njev
+        # a parameter the residual ignores makes the normal matrix singular
+        singular = minimize(FitProblem(lambda p: p[0] - y,
+                                       [Parameter("a", 0.0), Parameter("b", 0.0)]))
+        assert singular.cond == math.inf
+        assert json.loads(singular.to_json())["cond"] is None
+
+    def test_closed_form_jacobian_reaches_forward_difference_solution(self):
+        # one parameter per bound kind, plus a fixed one between them whose
+        # column the engine must drop
+        x = np.linspace(0.0, 2.0, 60)
+        y = (1.5 * np.exp(-0.8 * x) - 0.7 * x * x + 0.3 * np.cos(3.0 * x) + 0.2
+             + 0.01 * np.sin(17.0 * x))
+
+        def residual(p):
+            a, k, z, c, f = p
+            return a * np.exp(-k * x) + c * x * x + f * np.cos(3.0 * x) + z - y
+
+        def jacobian(p):
+            a, k, z, c, f = p
+            e = np.exp(-k * x)
+            return np.column_stack([e, -a * x * e, np.ones_like(x), x * x, np.cos(3.0 * x)])
+
+        def pars():
+            return [Parameter("a", 1.0), Parameter("k", 0.5, lo=0.0),
+                    Parameter("z", 0.2, fixed=True), Parameter("c", 0.0, hi=5.0),
+                    Parameter("f", 0.5, lo=0.0, hi=1.0)]
+
+        opts = FitOptions(gtol=1e-13, xtol=1e-15)
+        fd = minimize(FitProblem(residual, pars()), opts)
+        cf = minimize(FitProblem(residual, pars(), jacobian=jacobian), opts)
+        assert fd.converged and cf.converged
+        assert (fd.njev, cf.njev) == (0, cf.iterations + 1)
+        for name in ("a", "k", "c", "f"):
+            assert cf.params[name] == pytest.approx(fd.params[name], rel=1e-8)
+            assert cf.errors[name] == pytest.approx(fd.errors[name], rel=1e-5)
+        assert cf.params["z"] == fd.params["z"] == 0.2
 
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resfluor import polarization
-from resfluor.estimation import RankDeficientError
+from resfluor.estimation import RankDeficientError, extinction_fit_model
 from resfluor.physics import DriveParams, MoleculeParams, normalize_phase
 from resfluor.polarization import (
     ChainElement,
@@ -19,7 +22,7 @@ from resfluor.polarization import (
     separate_components,
     transform_extinction_triple,
 )
-from resfluor.spectra import ExtinctionModel, extinction_spectrum
+from resfluor.spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
 from resfluor.synth import noisy_extinction_trace
 from resfluor.measurement import DetectorParams
 
@@ -220,3 +223,57 @@ class TestSeparation:
         monkeypatch.setattr(polarization, "minimize", no_fit)
         with pytest.raises(DegenerateConfigurationError):
             separate_components(series, geo)
+
+    def test_converges_in_few_gauss_newton_steps(self):
+        # a criterion-10 noisy series: the joint intrinsic seed lands close
+        # enough for near-undamped Gauss-Newton steps, and the closed-form
+        # Jacobian costs no residual evaluations
+        res = separate_components(self._series(10.76, 3.48, math.pi / 2.0, noise_seed=0), GEO)
+        assert res.converged
+        assert res.iterations <= 6
+        assert res.nfev <= 8
+        assert res.njev == res.iterations + 1
+
+    @given(
+        a0=st.floats(0.1, 50.0),
+        b0=st.floats(0.1, 50.0),
+        psi0=st.floats(-math.pi, math.pi),
+        gamma=st.floats(5.0, 60.0),
+        center=st.floats(-20.0, 20.0),
+        extinction_ratio=st.sampled_from([0.0, 1e-3]),
+        grids=st.lists(st.tuples(st.floats(-200.0, -60.0), st.floats(60.0, 200.0),
+                                 st.integers(40, 300)), min_size=3, max_size=5),
+    )
+    def test_jacobian_matches_central_differences(self, a0, b0, psi0, gamma, center,
+                                                  extinction_ratio, grids):
+        geo = SeparationGeometry(polarizer_extinction_ratio=extinction_ratio)
+        series = []
+        for th, (lo, hi, n) in zip(self.ANGLES, grids):
+            ap, bp, pp = transform_extinction_triple(
+                geo.chain(th), geo.laser_vector(), geo.dipole_angle, a0, b0, psi0)
+            grid = np.linspace(lo, hi, n)
+            series.append((th, SpectrumTrace(
+                grid, extinction_fit_model(grid, gamma, ap, bp, pp, center, 1.0))))
+
+        class Captured(Exception):
+            pass
+
+        def capture(problem, opts=None):
+            raise Captured(problem)
+
+        with mock.patch.object(polarization, "minimize", capture):
+            with pytest.raises(Captured) as info:
+                separate_components(series, geo)
+        problem = info.value.args[0]
+        p = np.array([a0, b0, psi0, gamma, center])
+        jac = problem.jacobian(p)
+        assert jac.shape == (sum(n for _, _, n in grids), 5)
+        # steps well inside each parameter's scale of nonlinearity: the
+        # residual is linear in A0 and B0, periodic in psi0, and varies with
+        # gamma and center on the scale of gamma
+        steps = 1e-4 * np.array([a0, b0, 1.0, gamma, gamma])
+        for j, h in enumerate(steps):
+            dp = np.zeros(5)
+            dp[j] = h
+            fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)
+            assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * np.max(np.abs(jac[:, j]))
