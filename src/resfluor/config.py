@@ -90,22 +90,29 @@ PROFILES = {"dbatt-paper": DBATT_PAPER_PROFILE}
 def _parse_value(section, key, raw, kind):
     try:
         if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind is bool:
+            value = float(raw)
+        elif kind is int:
+            value = int(raw)
+        elif kind is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "float_list":
-            return [float(x) for x in raw.split(",") if x.strip()]
-        return raw
+                value = True
+            elif raw.lower() in ("false", "no", "0", "off"):
+                value = False
+            else:
+                raise ValueError(raw)
+        elif kind == "float_list":
+            value = [float(x) for x in raw.split(",") if x.strip()]
+        else:
+            value = raw
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}"
         ) from None
+    # float() accepts inf, nan and literals that overflow; none is a usable value
+    floats = value if kind == "float_list" else [value] if kind is float else []
+    if not all(math.isfinite(x) for x in floats):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 _SCHEMA = {

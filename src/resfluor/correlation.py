@@ -70,21 +70,56 @@ class G2Trace:
         return cls(np.array(delays), np.array(values), meta)
 
 
-def _g2_shape(tau_ns, a_rate, mu_sq):
-    """1 - exp(-a tau) * (cos + (a/mu) sin) with tau in us internally;
-    hyperbolic branch below the oscillation threshold."""
-    tau = np.abs(np.asarray(tau_ns, dtype=float)) * 1e-3
-    if mu_sq > 1e-18 * a_rate**2:
+# |mu^2 tau^2| below which dS/dmu^2 comes from its Taylor series: entry k
+# is the coefficient of (-mu^2 tau^2)^k in (dS/dmu^2)/tau^3.  Five terms
+# truncate at ~1e-18 relative at the cut, where the closed form loses
+# ~3 eps/|mu^2 tau^2| ~ 7e-14 relative to cancellation.
+_SERIES_X = 1e-2
+_SERIES_POW = np.arange(5)
+_SERIES_DS = np.array([-(k + 1) / math.factorial(2 * k + 3) for k in range(5)])
+
+
+def _g2_shape(tau, a_rate, mu_sq, partials=False):
+    """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us); with
+    partials, the tuple (shape, d shape/da, d shape/dmu^2) for 1-D tau.
+
+    C = cos(mu tau) and S = sin(mu tau)/mu, mu = sqrt(mu^2), are entire in
+    mu^2: below the oscillation threshold (mu^2 = -nu^2) they are cosh and
+    sinh(nu tau)/nu, and at mu^2 = 0 they are 1 and tau.  dS/dmu^2 =
+    (tau C - S)/(2 mu^2) cancels as mu^2 tau^2 -> 0; there it comes from
+    its Taylor series.
+    """
+    if mu_sq > 0.0:
         mu = math.sqrt(mu_sq)
-        damped = np.exp(-a_rate * tau) * (np.cos(mu * tau) + (a_rate / mu) * np.sin(mu * tau))
-    elif mu_sq < -1e-18 * a_rate**2:
-        # overdamped: two decaying exponentials, written overflow-safe
-        nu = math.sqrt(-mu_sq)
-        damped = 0.5 * (1.0 + a_rate / nu) * np.exp(-(a_rate - nu) * tau) \
-            + 0.5 * (1.0 - a_rate / nu) * np.exp(-(a_rate + nu) * tau)
+        e = np.exp(-a_rate * tau)
+        c, s = np.cos(mu * tau), np.sin(mu * tau)
+        damped = e * (c + (a_rate / mu) * s)
+        ec, es = e * c, e * s / mu
     else:
-        damped = np.exp(-a_rate * tau) * (1.0 + a_rate * tau)
-    return 1.0 - damped
+        # overdamped, overflow-safe: with f = e^{-(a - nu) tau} and
+        # q = e^{-2 nu tau} - 1, e^{-a tau} C = f (1 + q/2) and
+        # e^{-a tau} S = -f q / (2 nu)
+        nu = math.sqrt(-mu_sq)
+        f = np.exp((nu - a_rate) * tau)
+        q = np.expm1(-2.0 * nu * tau)
+        ec = f * (1.0 + 0.5 * q)
+        es = f * q / (-2.0 * nu) if nu else f * tau
+        damped = ec + a_rate * es
+    if not partials:
+        return 1.0 - damped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eds = (tau * ec - es) / (2.0 * mu_sq)
+    # the series below |mu^2| tau^2 = _SERIES_X; tau = 0 is exact as it
+    # stands, except at mu^2 = 0
+    small = tau < (math.sqrt(_SERIES_X / abs(mu_sq)) if mu_sq else math.inf)
+    if mu_sq:
+        small &= tau > 0.0
+    if small.any():
+        t = tau[small]
+        t2 = t * t
+        eds[small] = np.exp(-a_rate * t) * t * t2 * (
+            np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
+    return 1.0 - damped, tau * damped - es, 0.5 * tau * es - a_rate * eds
 
 
 def _g2_rates(gamma0: float, gamma: float, rabi: float):
@@ -97,6 +132,15 @@ def _g2_rates(gamma0: float, gamma: float, rabi: float):
     return 0.5 * (g1 + g2r), w * w - (0.5 * (g2r - g1)) ** 2
 
 
+def _g2_rate_partials(gamma0: float, gamma: float, rabi: float, gamma_tracks: bool):
+    """d mu^2/d rabi, d a/d gamma0 and d mu^2/d gamma0 of _g2_rates; with
+    gamma_tracks the linewidth gamma moves with gamma0 (gamma = gamma0)."""
+    two_pi = cyclic_to_angular(1.0)
+    dg2r = math.pi if gamma_tracks else 0.0
+    half_diff = 0.5 * (math.pi * gamma - two_pi * gamma0)
+    return 2.0 * two_pi * two_pi * rabi, 0.5 * (two_pi + dg2r), half_diff * (two_pi - dg2r)
+
+
 def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     """g2 at delay tau (ns); negative delays are mirrored.
 
@@ -105,7 +149,8 @@ def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     """
     if drive.detuning != 0.0:
         raise ValueError("g2 requires resonant drive (detuning = 0)")
-    out = _g2_shape(tau_ns, *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
+    tau = np.abs(np.asarray(tau_ns, dtype=float)) * 1e-3
+    out = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
     return out if np.ndim(tau_ns) else float(out)
 
 
@@ -156,12 +201,39 @@ def fit_rabi_from_g2(
         Parameter("gamma0", mol.gamma0, lo=1e-12, fixed=not float_gamma0),
     ]
 
-    def residual(p):
-        rabi, amp, bg, gam0 = p
-        rates = _g2_rates(gam0, max(mol.gamma, gam0), rabi)
-        return bg + amp * _g2_shape(trace.delays, *rates) - trace.values
+    tau = np.abs(trace.delays) * 1e-3
+    ones = np.ones(tau.size)
+    memo = {}
 
-    res = minimize(FitProblem(residual, pars), opts)
+    def terms(p):
+        """The shape, its derivatives in a and mu^2, and those of a and mu^2
+        in rabi and gamma0 at p: one exp/cos/sin pass per parameter vector,
+        shared by the residual and the Jacobian (LM takes the Jacobian where
+        it last evaluated the residual)."""
+        key = p.tobytes()
+        if key not in memo:
+            rabi, _, _, gam0 = p
+            gamma = max(mol.gamma, gam0)
+            shape = _g2_shape(tau, *_g2_rates(gam0, gamma, rabi), partials=True)
+            memo.clear()
+            memo[key] = shape + _g2_rate_partials(gam0, gamma, rabi, gam0 > mol.gamma)
+        return memo[key]
+
+    def residual(p):
+        _, amp, bg, _ = p
+        return bg + amp * terms(p)[0] - trace.values
+
+    def jacobian(p):
+        amp = p[1]
+        shape, d_a, d_mu_sq, dmu_drabi, da_dgam0, dmu_dgam0 = terms(p)
+        return np.array([
+            d_mu_sq * (amp * dmu_drabi),                            # rabi
+            shape,                                                  # amplitude
+            ones,                                                   # background
+            d_a * (amp * da_dgam0) + d_mu_sq * (amp * dmu_dgam0),   # gamma0
+        ]).T
+
+    res = minimize(FitProblem(residual, pars, jacobian=jacobian), opts)
     if res.status == "max_iter":
         raise estimation.NotConvergedError("g2 fit did not converge", res)
     return res

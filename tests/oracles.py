@@ -1,14 +1,17 @@
 """Independent numerical oracles used by the test suite.
 
-Both oracles integrate the optical Bloch equations written out explicitly
-as coupled scalar ODEs (quantum regression for two-time quantities), with
-tight integrator tolerances.  They deliberately avoid the package's
-Liouvillian/eigen machinery so the two computational paths share nothing
-but the physical model.
+The two ODE oracles integrate the optical Bloch equations written out
+explicitly as coupled scalar ODEs (quantum regression for two-time
+quantities), with tight integrator tolerances.  They deliberately avoid the
+package's Liouvillian/eigen machinery so the two computational paths share
+nothing but the physical model.  The g2 shape oracle evaluates the closed
+form in 40-digit arithmetic, with one complex square root in place of the
+package's regimes and series.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -35,6 +38,36 @@ def g2_ode(tau_ns, gamma0_mhz, gamma_mhz, rabi_mhz, rtol=1e-12, atol=1e-14):
     sol = solve_ivp(rhs, (0.0, float(tau_us.max())), [0.0, 0.0],
                     t_eval=tau_us, rtol=rtol, atol=atol, method="DOP853")
     return sol.y[0] / ree_ss
+
+
+def _g2_shape_mp(t, a, m):
+    mu = mpmath.sqrt(mpmath.mpc(m))
+    osc = 1 + a * t if mu == 0 else mpmath.cos(mu * t) + a * mpmath.sin(mu * t) / mu
+    return mpmath.re(1 - mpmath.exp(-a * t) * osc)
+
+
+def g2_shape_mp(tau_us, a_rate, mu_sq, dps=40):
+    """1 - e^{-a tau} (cos(mu tau) + a sin(mu tau)/mu), mu = sqrt(mu_sq)
+    (imaginary below the oscillation threshold), at dps digits; the float
+    inputs are taken exactly.  At mu = 0 it is the limit
+    1 - e^{-a tau} (1 + a tau)."""
+    with mpmath.workdps(dps):
+        a, m = mpmath.mpf(float(a_rate)), mpmath.mpf(float(mu_sq))
+        return np.array([float(_g2_shape_mp(mpmath.mpf(float(t)), a, m))
+                         for t in np.asarray(tau_us, dtype=float)])
+
+
+def g2_shape_partials_mp(tau_us, a_rate, mu_sq, dps=40):
+    """d/da and d/dmu_sq of g2_shape_mp, by mpmath's numerical
+    differentiation at dps digits."""
+    with mpmath.workdps(dps):
+        a, m = mpmath.mpf(float(a_rate)), mpmath.mpf(float(mu_sq))
+        d_a, d_m = [], []
+        for t in np.asarray(tau_us, dtype=float):
+            t = mpmath.mpf(float(t))
+            d_a.append(float(mpmath.diff(lambda x: _g2_shape_mp(t, x, m), a)))
+            d_m.append(float(mpmath.diff(lambda x: _g2_shape_mp(t, a, x), m)))
+    return np.array(d_a), np.array(d_m)
 
 
 def mollow_ode(freq_mhz, gamma0_mhz, gamma_mhz, rabi_mhz,

@@ -109,6 +109,24 @@ class TestSimulate:
         assert text.split("\n")[0] in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command,text", [
+        ("extinction", "[molecule]\ngamma = 1e400"),
+        ("extinction", "[molecule]\ngamma0 = inf"),
+        ("g2", "[drive]\nrabi = nan"),
+        ("g2", "[simulate]\ntau_max_ns = -1e999"),
+        ("extinction", "[geometry]\nqwp_angles_deg = 0, 36, inf"),
+        ("extinction", "[geometry]\nqwp_angles_deg = 0, nan, 72"),
+    ])
+    def test_non_finite_values_are_exit_2(self, tmp_path, capsys, command, text):
+        # inf, nan and literals that overflow a double are configuration
+        # errors, not numeric ones (exit 3) or silent runs
+        cfg = _ini(tmp_path, text + "\n")
+        assert main(["simulate", command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert text.split("\n")[1].split(" =")[0] in err and "not a finite number" in err
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestAnalyze:
     def test_fit_spectrum_round_trip(self, tmp_path, capsys):

@@ -36,6 +36,14 @@ def test_overrides_and_power_to_rabi():
     assert saturation_parameter(cfg2.molecule, cfg2.drive) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("molecule", "gamma", "1e400"), ("drive", "detuning", "-inf"),
+    ("detector", "dark_rate", "nan"), ("geometry", "qwp_angles_deg", "0, 1e309")])
+def test_non_finite_values_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"\\[{section}\\] {key}: .* is not a finite number"):
+        load_config(overrides={section: {key: value}})
+
+
 def test_unknown_override_key_rejected():
     with pytest.raises(ConfigError):
         load_config(overrides={"drive": {"rabbi": 5.0}})

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from oracles import g2_ode
+from oracles import g2_ode, g2_shape_mp, g2_shape_partials_mp
+from resfluor import correlation
 from resfluor.correlation import (
     G2Trace,
+    _g2_rates,
+    _g2_shape,
     annotate,
     cross_check_saturation,
     fit_rabi_from_g2,
@@ -46,6 +50,38 @@ class TestClosedForm:
         lo = g2(tau, MOL, DriveParams(rabi=rabi_star * (1 - 1e-6)))
         hi = g2(tau, MOL, DriveParams(rabi=rabi_star * (1 + 1e-6)))
         assert np.max(np.abs(lo - hi)) < 1e-6
+
+    def test_high_precision_oracle_matches_ode_oracle(self):
+        gamma0, gamma, rabi = MOL.gamma0, MOL.gamma, 25.0
+        a = math.pi * (2.0 * gamma0 + gamma) / 2.0
+        mu_sq = (2.0 * math.pi * rabi) ** 2 - (math.pi * (gamma - 2.0 * gamma0) / 2.0) ** 2
+        tau = np.linspace(0.5, 300.0, 40)
+        ref = g2_ode(tau, gamma0, gamma, rabi)
+        assert np.max(np.abs(g2_shape_mp(tau * 1e-3, a, mu_sq) - ref)) < 1e-10
+
+    @pytest.mark.parametrize("ratio", [s * r for r in (1e-20, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3)
+                                       for s in (1.0, -1.0)])
+    def test_near_threshold_matches_high_precision_oracle(self, ratio):
+        # mu^2 = ratio * a^2 on both sides of the oscillation threshold,
+        # where the overdamped sum 0.5 (1 +- a/nu) e^{-(a -+ nu) tau}
+        # cancels as nu -> 0
+        a, _ = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
+        tau = np.linspace(0.0, 0.4, 81)
+        got = _g2_shape(tau, a, ratio * a * a)
+        assert np.max(np.abs(got - g2_shape_mp(tau, a, ratio * a * a))) <= 1e-13
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-20, -1e-20, 1e-6, -1e-6, 1e-3, -1e-3,
+                                       -0.5, 1.0, 50.0])
+    def test_partials_match_high_precision_oracle(self, ratio):
+        # d/dmu^2 comes from a Taylor series where mu^2 tau^2 is small,
+        # including every delay at mu^2 = 0
+        a, _ = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
+        tau = np.linspace(0.0, 0.4, 41)
+        shape, d_a, d_mu_sq = _g2_shape(tau, a, ratio * a * a, partials=True)
+        assert np.array_equal(shape, _g2_shape(tau, a, ratio * a * a))
+        ref_a, ref_mu_sq = g2_shape_partials_mp(tau, a, ratio * a * a)
+        assert np.max(np.abs(d_a - ref_a)) <= 1e-12 * np.max(np.abs(ref_a))
+        assert np.max(np.abs(d_mu_sq - ref_mu_sq)) <= 1e-12 * np.max(np.abs(ref_mu_sq))
 
     def test_rejects_detuned(self):
         with pytest.raises(ValueError):
@@ -88,6 +124,47 @@ class TestRabiFit:
         tr = noisy_g2_trace(delays, MOL, DriveParams(rabi=60.0), 1e4, seed=11)
         res = fit_rabi_from_g2(tr, MOL)
         assert res.params["rabi"] == pytest.approx(60.0, rel=0.05)
+
+    @pytest.mark.parametrize("float_gamma0,gamma0", [
+        (False, MOL.gamma0), (True, MOL.gamma0), (True, 18.0)])
+    @pytest.mark.parametrize("rabi", ["0", "below", "threshold", "above", "5", "50", "120"])
+    def test_jacobian_matches_central_differences(self, float_gamma0, gamma0, rabi):
+        # gamma0 on both sides of MOL.gamma: above it the fitted linewidth
+        # max(MOL.gamma, gamma0) moves with gamma0
+        threshold = abs(max(MOL.gamma, gamma0) - 2.0 * gamma0) / 4.0
+        rabi = {"below": threshold * (1 - 1e-6), "threshold": threshold,
+                "above": threshold * (1 + 1e-6)}.get(rabi) or float(rabi)
+        tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0))
+
+        class Captured(Exception):
+            pass
+
+        def capture(problem, opts=None):
+            raise Captured(problem)
+
+        with mock.patch.object(correlation, "minimize", capture):
+            with pytest.raises(Captured) as info:
+                fit_rabi_from_g2(tr, MOL, float_gamma0=float_gamma0)
+        problem = info.value.args[0]
+        p = np.array([rabi, 0.9, 0.05, gamma0])
+        jac = problem.jacobian(p)
+        assert jac.shape == (801, 4)
+        for j, h in enumerate(1e-4 * np.array([1.0, 1.0, 1.0, gamma0])):
+            dp = np.zeros(4)
+            dp[j] = h
+            fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)
+            assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * np.max(np.abs(jac[:, j]))
+
+    def test_closed_form_jacobian_counts(self):
+        # one residual per Gauss-Newton step; the Jacobian reuses the
+        # shape evaluated with the residual at the accepted point
+        delays = np.linspace(0.0, 400.0, 801)
+        for tr in (g2_trace(delays, MOL, DriveParams(rabi=50.0)),
+                   noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed=0)):
+            res = fit_rabi_from_g2(tr, MOL)
+            assert res.converged
+            assert res.njev == res.iterations + 1
+            assert res.nfev <= res.iterations + 2
 
     def test_short_trace_rejected(self):
         delays = np.linspace(0.0, 20.0, 41)
