@@ -37,7 +37,6 @@ from .measurement import (
     DetectorParams,
     interference_dip_rate,
     photon_rate_to_power,
-    saturation_power_calibration,
     shot_noise_contrast,
     simulate_counts,
     snr_of_detection,

@@ -129,13 +129,21 @@ def _amplitudes(mol, rabi: float, a_frac: float, b_dip: float) -> tuple:
     return a_frac / l0, b_dip / (l0 * mol.gamma / 2.0)
 
 
+# the instrument convolution holds an N x N kernel: 8193 points is ~0.5 GiB
+_MOLLOW_GRID_MAX_POINTS = 8193
+
+
 def _mollow_grid(fpc, rabi: float, gamma: float) -> np.ndarray:
     """Emission grid for a Mollow spectrum seen through the FPC: spans
     +-(1.5 FSR + 2 rabi + 20 gamma), so it covers more than one FSR, at 8
-    points per instrument FWHM."""
+    points per instrument FWHM; at most _MOLLOW_GRID_MAX_POINTS points."""
     half = fpc.fsr * 1.5 + 2.0 * rabi + 20.0 * gamma
     step = fpc.fwhm / 8.0
     n = 2 * int(math.ceil(half / step)) + 1
+    if n > _MOLLOW_GRID_MAX_POINTS:
+        raise ConfigError(
+            f"Mollow emission grid of {n} points exceeds {_MOLLOW_GRID_MAX_POINTS}: [drive] "
+            f"rabi = {rabi:g} MHz with [fpc] fsr = {fpc.fsr:g}, fwhm = {fpc.fwhm:g} MHz")
     return np.linspace(-half, half, n)
 
 

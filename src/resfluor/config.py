@@ -12,6 +12,7 @@ P_sat = 350 pW.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -188,6 +189,17 @@ def _merged_raw(path: Optional[str], profile: str = "dbatt-paper") -> dict:
     return merged
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Name section [name] in a ValueError raised while building it, once."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
 def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
                 overrides: Optional[dict] = None) -> RunConfig:
     """Build a validated RunConfig from the profile, an optional INI file
@@ -205,7 +217,7 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
     def get(section, key):
         return _parse_value(section, key, raw[section][key], _SCHEMA[section][key])
 
-    try:
+    with _section("molecule"):
         mol = MoleculeParams(
             gamma0=get("molecule", "gamma0"),
             gamma=get("molecule", "gamma"),
@@ -213,10 +225,8 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
             alpha_dw=get("molecule", "alpha_dw"),
             alpha_fc=get("molecule", "alpha_fc"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[molecule]: {exc}") from exc
 
-    try:
+    with _section("drive"):
         cal = PowerCalibration(get("drive", "p_sat_pw"))
         rabi = get("drive", "rabi")
         if "power_pw" in raw["drive"]:
@@ -228,35 +238,27 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
             incident_rate=get("drive", "incident_rate"),
             incident_unit=get("drive", "incident_unit"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[drive]: {exc}") from exc
 
-    try:
+    with _section("detector"):
         det = DetectorParams(
             dark_rate=get("detector", "dark_rate"),
             quantum_efficiency=get("detector", "quantum_efficiency"),
             integration_time=get("detector", "integration_time"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[detector]: {exc}") from exc
 
-    try:
+    with _section("fpc"):
         fpc = FpcParams(
             fsr=get("fpc", "fsr"),
             fwhm=get("fpc", "fwhm"),
             peak_transmission=get("fpc", "peak_transmission"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[fpc]: {exc}") from exc
 
-    try:
+    with _section("geometry"):
         geo = SeparationGeometry(
             dipole_angle=math.radians(get("geometry", "dipole_angle_deg")),
             polarizer_angle=math.radians(get("geometry", "polarizer_angle_deg")),
             polarizer_extinction_ratio=get("geometry", "polarizer_extinction_ratio"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[geometry]: {exc}") from exc
     qwp = [math.radians(a) for a in get("geometry", "qwp_angles_deg")]
 
     sim = {k: get("simulate", k) for k in _SCHEMA["simulate"] if k in raw["simulate"]}

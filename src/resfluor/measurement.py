@@ -143,7 +143,3 @@ class PowerCalibration:
         if s < 0:
             raise ValueError("saturation parameter must be >= 0")
         return s * self.p_at_s1
-
-
-def saturation_power_calibration(p_at_s1: float) -> PowerCalibration:
-    return PowerCalibration(p_at_s1)

@@ -4,6 +4,10 @@ Contains the sampled-trace container, the power-broadened Lorentzian, the
 extinction (interference) spectrum, the incoherent resonance-fluorescence
 spectrum of a resonantly driven two-level system (Mollow triplet), and the
 Fabry-Perot instrument response with its convolution.
+
+The Mollow spectrum and the steady state share one path on the 4x4 Bloch
+Liouvillian, a linear solve and a rational resolvent, with no eigenmodes:
+both stay exact at its exceptional point (Omega = gamma0/4, lifetime limit).
 """
 
 from __future__ import annotations
@@ -191,6 +195,11 @@ def extinction_spectrum(model: ExtinctionModel, grid) -> SpectrumTrace:
 # Mollow triplet (resonant drive)
 # ---------------------------------------------------------------------------
 
+# |g><e| on the basis (g, e); column-stacked vec(X) = (X_gg, X_eg, X_ge, X_ee)
+_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+_TRACE_ROW = np.array([1, 0, 0, 1], dtype=complex)   # Tr X = row . vec(X)
+
+
 def _bloch_liouvillian(gamma0_mhz: float, gamma_mhz: float, rabi_mhz: float) -> np.ndarray:
     """Liouvillian of the resonantly driven two-level system, 4x4 on
     column-stacked rho = (rho_gg, rho_eg, rho_ge, rho_ee).
@@ -203,11 +212,10 @@ def _bloch_liouvillian(gamma0_mhz: float, gamma_mhz: float, rabi_mhz: float) -> 
     gphi = g2 - g1 / 2.0                        # pure dephasing (>= 0)
     w = cyclic_to_angular(rabi_mhz)
 
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
-    sp = sm.T.conj()
+    sm = _SIGMA_MINUS
     sz = np.array([[-1, 0], [0, 1]], dtype=complex)
     ident = np.eye(2, dtype=complex)
-    h = (w / 2.0) * (sp + sm)
+    h = (w / 2.0) * (sm + sm.T)
 
     def lindblad(a, rate):
         ada = a.conj().T @ a
@@ -222,47 +230,19 @@ def _bloch_liouvillian(gamma0_mhz: float, gamma_mhz: float, rabi_mhz: float) -> 
     return liou
 
 
-def _steady_state(liou: np.ndarray) -> np.ndarray:
-    """Trace-one density matrix in the kernel of the Liouvillian."""
-    vals, vecs = np.linalg.eig(liou)
-    k = int(np.argmin(np.abs(vals)))
-    rho = vecs[:, k].reshape(2, 2, order="F")
-    rho = rho / np.trace(rho)
-    return rho
+def _stationary(mol: MoleculeParams, rabi: float):
+    """(L, vec rho_ss): the Liouvillian and its trace-one stationary state,
+    from L rho = 0 with the first equation replaced by Tr rho = 1."""
+    liou = _bloch_liouvillian(mol.gamma0, mol.gamma, rabi)
+    return liou, np.linalg.solve(np.vstack([_TRACE_ROW, liou[1:]]), [1, 0, 0, 0])
 
 
 def steady_state_expectations(mol: MoleculeParams, drive: DriveParams):
     """(rho_ee, <sigma->) of the driven steady state."""
     if drive.detuning != 0.0:
         raise ValueError("only resonant drive (detuning = 0) is supported")
-    liou = _bloch_liouvillian(mol.gamma0, mol.gamma, drive.rabi)
-    rho = _steady_state(liou)
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)
-    return float(rho[1, 1].real), complex(np.trace(sm @ rho))
-
-
-def _incoherent_correlation_modes(mol: MoleculeParams, rabi: float):
-    """Eigen-expansion of C_inc(tau) = <s+(t+tau) s-(t)> - |<s->|^2.
-
-    Returns (amplitudes beta_k, rates lambda_k) with
-    C_inc(tau) = sum_k beta_k exp(lambda_k tau), tau in us.
-    """
-    liou = _bloch_liouvillian(mol.gamma0, mol.gamma, rabi)
-    rho = _steady_state(liou)
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)
-    sp = sm.T.conj()
-
-    s_ss = complex(np.trace(sm @ rho))
-    x0 = (sm @ rho - s_ss * rho).flatten(order="F")  # coherent part removed
-    w_vec = sp.T.flatten(order="F")                  # Tr[sp X] = w_vec . vec(X)
-
-    vals, vecs = np.linalg.eig(liou)
-    alpha = np.linalg.solve(vecs, x0)
-    beta = (w_vec @ vecs) * alpha
-    # stationary mode carries no incoherent weight by construction
-    k0 = int(np.argmin(np.abs(vals)))
-    beta[k0] = 0.0
-    return beta, vals
+    _, rho = _stationary(mol, drive.rabi)
+    return float(rho[3].real), complex(rho[1])
 
 
 def mollow_spectrum(
@@ -282,19 +262,30 @@ def mollow_spectrum(
     if drive.rabi < 0 or mol.gamma <= 0:
         raise ValueError("rabi must be >= 0 and gamma > 0")
     grid = np.asarray(grid, dtype=float)
-    beta, lam = _incoherent_correlation_modes(mol, drive.rabi)
+    # C_inc(tau) = w . exp(L tau) x0 with x0 = vec(s- rho - <s-> rho) and
+    # w . vec(X) = Tr[s+ X] = X_ge; the density is 4 Re of its one-sided
+    # transform w . (i omega - L)^-1 x0.  x0 is traceless, so deflating the
+    # stationary mode, M = L - vec(rho_ss) Tr, leaves the transform unchanged
+    # for omega != 0 and makes i omega - M invertible at omega = 0 too.
+    liou, rho = _stationary(mol, drive.rabi)
+    rho_m = rho.reshape(2, 2, order="F")
+    x0 = (_SIGMA_MINUS @ rho_m - rho[1] * rho_m).flatten(order="F")
+    m = liou - np.outer(rho, _TRACE_ROW)
+    # Faddeev-LeVerrier: q(s) = det(sI - M) and p(s) = w . adj(sI - M) x0,
+    # with adj(sI - M) = sum_k B_k s^(3-k), B_0 = I, B_k = M B_k-1 + q_k I
+    q, p, b = [1.0], [], np.eye(4)
+    for k in range(1, 5):
+        p.append((b @ x0)[2])
+        mb = m @ b
+        q.append(-np.trace(mb) / k)
+        b = mb + q[-1] * np.eye(4)
 
     # the density is even in the emission detuning: evaluating at |grid|
     # makes that exact (bitwise) on symmetric grids
-    omega = TWO_PI * np.abs(grid)  # rad/us
-    dens = np.zeros_like(grid)
-    for b, l in zip(beta, lam):
-        if b == 0.0:
-            continue
-        t_pos = np.real(b / (1j * omega - l))
-        t_neg = np.real(b / (-1j * omega - l))
-        dens += t_pos + t_neg
-    vals = 2.0 * emission_scale * dens
+    s_iw = 1j * TWO_PI * np.abs(grid)           # i omega, rad/us
+    resolvent = np.polyval(p, s_iw) / np.polyval(q, s_iw)   # w . (s - M)^-1 x0
+    # + 0.0 turns the -0.0 of an undriven emitter (x0 = 0) into +0.0
+    vals = 4.0 * emission_scale * resolvent.real + 0.0
     s = saturation_parameter(mol, drive)
     return SpectrumTrace(
         grid,

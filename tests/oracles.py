@@ -3,10 +3,10 @@
 The two ODE oracles integrate the optical Bloch equations written out
 explicitly as coupled scalar ODEs (quantum regression for two-time
 quantities), with tight integrator tolerances.  They deliberately avoid the
-package's Liouvillian/eigen machinery so the two computational paths share
-nothing but the physical model.  The g2 shape oracle evaluates the closed
-form in 40-digit arithmetic, with one complex square root in place of the
-package's regimes and series.
+package's Liouvillian and its resolvent, so the two computational paths
+share nothing but the physical model.  The g2 shape oracle evaluates the
+closed form in 40-digit arithmetic, with one complex square root in place of
+the package's regimes and series.
 """
 
 import math

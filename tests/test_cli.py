@@ -61,6 +61,16 @@ class TestSimulate:
         pos = em.grid > 50.0
         assert em.grid[pos][np.argmax(em.values[pos])] == pytest.approx(100.0, rel=0.05)
 
+    def test_oversized_mollow_grid_is_exit_2(self, tmp_path, capsys):
+        # the emission grid grows with rabi and the instrument kernel is
+        # N x N: rabi = 1e6 MHz would need a 38 TiB kernel
+        cfg = _ini(tmp_path, "[drive]\nrabi = 1e6\n")
+        assert main(["simulate", "mollow", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[drive] rabi = 1e+06 MHz" in err and "[fpc] fsr = 356" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_g2_trace(self, tmp_path):
         cfg = _ini(tmp_path, "[drive]\nrabi = 60.0\n")
         out = str(tmp_path / "out")

@@ -28,6 +28,7 @@ EXPECTED = {
     "simulate-extinction-noisy": _traces(["extinction"]),
     "simulate-mollow": _traces(["mollow_emission", "mollow_detected"]),
     "simulate-mollow-rabi100": _traces(["mollow_emission", "mollow_detected"]),
+    "simulate-mollow-exceptional-point": _traces(["mollow_emission", "mollow_detected"]),
     "simulate-g2": ["g2.csv"],
     "simulate-g2-noisy": ["g2.csv"],
     "simulate-saturation-sweep": _traces(["saturation_coherent", "saturation_total"]),
@@ -49,7 +50,7 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "SHA256SUMS").read_text().splitlines()
     paths = [line.split("  ", 1)[1] for line in lines]
-    expected = ["g2-noise.ini", "noise.ini", "rabi100.ini"] + [
+    expected = ["exceptional-point.ini", "g2-noise.ini", "noise.ini", "rabi100.ini"] + [
         f"{run}/{name}" for run, names in EXPECTED.items()
         for name in names + ["stdout.txt"]]
     assert paths == sorted(expected)

@@ -10,7 +10,6 @@ from resfluor.measurement import (
     RNG_NAME,
     interference_dip_rate,
     photon_rate_to_power,
-    saturation_power_calibration,
     shot_noise_contrast,
     simulate_counts,
     snr_of_detection,
@@ -128,7 +127,7 @@ class TestBudgets:
         assert photon_rate_to_power(0.0, 590.0) == 0.0
 
     def test_power_calibration(self):
-        cal = saturation_power_calibration(350.0)
+        cal = PowerCalibration(350.0)
         assert cal.saturation(350.0) == 1.0
         assert cal.power(cal.saturation(123.0)) == pytest.approx(123.0, rel=1e-14)
         with pytest.raises(ValueError):

@@ -139,12 +139,16 @@ class TestMollow:
         area = np.trapezoid(v, grid)
         assert area == pytest.approx(incoherent_emission_rate(s), rel=1e-3)
 
-    def test_matches_ode_oracle_with_dephasing(self):
-        rabi = 60.0
-        grid = np.linspace(-180, 180, 25)
-        v = mollow_spectrum(MOL, DriveParams(rabi=rabi), grid).values
-        orc = mollow_ode(grid, MOL.gamma0, MOL.gamma, rabi)
-        assert np.max(np.abs(v - orc)) / np.max(np.abs(orc)) < 1e-8
+    @pytest.mark.parametrize("mol,rabi,half", [
+        (MOL, 60.0, 180.0),
+        # exceptional point Omega = gamma0/4: the Liouvillian is defective
+        (LIFETIME_LIMITED, LIFETIME_LIMITED.gamma0 / 4.0, 120.0),
+    ], ids=["dephased", "exceptional-point"])
+    def test_matches_ode_oracle_with_dephasing(self, mol, rabi, half):
+        grid = np.linspace(-half, half, 25)
+        v = mollow_spectrum(mol, DriveParams(rabi=rabi), grid).values
+        orc = mollow_ode(grid, mol.gamma0, mol.gamma, rabi)
+        assert np.max(np.abs(v - orc)) / np.max(np.abs(orc)) < 2e-10
 
     def test_sidebands_at_rabi(self):
         rabi = 200.0

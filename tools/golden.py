@@ -2,7 +2,7 @@
 
     python3 tools/golden.py OUT
 
-Runs, in this process and at ``--seed 7``, every ``reproduce`` figure, eight
+Runs, in this process and at ``--seed 7``, every ``reproduce`` figure, nine
 ``simulate`` runs and the ``analyze`` fits that read their outputs.  Each run
 writes into its own directory ``OUT/<run>/``, plus ``OUT/<run>/stdout.txt``
 with what the command printed and its exit code.  The tool then writes
@@ -31,6 +31,9 @@ SEED = "7"
 CONFIGS = {
     "noise.ini": "[simulate]\nnoise = true\n",
     "rabi100.ini": "[drive]\nrabi = 100.0\n",
+    # lifetime-limited line at Omega = gamma0/4: the Bloch Liouvillian's
+    # exceptional point
+    "exceptional-point.ini": "[molecule]\ngamma = 16.4\n\n[drive]\nrabi = 4.1\n",
     "g2-noise.ini": "[drive]\nrabi = 50.0\n\n[simulate]\nnoise = true\n",
 }
 
@@ -46,6 +49,8 @@ RUNS = (
     ("simulate-extinction-noisy", ["simulate", "extinction", "--config", "noise.ini"]),
     ("simulate-mollow", ["simulate", "mollow"]),
     ("simulate-mollow-rabi100", ["simulate", "mollow", "--config", "rabi100.ini"]),
+    ("simulate-mollow-exceptional-point", ["simulate", "mollow",
+                                           "--config", "exceptional-point.ini"]),
     ("simulate-g2", ["simulate", "g2"]),
     ("simulate-g2-noisy", ["simulate", "g2", "--config", "g2-noise.ini"]),
     ("simulate-saturation-sweep", ["simulate", "saturation-sweep"]),
