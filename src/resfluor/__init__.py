@@ -25,10 +25,7 @@ from .spectra import (
     mollow_spectrum,
 )
 from .polarization import (
-    ChainElement,
-    PolarizationChain,
     SeparationGeometry,
-    apply_chain,
     separate_components,
     transform_extinction_triple,
 )
@@ -42,7 +39,6 @@ from .measurement import (
     snr_of_detection,
 )
 from .estimation import (
-    FitOptions,
     FitProblem,
     FitResult,
     Parameter,

@@ -58,6 +58,8 @@ def _config_hash(cfg: RunConfig) -> str:
 
 
 def _write_trace(trace, out_dir: str, stem: str, formats) -> list:
+    """Write trace as out_dir/stem.<format> for each of formats that the
+    trace type has; a ConfigError when that writes no file."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "csv" in formats:
@@ -70,6 +72,9 @@ def _write_trace(trace, out_dir: str, stem: str, formats) -> list:
         with open(path, "w") as fh:
             fh.write(trace.to_json())
         written.append(path)
+    if not written:
+        raise ConfigError(f"[output] formats = {', '.join(formats)} writes no file "
+                          f"for a {type(trace).__name__}")
     return written
 
 
@@ -164,20 +169,15 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    out, formats = cfg.out_dir, cfg.formats
+    out, formats, sim = cfg.out_dir, cfg.formats, cfg.simulate
     mol, drive = cfg.molecule, cfg.drive
     s = saturation_parameter(mol, drive) if drive.detuning == 0 else float("nan")
 
     if args.subcommand == "extinction":
-        a, b = _amplitudes(mol, drive.rabi, cfg.simulate.get("extinction_a", 0.0),
-                           cfg.simulate.get("extinction_b_dip", 0.0))
+        a, b = _amplitudes(mol, drive.rabi, sim["extinction_a"], sim["extinction_b_dip"])
         model = ExtinctionModel(A=a, B=b, psi=drive.psi, mol=mol, drive=drive)
-        grid = np.linspace(
-            cfg.simulate.get("grid_min", -150.0),
-            cfg.simulate.get("grid_max", 150.0),
-            cfg.simulate.get("points", 301),
-        )
-        if cfg.simulate.get("noise", False):
+        grid = np.linspace(sim["grid_min"], sim["grid_max"], sim["points"])
+        if sim["noise"]:
             trace = synth.noisy_extinction_trace(
                 model, grid, drive.incident_rate, cfg.detector, cfg.seed
             )
@@ -188,14 +188,14 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         print(f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz")
 
     elif args.subcommand == "mollow":
-        scale = cfg.simulate.get("emission_scale", 1.0)
+        scale = sim["emission_scale"]
         emission = mollow_spectrum(mol, drive, _mollow_grid(cfg.fpc, drive.rabi, mol.gamma),
                                    emission_scale=scale)
         coh = coherent_emission_rate(s) * scale
         detected = convolve_instrument(
             emission,
             cfg.fpc,
-            laser_background_rate=cfg.simulate.get("laser_background_rate", 0.0),
+            laser_background_rate=sim["laser_background_rate"],
             coherent_delta_weight=coh,
         )
         _write_trace(emission, out, "mollow_emission", formats)
@@ -206,12 +206,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         )
 
     elif args.subcommand == "g2":
-        delays = np.linspace(
-            0.0, cfg.simulate.get("tau_max_ns", 400.0), cfg.simulate.get("tau_points", 801)
-        )
-        if cfg.simulate.get("noise", False):
+        delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
+        if sim["noise"]:
             trace = synth.noisy_g2_trace(
-                delays, mol, drive, cfg.simulate.get("plateau_coincidences", 1e4), cfg.seed
+                delays, mol, drive, sim["plateau_coincidences"], cfg.seed
             )
         else:
             trace = g2_trace(delays, mol, drive)
@@ -219,13 +217,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         print(f"g2: {annotate(drive.rabi, mol)}")
 
     elif args.subcommand == "saturation-sweep":
-        powers = np.geomspace(
-            cfg.simulate.get("power_min_pw", 5.0),
-            cfg.simulate.get("power_max_pw", 1e4),
-            cfg.simulate.get("power_points", 25),
-        )
+        powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
         coh, tot = _saturation_traces(cfg.power_calibration, powers,
-                                      cfg.simulate.get("emission_scale", 1.0),
+                                      sim["emission_scale"],
                                       "saturation_sweep")
         _write_trace(coh, out, "saturation_coherent", formats)
         _write_trace(tot, out, "saturation_total", formats)
@@ -235,7 +229,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         )
 
     elif args.subcommand == "counts":
-        grid = np.arange(float(cfg.simulate.get("points", 301)))
+        grid = np.arange(float(sim["points"]))
         rate = SpectrumTrace(
             grid, np.full_like(grid, drive.incident_rate),
             freq_kind="pixel_index", value_kind="counts_per_s",
@@ -491,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=os.environ.get("RESFLUOR_CONFIG"),
                         help="INI config file (default: RESFLUOR_CONFIG env var)")
-        sp.add_argument("--profile", default="dbatt-paper")
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed in [0, 2**64) (default: [run] seed)")
         sp.add_argument("--out", default=None)
@@ -520,7 +513,7 @@ def main(argv=None) -> int:
         # flags enter the config, its checks and its hash as INI values do
         flags = {"run": {"seed": args.seed, "threads": args.threads},
                  "output": {"dir": args.out}}
-        cfg = load_config(args.config, profile=args.profile, overrides={
+        cfg = load_config(args.config, overrides={
             section: {k: v for k, v in kv.items() if v is not None}
             for section, kv in flags.items()})
 

@@ -40,7 +40,6 @@ DBATT_PAPER_PROFILE = {
         "detuning": "0.0",
         "psi_deg": "90.0",
         "incident_rate": "127550.0",
-        "incident_unit": "cps",
         "p_sat_pw": "350.0",
     },
     "detector": {
@@ -85,7 +84,7 @@ DBATT_PAPER_PROFILE = {
     },
 }
 
-PROFILES = {"dbatt-paper": DBATT_PAPER_PROFILE}
+_FORMATS = ("csv", "json")
 
 
 def _parse_value(section, key, raw, kind):
@@ -120,8 +119,7 @@ _SCHEMA = {
     "molecule": {"gamma0": float, "gamma": float, "lambda21": float,
                  "alpha_dw": float, "alpha_fc": float},
     "drive": {"rabi": float, "detuning": float, "psi_deg": float,
-              "incident_rate": float, "incident_unit": str,
-              "power_pw": float, "p_sat_pw": float},
+              "incident_rate": float, "power_pw": float, "p_sat_pw": float},
     "detector": {"dark_rate": float, "quantum_efficiency": float,
                  "integration_time": float},
     "fpc": {"fsr": float, "fwhm": float, "peak_transmission": float},
@@ -165,10 +163,8 @@ class RunConfig:
             raise ConfigError(f"[run] threads must be >= 1, got {self.threads}")
 
 
-def _merged_raw(path: Optional[str], profile: str = "dbatt-paper") -> dict:
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}")
-    merged = {s: dict(kv) for s, kv in PROFILES[profile].items()}
+def _merged_raw(path: Optional[str]) -> dict:
+    merged = {s: dict(kv) for s, kv in DBATT_PAPER_PROFILE.items()}
     if path is None:
         return merged
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
@@ -200,11 +196,10 @@ def _section(name: str):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
-                overrides: Optional[dict] = None) -> RunConfig:
-    """Build a validated RunConfig from the profile, an optional INI file
-    and programmatic overrides (section -> key -> string value)."""
-    raw = _merged_raw(path, profile)
+def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
+    """Build a validated RunConfig from the built-in profile, an optional
+    INI file and programmatic overrides (section -> key -> string value)."""
+    raw = _merged_raw(path)
     if overrides:
         for section, kv in overrides.items():
             if section not in _SCHEMA:
@@ -236,7 +231,6 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
             detuning=get("drive", "detuning"),
             psi=math.radians(get("drive", "psi_deg")),
             incident_rate=get("drive", "incident_rate"),
-            incident_unit=get("drive", "incident_unit"),
         )
 
     with _section("detector"):
@@ -261,7 +255,27 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
         )
     qwp = [math.radians(a) for a in get("geometry", "qwp_angles_deg")]
 
-    sim = {k: get("simulate", k) for k in _SCHEMA["simulate"] if k in raw["simulate"]}
+    sim = {k: get("simulate", k) for k in _SCHEMA["simulate"]}
+    for key in ("points", "tau_points", "power_points"):
+        if sim[key] < 1:
+            raise ConfigError(f"[simulate] {key} must be >= 1, got {sim[key]}")
+    if sim["grid_min"] >= sim["grid_max"]:
+        raise ConfigError(f"[simulate] grid_min ({sim['grid_min']:g}) must be below "
+                          f"grid_max ({sim['grid_max']:g})")
+    for key in ("tau_max_ns", "plateau_coincidences"):
+        if sim[key] <= 0:
+            raise ConfigError(f"[simulate] {key} must be > 0, got {sim[key]:g}")
+    for key in ("extinction_a", "extinction_b_dip", "emission_scale", "laser_background_rate"):
+        if sim[key] < 0:
+            raise ConfigError(f"[simulate] {key} must be >= 0, got {sim[key]:g}")
+    if not 0 < sim["power_min_pw"] < sim["power_max_pw"]:
+        raise ConfigError(f"[simulate] power_min_pw ({sim['power_min_pw']:g}) must be in "
+                          f"(0, power_max_pw = {sim['power_max_pw']:g})")
+
+    formats = [f.strip() for f in get("output", "formats").split(",") if f.strip()]
+    if not formats or not set(formats) <= set(_FORMATS):
+        raise ConfigError(f"[output] formats must list one or more of "
+                          f"{', '.join(_FORMATS)}, got {raw['output']['formats']!r}")
 
     return RunConfig(
         molecule=mol,
@@ -273,7 +287,7 @@ def load_config(path: Optional[str] = None, profile: str = "dbatt-paper",
         power_calibration=cal,
         simulate=sim,
         out_dir=get("output", "dir"),
-        formats=[f.strip() for f in get("output", "formats").split(",") if f.strip()],
+        formats=formats,
         seed=get("run", "seed"),
         threads=get("run", "threads"),
         raw=raw,

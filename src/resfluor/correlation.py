@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .physics import DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
 from . import estimation
-from .estimation import FitOptions, FitProblem, FitResult, Parameter, minimize
+from .estimation import FitProblem, FitResult, Parameter, minimize
 
 
 @dataclass
@@ -168,7 +167,6 @@ def fit_rabi_from_g2(
     trace: G2Trace,
     mol: MoleculeParams,
     float_gamma0: bool = False,
-    opts: Optional[FitOptions] = None,
 ) -> FitResult:
     """Least-squares fit of the closed form plus amplitude and flat
     background; returns rabi (MHz) with its standard error.
@@ -233,7 +231,7 @@ def fit_rabi_from_g2(
             d_a * (amp * da_dgam0) + d_mu_sq * (amp * dmu_dgam0),   # gamma0
         ]).T
 
-    res = minimize(FitProblem(residual, pars, jacobian=jacobian), opts)
+    res = minimize(FitProblem(residual, pars, jacobian=jacobian))
     if res.status == "max_iter":
         raise estimation.NotConvergedError("g2 fit did not converge", res)
     return res

@@ -66,13 +66,12 @@ class FitProblem:
         return [i for i, p in enumerate(self.params) if not p.fixed]
 
 
-@dataclass
-class FitOptions:
-    max_iter: int = 500
-    xtol: float = 1e-10      # relative cost decrease
-    gtol: float = 1e-8       # gradient inf-norm
-    cond_max: float = 1e12   # normal-equations conditioning limit
-    diff_step: float = 1e-7
+# LM engine settings
+MAX_ITER = 500
+XTOL = 1e-10        # relative cost decrease
+GTOL = 1e-8         # gradient inf-norm
+COND_MAX = 1e12     # normal-equations conditioning limit
+DIFF_STEP = 1e-7    # forward-difference step, relative to 1 + |internal value|
 
 
 @dataclass
@@ -159,13 +158,12 @@ def _dext_dint(t, lo, hi):
     return 1.0
 
 
-def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResult:
+def minimize(problem: FitProblem) -> FitResult:
     """Levenberg-Marquardt minimization of the weighted residual norm.
 
     Accepted steps never increase the weighted cost; damping grows until a
     decreasing step is found or the iteration budget runs out.
     """
-    opts = opts or FitOptions()
     pars = problem.params
     free = problem.free_indices()
     nfree = len(free)
@@ -226,13 +224,13 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
             return J[:, free] * dext_dint(theta)
         J = np.empty((r.size, nfree))
         for k in range(nfree):
-            h = opts.diff_step * (1.0 + abs(theta[k]))
+            h = DIFF_STEP * (1.0 + abs(theta[k]))
             tp = theta.copy()
             tp[k] += h
             J[:, k] = (residual(tp) - r) / h
         return J
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         J = jacobian(theta, r)
         g = J.T @ (w * r)
         grad_norm = float(np.max(np.abs(g)))
@@ -242,7 +240,7 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
             lam = np.linalg.eigvalsh(A)
             if lam[0] > 0:
                 cond = float(lam[-1] / lam[0])
-        if grad_norm < opts.gtol:
+        if grad_norm < GTOL:
             status = "converged"
             break
         diag = np.diag(A).copy()
@@ -264,19 +262,19 @@ def minimize(problem: FitProblem, opts: Optional[FitOptions] = None) -> FitResul
                 if mu < 1e-14 * np.max(diag):
                     mu = 0.0  # undamped Gauss-Newton while steps keep working
                 accepted = True
-                if rel < opts.xtol:
+                if rel < XTOL:
                     status = "converged"
                 break
             mu = max(mu * 10.0, 1e-10 * np.max(diag))
         if not accepted:
-            if cond > opts.cond_max:
+            if cond > COND_MAX:
                 rank_flag = True
                 break
             status = "converged"  # no decreasing step exists; local minimum
             break
         if status == "converged":
             break
-        if cond > opts.cond_max:
+        if cond > COND_MAX:
             rank_flag = True
 
     if rank_flag and status != "converged":
@@ -363,8 +361,6 @@ def fit_extinction(
     data: SpectrumTrace,
     init: Optional[dict] = None,
     fixed: Sequence[str] = (),
-    weights: Optional[np.ndarray] = None,
-    opts: Optional[FitOptions] = None,
 ) -> FitResult:
     """Fit {A, B, psi, gamma, center, baseline} to a transmission trace."""
     nfree = sum(name not in fixed for name in ("A", "B", "psi", "gamma", "center", "baseline"))
@@ -399,10 +395,10 @@ def fit_extinction(
         a, b, psi, gamma, center, baseline = p
         return extinction_fit_model(data.grid, gamma, a, b, psi, center, baseline) - data.values
 
-    return minimize(FitProblem(residual, pars, weights), opts)
+    return minimize(FitProblem(residual, pars))
 
 
-def fit_linewidth_vs_power(spectra: Sequence[tuple], opts: Optional[FitOptions] = None):
+def fit_linewidth_vs_power(spectra: Sequence[tuple]):
     """From (power, SpectrumTrace) pairs, extract per-power FWHM and fit
     FWHM(P) = gamma*sqrt(1 + P/P_sat).
 
@@ -413,7 +409,7 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple], opts: Optional[FitOptions] 
         raise RankDeficientError("need spectra at >= 3 powers")
     table = []
     for power, tr in spectra:
-        r = fit_extinction(tr, opts=opts)
+        r = fit_extinction(tr)
         if not r.converged:
             raise NotConvergedError(f"linewidth fit failed at power {power}", r)
         table.append((float(power), r.params["gamma"], r.errors["gamma"]))
@@ -431,7 +427,7 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple], opts: Optional[FitOptions] 
         gamma, p_sat = p
         return gamma * np.sqrt(1.0 + powers / p_sat) - fwhm
 
-    res = minimize(FitProblem(residual, pars), opts)
+    res = minimize(FitProblem(residual, pars))
     return table, res
 
 
@@ -439,7 +435,6 @@ def fit_saturation_curves(
     powers: np.ndarray,
     coherent_rates: np.ndarray,
     total_rates: np.ndarray,
-    opts: Optional[FitOptions] = None,
 ) -> FitResult:
     """Joint fit of a*S/(1+S)^2 (coherent) and b*S/(1+S) (total) with a
     shared saturation power: S = P/P_sat."""
@@ -463,4 +458,4 @@ def fit_saturation_curves(
         rt = b * s / (1.0 + s) - total_rates
         return np.concatenate([rc, rt])
 
-    return minimize(FitProblem(residual, pars), opts)
+    return minimize(FitProblem(residual, pars))

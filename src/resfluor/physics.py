@@ -82,23 +82,19 @@ class DriveParams:
     rabi:          Rabi frequency (MHz, same FWHM-convention scale as gamma0)
     detuning:      laser detuning from resonance (MHz)
     psi:           interference phase (rad), stored wrapped into (-pi, pi]
-    incident_rate: detected incident photon rate or optical power
-    incident_unit: "cps" (counts/s) or "W"
+    incident_rate: detected incident photon rate (counts/s)
     """
 
     rabi: float
     detuning: float = 0.0
     psi: float = 0.5 * math.pi
     incident_rate: float = 0.0
-    incident_unit: str = "cps"
 
     def __post_init__(self):
         if self.rabi < 0:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         if self.incident_rate < 0:
             raise ValueError(f"incident_rate must be >= 0, got {self.incident_rate}")
-        if self.incident_unit not in ("cps", "W"):
-            raise ValueError(f"incident_unit must be 'cps' or 'W', got {self.incident_unit!r}")
         object.__setattr__(self, "psi", normalize_phase(self.psi))
 
 

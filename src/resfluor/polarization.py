@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .physics import normalize_phase
 from . import estimation
 from .estimation import (
-    FitOptions,
     FitProblem,
     FitResult,
     Parameter,
@@ -41,11 +40,6 @@ class DegenerateConfigurationError(ValueError):
 def axis_vector(angle_from_y: float) -> np.ndarray:
     """Real unit Jones vector at the given angle from the y-axis."""
     return np.array([math.sin(angle_from_y), math.cos(angle_from_y)], dtype=complex)
-
-
-def rotation_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def polarizer_matrix(angle_from_y: float, extinction_ratio: float = 0.0) -> np.ndarray:
@@ -67,51 +61,17 @@ def qwp_matrix(angle_from_y: float) -> np.ndarray:
     return np.outer(a, a.conj()) + 1j * np.outer(b, b.conj())
 
 
-@dataclass(frozen=True)
-class ChainElement:
-    kind: str                      # quarter_waveplate | polarizer | rotation
-    angle: float = 0.0             # radians from the lab y-axis
-    extinction_ratio: float = 0.0  # polarizer intensity leakage
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "quarter_waveplate":
-            return qwp_matrix(self.angle)
-        if self.kind == "polarizer":
-            return polarizer_matrix(self.angle, self.extinction_ratio)
-        if self.kind == "rotation":
-            return rotation_matrix(self.angle)
-        raise ValueError(f"unknown chain element kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class PolarizationChain:
-    """Ordered Jones elements, input side first.  Empty chain is identity."""
-
-    elements: tuple = ()
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(2, dtype=complex)
-        for el in self.elements:
-            m = el.matrix() @ m
-        return m
-
-
-def apply_chain(chain: PolarizationChain, v: np.ndarray) -> np.ndarray:
-    """Propagate a Jones vector through the chain."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2,) or not np.all(np.isfinite(v)):
-        raise ValueError("Jones vector must be a finite length-2 complex vector")
-    return chain.matrix() @ v
-
-
-def _jones_overlaps(chain: PolarizationChain, e_laser: np.ndarray, e_dipole_axis: float):
-    """Unnormalised (|U d|^2, <U e, U d>, |U e|^2) of the chain U, laser
-    Jones vector e and (real, unit) dipole axis vector d.
+def _jones_overlaps(chain: np.ndarray, e_laser: np.ndarray, e_dipole_axis: float):
+    """Unnormalised (|U d|^2, <U e, U d>, |U e|^2) of the chain's Jones
+    matrix U, laser Jones vector e and (real, unit) dipole axis vector d.
 
     Raises DegenerateConfigurationError when the chain extinguishes the laser.
     """
-    u_l = apply_chain(chain, e_laser)
-    u_d = apply_chain(chain, axis_vector(e_dipole_axis))
+    e_laser = np.asarray(e_laser, dtype=complex)
+    if e_laser.shape != (2,) or not np.all(np.isfinite(e_laser)):
+        raise ValueError("Jones vector must be a finite length-2 complex vector")
+    u_l = chain @ e_laser
+    u_d = chain @ axis_vector(e_dipole_axis)
     n = float(np.vdot(u_l, u_l).real)
     if n < 1e-24 * float(np.vdot(e_laser, e_laser).real):
         raise DegenerateConfigurationError(
@@ -122,17 +82,17 @@ def _jones_overlaps(chain: PolarizationChain, e_laser: np.ndarray, e_dipole_axis
 
 
 def transform_extinction_triple(
-    chain: PolarizationChain,
+    chain: np.ndarray,
     e_laser: np.ndarray,
     e_dipole_axis: float,
     a0: float,
     b0: float,
     psi0: float,
 ):
-    """(A', B', psi') seen through the chain.
+    """(A', B', psi') seen through the chain with Jones matrix U.
 
     A' = A0 |U d|^2 / |U e|^2 and B' exp(i psi') = B0 exp(i psi0)
-    <U e, U d> / |U e|^2, with U the chain matrix, e the laser Jones vector
+    <U e, U d> / |U e|^2, with e the laser Jones vector
     and d the (real, unit) dipole axis vector.
     """
     if a0 < 0 or b0 < 0:
@@ -160,21 +120,13 @@ class SeparationGeometry:
     def laser_vector(self) -> np.ndarray:
         return np.array(self.laser, dtype=complex)
 
-    def chain(self, theta_qwp: float) -> PolarizationChain:
-        return PolarizationChain(
-            (
-                ChainElement("quarter_waveplate", theta_qwp),
-                ChainElement("polarizer", self.polarizer_angle,
-                             self.polarizer_extinction_ratio),
-            )
-        )
+    def chain(self, theta_qwp: float) -> np.ndarray:
+        """Jones matrix of the QWP at theta_qwp followed by the polarizer."""
+        return (polarizer_matrix(self.polarizer_angle, self.polarizer_extinction_ratio)
+                @ qwp_matrix(theta_qwp))
 
 
-def separate_components(
-    spectra: Sequence[tuple],
-    geometry: SeparationGeometry,
-    opts: Optional[FitOptions] = None,
-) -> FitResult:
+def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) -> FitResult:
     """Joint fit of a QWP-angle series of transmission traces.
 
     spectra: (theta_qwp, SpectrumTrace) pairs sharing one underlying
@@ -249,7 +201,7 @@ def separate_components(
         Parameter("center", center0),
     ]
 
-    res = minimize(FitProblem(residual, pars, jacobian=jacobian), opts)
+    res = minimize(FitProblem(residual, pars, jacobian=jacobian))
     if res.status == "max_iter":
         raise estimation.NotConvergedError(
             f"component separation did not converge (last cost {res.cost:.3g})", res

@@ -5,9 +5,9 @@ extinction (interference) spectrum, the incoherent resonance-fluorescence
 spectrum of a resonantly driven two-level system (Mollow triplet), and the
 Fabry-Perot instrument response with its convolution.
 
-The Mollow spectrum and the steady state share one path on the 4x4 Bloch
-Liouvillian, a linear solve and a rational resolvent, with no eigenmodes:
-both stay exact at its exceptional point (Omega = gamma0/4, lifetime limit).
+The Mollow spectrum comes from the 4x4 Bloch Liouvillian through a linear
+solve for the steady state and a rational resolvent, with no eigenmodes, so
+it stays exact at the exceptional point (Omega = gamma0/4, lifetime limit).
 """
 
 from __future__ import annotations
@@ -79,17 +79,6 @@ class SpectrumTrace:
                 "value_kind": self.value_kind,
                 "meta": self.meta,
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumTrace":
-        d = json.loads(text)
-        return cls(
-            grid=np.array(d["grid"], dtype=float),
-            values=np.array(d["values"], dtype=float),
-            freq_kind=d["freq_kind"],
-            value_kind=d["value_kind"],
-            meta=d.get("meta", {}),
         )
 
     # -- CSV (two columns, '#' meta header) --
@@ -237,14 +226,6 @@ def _stationary(mol: MoleculeParams, rabi: float):
     return liou, np.linalg.solve(np.vstack([_TRACE_ROW, liou[1:]]), [1, 0, 0, 0])
 
 
-def steady_state_expectations(mol: MoleculeParams, drive: DriveParams):
-    """(rho_ee, <sigma->) of the driven steady state."""
-    if drive.detuning != 0.0:
-        raise ValueError("only resonant drive (detuning = 0) is supported")
-    _, rho = _stationary(mol, drive.rabi)
-    return float(rho[3].real), complex(rho[1])
-
-
 def mollow_spectrum(
     mol: MoleculeParams,
     drive: DriveParams,
@@ -350,9 +331,8 @@ def convolve_instrument(
     fpc: FpcParams,
     laser_background_rate: float = 0.0,
     coherent_delta_weight: float = 0.0,
-    scan_grid=None,
 ) -> SpectrumTrace:
-    """Detected count rate vs FPC scan frequency.
+    """Detected count rate vs FPC scan frequency, on the emission grid.
 
     The continuous emission density (counts/s per MHz) is convolved with the
     Airy profile by direct summation; the laser background and the coherent
@@ -372,21 +352,17 @@ def convolve_instrument(
         )
     if g[-1] - g[0] < fpc.fsr:
         raise ValueError("emission grid must span at least one free spectral range")
-    if scan_grid is None:
-        scan = g
-    else:
-        scan = np.asarray(scan_grid, dtype=float)
 
     # trapezoid weights for the continuous part
     wts = np.zeros_like(g)
     wts[:-1] += dg / 2.0
     wts[1:] += dg / 2.0
-    kernel = fpc_transmission(scan[:, None] - g[None, :], fpc)
+    kernel = fpc_transmission(g[:, None] - g[None, :], fpc)
     cont = kernel @ (emission.values * wts)
-    line = (laser_background_rate + coherent_delta_weight) * fpc_transmission(scan, fpc)
+    line = (laser_background_rate + coherent_delta_weight) * fpc_transmission(g, fpc)
     vals = cont + line
     return SpectrumTrace(
-        scan,
+        g,
         vals,
         freq_kind="fpc_scan_MHz",
         value_kind="counts_per_s",

@@ -291,7 +291,7 @@ def test_criterion_10_component_separation():
     s_amp = 0.5 * b0 * np.exp(1j * psi0)   # B0 = 2|s|, psi0 = arg(s)
     jones_gap = 0.0
     for th in angles:
-        u = GEO.chain(th).matrix()
+        u = GEO.chain(th)
         u_l, u_d = u @ e_l, u @ d
         brute = (np.abs(u_l[0] + u_d[0] * s_amp * chi) ** 2
                  + np.abs(u_l[1] + u_d[1] * s_amp * chi) ** 2) \

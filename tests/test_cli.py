@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -9,7 +8,6 @@ import pytest
 from resfluor import estimation
 from resfluor.cli import main
 from resfluor.correlation import G2Trace
-from resfluor.estimation import FitOptions
 from resfluor.spectra import SpectrumTrace
 
 
@@ -136,6 +134,61 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert text.split("\n")[1].split(" =")[0] in err and "not a finite number" in err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command,text", [
+        ("extinction", "points = 0"),
+        ("counts", "points = 0"),
+        ("g2", "tau_points = -5"),
+        ("saturation-sweep", "power_points = 0"),
+        ("extinction", "grid_min = 10\ngrid_max = -10"),
+        ("extinction", "grid_min = 5\ngrid_max = 5"),
+        ("g2", "tau_max_ns = -10"),
+        ("g2", "tau_max_ns = 0"),
+        ("saturation-sweep", "power_min_pw = 0"),
+        ("saturation-sweep", "power_min_pw = 2e4"),
+        ("g2", "plateau_coincidences = -5\nnoise = true"),
+        ("extinction", "extinction_a = -0.1"),
+        ("extinction", "extinction_b_dip = -0.1"),
+        ("saturation-sweep", "emission_scale = -1"),
+        ("mollow", "laser_background_rate = -1"),
+    ])
+    def test_out_of_range_simulate_values_are_exit_2(self, tmp_path, capsys, command, text):
+        # sample counts >= 1, grid_min < grid_max, tau_max_ns > 0,
+        # 0 < power_min_pw < power_max_pw, plateau_coincidences > 0 and
+        # amplitudes, scale and background >= 0
+        cfg = _ini(tmp_path, "[simulate]\n" + text + "\n")
+        assert main(["simulate", command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[simulate] " + text.split(" =")[0] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_smallest_simulate_values_run(self, tmp_path):
+        cfg = _ini(tmp_path, "[simulate]\npoints = 1\ntau_points = 1\npower_points = 1\n"
+                             "grid_min = -1e-9\ngrid_max = 0\ntau_max_ns = 1e-9\n"
+                             "power_min_pw = 1e-9\npower_max_pw = 2e-9\n"
+                             "plateau_coincidences = 1e-9\nextinction_a = 0\n"
+                             "extinction_b_dip = 0\nemission_scale = 0\n"
+                             "laser_background_rate = 0\n")
+        for command in ("extinction", "counts", "g2", "saturation-sweep", "mollow"):
+            assert main(["simulate", command, "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0, command
+
+    @pytest.mark.parametrize("command,text,complaint", [
+        ("extinction", "[output]\nformats = cvs", "[output] formats"),
+        ("extinction", "[output]\nformats = csv, xml", "[output] formats"),
+        ("extinction", "[output]\nformats = ,", "[output] formats"),
+        ("g2", "[output]\nformats = json", "[output] formats"),
+        ("extinction", "[drive]\nincident_unit = W\nincident_rate = 1e-13",
+         "unknown key [drive] incident_unit"),
+    ])
+    def test_output_formats_and_removed_keys_are_exit_2(self, tmp_path, capsys, command,
+                                                         text, complaint):
+        # a format that writes nothing used to exit 0 with no file
+        cfg = _ini(tmp_path, text + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == 2
+        assert complaint in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
 
 class TestAnalyze:
@@ -290,14 +343,13 @@ class TestAnalyze:
         assert main(["analyze", command, str(manifest), "--out", out]) == 2
         assert "cannot parse manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, module, name", [
-        ("separate", "resfluor.polarization", "separate.json"),
-        ("g2-fit", "resfluor.correlation", "g2_fit.json"),
-        ("linewidth-sweep", "resfluor.estimation", "linewidth_sweep.json"),
+    @pytest.mark.parametrize("command, name", [
+        ("separate", "separate.json"),
+        ("g2-fit", "g2_fit.json"),
+        ("linewidth-sweep", "linewidth_sweep.json"),
     ])
     def test_nonconvergence_writes_result_and_is_exit_4(self, tmp_path, capsys,
-                                                        monkeypatch, command, module,
-                                                        name):
+                                                        monkeypatch, command, name):
         # a one-iteration budget stops every fit unconverged
         if command == "separate":
             assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
@@ -309,9 +361,7 @@ class TestAnalyze:
         else:
             inputs = [self._power_series(tmp_path, [50.0, 350.0, 2500.0])]
         capsys.readouterr()
-        real = estimation.minimize
-        monkeypatch.setattr(importlib.import_module(module), "minimize",
-                            lambda problem, opts=None: real(problem, FitOptions(max_iter=1)))
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
         out = str(tmp_path / "out")
         assert main(["analyze", command, *inputs, "--out", out]) == 4
         with open(os.path.join(out, name)) as fh:

@@ -23,11 +23,6 @@ def test_builtin_profile_values():
     assert cfg.drive.psi == pytest.approx(math.pi / 2.0)
 
 
-def test_unknown_profile_rejected():
-    with pytest.raises(ConfigError):
-        load_config(profile="no-such-profile")
-
-
 def test_overrides_and_power_to_rabi():
     cfg = load_config(overrides={"drive": {"power_pw": 350.0}})
     s = saturation_parameter(cfg.molecule, cfg.drive)
@@ -84,6 +79,14 @@ def test_ini_errors_name_section_and_key(tmp_path):
     bad_sec.write_text("[laser]\nrabi = 1\n")
     with pytest.raises(ConfigError, match="laser"):
         load_config(str(bad_sec))
+
+
+def test_output_formats_validated():
+    assert load_config(overrides={"output": {"formats": " json ,csv"}}).formats == [
+        "json", "csv"]
+    for formats in ("cvs", "csv,xml", "", " , "):
+        with pytest.raises(ConfigError, match=r"^\[output\] formats"):
+            load_config(overrides={"output": {"formats": formats}})
 
 
 def test_physical_validation_is_config_error(tmp_path):

@@ -139,7 +139,7 @@ class TestRabiFit:
         class Captured(Exception):
             pass
 
-        def capture(problem, opts=None):
+        def capture(problem):
             raise Captured(problem)
 
         with mock.patch.object(correlation, "minimize", capture):

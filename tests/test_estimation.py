@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from resfluor import estimation
 from resfluor.estimation import (
-    FitOptions,
     FitProblem,
     NotConvergedError,
     Parameter,
@@ -44,7 +44,7 @@ class TestTransforms:
 
 
 class TestMinimize:
-    def test_linear_problem_two_iterations(self):
+    def test_linear_problem_two_iterations(self, monkeypatch):
         # unbounded linear least squares is solved by the first undamped
         # Gauss-Newton step; the second iteration only certifies the gradient
         x = np.linspace(0, 1, 40)
@@ -54,13 +54,15 @@ class TestMinimize:
             return p[0] + p[1] * x - y
 
         pars = [Parameter("c0", 10.0), Parameter("c1", -10.0)]
-        res = minimize(FitProblem(residual, pars), FitOptions(gtol=1e-13))
+        monkeypatch.setattr(estimation, "GTOL", 1e-13)
+        res = minimize(FitProblem(residual, pars))
         assert res.converged
         assert res.iterations <= 3
         assert res.params["c0"] == pytest.approx(2.0, abs=1e-10)
         assert res.params["c1"] == pytest.approx(-3.0, abs=1e-10)
 
-    def test_rosenbrock_from_many_starts(self):
+    def test_rosenbrock_from_many_starts(self, monkeypatch):
+        monkeypatch.setattr(estimation, "MAX_ITER", 2000)
         rng = np.random.default_rng(7)
         for _ in range(25):
             a, b = rng.uniform(-2, 2, size=2)
@@ -69,7 +71,7 @@ class TestMinimize:
                 return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
             pars = [Parameter("x", a), Parameter("y", b)]
-            res = minimize(FitProblem(residual, pars), FitOptions(max_iter=2000))
+            res = minimize(FitProblem(residual, pars))
             assert res.cost < 1e-12
             assert res.params["x"] == pytest.approx(1.0, abs=1e-6)
 
@@ -115,7 +117,7 @@ class TestMinimize:
         # call; a closed-form Jacobian is counted in njev, not in nfev
         assert payload["njev"] == res.njev == 0
         assert res.nfev >= 1 + 2 * (res.iterations + 1)
-        assert payload["grad_norm"] == res.grad_norm < FitOptions().gtol
+        assert payload["grad_norm"] == res.grad_norm < estimation.GTOL
         assert payload["cond"] == res.cond >= 1.0
         with_jac = minimize(FitProblem(
             residual, pars, jacobian=lambda p: np.column_stack([np.ones_like(x), x, x * x])))
@@ -128,7 +130,7 @@ class TestMinimize:
         assert singular.cond == math.inf
         assert json.loads(singular.to_json())["cond"] is None
 
-    def test_closed_form_jacobian_reaches_forward_difference_solution(self):
+    def test_closed_form_jacobian_reaches_forward_difference_solution(self, monkeypatch):
         # one parameter per bound kind, plus a fixed one between them whose
         # column the engine must drop
         x = np.linspace(0.0, 2.0, 60)
@@ -149,9 +151,10 @@ class TestMinimize:
                     Parameter("z", 0.2, fixed=True), Parameter("c", 0.0, hi=5.0),
                     Parameter("f", 0.5, lo=0.0, hi=1.0)]
 
-        opts = FitOptions(gtol=1e-13, xtol=1e-15)
-        fd = minimize(FitProblem(residual, pars()), opts)
-        cf = minimize(FitProblem(residual, pars(), jacobian=jacobian), opts)
+        monkeypatch.setattr(estimation, "GTOL", 1e-13)
+        monkeypatch.setattr(estimation, "XTOL", 1e-15)
+        fd = minimize(FitProblem(residual, pars()))
+        cf = minimize(FitProblem(residual, pars(), jacobian=jacobian))
         assert fd.converged and cf.converged
         assert (fd.njev, cf.njev) == (0, cf.iterations + 1)
         for name in ("a", "k", "c", "f"):
@@ -185,12 +188,14 @@ class TestExtinctionFit:
         g = np.linspace(-140, 140, 281) if grid is None else grid
         return extinction_spectrum(model, g)
 
-    def test_round_trip_dispersive(self):
+    def test_round_trip_dispersive(self, monkeypatch):
         # a single trace determines only (A - B*gamma/2*sin(psi), B*cos(psi));
         # with A pinned, B and psi are both identifiable
         tr = self._trace(0.0, 8.0, 0.3)
-        res = fit_extinction(tr, fixed=("A",), init={"A": 0.0},
-                             opts=FitOptions(gtol=1e-13, xtol=1e-15, max_iter=2000))
+        monkeypatch.setattr(estimation, "GTOL", 1e-13)
+        monkeypatch.setattr(estimation, "XTOL", 1e-15)
+        monkeypatch.setattr(estimation, "MAX_ITER", 2000)
+        res = fit_extinction(tr, fixed=("A",), init={"A": 0.0})
         assert res.converged
         assert res.params["psi"] == pytest.approx(0.3, abs=1e-8)
         assert res.params["gamma"] == pytest.approx(MOL.gamma, rel=1e-8)

@@ -56,7 +56,7 @@ def test_drive_validation_and_psi_wrap():
     with pytest.raises(ValueError):
         DriveParams(rabi=-1.0)
     with pytest.raises(ValueError):
-        DriveParams(rabi=1.0, incident_unit="photons")
+        DriveParams(rabi=1.0, incident_rate=-1.0)
     d = DriveParams(rabi=1.0, psi=3.0 * math.pi)
     assert d.psi == pytest.approx(math.pi)
 
