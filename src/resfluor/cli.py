@@ -126,12 +126,13 @@ def _load_series(manifest_path: str, key: str) -> list:
     return pairs
 
 
-def _amplitudes(mol, rabi: float, a_frac: float, b_dip: float) -> tuple:
-    """(A, B) of the extinction model whose A-term peak and B-term dip (at
-    psi = pi/2) on resonance are the fractions a_frac and b_dip of the
-    baseline, at the power-broadened width of the given Rabi frequency."""
-    l0 = 1.0 / (mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0))
-    return a_frac / l0, b_dip / (l0 * mol.gamma / 2.0)
+def _extinction_model(mol, drive: DriveParams, a_frac: float, b_dip: float) -> ExtinctionModel:
+    """Extinction model at the drive's phase and power-broadened width whose
+    A-term peak and B-term dip (at psi = pi/2) on resonance are the
+    fractions a_frac and b_dip of the baseline."""
+    l0 = 1.0 / (mol.gamma**2 / 4.0 + drive.rabi**2 * mol.gamma / (2.0 * mol.gamma0))
+    return ExtinctionModel(A=a_frac / l0, B=b_dip / (l0 * mol.gamma / 2.0), psi=drive.psi,
+                           mol=mol, drive=drive)
 
 
 # the instrument convolution holds an N x N kernel: 8193 points is ~0.5 GiB
@@ -152,6 +153,18 @@ def _mollow_grid(fpc, rabi: float, gamma: float) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
+def _mollow_traces(fpc, mol, drive: DriveParams, s: float, scale: float,
+                   background: float) -> tuple:
+    """(emission, detected): the Mollow spectrum at saturation s times
+    scale, and what the FPC passes of it plus its coherent part and a
+    laser background rate."""
+    emission = mollow_spectrum(mol, drive, _mollow_grid(fpc, drive.rabi, mol.gamma),
+                               emission_scale=scale)
+    detected = convolve_instrument(emission, fpc, laser_background_rate=background,
+                                   coherent_delta_weight=coherent_emission_rate(s) * scale)
+    return emission, detected
+
+
 def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
     times scale."""
@@ -168,81 +181,78 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
-    out, formats, sim = cfg.out_dir, cfg.formats, cfg.simulate
-    mol, drive = cfg.molecule, cfg.drive
-    s = saturation_parameter(mol, drive) if drive.detuning == 0 else float("nan")
+# each simulation returns its (trace, stem) pairs and its stdout line; s is
+# the drive's saturation parameter on resonance (nan when detuned)
 
-    if args.subcommand == "extinction":
-        a, b = _amplitudes(mol, drive.rabi, sim["extinction_a"], sim["extinction_b_dip"])
-        model = ExtinctionModel(A=a, B=b, psi=drive.psi, mol=mol, drive=drive)
-        grid = np.linspace(sim["grid_min"], sim["grid_max"], sim["points"])
-        if sim["noise"]:
-            trace = synth.noisy_extinction_trace(
-                model, grid, drive.incident_rate, cfg.detector, cfg.seed
-            )
-        else:
-            trace = extinction_spectrum(model, grid)
-        _write_trace(trace, out, "extinction", formats)
-        dip = 1.0 - float(trace.values.min())
-        print(f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz")
+def _sim_extinction(cfg: RunConfig, s: float):
+    mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
+    model = _extinction_model(mol, drive, sim["extinction_a"], sim["extinction_b_dip"])
+    grid = np.linspace(sim["grid_min"], sim["grid_max"], sim["points"])
+    trace = extinction_spectrum(model, grid)
+    if trace.values.min() < 0.0:
+        raise ConfigError(
+            f"[simulate] extinction_b_dip = {sim['extinction_b_dip']:g} with extinction_a = "
+            f"{sim['extinction_a']:g} makes the transmission negative "
+            f"({trace.values.min():.4g} at its minimum)")
+    if sim["noise"]:
+        trace = synth.noisy_extinction_trace(model, grid, drive.incident_rate,
+                                             cfg.detector, cfg.seed)
+    dip = 1.0 - float(trace.values.min())
+    return [(trace, "extinction")], \
+        f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz"
 
-    elif args.subcommand == "mollow":
-        scale = sim["emission_scale"]
-        emission = mollow_spectrum(mol, drive, _mollow_grid(cfg.fpc, drive.rabi, mol.gamma),
-                                   emission_scale=scale)
-        coh = coherent_emission_rate(s) * scale
-        detected = convolve_instrument(
-            emission,
-            cfg.fpc,
-            laser_background_rate=sim["laser_background_rate"],
-            coherent_delta_weight=coh,
-        )
-        _write_trace(emission, out, "mollow_emission", formats)
-        _write_trace(detected, out, "mollow_detected", formats)
-        print(
-            f"mollow: Omega={drive.rabi:.4g} MHz, S={s:.4g}, "
-            f"sidebands at +-{drive.rabi:.4g} MHz"
-        )
 
-    elif args.subcommand == "g2":
-        delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
-        if sim["noise"]:
-            trace = synth.noisy_g2_trace(
-                delays, mol, drive, sim["plateau_coincidences"], cfg.seed
-            )
-        else:
-            trace = g2_trace(delays, mol, drive)
-        _write_trace(trace, out, "g2", formats)
-        print(f"g2: {annotate(drive.rabi, mol)}")
+def _sim_mollow(cfg: RunConfig, s: float):
+    drive, sim = cfg.drive, cfg.simulate
+    emission, detected = _mollow_traces(cfg.fpc, cfg.molecule, drive, s,
+                                        sim["emission_scale"], sim["laser_background_rate"])
+    return [(emission, "mollow_emission"), (detected, "mollow_detected")], \
+        f"mollow: Omega={drive.rabi:.4g} MHz, S={s:.4g}, sidebands at +-{drive.rabi:.4g} MHz"
 
-    elif args.subcommand == "saturation-sweep":
-        powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
-        coh, tot = _saturation_traces(cfg.power_calibration, powers,
-                                      sim["emission_scale"],
-                                      "saturation_sweep")
-        _write_trace(coh, out, "saturation_coherent", formats)
-        _write_trace(tot, out, "saturation_total", formats)
-        print(
-            f"saturation-sweep: P_sat={cfg.power_calibration.p_at_s1} pW, "
-            f"coherent max at S=1"
-        )
 
-    elif args.subcommand == "counts":
-        grid = np.arange(float(sim["points"]))
-        rate = SpectrumTrace(
-            grid, np.full_like(grid, drive.incident_rate),
-            freq_kind="pixel_index", value_kind="counts_per_s",
-        )
-        trace = simulate_counts(rate, cfg.detector, cfg.seed)
-        _write_trace(trace, out, "counts", formats)
-        print(
-            f"counts: mean {trace.values.mean():.1f} per "
-            f"{cfg.detector.integration_time} s pixel"
-        )
-
+def _sim_g2(cfg: RunConfig, s: float):
+    mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
+    delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
+    if sim["noise"]:
+        trace = synth.noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
     else:
-        raise ConfigError(f"unknown simulate subcommand {args.subcommand!r}")
+        trace = g2_trace(delays, mol, drive)
+    return [(trace, "g2")], f"g2: {annotate(drive.rabi, mol)}"
+
+
+def _sim_saturation_sweep(cfg: RunConfig, s: float):
+    sim = cfg.simulate
+    powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
+    coh, tot = _saturation_traces(cfg.power_calibration, powers, sim["emission_scale"],
+                                  "saturation_sweep")
+    return [(coh, "saturation_coherent"), (tot, "saturation_total")], \
+        f"saturation-sweep: P_sat={cfg.power_calibration.p_at_s1} pW, coherent max at S=1"
+
+
+def _sim_counts(cfg: RunConfig, s: float):
+    grid = np.arange(float(cfg.simulate["points"]))
+    rate = SpectrumTrace(grid, np.full_like(grid, cfg.drive.incident_rate),
+                         freq_kind="pixel_index", value_kind="counts_per_s")
+    trace = simulate_counts(rate, cfg.detector, cfg.seed)
+    return [(trace, "counts")], \
+        f"counts: mean {trace.values.mean():.1f} per {cfg.detector.integration_time} s pixel"
+
+
+SIMULATIONS = {
+    "extinction": _sim_extinction,
+    "mollow": _sim_mollow,
+    "g2": _sim_g2,
+    "saturation-sweep": _sim_saturation_sweep,
+    "counts": _sim_counts,
+}
+
+
+def cmd_simulate(args, cfg: RunConfig) -> int:
+    s = saturation_parameter(cfg.molecule, cfg.drive) if cfg.drive.detuning == 0 else math.nan
+    traces, line = SIMULATIONS[args.subcommand](cfg, s)
+    for trace, stem in traces:
+        _write_trace(trace, cfg.out_dir, stem, cfg.formats)
+    print(line)
     return EXIT_OK
 
 
@@ -323,37 +333,35 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reproduce: each figure returns (traces, files, paper-anchored numbers,
-# synthetic defaults, extra manifest fields)
+# reproduce: each figure returns ((trace, stem, description) triples,
+# paper-anchored numbers, synthetic defaults, extra manifest fields)
 # ---------------------------------------------------------------------------
 
 def _reproduce_fig2(cfg: RunConfig):
     mol = cfg.molecule
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0,
                         incident_rate=cfg.drive.incident_rate)
-    a, b = _amplitudes(mol, 0.0, 0.0, 0.115)
-    model = ExtinctionModel(A=a, B=b, psi=math.pi / 2.0, mol=mol, drive=drive)
+    model = _extinction_model(mol, drive, 0.0, 0.115)
     grid = np.linspace(-150.0, 150.0, 301)
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
     noisy = synth.noisy_extinction_trace(model, grid, drive.incident_rate, det, cfg.seed)
     clean = extinction_spectrum(model, grid)
-    files = {"fig2_transmission.csv": "raw transmission spectrum (11.5% dip)",
-             "fig2_model.csv": "noiseless model curve"}
     anchored = {"dip_depth": 0.115, "noise_rms": 0.007, "integration_time_s": 0.16,
                 "gamma_MHz": mol.gamma}
     synthetic = {"A_B_split": "single-trace A/B decomposition is not unique; "
                               "the dip is carried by the B-term here"}
-    traces = [(noisy, "fig2_transmission"), (clean, "fig2_model")]
-    return traces, files, anchored, synthetic, {}
+    traces = [(noisy, "fig2_transmission", "raw transmission spectrum (11.5% dip)"),
+              (clean, "fig2_model", "noiseless model curve")]
+    return traces, anchored, synthetic, {}
 
 
 def _reproduce_fig3(cfg: RunConfig):
     coh, tot = _saturation_traces(cfg.power_calibration, np.geomspace(5.0, 1e4, 41),
                                   1.0, "fig3")
-    files = {"fig3_coherent.csv": "coherent part, S/(1+S)^2",
-             "fig3_total.csv": "fluorescence excitation signal, S/(1+S)"}
+    traces = [(coh, "fig3_coherent", "coherent part, S/(1+S)^2"),
+              (tot, "fig3_total", "fluorescence excitation signal, S/(1+S)")]
     anchored = {"p_sat_pw": 350.0, "power_span_pw": [5.0, 1e4]}
-    return [(coh, "fig3_coherent"), (tot, "fig3_total")], files, anchored, {}, {}
+    return traces, anchored, {}, {}
 
 
 def _reproduce_fig4(cfg: RunConfig):
@@ -361,9 +369,9 @@ def _reproduce_fig4(cfg: RunConfig):
     geo = cfg.geometry
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0)
     # intrinsic triple sized so the projected spectra show percent-scale features
-    a, b = _amplitudes(mol, 0.0, 0.08, 0.30)
-    a0 = a / 0.5
-    b0 = b / math.cos(geo.dipole_angle)
+    model = _extinction_model(mol, drive, 0.08, 0.30)
+    a0 = model.A / 0.5
+    b0 = model.B / math.cos(geo.dipole_angle)
     psi0 = math.pi / 2.0
     grid = np.linspace(-150.0, 150.0, 301)
     traces, series = [], []
@@ -371,19 +379,18 @@ def _reproduce_fig4(cfg: RunConfig):
         ap, bp, pp = transform_extinction_triple(
             geo.chain(theta), geo.laser_vector(), geo.dipole_angle, a0, b0, psi0
         )
-        model = ExtinctionModel(A=ap, B=bp, psi=pp, mol=mol, drive=drive)
-        tr = extinction_spectrum(model, grid)
+        tr = extinction_spectrum(ExtinctionModel(A=ap, B=bp, psi=pp, mol=mol, drive=drive),
+                                 grid)
         tr.meta["theta_qwp_deg"] = math.degrees(theta)
         stem = f"fig4_theta{int(round(math.degrees(theta))):03d}"
-        traces.append((tr, stem))
+        traces.append((tr, stem, "QWP-angle series spectrum"))
         series.append({"theta_deg": math.degrees(theta), "file": stem + ".csv"})
-    files = {t[1] + ".csv": "QWP-angle series spectrum" for t in traces}
     anchored = {"dipole_angle_deg": 45.0, "polarizer_angle_deg": 80.0,
                 "fig4c_peaks": {"A_peak": 0.08, "B_dip": 0.30, "net_dip": 0.22}}
     synthetic = {"qwp_angles_deg": [math.degrees(t) for t in cfg.qwp_angles],
                  "note": "QWP angle values are not published; an evenly "
                          "spaced series is used"}
-    return traces, files, anchored, synthetic, {"series": series}
+    return traces, anchored, synthetic, {"series": series}
 
 
 def _reproduce_fig5(cfg: RunConfig):
@@ -392,27 +399,16 @@ def _reproduce_fig5(cfg: RunConfig):
     traces = []
     delays = np.linspace(0.0, 400.0, 801)
     for i, s in enumerate(sats):
-        rabi = rabi_for_saturation(mol, s)
-        drive = DriveParams(rabi=rabi)
-        emission = mollow_spectrum(mol, drive, _mollow_grid(cfg.fpc, rabi, mol.gamma),
-                                   emission_scale=1000.0)
-        detected = convolve_instrument(
-            emission, cfg.fpc,
-            laser_background_rate=50.0,
-            coherent_delta_weight=1000.0 * coherent_emission_rate(s),
-        )
-        traces.append((detected, f"fig5_spectrum_{i}"))
-        traces.append((g2_trace(delays, mol, drive), f"fig5_g2_{i}"))
-    files = {}
-    for i, s in enumerate(sats):
-        files[f"fig5_spectrum_{i}.csv"] = f"FPC scan, S={s}"
-        files[f"fig5_g2_{i}.csv"] = f"g2(tau), S={s}"
+        drive = DriveParams(rabi=rabi_for_saturation(mol, s))
+        _, detected = _mollow_traces(cfg.fpc, mol, drive, s, 1000.0, 50.0)
+        traces.append((detected, f"fig5_spectrum_{i}", f"FPC scan, S={s}"))
+        traces.append((g2_trace(delays, mol, drive), f"fig5_g2_{i}", f"g2(tau), S={s}"))
     anchored = {"fsr_MHz": 356.0, "instrument_fwhm_MHz": 14.0,
                 "peak_transmission": 0.15,
                 "laser_background": "same order as molecular fluorescence"}
     synthetic = {"saturation_series": sats, "emission_scale": 1000.0,
                  "laser_background_rate_cps": 50.0}
-    return traces, files, anchored, synthetic, {}
+    return traces, anchored, synthetic, {}
 
 
 def _reproduce_fig6(cfg: RunConfig):
@@ -421,8 +417,7 @@ def _reproduce_fig6(cfg: RunConfig):
     coherent = 1.1
     dip = interference_dip_rate(incident, coherent)
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0, incident_rate=incident)
-    a, b = _amplitudes(mol, 0.0, 0.0, dip / incident)
-    model = ExtinctionModel(A=a, B=b, psi=math.pi / 2.0, mol=mol, drive=drive)
+    model = _extinction_model(mol, drive, 0.0, dip / incident)
     det = DetectorParams(dark_rate=150.0, integration_time=4.0)
     grid = np.linspace(-150.0, 150.0, 151)
     clean = extinction_spectrum(model, grid)
@@ -430,13 +425,13 @@ def _reproduce_fig6(cfg: RunConfig):
                          value_kind="counts_per_s", meta=clean.meta)
     counts = simulate_counts(rate, det, cfg.seed)
     snr = snr_of_detection(dip, incident, det, det.integration_time)
-    files = {"fig6_counts.csv": "raw counts, 4 s per pixel",
-             "fig6_model.csv": "noiseless transmission model"}
     anchored = {"incident_rate_cps": incident, "coherent_rate_cps": coherent,
                 "dip_cps_paper": 50.0, "dip_cps_computed": dip,
                 "dark_rate_cps": 150.0, "integration_time_s": 4.0,
                 "snr_per_pixel": snr}
-    return [(counts, "fig6_counts"), (clean, "fig6_model")], files, anchored, {}, {}
+    traces = [(counts, "fig6_counts", "raw counts, 4 s per pixel"),
+              (clean, "fig6_model", "noiseless transmission model")]
+    return traces, anchored, {}, {}
 
 
 FIGURES = {
@@ -452,13 +447,17 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     fig = args.figure
     if fig not in FIGURES:
         raise ConfigError(f"unknown figure id {fig!r} (use fig2..fig6)")
-    traces, files, anchored, synthetic, extra = FIGURES[fig](cfg)
+    # the manifest lists the CSV files, which analyze reads back
+    if "csv" not in cfg.formats:
+        raise ConfigError(f"reproduce writes CSV data files: [output] formats = "
+                          f"{', '.join(cfg.formats)} must include csv")
+    traces, anchored, synthetic, extra = FIGURES[fig](cfg)
     out = os.path.join(cfg.out_dir, fig)
-    for trace, stem in traces:
+    for trace, stem, _ in traces:
         _write_trace(trace, out, stem, cfg.formats)
     manifest = {
         "figure": fig,
-        "files": files,
+        "files": {stem + ".csv": description for _, stem, description in traces},
         "paper_anchored": anchored,
         "synthetic_defaults": synthetic,
         "seed": cfg.seed,
@@ -473,6 +472,9 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = {"simulate": cmd_simulate, "analyze": cmd_analyze, "reproduce": cmd_reproduce}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -492,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="must be >= 1; kept for compatibility, changes no output")
 
     sim = sub.add_parser("simulate", help="forward-model a spectrum or correlation")
-    sim.add_argument("subcommand",
-                     choices=["extinction", "mollow", "g2", "saturation-sweep", "counts"])
+    sim.add_argument("subcommand", choices=list(SIMULATIONS))
     common(sim)
 
     ana = sub.add_parser("analyze", help="fit measured or synthetic traces")
@@ -517,13 +518,7 @@ def main(argv=None) -> int:
             section: {k: v for k, v in kv.items() if v is not None}
             for section, kv in flags.items()})
 
-        if args.command == "simulate":
-            return cmd_simulate(args, cfg)
-        if args.command == "analyze":
-            return cmd_analyze(args, cfg)
-        if args.command == "reproduce":
-            return cmd_reproduce(args, cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,63 +27,6 @@ class ConfigError(ValueError):
     """Configuration problem, addressed by section and field."""
 
 
-DBATT_PAPER_PROFILE = {
-    "molecule": {
-        "gamma0": "16.4",
-        "gamma": "17.0",
-        "lambda21": "590.0",
-        "alpha_dw": "0.25",
-        "alpha_fc": "0.3",
-    },
-    "drive": {
-        "rabi": "0.0",
-        "detuning": "0.0",
-        "psi_deg": "90.0",
-        "incident_rate": "127550.0",
-        "p_sat_pw": "350.0",
-    },
-    "detector": {
-        "dark_rate": "150.0",
-        "quantum_efficiency": "1.0",
-        "integration_time": "0.16",
-    },
-    "fpc": {
-        "fsr": "356.0",
-        "fwhm": "14.0",
-        "peak_transmission": "0.15",
-    },
-    "geometry": {
-        "dipole_angle_deg": "45.0",
-        "polarizer_angle_deg": "80.0",
-        "polarizer_extinction_ratio": "0.0",
-        "qwp_angles_deg": "0, 36, 72, 108, 144",
-    },
-    "simulate": {
-        "grid_min": "-150.0",
-        "grid_max": "150.0",
-        "points": "301",
-        "noise": "false",
-        "extinction_a": "0.0",
-        "extinction_b_dip": "0.115",
-        "emission_scale": "1.0",
-        "laser_background_rate": "0.0",
-        "tau_max_ns": "400.0",
-        "tau_points": "801",
-        "plateau_coincidences": "10000",
-        "power_min_pw": "5.0",
-        "power_max_pw": "10000.0",
-        "power_points": "25",
-    },
-    "output": {
-        "dir": "out",
-        "formats": "csv,json",
-    },
-    "run": {
-        "seed": "1",
-        "threads": "1",
-    },
-}
-
 _FORMATS = ("csv", "json")
 
 
@@ -115,26 +58,32 @@ def _parse_value(section, key, raw, kind):
     return value
 
 
+# section -> key -> (kind, dbatt-paper value); power_pw is optional and has
+# no value, so [drive] rabi sets the drive unless the file gives power_pw
 _SCHEMA = {
-    "molecule": {"gamma0": float, "gamma": float, "lambda21": float,
-                 "alpha_dw": float, "alpha_fc": float},
-    "drive": {"rabi": float, "detuning": float, "psi_deg": float,
-              "incident_rate": float, "power_pw": float, "p_sat_pw": float},
-    "detector": {"dark_rate": float, "quantum_efficiency": float,
-                 "integration_time": float},
-    "fpc": {"fsr": float, "fwhm": float, "peak_transmission": float},
-    "geometry": {"dipole_angle_deg": float, "polarizer_angle_deg": float,
-                 "polarizer_extinction_ratio": float,
-                 "qwp_angles_deg": "float_list"},
-    "simulate": {"grid_min": float, "grid_max": float, "points": int,
-                 "noise": bool, "extinction_a": float, "extinction_b_dip": float,
-                 "emission_scale": float, "laser_background_rate": float,
-                 "tau_max_ns": float, "tau_points": int,
-                 "plateau_coincidences": float,
-                 "power_min_pw": float, "power_max_pw": float,
-                 "power_points": int},
-    "output": {"dir": str, "formats": str},
-    "run": {"seed": int, "threads": int},
+    "molecule": {"gamma0": (float, "16.4"), "gamma": (float, "17.0"),
+                 "lambda21": (float, "590.0"), "alpha_dw": (float, "0.25"),
+                 "alpha_fc": (float, "0.3")},
+    "drive": {"rabi": (float, "0.0"), "detuning": (float, "0.0"),
+              "psi_deg": (float, "90.0"), "incident_rate": (float, "127550.0"),
+              "power_pw": (float, None), "p_sat_pw": (float, "350.0")},
+    "detector": {"dark_rate": (float, "150.0"), "quantum_efficiency": (float, "1.0"),
+                 "integration_time": (float, "0.16")},
+    "fpc": {"fsr": (float, "356.0"), "fwhm": (float, "14.0"),
+            "peak_transmission": (float, "0.15")},
+    "geometry": {"dipole_angle_deg": (float, "45.0"), "polarizer_angle_deg": (float, "80.0"),
+                 "polarizer_extinction_ratio": (float, "0.0"),
+                 "qwp_angles_deg": ("float_list", "0, 36, 72, 108, 144")},
+    "simulate": {"grid_min": (float, "-150.0"), "grid_max": (float, "150.0"),
+                 "points": (int, "301"), "noise": (bool, "false"),
+                 "extinction_a": (float, "0.0"), "extinction_b_dip": (float, "0.115"),
+                 "emission_scale": (float, "1.0"), "laser_background_rate": (float, "0.0"),
+                 "tau_max_ns": (float, "400.0"), "tau_points": (int, "801"),
+                 "plateau_coincidences": (float, "10000"),
+                 "power_min_pw": (float, "5.0"), "power_max_pw": (float, "10000.0"),
+                 "power_points": (int, "25")},
+    "output": {"dir": (str, "out"), "formats": (str, "csv,json")},
+    "run": {"seed": (int, "1"), "threads": (int, "1")},
 }
 
 
@@ -163,10 +112,20 @@ class RunConfig:
             raise ConfigError(f"[run] threads must be >= 1, got {self.threads}")
 
 
-def _merged_raw(path: Optional[str]) -> dict:
-    merged = {s: dict(kv) for s, kv in DBATT_PAPER_PROFILE.items()}
-    if path is None:
-        return merged
+def _merge(raw: dict, sections, source: str):
+    """Set raw[section][key] = str(value) for each (section, [(key, value)])
+    of sections; an unknown section or key is a ConfigError naming source."""
+    for section, items in sections:
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}] in {source}")
+        for key, val in items:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key [{section}] {key} in {source}")
+            raw[section][key] = str(val)
+
+
+def _read_ini(raw: dict, path: str):
+    """Merge the INI file at path into raw."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -175,14 +134,7 @@ def _merged_raw(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}] in {path}")
-        for key, val in cp.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key [{section}] {key} in {path}")
-            merged[section][key] = val
-    return merged
+    _merge(raw, ((section, cp.items(section)) for section in cp.sections()), path)
 
 
 @contextlib.contextmanager
@@ -199,18 +151,15 @@ def _section(name: str):
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Build a validated RunConfig from the built-in profile, an optional
     INI file and programmatic overrides (section -> key -> string value)."""
-    raw = _merged_raw(path)
+    raw = {section: {key: value for key, (_, value) in keys.items() if value is not None}
+           for section, keys in _SCHEMA.items()}
+    if path is not None:
+        _read_ini(raw, path)
     if overrides:
-        for section, kv in overrides.items():
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown section [{section}] in overrides")
-            for key, val in kv.items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key [{section}] {key} in overrides")
-                raw[section][key] = str(val)
+        _merge(raw, ((section, kv.items()) for section, kv in overrides.items()), "overrides")
 
     def get(section, key):
-        return _parse_value(section, key, raw[section][key], _SCHEMA[section][key])
+        return _parse_value(section, key, raw[section][key], _SCHEMA[section][key][0])
 
     with _section("molecule"):
         mol = MoleculeParams(

@@ -8,13 +8,13 @@ oscillation, and g2(tau) is that population normalized to its steady state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .physics import DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
+from .spectra import _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
 
@@ -39,34 +39,12 @@ class G2Trace:
             raise ValueError("g2 values must be finite and >= 0")
 
     def to_csv(self) -> str:
-        lines = [f"# meta = {json.dumps(self.meta)}", "delay_ns,g2"]
-        for t, v in zip(self.delays, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text({"meta": self.meta}, "delay_ns,g2", self.delays, self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "G2Trace":
-        meta = {}
-        delays, values = [], []
-        header_seen = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("meta ="):
-                    meta = json.loads(body.split("=", 1)[1].strip())
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            a, b = line.split(",")
-            delays.append(float(a))
-            values.append(float(b))
-        if not header_seen:
-            raise ValueError("CSV g2 trace is missing its header row")
-        return cls(np.array(delays), np.array(values), meta)
+        fields, delays, values = _parse_csv(text)
+        return cls(delays, values, fields.get("meta", {}))
 
 
 # |mu^2 tau^2| below which dS/dmu^2 comes from its Taylor series: entry k

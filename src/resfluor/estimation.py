@@ -2,8 +2,8 @@
 engine plus the spectrum-specific fit recipes (extinction line fits,
 power-broadening sweeps, saturation curves).
 
-Bounds are enforced by smooth parameter transforms (log / logistic), so the
-curvature-based standard errors stay meaningful at the solution.
+Lower bounds are enforced by a smooth log transform, so the curvature-based
+standard errors stay meaningful at the solution.
 """
 
 from __future__ import annotations
@@ -35,15 +35,12 @@ class Parameter:
     name: str
     value: float
     lo: float = -math.inf
-    hi: float = math.inf
     fixed: bool = False
 
     def __post_init__(self):
-        if not (self.lo <= self.value <= self.hi):
-            raise ValueError(
-                f"parameter {self.name}: init {self.value} outside bounds "
-                f"[{self.lo}, {self.hi}]"
-            )
+        if not self.lo <= self.value:
+            raise ValueError(f"parameter {self.name}: init {self.value} outside bounds "
+                             f"[{self.lo}, inf]")
 
 
 @dataclass
@@ -122,15 +119,9 @@ class FitResult:
 
 # -- smooth bound transforms ------------------------------------------------
 
-def _to_internal(p, lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        span = hi - lo
-        x = min(max((p - lo) / span, 1e-12), 1 - 1e-12)
-        return math.log(x / (1 - x))
+def _to_internal(p, lo):
     if math.isfinite(lo):
         return math.log(max(p - lo, 1e-300))
-    if math.isfinite(hi):
-        return math.log(max(hi - p, 1e-300))
     return p
 
 
@@ -138,23 +129,15 @@ def _safe_exp(t):
     return math.exp(min(t, 700.0))
 
 
-def _to_external(t, lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo + (hi - lo) / (1.0 + _safe_exp(-t))
+def _to_external(t, lo):
     if math.isfinite(lo):
         return lo + _safe_exp(t)
-    if math.isfinite(hi):
-        return hi - _safe_exp(t)
     return t
 
 
-def _dext_dint(t, lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        s = 1.0 / (1.0 + _safe_exp(-t))
-        return (hi - lo) * s * (1.0 - s)
-    if math.isfinite(lo) or math.isfinite(hi):
-        d = _safe_exp(t)
-        return d if math.isfinite(lo) else -d
+def _dext_dint(t, lo):
+    if math.isfinite(lo):
+        return _safe_exp(t)
     return 1.0
 
 
@@ -175,14 +158,14 @@ def minimize(problem: FitProblem) -> FitResult:
     def external(theta):
         out = full.copy()
         for k, i in enumerate(free):
-            out[i] = _to_external(theta[k], pars[i].lo, pars[i].hi)
+            out[i] = _to_external(theta[k], pars[i].lo)
         return out
 
     def dext_dint(theta):
-        return np.array([_dext_dint(theta[k], pars[i].lo, pars[i].hi)
+        return np.array([_dext_dint(theta[k], pars[i].lo)
                          for k, i in enumerate(free)])
 
-    theta = np.array([_to_internal(pars[i].value, pars[i].lo, pars[i].hi) for i in free])
+    theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
 
     nfev = 0
     njev = 0

@@ -84,43 +84,55 @@ class SpectrumTrace:
     # -- CSV (two columns, '#' meta header) --
 
     def to_csv(self) -> str:
-        lines = [
-            f"# freq_kind = {self.freq_kind}",
-            f"# value_kind = {self.value_kind}",
-            f"# meta = {json.dumps(self.meta)}",
-            "frequency_MHz,value",
-        ]
-        for x, y in zip(self.grid, self.values):
-            lines.append(f"{float(x)!r},{float(y)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text({"freq_kind": self.freq_kind, "value_kind": self.value_kind,
+                          "meta": self.meta}, "frequency_MHz,value", self.grid, self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "SpectrumTrace":
-        freq_kind, value_kind, meta = "detuning_MHz", "dimensionless", {}
-        grid, values = [], []
-        header_seen = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("freq_kind ="):
-                    freq_kind = body.split("=", 1)[1].strip()
-                elif body.startswith("value_kind ="):
-                    value_kind = body.split("=", 1)[1].strip()
-                elif body.startswith("meta ="):
-                    meta = json.loads(body.split("=", 1)[1].strip())
-                continue
-            if not header_seen:
-                header_seen = True  # column-name row
-                continue
-            a, b = line.split(",")
-            grid.append(float(a))
-            values.append(float(b))
+        fields, grid, values = _parse_csv(text)
+        return cls(grid, values, **fields)
+
+
+# '# key = value' comment lines a trace CSV may carry; meta is JSON
+_CSV_FIELDS = ("freq_kind", "value_kind", "meta")
+
+
+def _csv_text(comments: dict, columns: str, x, y) -> str:
+    """Two-column CSV: one '# key = value' line per comment (meta as JSON),
+    the column-name row, then one exact-repr row per (x, y) pair."""
+    lines = [f"# {k} = {json.dumps(v) if k == 'meta' else v}" for k, v in comments.items()]
+    lines.append(columns)
+    lines.extend(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_csv(text: str) -> tuple:
+    """(fields, x, y) of a _csv_text CSV: fields holds the _CSV_FIELDS
+    comments present (meta decoded), x and y the rows after the first
+    non-comment line (the column names).  Blank lines and other comments are
+    skipped; a missing column-name row or a malformed row is a ValueError."""
+    fields, x, y = {}, [], []
+    header_seen = False
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            for key in _CSV_FIELDS:
+                if body.startswith(key + " ="):
+                    value = body.split("=", 1)[1].strip()
+                    fields[key] = json.loads(value) if key == "meta" else value
+            continue
         if not header_seen:
-            raise ValueError("CSV trace is missing its header row")
-        return cls(np.array(grid), np.array(values), freq_kind, value_kind, meta)
+            header_seen = True
+            continue
+        a, b = line.split(",")
+        x.append(float(a))
+        y.append(float(b))
+    if not header_seen:
+        raise ValueError("CSV trace is missing its header row")
+    return fields, np.array(x), np.array(y)
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,14 @@ class TestSimulate:
         ("extinction", "extinction_b_dip = -0.1"),
         ("saturation-sweep", "emission_scale = -1"),
         ("mollow", "laser_background_rate = -1"),
+        ("extinction", "extinction_b_dip = 1.5"),
+        ("extinction", "extinction_b_dip = 1.5\nnoise = true"),
     ])
     def test_out_of_range_simulate_values_are_exit_2(self, tmp_path, capsys, command, text):
         # sample counts >= 1, grid_min < grid_max, tau_max_ns > 0,
-        # 0 < power_min_pw < power_max_pw, plateau_coincidences > 0 and
-        # amplitudes, scale and background >= 0
+        # 0 < power_min_pw < power_max_pw, plateau_coincidences > 0,
+        # amplitudes, scale and background >= 0 and a noiseless transmission
+        # >= 0 (a dip above 1 used to exit 0, or 3 in the sampler with noise)
         cfg = _ini(tmp_path, "[simulate]\n" + text + "\n")
         assert main(["simulate", command, "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
@@ -172,6 +175,18 @@ class TestSimulate:
         for command in ("extinction", "counts", "g2", "saturation-sweep", "mollow"):
             assert main(["simulate", command, "--config", cfg,
                          "--out", str(tmp_path / "out")]) == 0, command
+
+    @pytest.mark.parametrize("noise", ["false", "true"])
+    def test_deep_dispersive_dip_runs(self, tmp_path, noise):
+        # at psi = 30 deg a dip fraction of 0.9 gives a deepest dip of
+        # 0.9 * (1 + sin psi) / 2 = 0.675, off resonance: still >= 0
+        cfg = _ini(tmp_path, f"[drive]\npsi_deg = 30\n[simulate]\nextinction_b_dip = 0.9\n"
+                             f"noise = {noise}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "extinction", "--config", cfg, "--out", str(out)]) == 0
+        if noise == "false":
+            tr = _read(str(out / "extinction.csv"))
+            assert 1.0 - tr.values.min() == pytest.approx(0.675, abs=1e-3)
 
     @pytest.mark.parametrize("command,text,complaint", [
         ("extinction", "[output]\nformats = cvs", "[output] formats"),
@@ -383,6 +398,18 @@ class TestReproduce:
         assert "paper_anchored" in manifest and "synthetic_defaults" in manifest
         for name in manifest["files"]:
             assert os.path.exists(os.path.join(out, fig, name)), name
+        written = {n for n in os.listdir(os.path.join(out, fig)) if n.endswith(".csv")}
+        assert written == set(manifest["files"])
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig5"])
+    def test_without_csv_is_exit_2(self, tmp_path, capsys, fig):
+        # the manifest lists CSV files: fig2 used to list files it never
+        # wrote, fig5 to stop at its first g2 trace without a manifest
+        cfg = _ini(tmp_path, "[output]\nformats = json\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", fig, "--config", cfg, "--out", str(out)]) == 2
+        assert "[output] formats = json" in capsys.readouterr().err
+        assert not (out / fig).exists()
 
     def test_config_hash_sees_flags(self, tmp_path):
         # the same run given by flag and by INI file has one config hash
