@@ -135,7 +135,8 @@ def _extinction_model(mol, drive: DriveParams, a_frac: float, b_dip: float) -> E
                            mol=mol, drive=drive)
 
 
-# the instrument convolution holds an N x N kernel: 8193 points is ~0.5 GiB
+# bounds the N points of the written CSV and the O(N^2) multiply-adds of the
+# instrument convolution (~67 million at 8193 points)
 _MOLLOW_GRID_MAX_POINTS = 8193
 
 

@@ -125,8 +125,11 @@ def _merge(raw: dict, sections, source: str):
 
 
 def _read_ini(raw: dict, path: str):
-    """Merge the INI file at path into raw."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
+    """Merge the INI file at path into raw.  Values are literal (no '%'
+    interpolation), and [DEFAULT] is an ordinary, hence unknown, section:
+    no header can name the empty default_section."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",),
+                                   interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)

@@ -347,15 +347,21 @@ def convolve_instrument(
     """Detected count rate vs FPC scan frequency, on the emission grid.
 
     The continuous emission density (counts/s per MHz) is convolved with the
-    Airy profile by direct summation; the laser background and the coherent
+    Airy profile by the trapezoid rule; the laser background and the coherent
     (elastic) line enter as delta components at zero detuning, each mapped to
-    a scaled Airy lineshape.
+    a scaled Airy lineshape.  The emission grid must be evenly spaced (a
+    ValueError otherwise): the kernel is then Toeplitz, and one row of 2N - 1
+    Airy values holds all of it, in O(N) memory.
     """
     if laser_background_rate < 0 or coherent_delta_weight < 0:
         raise ValueError("rates must be >= 0")
     g = emission.grid
-    if g.size < 2:
+    n = g.size
+    if n < 2:
         raise ValueError("emission trace too short to convolve")
+    h = (g[-1] - g[0]) / (n - 1)
+    if np.max(np.abs(g - (g[0] + np.arange(n) * h))) > 1e-9 * h:
+        raise ValueError("emission grid must be evenly spaced")
     dg = np.diff(g)
     if np.max(dg) > fpc.fwhm / 4.0:
         raise ValueError(
@@ -369,8 +375,10 @@ def convolve_instrument(
     wts = np.zeros_like(g)
     wts[:-1] += dg / 2.0
     wts[1:] += dg / 2.0
-    kernel = fpc_transmission(g[:, None] - g[None, :], fpc)
-    cont = kernel @ (emission.values * wts)
+    # kernel[i, j] = T((i - j) h): output i is the lag-(N-1) slice of the
+    # full convolution of the lag row with the weighted density
+    lags = fpc_transmission(np.arange(1 - n, n) * h, fpc)
+    cont = np.convolve(lags, emission.values * wts)[n - 1:2 * n - 1]
     line = (laser_background_rate + coherent_delta_weight) * fpc_transmission(g, fpc)
     vals = cont + line
     return SpectrumTrace(

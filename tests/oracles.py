@@ -6,7 +6,9 @@ quantities), with tight integrator tolerances.  They deliberately avoid the
 package's Liouvillian and its resolvent, so the two computational paths
 share nothing but the physical model.  The g2 shape oracle evaluates the
 closed form in 40-digit arithmetic, with one complex square root in place of
-the package's regimes and series.
+the package's regimes and series.  The Fabry-Perot oracle applies the Airy
+instrument by the dense N x N trapezoid sum, with the Airy formula written
+out here.
 """
 
 import math
@@ -116,3 +118,23 @@ def mollow_ode(freq_mhz, gamma0_mhz, gamma_mhz, rabi_mhz,
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=rtol, atol=atol, method="DOP853")
     fourier = sol.y[3:, -1]
     return 2.0 * 2.0 * np.real(fourier)
+
+
+def fpc_convolve_dense(grid, values, fsr, fwhm, peak):
+    """Airy instrument applied to a sampled density, on its own grid.
+
+    out[i] = sum_j T(grid[i] - grid[j]) * values[j] * w[j], with the
+    trapezoid weights w and T(nu) = peak / (1 + F sin^2(pi nu / fsr)),
+    F = 1 / sin^2(pi fwhm / (2 fsr)), over the full N x N matrix of
+    frequency differences: any grid, O(N^2) memory.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    coeff = 1.0 / math.sin(math.pi * fwhm / (2.0 * fsr)) ** 2
+    diff = grid[:, None] - grid[None, :]
+    airy = peak / (1.0 + coeff * np.sin(math.pi * diff / fsr) ** 2)
+    weights = np.empty_like(grid)
+    weights[0] = (grid[1] - grid[0]) / 2.0
+    weights[-1] = (grid[-1] - grid[-2]) / 2.0
+    weights[1:-1] = (grid[2:] - grid[:-2]) / 2.0
+    return airy @ (values * weights)

@@ -60,8 +60,8 @@ class TestSimulate:
         assert em.grid[pos][np.argmax(em.values[pos])] == pytest.approx(100.0, rel=0.05)
 
     def test_oversized_mollow_grid_is_exit_2(self, tmp_path, capsys):
-        # the emission grid grows with rabi and the instrument kernel is
-        # N x N: rabi = 1e6 MHz would need a 38 TiB kernel
+        # the emission grid grows with rabi: rabi = 1e6 MHz would need ~2.3
+        # million points in the CSV and ~5e12 multiply-adds in the convolution
         cfg = _ini(tmp_path, "[drive]\nrabi = 1e6\n")
         assert main(["simulate", "mollow", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
@@ -457,3 +457,20 @@ def test_config_error_paths(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["simulate", "extinction", "--config", str(tmp_path / "none.ini"),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_percent_in_ini_value_is_literal(tmp_path):
+    out = tmp_path / "out%x"
+    cfg = _ini(tmp_path, f"[output]\ndir = {out}\n")
+    assert main(["simulate", "counts", "--config", cfg]) == 0
+    assert os.path.exists(out / "counts.csv")
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n", "[DEFAULT]\nseed = 5\n[drive]\nrabi = 3.0\n"])
+def test_ini_default_section_is_exit_2(tmp_path, capsys, text):
+    cfg = _ini(tmp_path, text)
+    assert main(["simulate", "counts", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")

@@ -132,3 +132,9 @@ def test_polarizer_extinction_ratio_range_is_closed():
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/no/such/file.ini")
+
+
+def test_ini_values_are_literal(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[output]\ndir = out%x\n")
+    assert load_config(str(p)).out_dir == "out%x"

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import mollow_ode
+from oracles import fpc_convolve_dense, mollow_ode
+from resfluor.cli import _MOLLOW_GRID_MAX_POINTS, _mollow_grid
 from resfluor.physics import (
     DriveParams,
     MoleculeParams,
@@ -213,6 +215,54 @@ class TestConvolution:
         det = convolve_instrument(em, FPC, laser_background_rate=50.0,
                                   coherent_delta_weight=30.0)
         assert np.allclose(det.values, 80.0 * fpc_transmission(grid, FPC), rtol=1e-14)
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 2.0, 8.0, 20.0, 60.0, 150.0])
+    def test_matches_dense_oracle_on_fig5_panels(self, s):
+        drive = DriveParams(rabi=rabi_for_saturation(MOL, s))
+        em = mollow_spectrum(MOL, drive, _mollow_grid(FPC, drive.rabi, MOL.gamma),
+                             emission_scale=1000.0)
+        want = fpc_convolve_dense(em.grid, em.values, FPC.fsr, FPC.fwhm,
+                                  FPC.peak_transmission)
+        got = convolve_instrument(em, FPC).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", ["gaussian", "random"])
+    def test_matches_dense_oracle_on_unit_grid(self, shape):
+        grid = np.arange(-400.0, 400.0 + 1e-9, 1.0)
+        if shape == "gaussian":
+            values = np.exp(-grid**2 / 18.0)
+        else:
+            values = np.random.default_rng(3).uniform(0.0, 1.0, grid.size)
+        em = SpectrumTrace(grid, values, freq_kind="emission_detuning_MHz",
+                           value_kind="spectral_density_per_MHz")
+        want = fpc_convolve_dense(grid, values, FPC.fsr, FPC.fwhm, FPC.peak_transmission)
+        got = convolve_instrument(em, FPC).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rejects_unevenly_spaced_grid(self):
+        grid = np.arange(-400.0, 400.0 + 1e-9, 1.0)
+        grid[300] += 0.1   # still increasing and finely sampled
+        em = SpectrumTrace(grid, np.ones_like(grid), freq_kind="emission_detuning_MHz",
+                           value_kind="spectral_density_per_MHz")
+        with pytest.raises(ValueError, match="evenly spaced"):
+            convolve_instrument(em, FPC)
+
+    def test_memory_is_linear_in_grid_size(self):
+        # at the CLI's largest grid an N x N kernel would take N^2 * 8 B
+        # (~537 MB); the Toeplitz row keeps the peak to a few N-vectors
+        n = _MOLLOW_GRID_MAX_POINTS
+        grid = np.linspace(-n * FPC.fwhm / 16.0, n * FPC.fwhm / 16.0, n)
+        em = SpectrumTrace(grid, np.exp(-grid**2 / 800.0),
+                           freq_kind="emission_detuning_MHz",
+                           value_kind="spectral_density_per_MHz")
+        tracemalloc.start()
+        try:
+            det = convolve_instrument(em, FPC, laser_background_rate=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert det.values.size == n
+        assert peak < 64 * n * 8
 
     def test_rejects_undersampled_or_short_grid(self):
         coarse = np.arange(-400.0, 400.0 + 1e-9, 10.0)   # > fwhm/4
