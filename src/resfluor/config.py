@@ -206,6 +206,17 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             polarizer_extinction_ratio=get("geometry", "polarizer_extinction_ratio"),
         )
     qwp = [math.radians(a) for a in get("geometry", "qwp_angles_deg")]
+    if not qwp:
+        raise ConfigError("[geometry] qwp_angles_deg must list at least one angle")
+    # reproduce fig4 names each trace file by its angle rounded to a whole degree
+    whole = {}
+    for theta in qwp:
+        deg = round(math.degrees(theta))
+        if deg in whole:
+            raise ConfigError(
+                f"[geometry] qwp_angles_deg: {whole[deg]:g} and {math.degrees(theta):g} "
+                f"both round to {deg} deg, the whole degree that names a fig4 trace file")
+        whole[deg] = math.degrees(theta)
 
     sim = {k: get("simulate", k) for k in _SCHEMA["simulate"]}
     for key in ("points", "tau_points", "power_points"):

@@ -33,9 +33,10 @@ class G2Trace:
         self.values = np.asarray(self.values, dtype=float)
         if self.delays.shape != self.values.shape or self.delays.ndim != 1:
             raise ValueError("delays and values must be 1-D arrays of equal length")
-        if self.delays.size >= 2 and not np.all(np.diff(self.delays) > 0):
+        t = self.delays
+        if t.size >= 2 and not (t[1:] > t[:-1]).all():
             raise ValueError("delays must be strictly increasing")
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
+        if (self.values < 0).any() or not np.isfinite(self.values).all():
             raise ValueError("g2 values must be finite and >= 0")
 
     def to_csv(self) -> str:

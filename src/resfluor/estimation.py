@@ -154,16 +154,21 @@ def minimize(problem: FitProblem) -> FitResult:
         raise ValueError("no free parameters")
 
     full = np.array([p.value for p in pars], dtype=float)
+    # (internal index, declared index, lower bound) of each bounded free parameter
+    bounded = [(k, i, pars[i].lo) for k, i in enumerate(free) if math.isfinite(pars[i].lo)]
 
     def external(theta):
         out = full.copy()
-        for k, i in enumerate(free):
-            out[i] = _to_external(theta[k], pars[i].lo)
+        out[free] = theta
+        for k, i, lo in bounded:
+            out[i] = _to_external(theta[k], lo)
         return out
 
     def dext_dint(theta):
-        return np.array([_dext_dint(theta[k], pars[i].lo)
-                         for k, i in enumerate(free)])
+        out = np.ones(nfree)
+        for k, _, lo in bounded:
+            out[k] = _dext_dint(theta[k], lo)
+        return out
 
     theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
 
@@ -180,8 +185,15 @@ def minimize(problem: FitProblem) -> FitResult:
         raise RankDeficientError(
             f"residual dimension {r0.size} < free parameter count {nfree}"
         )
-    w = np.ones(r0.size) if problem.weights is None else np.asarray(problem.weights, float)
-    if not np.all(np.isfinite(r0)):
+    if problem.weights is None:
+        w = np.ones(r0.size)
+    else:
+        w = np.asarray(problem.weights, dtype=float)
+        if w.shape != r0.shape or not (np.isfinite(w).all() and (w > 0).all()):
+            raise ValueError(f"weights must be a finite, positive 1-D array of the "
+                             f"residual's length {r0.size}")
+    w_col = w[:, None]
+    if not np.isfinite(r0).all():
         raise ValueError("initial residual is not finite")
 
     def cost_of(r):
@@ -216,10 +228,10 @@ def minimize(problem: FitProblem) -> FitResult:
     for it in range(1, MAX_ITER + 1):
         J = jacobian(theta, r)
         g = J.T @ (w * r)
-        grad_norm = float(np.max(np.abs(g)))
-        A = J.T @ (w[:, None] * J)
+        grad_norm = float(np.abs(g).max())
+        A = J.T @ (w_col * J)
         cond = math.inf  # also when A is singular or not finite
-        if np.all(np.isfinite(A)):
+        if np.isfinite(A).all():
             lam = np.linalg.eigvalsh(A)
             if lam[0] > 0:
                 cond = float(lam[-1] / lam[0])
@@ -234,21 +246,21 @@ def minimize(problem: FitProblem) -> FitResult:
             try:
                 step = np.linalg.solve(A + mu * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                mu = max(mu * 10.0, 1e-10 * np.max(diag))
+                mu = max(mu * 10.0, 1e-10 * diag.max())
                 continue
             t_new = theta + step
             r_new = residual(t_new)
-            if np.all(np.isfinite(r_new)) and (c_new := cost_of(r_new)) <= cost:
+            if np.isfinite(r_new).all() and (c_new := cost_of(r_new)) <= cost:
                 rel = (cost - c_new) / max(cost, 1e-300)
                 theta, r, cost = t_new, r_new, c_new
                 mu *= 0.25
-                if mu < 1e-14 * np.max(diag):
+                if mu < 1e-14 * diag.max():
                     mu = 0.0  # undamped Gauss-Newton while steps keep working
                 accepted = True
                 if rel < XTOL:
                     status = "converged"
                 break
-            mu = max(mu * 10.0, 1e-10 * np.max(diag))
+            mu = max(mu * 10.0, 1e-10 * diag.max())
         if not accepted:
             if cond > COND_MAX:
                 rank_flag = True
@@ -265,7 +277,7 @@ def minimize(problem: FitProblem) -> FitResult:
 
     # curvature-based errors at the solution, mapped to external coordinates
     J = jacobian(theta, r)
-    A = J.T @ (w[:, None] * J)
+    A = J.T @ (w_col * J)
     dof = max(r.size - nfree, 1)
     scale = cost / dof if problem.weights is None else 1.0
     try:
@@ -313,9 +325,9 @@ def extinction_fit_model(grid, gamma, a, b, psi, center, baseline):
     )
 
 
-def _init_extinction(trace: SpectrumTrace):
-    """Heuristic initialization: extremum of the smoothed trace locates the
-    line, half-width at half extremum seeds gamma."""
+def _init_line(trace: SpectrumTrace):
+    """Heuristic (center, gamma, baseline): extremum of the smoothed trace
+    locates the line, half-width at half extremum seeds gamma."""
     g, v = trace.grid, trace.values
     base = float(np.median(v))
     kernel = np.ones(max(3, v.size // 50))
@@ -327,9 +339,15 @@ def _init_extinction(trace: SpectrumTrace):
     half = np.abs(sm) > abs(depth) / 2.0
     gamma = max(float(np.sum(half) * np.mean(np.diff(g))), 2.0 * float(np.mean(np.diff(g))))
     baseline = base if base > 0 else 1.0
+    return center, gamma, baseline
 
-    # the model is linear in (A, B cos psi, B sin psi) at fixed center/gamma:
-    # a cheap linear solve seeds all three, including the psi quadrant
+
+def _init_extinction(trace: SpectrumTrace):
+    """_init_line plus (A, B, psi): the model is linear in (A, B cos psi,
+    B sin psi) at fixed center/gamma, so a cheap linear solve seeds all
+    three, including the psi quadrant."""
+    center, gamma, baseline = _init_line(trace)
+    g, v = trace.grid, trace.values
     d = g - center
     lor = 1.0 / (d * d + gamma * gamma / 4.0)
     basis = np.column_stack([lor, lor * d, lor * gamma / 2.0])

@@ -15,6 +15,7 @@ intensity projection, which is why the A-term only changes magnitude.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,15 +62,20 @@ def qwp_matrix(angle_from_y: float) -> np.ndarray:
     return np.outer(a, a.conj()) + 1j * np.outer(b, b.conj())
 
 
+def _jones_vector(e) -> np.ndarray:
+    e = np.asarray(e, dtype=complex)
+    if e.shape != (2,) or not np.isfinite(e).all():
+        raise ValueError("Jones vector must be a finite length-2 complex vector")
+    return e
+
+
 def _jones_overlaps(chain: np.ndarray, e_laser: np.ndarray, e_dipole_axis: float):
     """Unnormalised (|U d|^2, <U e, U d>, |U e|^2) of the chain's Jones
     matrix U, laser Jones vector e and (real, unit) dipole axis vector d.
 
     Raises DegenerateConfigurationError when the chain extinguishes the laser.
     """
-    e_laser = np.asarray(e_laser, dtype=complex)
-    if e_laser.shape != (2,) or not np.all(np.isfinite(e_laser)):
-        raise ValueError("Jones vector must be a finite length-2 complex vector")
+    e_laser = _jones_vector(e_laser)
     u_l = chain @ e_laser
     u_d = chain @ axis_vector(e_dipole_axis)
     n = float(np.vdot(u_l, u_l).real)
@@ -116,6 +122,9 @@ class SeparationGeometry:
         er = self.polarizer_extinction_ratio
         if not 0.0 <= er <= 1.0:  # also false for nan
             raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
+        _jones_vector(self.laser)
+        # a tuple, so that the geometry can key the _chain_factors cache
+        object.__setattr__(self, "laser", tuple(self.laser))
 
     def laser_vector(self) -> np.ndarray:
         return np.array(self.laser, dtype=complex)
@@ -124,6 +133,15 @@ class SeparationGeometry:
         """Jones matrix of the QWP at theta_qwp followed by the polarizer."""
         return (polarizer_matrix(self.polarizer_angle, self.polarizer_extinction_ratio)
                 @ qwp_matrix(theta_qwp))
+
+
+@functools.lru_cache(maxsize=1024)
+def _chain_factors(geometry: SeparationGeometry, theta_qwp: float):
+    """_jones_overlaps of the geometry's chain at theta_qwp, computed once
+    per (geometry, angle) and process.  A degenerate chain raises on every
+    call: exceptions are not cached."""
+    return _jones_overlaps(geometry.chain(theta_qwp), geometry.laser_vector(),
+                           geometry.dipole_angle)
 
 
 def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) -> FitResult:
@@ -146,42 +164,49 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
 
     # The model is linear in A0 and B0 exp(i psi0): each angle's chain enters
     # only through k_A = |U d|^2 / |U e|^2 and k_B = <U e, U d> / |U e|^2,
-    # computed once here and spread over that trace's pixels.
-    e_l = geometry.laser_vector()
-    factors = [_jones_overlaps(geometry.chain(t), e_l, geometry.dipole_angle)
-               for t in thetas]
+    # computed once per angle (cached across calls) and spread over that
+    # trace's pixels.
+    factors = [_chain_factors(geometry, t) for t in thetas]
     sizes = [tr.grid.size for tr in traces]
     k_a = np.repeat([dd / n for dd, _, n in factors], sizes)
     k_b = np.repeat([overlap / n for _, overlap, n in factors], sizes)
     grid = np.concatenate([tr.grid for tr in traces])
     values = np.concatenate([tr.values for tr in traces])
 
+    memo = {}
+
     def terms(p):
-        """d, the Lorentzian and Re/Im of e^{i psi0} k_B: the parts of the
-        model that the residual and its Jacobian share."""
-        _, _, psi0, gamma, center = p
-        d = grid - center
-        lor = 1.0 / (d * d + gamma * gamma / 4.0)
-        u = complex(math.cos(psi0), math.sin(psi0)) * k_b
-        return d, lor, u.real, u.imag
+        """d, the Lorentzian, Re/Im of e^{i psi0} k_B, quad = d Re + gamma/2 Im
+        and m = A0 k_A - B0 quad (so that residual = 1 + lor m - values): the
+        parts of the model that the residual and its Jacobian share, computed
+        once per parameter vector (LM takes the Jacobian where it last
+        evaluated the residual)."""
+        key = p.tobytes()
+        if key not in memo:
+            a0, b0, psi0, gamma, center = p
+            d = grid - center
+            lor = 1.0 / (d * d + gamma * gamma / 4.0)
+            u = complex(math.cos(psi0), math.sin(psi0)) * k_b
+            ur, ui = u.real, u.imag
+            quad = d * ur + gamma / 2.0 * ui
+            memo.clear()
+            memo[key] = d, lor, ur, ui, quad, a0 * k_a - b0 * quad
+        return memo[key]
 
     def residual(p):
-        a0, b0, _, gamma, _ = p
-        d, lor, ur, ui = terms(p)
-        return 1.0 + lor * (a0 * k_a - b0 * (d * ur + gamma / 2.0 * ui)) - values
+        _, lor, _, _, _, m = terms(p)
+        return 1.0 + lor * m - values
 
     def jacobian(p):
-        a0, b0, _, gamma, _ = p
-        d, lor, ur, ui = terms(p)
-        quad = d * ur + gamma / 2.0 * ui
-        m = a0 * k_a - b0 * quad  # residual + values - 1 = lor * m
-        return np.column_stack([
-            lor * k_a,                                          # A0
-            -lor * quad,                                        # B0
-            b0 * lor * (d * ui - gamma / 2.0 * ur),             # psi0
-            -lor * (gamma / 2.0 * lor * m + b0 / 2.0 * ui),     # gamma
-            lor * (2.0 * d * lor * m + b0 * ur),                # center
-        ])
+        _, b0, _, gamma, _ = p
+        d, lor, ur, ui, quad, m = terms(p)
+        jac = np.empty((lor.size, 5))
+        jac[:, 0] = lor * k_a                                       # A0
+        jac[:, 1] = -lor * quad                                     # B0
+        jac[:, 2] = b0 * lor * (d * ui - gamma / 2.0 * ur)          # psi0
+        jac[:, 3] = -lor * (gamma / 2.0 * lor * m + b0 / 2.0 * ui)  # gamma
+        jac[:, 4] = lor * (2.0 * d * lor * m + b0 * ur)             # center
+        return jac
 
     # Seed gamma/center from the most structured trace.  At that (gamma,
     # center) the model is linear in (A0, B0 cos psi0, B0 sin psi0) over all
@@ -189,8 +214,8 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     # psi0 = 0 are that linear basis: one least-squares solve seeds the triple.
     spans = [float(np.ptp(tr.values)) for tr in traces]
     k = int(np.argmax(spans))
-    center0, gamma0, *_ = estimation._init_extinction(traces[k])
-    basis = jacobian((0.0, 1.0, 0.0, gamma0, center0))[:, :3]
+    center0, gamma0, _ = estimation._init_line(traces[k])
+    basis = jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3]
     coef, *_ = np.linalg.lstsq(basis, values - 1.0, rcond=None)
 
     pars = [

@@ -56,9 +56,10 @@ class SpectrumTrace:
             raise ValueError(
                 f"grid ({self.grid.size}) and values ({self.values.size}) length mismatch"
             )
-        if self.grid.size >= 2 and not np.all(np.diff(self.grid) > 0):
+        g = self.grid
+        if g.size >= 2 and not (g[1:] > g[:-1]).all():
             raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(self.grid)) or not np.all(np.isfinite(self.values)):
+        if not np.isfinite(g).all() or not np.isfinite(self.values).all():
             raise ValueError("grid and values must be finite")
 
     def require_same_units(self, other: "SpectrumTrace"):

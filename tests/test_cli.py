@@ -411,6 +411,26 @@ class TestReproduce:
         assert "[output] formats = json" in capsys.readouterr().err
         assert not (out / fig).exists()
 
+    @pytest.mark.parametrize("angles", ["0, 0.4, 36, 72", "36, 72, 71.6, 108", ""])
+    def test_fig4_angles_without_distinct_file_names_are_exit_2(self, tmp_path, capsys,
+                                                                 angles):
+        # fig4 names each trace by its angle rounded to a whole degree: two
+        # angles on one name overwrote each other's file, and an empty list
+        # wrote none, each with exit 0
+        cfg = _ini(tmp_path, f"[geometry]\nqwp_angles_deg = {angles}\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig4", "--config", cfg, "--out", str(out)]) == 2
+        assert "[geometry] qwp_angles_deg" in capsys.readouterr().err
+        assert not (out / "fig4").exists()
+
+    def test_fig4_writes_one_file_per_angle(self, tmp_path):
+        cfg = _ini(tmp_path, "[geometry]\nqwp_angles_deg = 0, 0.6, 36, 72\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig4", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(n for n in os.listdir(out / "fig4") if n.endswith(".csv")) == [
+            "fig4_theta000.csv", "fig4_theta001.csv", "fig4_theta036.csv",
+            "fig4_theta072.csv"]
+
     def test_config_hash_sees_flags(self, tmp_path):
         # the same run given by flag and by INI file has one config hash
         cfg = _ini(tmp_path, "[run]\nseed = 7\nthreads = 2\n")

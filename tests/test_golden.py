@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +43,9 @@ EXPECTED = {
     "analyze-saturation-fit-fig3": ["saturation_fit.json"],
 }
 
+# files of the Monte Carlo fit run, which calls no command (no stdout.txt)
+MC_FILES = ["mc-fits/g2_fit.json", "mc-fits/separation.json"]
+
 
 def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     out = tmp_path / "golden"
@@ -52,10 +56,13 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     paths = [line.split("  ", 1)[1] for line in lines]
     expected = ["exceptional-point.ini", "g2-noise.ini", "noise.ini", "rabi100.ini"] + [
         f"{run}/{name}" for run, names in EXPECTED.items()
-        for name in names + ["stdout.txt"]]
+        for name in names + ["stdout.txt"]] + MC_FILES
     assert paths == sorted(expected)
     for line in lines:
         digest, path = line.split("  ", 1)
         assert hashlib.sha256((out / path).read_bytes()).hexdigest() == digest
     for run in EXPECTED:
         assert (out / run / "stdout.txt").read_text().endswith("exit 0\n"), run
+    for path in MC_FILES:
+        fits = json.loads((out / path).read_text())
+        assert len(fits) == 20 and all(f["status"] == "converged" for f in fits), path

@@ -227,6 +227,67 @@ class TestSeparation:
         assert res.nfev <= 8
         assert res.njev == res.iterations + 1
 
+    @pytest.mark.parametrize("geo", [GEO, SeparationGeometry(polarizer_extinction_ratio=1e-3)],
+                             ids=["default", "leaky"])
+    def test_cached_chain_factors_equal_direct_overlaps(self, geo):
+        for th in self.ANGLES:
+            direct = polarization._jones_overlaps(geo.chain(th), geo.laser_vector(),
+                                                  geo.dipole_angle)
+            assert polarization._chain_factors(geo, th) == direct
+            assert polarization._chain_factors(geo, th) == direct  # cache hit
+        hits = polarization._chain_factors.cache_info().hits
+        separate_components(self._series(5.0, 2.0, 1.0), geo)
+        assert polarization._chain_factors.cache_info().hits == hits + len(self.ANGLES)
+
+    def test_degenerate_geometry_raises_on_every_call(self):
+        geo = SeparationGeometry(polarizer_angle=math.pi / 2.0)
+        series = self._series(5.0, 2.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateConfigurationError):
+                polarization._chain_factors(geo, 0.0)
+            with pytest.raises(DegenerateConfigurationError):
+                separate_components(series, geo)
+
+    def test_geometry_with_list_laser(self):
+        geo = SeparationGeometry(laser=[0.0, 1.0])
+        assert geo == GEO and hash(geo) == hash(GEO)
+        res = separate_components(self._series(10.76, 3.48, math.pi / 2.0), geo)
+        assert res.converged
+        assert res.params["A0"] == pytest.approx(10.76, rel=1e-8)
+
+    @pytest.mark.parametrize("laser", [[0.0, 1.0, 0.0], [math.nan, 1.0], np.eye(2)])
+    def test_geometry_rejects_bad_laser(self, laser):
+        with pytest.raises(ValueError, match="finite length-2"):
+            SeparationGeometry(laser=laser)
+
+    def test_jacobian_after_residual_elsewhere_is_fresh(self):
+        # residual and Jacobian share one memoized model evaluation: a
+        # Jacobian at p2 after a residual at p1 must not reuse p1's terms
+        series = self._series(10.76, 3.48, math.pi / 2.0, noise_seed=0)
+
+        class Captured(Exception):
+            pass
+
+        def capture(problem):
+            raise Captured(problem)
+
+        def problem():
+            with mock.patch.object(polarization, "minimize", capture):
+                with pytest.raises(Captured) as info:
+                    separate_components(series, GEO)
+            return info.value.args[0]
+
+        p1 = np.array([10.0, 3.0, 1.5, 17.5, 0.3])
+        p2 = np.array([11.0, 3.5, 1.6, 16.5, -0.2])
+        warm, cold = problem(), problem()
+        r1 = warm.residual(p1)
+        j2 = warm.jacobian(p2)
+        assert np.array_equal(j2, cold.jacobian(p2))
+        assert np.array_equal(warm.residual(p2), cold.residual(p2))
+        assert np.array_equal(warm.jacobian(p2), j2)
+        assert np.array_equal(warm.residual(p1), r1)
+        assert np.array_equal(warm.jacobian(p1), problem().jacobian(p1))
+
     @given(
         a0=st.floats(0.1, 50.0),
         b0=st.floats(0.1, 50.0),

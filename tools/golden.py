@@ -5,9 +5,12 @@
 Runs, in this process and at ``--seed 7``, every ``reproduce`` figure, nine
 ``simulate`` runs and the ``analyze`` fits that read their outputs.  Each run
 writes into its own directory ``OUT/<run>/``, plus ``OUT/<run>/stdout.txt``
-with what the command printed and its exit code.  The tool then writes
-``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per file under OUT, sorted
-by path.
+with what the command printed and its exit code.  One more run, ``mc-fits``,
+calls the fit engine the way the Monte Carlo studies do: it writes the
+``FitResult.to_json()`` of 20 seeded noisy component separations (acceptance
+criterion 10) and 20 seeded noisy g2 fits (criterion 6) as two JSON arrays.
+The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
+file under OUT, sorted by path.
 
 A change that must not alter behaviour runs the tool on the old and on the
 new tree and diffs the two sums files.  Paths given to the CLI are relative
@@ -18,13 +21,19 @@ on where OUT is.
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import numpy as np  # noqa: E402
+
+from resfluor import correlation, physics, polarization, spectra, synth  # noqa: E402
 from resfluor.cli import main as resfluor_main  # noqa: E402
+from resfluor.config import load_config  # noqa: E402
+from resfluor.measurement import DetectorParams  # noqa: E402
 
 SEED = "7"
 
@@ -86,6 +95,41 @@ def run_all(out):
             fh.write(printed.getvalue() + f"exit {code}\n")
 
 
+MC_RUN = "mc-fits"
+MC_TRIALS = 20
+
+
+def run_monte_carlo():
+    """Write MC_RUN/separation.json and MC_RUN/g2_fit.json: the fits of
+    MC_TRIALS seeded noisy inputs each, drawn as acceptance criteria 10 and 6
+    draw them, with the built-in molecule."""
+    mol = load_config().molecule
+    geo = polarization.SeparationGeometry()
+    det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+    grid = np.linspace(-140.0, 140.0, 201)
+    models = []
+    for deg in (0.0, 36.0, 72.0, 108.0, 144.0):
+        theta = math.radians(deg)
+        ap, bp, pp = polarization.transform_extinction_triple(
+            geo.chain(theta), geo.laser_vector(), geo.dipole_angle, 10.76, 3.48, math.pi / 2.0)
+        models.append((theta, spectra.ExtinctionModel(A=ap, B=bp, psi=pp, mol=mol,
+                                                      drive=physics.DriveParams(rabi=0.0))))
+    delays = np.linspace(0.0, 400.0, 801)
+    drive = physics.DriveParams(rabi=50.0)
+    separations, g2_fits = [], []
+    for t in range(MC_TRIALS):
+        series = [(theta, synth.noisy_extinction_trace(model, grid, 127550.0, det, 100 * t + k))
+                  for k, (theta, model) in enumerate(models)]
+        separations.append(polarization.separate_components(series, geo).to_json())
+        trace = synth.noisy_g2_trace(delays, mol, drive, 1e4, t)
+        g2_fits.append(correlation.fit_rabi_from_g2(trace, mol).to_json())
+
+    os.makedirs(MC_RUN, exist_ok=True)
+    for name, fits in (("separation.json", separations), ("g2_fit.json", g2_fits)):
+        with open(os.path.join(MC_RUN, name), "w") as fh:
+            fh.write("[\n" + ",\n".join(fits) + "\n]\n")
+
+
 def write_sums(out):
     lines = []
     for dirpath, _, filenames in os.walk(out):
@@ -112,6 +156,7 @@ def main(argv):
     os.chdir(out)
     try:
         run_all(out)
+        run_monte_carlo()
     finally:
         os.chdir(cwd)
     write_sums(out)
