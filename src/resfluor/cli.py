@@ -301,7 +301,11 @@ def _saturation_fit(inputs, cfg: RunConfig):
     tot = _read_trace(inputs[1], SpectrumTrace)
     if coh.grid.size != tot.grid.size or not np.allclose(coh.grid, tot.grid):
         raise ConfigError("saturation-fit: power grids of the two channels differ")
-    return fit_saturation_curves(coh.grid, coh.values, tot.values), {}, []
+    try:
+        res = fit_saturation_curves(coh.grid, coh.values, tot.values)
+    except ValueError as exc:
+        raise ConfigError(f"{inputs[0]}: {exc}") from exc
+    return res, {}, []
 
 
 ANALYSES = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
+from .physics import TWO_PI, DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
 from .spectra import _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
@@ -110,15 +110,6 @@ def _g2_rates(gamma0: float, gamma: float, rabi: float):
     return 0.5 * (g1 + g2r), w * w - (0.5 * (g2r - g1)) ** 2
 
 
-def _g2_rate_partials(gamma0: float, gamma: float, rabi: float, gamma_tracks: bool):
-    """d mu^2/d rabi, d a/d gamma0 and d mu^2/d gamma0 of _g2_rates; with
-    gamma_tracks the linewidth gamma moves with gamma0 (gamma = gamma0)."""
-    two_pi = cyclic_to_angular(1.0)
-    dg2r = math.pi if gamma_tracks else 0.0
-    half_diff = 0.5 * (math.pi * gamma - two_pi * gamma0)
-    return 2.0 * two_pi * two_pi * rabi, 0.5 * (two_pi + dg2r), half_diff * (two_pi - dg2r)
-
-
 def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     """g2 at delay tau (ns); negative delays are mirrored.
 
@@ -142,22 +133,19 @@ def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
     )
 
 
-def fit_rabi_from_g2(
-    trace: G2Trace,
-    mol: MoleculeParams,
-    float_gamma0: bool = False,
-) -> FitResult:
+def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     """Least-squares fit of the closed form plus amplitude and flat
     background; returns rabi (MHz) with its standard error.
 
-    gamma0 is fixed from the molecule by default (lifetime-derived); pass
-    float_gamma0=True to let it vary.
+    gamma0 is fixed from the molecule (lifetime-derived) and reported as a
+    fixed parameter.  Negative delays are mirrored, as in g2.
     """
     a0, _ = _g2_rates(mol.gamma0, mol.gamma, 0.0)
     decay_ns = 1e3 / a0
-    if trace.delays.max() < 3.0 * decay_ns:
+    delays = np.abs(trace.delays)
+    if delays.max() < 3.0 * decay_ns:
         raise ValueError(
-            f"trace too short: spans {trace.delays.max():.3g} ns, "
+            f"trace too short: spans {delays.max():.3g} ns, "
             f"need >= {3.0 * decay_ns:.3g} ns (three decay times)"
         )
 
@@ -175,39 +163,38 @@ def fit_rabi_from_g2(
         Parameter("rabi", rabi0, lo=0.0),
         Parameter("amplitude", max(plateau, 1e-6), lo=1e-300),
         Parameter("background", 0.0, lo=-1.0),
-        Parameter("gamma0", mol.gamma0, lo=1e-12, fixed=not float_gamma0),
+        Parameter("gamma0", mol.gamma0, fixed=True),
     ]
 
-    tau = np.abs(trace.delays) * 1e-3
+    tau = delays * 1e-3
     ones = np.ones(tau.size)
+    zeros = np.zeros(tau.size)
     memo = {}
 
-    def terms(p):
-        """The shape, its derivatives in a and mu^2, and those of a and mu^2
-        in rabi and gamma0 at p: one exp/cos/sin pass per parameter vector,
-        shared by the residual and the Jacobian (LM takes the Jacobian where
-        it last evaluated the residual)."""
-        key = p.tobytes()
-        if key not in memo:
-            rabi, _, _, gam0 = p
-            gamma = max(mol.gamma, gam0)
-            shape = _g2_shape(tau, *_g2_rates(gam0, gamma, rabi), partials=True)
+    def terms(rabi):
+        """The shape and its derivatives in a and mu^2 at rabi: one
+        exp/cos/sin pass per Rabi frequency, shared by the residual and the
+        Jacobian (LM takes the Jacobian where it last evaluated the
+        residual)."""
+        if rabi not in memo:
             memo.clear()
-            memo[key] = shape + _g2_rate_partials(gam0, gamma, rabi, gam0 > mol.gamma)
-        return memo[key]
+            memo[rabi] = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, rabi),
+                                   partials=True)
+        return memo[rabi]
 
     def residual(p):
-        _, amp, bg, _ = p
-        return bg + amp * terms(p)[0] - trace.values
+        rabi, amp, bg, _ = p
+        return bg + amp * terms(rabi)[0] - trace.values
 
     def jacobian(p):
-        amp = p[1]
-        shape, d_a, d_mu_sq, dmu_drabi, da_dgam0, dmu_dgam0 = terms(p)
+        rabi, amp = p[0], p[1]
+        shape, _, d_mu_sq = terms(rabi)
+        dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
         return np.array([
-            d_mu_sq * (amp * dmu_drabi),                            # rabi
-            shape,                                                  # amplitude
-            ones,                                                   # background
-            d_a * (amp * da_dgam0) + d_mu_sq * (amp * dmu_dgam0),   # gamma0
+            d_mu_sq * (amp * dmu_drabi),    # rabi
+            shape,                          # amplitude
+            ones,                           # background
+            zeros,                          # gamma0: the residual does not read it
         ]).T
 
     res = minimize(FitProblem(residual, pars, jacobian=jacobian))

@@ -46,7 +46,7 @@ class Parameter:
 @dataclass
 class FitProblem:
     """residual(p) maps the full parameter vector (declared order, fixed
-    entries included) to a residual vector; weights are inverse variances.
+    entries included) to a residual vector.
 
     jacobian(p), when given, returns the closed-form d residual / d p at the
     same vector: one row per residual entry, one column per declared
@@ -56,7 +56,6 @@ class FitProblem:
 
     residual: Callable[[np.ndarray], np.ndarray]
     params: list
-    weights: Optional[np.ndarray] = None
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def free_indices(self):
@@ -141,10 +140,17 @@ def _dext_dint(t, lo):
     return 1.0
 
 
-def minimize(problem: FitProblem) -> FitResult:
-    """Levenberg-Marquardt minimization of the weighted residual norm.
+def _normal_matrix(J):
+    """J^T J by BLAS gemm.  numpy sends J.T @ J to syrk, which rounds the
+    last bits differently and moves every fit; a copy of J in its own memory
+    order keeps gemm, its operand layout and the golden fit outputs."""
+    return J.T @ J.copy(order="K")
 
-    Accepted steps never increase the weighted cost; damping grows until a
+
+def minimize(problem: FitProblem) -> FitResult:
+    """Levenberg-Marquardt minimization of the residual norm.
+
+    Accepted steps never increase the cost; damping grows until a
     decreasing step is found or the iteration budget runs out.
     """
     pars = problem.params
@@ -185,20 +191,12 @@ def minimize(problem: FitProblem) -> FitResult:
         raise RankDeficientError(
             f"residual dimension {r0.size} < free parameter count {nfree}"
         )
-    if problem.weights is None:
-        w = np.ones(r0.size)
-    else:
-        w = np.asarray(problem.weights, dtype=float)
-        if w.shape != r0.shape or not (np.isfinite(w).all() and (w > 0).all()):
-            raise ValueError(f"weights must be a finite, positive 1-D array of the "
-                             f"residual's length {r0.size}")
-    w_col = w[:, None]
     if not np.isfinite(r0).all():
         raise ValueError("initial residual is not finite")
 
     def cost_of(r):
         with np.errstate(over="ignore", invalid="ignore"):
-            c = float(np.sum(w * r * r))
+            c = float(np.sum(r * r))
         return c if math.isfinite(c) else math.inf
 
     cost = cost_of(r0)
@@ -227,9 +225,9 @@ def minimize(problem: FitProblem) -> FitResult:
 
     for it in range(1, MAX_ITER + 1):
         J = jacobian(theta, r)
-        g = J.T @ (w * r)
+        g = J.T @ r
         grad_norm = float(np.abs(g).max())
-        A = J.T @ (w_col * J)
+        A = _normal_matrix(J)
         cond = math.inf  # also when A is singular or not finite
         if np.isfinite(A).all():
             lam = np.linalg.eigvalsh(A)
@@ -277,11 +275,10 @@ def minimize(problem: FitProblem) -> FitResult:
 
     # curvature-based errors at the solution, mapped to external coordinates
     J = jacobian(theta, r)
-    A = J.T @ (w_col * J)
+    A = _normal_matrix(J)
     dof = max(r.size - nfree, 1)
-    scale = cost / dof if problem.weights is None else 1.0
     try:
-        cov_int = np.linalg.pinv(A, rcond=1e-14) * scale
+        cov_int = np.linalg.pinv(A, rcond=1e-14) * (cost / dof)
     except np.linalg.LinAlgError:
         cov_int = np.full((nfree, nfree), np.nan)
     dpdt = dext_dint(theta)
@@ -438,11 +435,15 @@ def fit_saturation_curves(
     total_rates: np.ndarray,
 ) -> FitResult:
     """Joint fit of a*S/(1+S)^2 (coherent) and b*S/(1+S) (total) with a
-    shared saturation power: S = P/P_sat."""
+    shared saturation power: S = P/P_sat.  A negative power is a
+    ValueError; the span in decades is taken over the positive powers."""
     powers = np.asarray(powers, float)
     coherent_rates = np.asarray(coherent_rates, float)
     total_rates = np.asarray(total_rates, float)
-    if powers.max() / powers.min() < 100.0:
+    if (powers < 0).any():
+        raise ValueError(f"power must be >= 0, got {powers.min():g}")
+    positive = powers[powers > 0]
+    if positive.size == 0 or positive.max() / positive.min() < 100.0:
         raise RankDeficientError("need >= 2 decades of power around P_sat")
 
     p_sat0 = float(powers[np.argmax(coherent_rates)])

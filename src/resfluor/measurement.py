@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import HC_J_NM
 from .spectra import SpectrumTrace
 
 RNG_NAME = "numpy-philox4x64 keyed by (seed, block index), 4096-pixel blocks"
@@ -86,13 +85,6 @@ def simulate_counts(
     )
 
 
-def shot_noise_contrast(incident_rate: float, t: float) -> float:
-    """Relative rms shot noise 1/sqrt(N) for N = rate * t."""
-    if incident_rate <= 0 or t <= 0:
-        raise ValueError("incident_rate and t must be positive")
-    return 1.0 / math.sqrt(incident_rate * t)
-
-
 def interference_dip_rate(
     incident_rate: float,
     coherent_molecular_rate: float,
@@ -117,16 +109,9 @@ def snr_of_detection(
     return dip_rate * t / noise if noise > 0 else math.inf
 
 
-def photon_rate_to_power(rate: float, lambda_nm: float) -> float:
-    """photons/s -> W at the given wavelength, via E = hc/lambda."""
-    if rate < 0 or lambda_nm <= 0:
-        raise ValueError("rate must be >= 0 and lambda positive")
-    return rate * HC_J_NM / lambda_nm
-
-
 @dataclass(frozen=True)
 class PowerCalibration:
-    """Linear power <-> saturation map anchored at S(P_at_S1) = 1."""
+    """Linear power -> saturation map anchored at S(P_at_S1) = 1."""
 
     p_at_s1: float
 
@@ -138,8 +123,3 @@ class PowerCalibration:
         if not (math.isfinite(power) and power >= 0):
             raise ValueError(f"power must be finite and >= 0, got {power}")
         return power / self.p_at_s1
-
-    def power(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("saturation parameter must be >= 0")
-        return s * self.p_at_s1

@@ -2,32 +2,21 @@
 
 Frequency convention: every public linewidth, Rabi frequency and detuning
 is a cyclic frequency in MHz on the FWHM scale.  Dynamical rate equations
-use angular rates 2*pi*f internally; :func:`cyclic_to_angular` and
-:func:`angular_to_cyclic` are the single conversion point.
+use angular rates 2*pi*f internally; :func:`cyclic_to_angular` is the
+single conversion point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
-
-# hc in W*s*nm, for photon-rate <-> power conversion
-H_PLANCK = 6.62607015e-34   # J*s (exact, SI)
-C_LIGHT = 2.99792458e8      # m/s (exact)
-HC_J_NM = H_PLANCK * C_LIGHT * 1e9  # J*nm
 
 
 def cyclic_to_angular(f_mhz: float) -> float:
     """MHz (cyclic) -> rad/us (angular)."""
     return TWO_PI * f_mhz
-
-
-def angular_to_cyclic(w: float) -> float:
-    """rad/us (angular) -> MHz (cyclic)."""
-    return w / TWO_PI
 
 
 def normalize_phase(psi: float) -> float:
@@ -68,11 +57,6 @@ class MoleculeParams:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-
-    @property
-    def lifetime_ns(self) -> float:
-        """Excited-state lifetime implied by the natural linewidth."""
-        return lifetime_from_linewidth(self.gamma0)
 
 
 @dataclass(frozen=True)
@@ -140,43 +124,3 @@ def linewidth_from_lifetime(tau_ns: float) -> float:
     if tau_ns <= 0:
         raise ValueError(f"lifetime must be positive, got {tau_ns}")
     return 1e3 / (TWO_PI * tau_ns)
-
-
-def lifetime_from_linewidth(gamma0_mhz: float) -> float:
-    """Inverse of linewidth_from_lifetime: MHz -> ns."""
-    if gamma0_mhz <= 0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0_mhz}")
-    return 1e3 / (TWO_PI * gamma0_mhz)
-
-
-def absorption_cross_section(lambda21_nm: float) -> float:
-    """On-resonance absorption cross section 3*lambda^2/(2*pi), in m^2."""
-    if lambda21_nm <= 0:
-        raise ValueError(f"lambda21 must be positive, got {lambda21_nm}")
-    lam_m = lambda21_nm * 1e-9
-    return 3.0 * lam_m**2 / TWO_PI
-
-
-class DipResult(NamedTuple):
-    transmission: float
-    beyond_weak_coupling: bool
-
-
-def plane_wave_dip(sigma_m2: float, beam_area_m2: float) -> DipResult:
-    """Relative transmission 1 - sigma/F for plane-wave illumination.
-
-    Not clamped: a negative transmission is returned as-is with the
-    beyond_weak_coupling flag set, since the weak-field model breaks
-    down once the beam area approaches the cross section.
-    """
-    if beam_area_m2 <= 0:
-        raise ValueError(f"beam area must be positive, got {beam_area_m2}")
-    if sigma_m2 < 0:
-        raise ValueError(f"cross section must be >= 0, got {sigma_m2}")
-    t = 1.0 - sigma_m2 / beam_area_m2
-    return DipResult(t, t < 0.0)
-
-
-def coherent_coupling_penalty(mol: MoleculeParams) -> float:
-    """Coherent-interaction weakening factor 1/(alpha_DW * alpha_FC)."""
-    return 1.0 / (mol.alpha_dw * mol.alpha_fc)

@@ -111,7 +111,8 @@ def _parse_csv(text: str) -> tuple:
     """(fields, x, y) of a _csv_text CSV: fields holds the _CSV_FIELDS
     comments present (meta decoded), x and y the rows after the first
     non-comment line (the column names).  Blank lines and other comments are
-    skipped; a missing column-name row or a malformed row is a ValueError."""
+    skipped; a missing column-name row (a first line of numbers is a data row,
+    not one) or a malformed row is a ValueError."""
     fields, x, y = {}, [], []
     header_seen = False
     for line in text.splitlines():
@@ -126,8 +127,12 @@ def _parse_csv(text: str) -> tuple:
                     fields[key] = json.loads(value) if key == "meta" else value
             continue
         if not header_seen:
-            header_seen = True
-            continue
+            try:
+                [float(cell) for cell in line.split(",")]
+            except ValueError:
+                header_seen = True
+                continue
+            break
         a, b = line.split(",")
         x.append(float(a))
         y.append(float(b))
@@ -329,14 +334,6 @@ def fpc_transmission(nu, fpc: FpcParams):
         1.0 + fpc.finesse_coefficient * np.sin(math.pi * nu / fpc.fsr) ** 2
     )
     return out if out.ndim else float(out)
-
-
-def airy_area_per_fsr(fpc: FpcParams) -> float:
-    """Integral of the Airy transmission over one free spectral range.
-
-    Closed form: T_pk * FSR / sqrt(1 + F_c).
-    """
-    return fpc.peak_transmission * fpc.fsr / math.sqrt(1.0 + fpc.finesse_coefficient)
 
 
 def convolve_instrument(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,39 @@ class TestAnalyze:
             payload = json.load(fh)
         assert payload["params"]["p_sat"] == pytest.approx(350.0, rel=1e-6)
 
+    @staticmethod
+    def _saturation_inputs(tmp_path, powers):
+        """Noiseless coherent and total rate-factor CSVs at powers (pW),
+        P_sat = 350 pW."""
+        s = np.maximum(powers, 0.0) / 350.0
+        paths = []
+        for part, values in (("coherent", s / (1 + s) ** 2), ("total", s / (1 + s))):
+            path = tmp_path / f"{part}.csv"
+            path.write_text(SpectrumTrace(powers, values, freq_kind="power_pW",
+                                          value_kind="rate_factor").to_csv())
+            paths.append(str(path))
+        return paths
+
+    def test_saturation_fit_with_zero_power_is_silent(self, tmp_path, capfd):
+        # the 0 pW point is fitted; the decade span is taken over the others
+        out = str(tmp_path / "out")
+        inputs = self._saturation_inputs(tmp_path, np.r_[0.0, np.geomspace(5.0, 1e4, 40)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "saturation-fit", *inputs, "--out", out]) == 0
+        assert capfd.readouterr().err == ""
+        with open(os.path.join(out, "saturation_fit.json")) as fh:
+            assert json.load(fh)["params"]["p_sat"] == pytest.approx(350.0, rel=1e-6)
+
+    def test_saturation_fit_negative_power_is_exit_2(self, tmp_path, capfd):
+        out = str(tmp_path / "out")
+        inputs = self._saturation_inputs(tmp_path, np.r_[-2.5, np.geomspace(5.0, 1e4, 40)])
+        assert main(["analyze", "saturation-fit", *inputs, "--out", out]) == 2
+        err = capfd.readouterr().err
+        assert "power must be >= 0, got -2.5" in err
+        assert "decades" not in err
+        assert not os.path.exists(out)
+
     def test_saturation_fit_needs_two_inputs(self, tmp_path):
         assert main(["analyze", "saturation-fit", "only-one.csv",
                      "--out", str(tmp_path)]) == 2
@@ -273,6 +307,25 @@ class TestAnalyze:
                      "--out", str(tmp_path)]) == 2
         assert main(["analyze", "g2-fit", str(bad), "--out", str(tmp_path)]) == 2
         assert main(["analyze", "separate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command,text", [
+        ("fit-spectrum", "simulate extinction"),
+        ("g2-fit", "simulate g2"),
+    ])
+    def test_headerless_csv_is_exit_2(self, tmp_path, capfd, command, text):
+        # a first line of numbers is a data row, not the column names:
+        # the trace keeps its comments but lost its header row
+        out = str(tmp_path / "out")
+        assert main([*text.split(), "--out", out]) == 0
+        name = "extinction.csv" if command == "fit-spectrum" else "g2.csv"
+        with open(os.path.join(out, name)) as fh:
+            lines = fh.read().splitlines()
+        lines.remove(next(line for line in lines if not line.startswith("#")))
+        headerless = tmp_path / "headerless.csv"
+        headerless.write_text("\n".join(lines) + "\n")
+        capfd.readouterr()
+        assert main(["analyze", command, str(headerless), "--out", out]) == 2
+        assert "CSV trace is missing its header row" in capfd.readouterr().err
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),

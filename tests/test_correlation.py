@@ -125,13 +125,18 @@ class TestRabiFit:
         res = fit_rabi_from_g2(tr, MOL)
         assert res.params["rabi"] == pytest.approx(60.0, rel=0.05)
 
-    @pytest.mark.parametrize("float_gamma0,gamma0", [
-        (False, MOL.gamma0), (True, MOL.gamma0), (True, 18.0)])
+    def test_mirrored_trace_recovers_rabi(self):
+        # delays on -400..0 ns: the fit mirrors them, as g2 does, and so
+        # does its check of the trace's span
+        delays = np.linspace(-400.0, 0.0, 801)
+        tr = noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed=11)
+        res = fit_rabi_from_g2(tr, MOL)
+        assert res.converged
+        assert res.params["rabi"] == pytest.approx(50.0, rel=0.05)
+
     @pytest.mark.parametrize("rabi", ["0", "below", "threshold", "above", "5", "50", "120"])
-    def test_jacobian_matches_central_differences(self, float_gamma0, gamma0, rabi):
-        # gamma0 on both sides of MOL.gamma: above it the fitted linewidth
-        # max(MOL.gamma, gamma0) moves with gamma0
-        threshold = abs(max(MOL.gamma, gamma0) - 2.0 * gamma0) / 4.0
+    def test_jacobian_matches_central_differences(self, rabi):
+        threshold = abs(MOL.gamma - 2.0 * MOL.gamma0) / 4.0
         rabi = {"below": threshold * (1 - 1e-6), "threshold": threshold,
                 "above": threshold * (1 + 1e-6)}.get(rabi) or float(rabi)
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0))
@@ -144,12 +149,12 @@ class TestRabiFit:
 
         with mock.patch.object(correlation, "minimize", capture):
             with pytest.raises(Captured) as info:
-                fit_rabi_from_g2(tr, MOL, float_gamma0=float_gamma0)
+                fit_rabi_from_g2(tr, MOL)
         problem = info.value.args[0]
-        p = np.array([rabi, 0.9, 0.05, gamma0])
+        p = np.array([rabi, 0.9, 0.05, MOL.gamma0])
         jac = problem.jacobian(p)
         assert jac.shape == (801, 4)
-        for j, h in enumerate(1e-4 * np.array([1.0, 1.0, 1.0, gamma0])):
+        for j, h in enumerate(1e-4 * np.ones(3)):   # rabi, amplitude, background
             dp = np.zeros(4)
             dp[j] = h
             fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)

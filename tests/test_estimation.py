@@ -164,47 +164,6 @@ class TestMinimize:
             minimize(FitProblem(lambda p: np.array([p[0] + p[1]]),
                                 [Parameter("a", 0.0), Parameter("b", 0.0)]))
 
-    def test_weights_scale_errors(self):
-        rng = np.random.default_rng(3)
-        x = np.linspace(0, 1, 200)
-        y = 1.0 + 0.0 * x + rng.normal(0, 0.1, x.size)
-
-        def residual(p):
-            return p[0] - y
-
-        w = np.full(x.size, 1.0 / 0.1**2)
-        res = minimize(FitProblem(residual, [Parameter("c", 0.0)], weights=w))
-        # known-sigma weighting: std error = sigma/sqrt(N)
-        assert res.errors["c"] == pytest.approx(0.1 / math.sqrt(x.size), rel=0.05)
-
-    @staticmethod
-    def _line_problem(weights=None):
-        x = np.linspace(0, 1, 40)
-        y = 2.0 - 3.0 * x + 0.01 * np.sin(17.0 * x)
-
-        def residual(p):
-            return p[0] + p[1] * x - y
-
-        return FitProblem(residual, [Parameter("c0", 10.0), Parameter("c1", -10.0)],
-                          weights=weights)
-
-    @pytest.mark.parametrize("weights", [
-        np.ones(1),                      # would broadcast over the residual
-        np.ones(39), np.ones((40, 1)),
-        -np.ones(40), np.zeros(40),
-        np.r_[np.ones(39), np.nan], np.r_[np.ones(39), np.inf],
-    ], ids=["length-1", "short", "2-D", "negative", "zero", "nan", "inf"])
-    def test_invalid_weights_raise(self, weights):
-        with pytest.raises(ValueError, match="weights must be"):
-            minimize(self._line_problem(weights))
-
-    def test_unit_weights_match_no_weights_bit_for_bit(self):
-        plain = minimize(self._line_problem())
-        unit = minimize(self._line_problem(np.ones(40)))
-        assert unit.converged
-        assert list(unit.params.values()) == list(plain.params.values())
-        assert unit.cost == plain.cost
-
 
 class TestExtinctionFit:
     def _trace(self, a, b, psi, rabi=0.0, grid=None):

@@ -19,7 +19,6 @@ from resfluor.spectra import (
     ExtinctionModel,
     FpcParams,
     SpectrumTrace,
-    airy_area_per_fsr,
     convolve_instrument,
     extinction_spectrum,
     fpc_transmission,
@@ -180,11 +179,6 @@ class TestFpc:
         assert fpc_transmission(FPC.fwhm / 2.0, FPC) == pytest.approx(0.075, rel=1e-12)
         assert fpc_transmission(-FPC.fwhm / 2.0, FPC) == pytest.approx(0.075, rel=1e-12)
 
-    def test_airy_area_closed_form(self):
-        nu = np.linspace(-FPC.fsr / 2, FPC.fsr / 2, 200001)
-        num = np.trapezoid(fpc_transmission(nu, FPC), nu)
-        assert airy_area_per_fsr(FPC) == pytest.approx(num, rel=1e-8)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FpcParams(fsr=10.0, fwhm=20.0)
@@ -204,7 +198,8 @@ class TestConvolution:
         det = convolve_instrument(em, FPC)
         sel = np.abs(det.grid) <= FPC.fsr / 2.0
         got = np.trapezoid(det.values[sel], det.grid[sel])
-        want = 1.0 * airy_area_per_fsr(FPC)
+        nu = np.linspace(-FPC.fsr / 2, FPC.fsr / 2, 200001)
+        want = 1.0 * np.trapezoid(fpc_transmission(nu, FPC), nu)
         assert got == pytest.approx(want, rel=2e-3)
 
     def test_delta_components_are_scaled_airy(self):
