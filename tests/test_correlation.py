@@ -134,12 +134,19 @@ class TestRabiFit:
         assert res.converged
         assert res.params["rabi"] == pytest.approx(50.0, rel=0.05)
 
+    @pytest.mark.parametrize("mol", [
+        MOL,
+        MoleculeParams(gamma0=16.4, gamma=16.4, lambda21=590.0),
+        MoleculeParams(gamma0=16.4, gamma=80.0, lambda21=590.0),
+    ], ids=["MOL", "lifetime-limited", "dephasing-dominated"])
     @pytest.mark.parametrize("rabi", ["0", "below", "threshold", "above", "5", "50", "120"])
-    def test_jacobian_matches_central_differences(self, rabi):
-        threshold = abs(MOL.gamma - 2.0 * MOL.gamma0) / 4.0
+    def test_jacobian_matches_central_differences(self, mol, rabi):
+        # gamma on both sides of 2 gamma0: the oscillation threshold
+        # |gamma - 2 gamma0| / 4 is reached from either sign of the dephasing term
+        threshold = abs(mol.gamma - 2.0 * mol.gamma0) / 4.0
         rabi = {"below": threshold * (1 - 1e-6), "threshold": threshold,
                 "above": threshold * (1 + 1e-6)}.get(rabi) or float(rabi)
-        tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0))
+        tr = g2_trace(np.linspace(0.0, 400.0, 801), mol, DriveParams(rabi=50.0))
 
         class Captured(Exception):
             pass
@@ -149,9 +156,9 @@ class TestRabiFit:
 
         with mock.patch.object(correlation, "minimize", capture):
             with pytest.raises(Captured) as info:
-                fit_rabi_from_g2(tr, MOL)
+                fit_rabi_from_g2(tr, mol)
         problem = info.value.args[0]
-        p = np.array([rabi, 0.9, 0.05, MOL.gamma0])
+        p = np.array([rabi, 0.9, 0.05, mol.gamma0])
         jac = problem.jacobian(p)
         assert jac.shape == (801, 4)
         for j, h in enumerate(1e-4 * np.ones(3)):   # rabi, amplitude, background

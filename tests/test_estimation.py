@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,51 @@ class TestMinimize:
             minimize(FitProblem(lambda p: np.array([p[0] + p[1]]),
                                 [Parameter("a", 0.0), Parameter("b", 0.0)]))
 
+    def test_errors_scale_with_residual_noise(self):
+        # the covariance is scaled by cost / dof: a constant fitted to N
+        # points of noise sigma has std error sigma / sqrt(N)
+        rng = np.random.default_rng(3)
+        y = 1.0 + rng.normal(0, 0.1, 200)
+        res = minimize(FitProblem(lambda p: p[0] - y, [Parameter("c", 0.0)]))
+        assert res.params["c"] == pytest.approx(np.mean(y), rel=1e-9)
+        assert res.errors["c"] == pytest.approx(0.1 / math.sqrt(y.size), rel=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_initial_residual_raises(self, bad):
+        with pytest.raises(ValueError, match="initial residual is not finite"):
+            minimize(FitProblem(lambda p: np.array([p[0], bad]), [Parameter("a", 0.0)]))
+
+    def test_no_free_parameters_raises(self):
+        with pytest.raises(ValueError, match="no free parameters"):
+            minimize(FitProblem(lambda p: p - 1.0, [Parameter("a", 0.0, fixed=True)]))
+
+    def test_parameter_init_below_bound_raises(self):
+        with pytest.raises(ValueError, match="outside bounds"):
+            Parameter("a", -1.0, lo=0.0)
+        assert Parameter("a", 0.0, lo=0.0).value == 0.0
+
+    def test_iteration_budget_exhausted_is_max_iter(self, monkeypatch):
+        monkeypatch.setattr(estimation, "MAX_ITER", 2)
+
+        def residual(p):
+            return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+        res = minimize(FitProblem(residual, [Parameter("x", -1.5), Parameter("y", 2.0)]))
+        assert res.status == "max_iter"
+        assert not res.converged
+        assert res.iterations == 2
+
+    def test_table_lists_parameters_and_status(self):
+        x = np.linspace(0, 1, 20)
+        res = minimize(FitProblem(lambda p: p[0] + p[1] * x - (2.0 - 3.0 * x),
+                                  [Parameter("c0", 0.0), Parameter("c1", 0.5, fixed=True)]))
+        lines = res.table().splitlines()
+        assert lines[0].split() == ["parameter", "value", "std", "error"]
+        assert [ln.split()[0] for ln in lines[1:3]] == ["c0", "c1"]
+        assert float(lines[2].split()[1]) == 0.5
+        assert float(lines[2].split()[2]) == 0.0
+        assert lines[3].startswith(f"status: {res.status}  iterations: {res.iterations}")
+
 
 class TestExtinctionFit:
     def _trace(self, a, b, psi, rabi=0.0, grid=None):
@@ -269,4 +315,23 @@ class TestSweeps:
         powers = np.geomspace(100.0, 1000.0, 11)
         s = powers / 350.0
         with pytest.raises(RankDeficientError):
+            fit_saturation_curves(powers, s / (1 + s) ** 2, s / (1 + s))
+
+    def test_saturation_zero_power_point_kept_out_of_span(self):
+        # a 0 pW point carries zero signal: it stays in the fit, but the
+        # decade span is taken over the positive powers, without a warning
+        powers = np.r_[0.0, np.geomspace(5.0, 1e4, 41)]
+        s = powers / 350.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_saturation_curves(powers, 3.0 * s / (1 + s) ** 2, 7.0 * s / (1 + s))
+        assert res.converged
+        assert res.params["p_sat"] == pytest.approx(350.0, rel=1e-8)
+        with pytest.raises(RankDeficientError):
+            fit_saturation_curves(np.zeros(5), np.zeros(5), np.zeros(5))
+
+    def test_saturation_negative_power_rejected(self):
+        powers = np.r_[-2.0, np.geomspace(5.0, 1e4, 41)]
+        s = np.abs(powers) / 350.0
+        with pytest.raises(ValueError, match="power must be >= 0, got -2"):
             fit_saturation_curves(powers, s / (1 + s) ** 2, s / (1 + s))

@@ -179,6 +179,14 @@ class TestFpc:
         assert fpc_transmission(FPC.fwhm / 2.0, FPC) == pytest.approx(0.075, rel=1e-12)
         assert fpc_transmission(-FPC.fwhm / 2.0, FPC) == pytest.approx(0.075, rel=1e-12)
 
+    def test_area_per_fsr_closed_form(self):
+        # one period of T_pk / (1 + F sin^2(pi nu / FSR)) integrates to
+        # T_pk FSR / sqrt(1 + F)
+        nu = np.linspace(-FPC.fsr / 2, FPC.fsr / 2, 200001)
+        num = np.trapezoid(fpc_transmission(nu, FPC), nu)
+        want = FPC.peak_transmission * FPC.fsr / math.sqrt(1.0 + FPC.finesse_coefficient)
+        assert num == pytest.approx(want, rel=1e-8)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FpcParams(fsr=10.0, fwhm=20.0)
