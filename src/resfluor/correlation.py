@@ -59,7 +59,7 @@ _SERIES_DS = np.array([-(k + 1) / math.factorial(2 * k + 3) for k in range(5)])
 
 def _g2_shape(tau, a_rate, mu_sq, partials=False):
     """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us); with
-    partials, the tuple (shape, d shape/da, d shape/dmu^2) for 1-D tau.
+    partials, the pair (shape, d shape/dmu^2) for 1-D tau.
 
     C = cos(mu tau) and S = sin(mu tau)/mu, mu = sqrt(mu^2), are entire in
     mu^2: below the oscillation threshold (mu^2 = -nu^2) they are cosh and
@@ -97,7 +97,7 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False):
         t2 = t * t
         eds[small] = np.exp(-a_rate * t) * t * t2 * (
             np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
-    return 1.0 - damped, tau * damped - es, 0.5 * tau * es - a_rate * eds
+    return 1.0 - damped, 0.5 * tau * es - a_rate * eds
 
 
 def _g2_rates(gamma0: float, gamma: float, rabi: float):
@@ -149,16 +149,20 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
             f"need >= {3.0 * decay_ns:.3g} ns (three decay times)"
         )
 
-    # oscillation-frequency seed from the first interior maximum, if any
-    v = trace.values
+    # The seeds read the trace in order of |delay|: the plateau is the fifth
+    # at the largest |delay| (the tail of a forward trace, the head of a
+    # mirrored one), and the oscillation frequency comes from the first
+    # interior maximum, if any.
+    order = np.argsort(delays, kind="stable")
+    v = trace.values[order]
+    plateau = float(np.mean(v[-max(3, v.size // 5):]))
     i_max = int(np.argmax(v))
     rabi0 = mol.gamma0
-    if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * np.mean(v[-max(3, v.size // 5):]):
-        t_first = abs(trace.delays[i_max])
+    if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
+        t_first = delays[order[i_max]]
         if t_first > 0:
             rabi0 = max(0.5e3 / t_first, mol.gamma0)  # first max near half a Rabi period
 
-    plateau = float(np.mean(v[-max(3, v.size // 5):]))
     pars = [
         Parameter("rabi", rabi0, lo=0.0),
         Parameter("amplitude", max(plateau, 1e-6), lo=1e-300),
@@ -172,8 +176,8 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     memo = {}
 
     def terms(rabi):
-        """The shape and its derivatives in a and mu^2 at rabi: one
-        exp/cos/sin pass per Rabi frequency, shared by the residual and the
+        """The shape and its derivative in mu^2 at rabi: one exp/cos/sin
+        pass per Rabi frequency, shared by the residual and the
         Jacobian (LM takes the Jacobian where it last evaluated the
         residual)."""
         if rabi not in memo:
@@ -188,7 +192,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
     def jacobian(p):
         rabi, amp = p[0], p[1]
-        shape, _, d_mu_sq = terms(rabi)
+        shape, d_mu_sq = terms(rabi)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
         return np.array([
             d_mu_sq * (amp * dmu_drabi),    # rabi

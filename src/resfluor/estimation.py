@@ -147,11 +147,29 @@ def _normal_matrix(J):
     return J.T @ J.copy(order="K")
 
 
+def _cond(A):
+    """lambda_max / lambda_min of the normal matrix A; inf when A is
+    singular or not finite."""
+    if np.isfinite(A).all():
+        lam = np.linalg.eigvalsh(A)
+        if lam[0] > 0:
+            return float(lam[-1] / lam[0])
+    return math.inf
+
+
 def minimize(problem: FitProblem) -> FitResult:
     """Levenberg-Marquardt minimization of the residual norm.
 
     Accepted steps never increase the cost; damping grows until a
     decreasing step is found or the iteration budget runs out.
+
+    The reported cond is lambda_max / lambda_min of the last iteration's
+    normal matrix J^T J (internal coordinates; inf when it is singular or
+    not finite).  Conditioning is evaluated only where the outcome reads it:
+    for that report, when no decreasing step exists (cond > COND_MAX then
+    makes the status rank_deficient, else converged), and, for a run that
+    exhausts MAX_ITER, at every iteration (one above COND_MAX makes it
+    rank_deficient instead of max_iter).
     """
     pars = problem.params
     free = problem.free_indices()
@@ -204,8 +222,8 @@ def minimize(problem: FitProblem) -> FitResult:
     mu = 0.0
     status = "max_iter"
     it = 0
-    rank_flag = False
-    grad_norm = cond = math.nan
+    grad_norm = math.nan
+    normals = []  # each iteration's J^T J, for the conditioning checks
 
     def jacobian(theta, r):
         """Jacobian in internal coordinates: the problem's closed form,
@@ -213,8 +231,10 @@ def minimize(problem: FitProblem) -> FitResult:
         nonlocal njev
         if problem.jacobian is not None:
             njev += 1
-            J = np.asarray(problem.jacobian(external(theta)), dtype=float)
-            return J[:, free] * dext_dint(theta)
+            J = np.asarray(problem.jacobian(external(theta)), dtype=float)[:, free]
+            for k, _, lo in bounded:
+                J[:, k] *= _dext_dint(theta[k], lo)
+            return J
         J = np.empty((r.size, nfree))
         for k in range(nfree):
             h = DIFF_STEP * (1.0 + abs(theta[k]))
@@ -228,23 +248,22 @@ def minimize(problem: FitProblem) -> FitResult:
         g = J.T @ r
         grad_norm = float(np.abs(g).max())
         A = _normal_matrix(J)
-        cond = math.inf  # also when A is singular or not finite
-        if np.isfinite(A).all():
-            lam = np.linalg.eigvalsh(A)
-            if lam[0] > 0:
-                cond = float(lam[-1] / lam[0])
+        normals.append(A)
         if grad_norm < GTOL:
             status = "converged"
             break
         diag = np.diag(A).copy()
         diag[diag <= 0] = 1.0
+        diag_max = diag.max()
 
         accepted = False
         for _ in range(50):
+            # undamped: A itself (0 * an inf diagonal stays a nan, as before)
+            damped = A if mu == 0 and math.isfinite(diag_max) else A + mu * np.diag(diag)
             try:
-                step = np.linalg.solve(A + mu * np.diag(diag), -g)
+                step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
-                mu = max(mu * 10.0, 1e-10 * diag.max())
+                mu = max(mu * 10.0, 1e-10 * diag_max)
                 continue
             t_new = theta + step
             r_new = residual(t_new)
@@ -252,26 +271,23 @@ def minimize(problem: FitProblem) -> FitResult:
                 rel = (cost - c_new) / max(cost, 1e-300)
                 theta, r, cost = t_new, r_new, c_new
                 mu *= 0.25
-                if mu < 1e-14 * diag.max():
+                if mu < 1e-14 * diag_max:
                     mu = 0.0  # undamped Gauss-Newton while steps keep working
                 accepted = True
                 if rel < XTOL:
                     status = "converged"
                 break
-            mu = max(mu * 10.0, 1e-10 * diag.max())
+            mu = max(mu * 10.0, 1e-10 * diag_max)
         if not accepted:
-            if cond > COND_MAX:
-                rank_flag = True
-                break
-            status = "converged"  # no decreasing step exists; local minimum
+            # no decreasing step exists: a local minimum, unless degenerate
+            status = "rank_deficient" if _cond(A) > COND_MAX else "converged"
             break
         if status == "converged":
             break
-        if cond > COND_MAX:
-            rank_flag = True
 
-    if rank_flag and status != "converged":
+    if status == "max_iter" and any(_cond(A) > COND_MAX for A in normals):
         status = "rank_deficient"
+    cond = _cond(normals[-1]) if normals else math.nan
 
     # curvature-based errors at the solution, mapped to external coordinates
     J = jacobian(theta, r)
@@ -334,7 +350,8 @@ def _init_line(trace: SpectrumTrace):
     center = float(g[i0])
     depth = float(sm[i0])
     half = np.abs(sm) > abs(depth) / 2.0
-    gamma = max(float(np.sum(half) * np.mean(np.diff(g))), 2.0 * float(np.mean(np.diff(g))))
+    step = float(np.mean(np.diff(g)))
+    gamma = max(float(np.sum(half) * step), 2.0 * step)
     baseline = base if base > 0 else 1.0
     return center, gamma, baseline
 

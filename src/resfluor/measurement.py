@@ -1,15 +1,18 @@
 """Photon-counting statistics, detector model and SNR analysis.
 
 Sampling uses numpy's Philox counter-based generator.  Pixels are taken in
-fixed blocks of BLOCK_PIXELS, and block b draws from one generator keyed by
-(seed, b) (Salmon et al., SC'11), so the counts depend only on the rate
-trace and the seed.  The scheme's name, RNG_NAME, is embedded in all
-stochastic output metadata.
+fixed blocks of BLOCK_PIXELS, and block b draws from the Philox stream keyed
+by (seed, b) with counter 0 (Salmon et al., SC'11), so the counts depend
+only on the rate trace and the seed.  Each thread keeps one Philox and
+re-keys it for every block; a fresh Philox(key=(seed, b)) gives the same
+stream, but constructing one costs more than a small block's draw.  The
+scheme's name, RNG_NAME, is embedded in all stochastic output metadata.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,22 @@ RNG_NAME = "numpy-philox4x64 keyed by (seed, block index), 4096-pixel blocks"
 
 # Part of the stream: changing it changes every count, so RNG_NAME too.
 BLOCK_PIXELS = 4096
+
+_ZEROS = (0, 0, 0, 0)
+_local = threading.local()
+
+
+def _keyed_generator(seed: int, b: int) -> np.random.Generator:
+    """This thread's Generator, its Philox set to the state of a fresh
+    Philox(key=(seed, b)): counter 0 and an empty output buffer."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZEROS, "key": (int(seed), b)},
+                               "buffer": _ZEROS, "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @dataclass(frozen=True)
@@ -50,7 +69,7 @@ def simulate_counts(
     """Independent Poisson draw per pixel with mean (rate*qe + dark)*t.
 
     Block b holds pixels [b*BLOCK_PIXELS, (b+1)*BLOCK_PIXELS) and is drawn
-    with one vectorised call on a Philox generator keyed by (seed, b).  The
+    with one vectorised call on the Philox stream keyed by (seed, b).  The
     partition is fixed, so the counts depend only on the rates and the seed,
     and a block's counts only on its own rates, the seed and b.
     seed must be in [0, 2**64), the range of one Philox key word.
@@ -64,9 +83,8 @@ def simulate_counts(
 
     counts = np.empty(means.size)
     for b, lo in enumerate(range(0, means.size, BLOCK_PIXELS)):
-        key = np.array([seed, b], dtype=np.uint64)
         block = slice(lo, lo + BLOCK_PIXELS)
-        counts[block] = np.random.Generator(np.random.Philox(key=key)).poisson(means[block])
+        counts[block] = _keyed_generator(seed, b).poisson(means[block])
 
     return SpectrumTrace(
         rate_trace.grid,

@@ -60,16 +60,13 @@ def g2_shape_mp(tau_us, a_rate, mu_sq, dps=40):
 
 
 def g2_shape_partials_mp(tau_us, a_rate, mu_sq, dps=40):
-    """d/da and d/dmu_sq of g2_shape_mp, by mpmath's numerical
-    differentiation at dps digits."""
+    """d/dmu_sq of g2_shape_mp, by mpmath's numerical differentiation at
+    dps digits."""
     with mpmath.workdps(dps):
         a, m = mpmath.mpf(float(a_rate)), mpmath.mpf(float(mu_sq))
-        d_a, d_m = [], []
-        for t in np.asarray(tau_us, dtype=float):
-            t = mpmath.mpf(float(t))
-            d_a.append(float(mpmath.diff(lambda x: _g2_shape_mp(t, x, m), a)))
-            d_m.append(float(mpmath.diff(lambda x: _g2_shape_mp(t, a, x), m)))
-    return np.array(d_a), np.array(d_m)
+        return np.array([
+            float(mpmath.diff(lambda x: _g2_shape_mp(mpmath.mpf(float(t)), a, x), m))
+            for t in np.asarray(tau_us, dtype=float)])
 
 
 def mollow_ode(freq_mhz, gamma0_mhz, gamma_mhz, rabi_mhz,

@@ -199,6 +199,75 @@ class TestMinimize:
         assert not res.converged
         assert res.iterations == 2
 
+    def test_cond_is_eigenvalue_ratio_of_normal_matrix(self):
+        x = np.linspace(0.0, 3.0, 30)
+        J = np.column_stack([np.ones_like(x), x, x * x])
+        pars = [Parameter(name, 0.0) for name in ("c0", "c1", "c2")]
+        res = minimize(FitProblem(lambda p: J @ p - np.exp(-x), pars, jacobian=lambda p: J))
+        assert res.converged
+        lam = np.linalg.eigvalsh(J.T @ J)
+        assert res.cond == pytest.approx(lam[-1] / lam[0], rel=1e-10)
+
+    @staticmethod
+    def _rosenbrock(x0, y0, conds):
+        """Rosenbrock from (x0, y0) with a closed-form Jacobian that records
+        the condition number of J^T J at each call."""
+        def residual(p):
+            return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+        def jacobian(p):
+            J = np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+            lam = np.linalg.eigvalsh(J.T @ J)
+            conds.append(lam[-1] / lam[0])
+            return J
+
+        return FitProblem(residual, [Parameter("x", x0), Parameter("y", y0)], jacobian=jacobian)
+
+    def test_max_iter_after_one_ill_conditioned_iteration_is_rank_deficient(self, monkeypatch):
+        # from x = 1000 the first normal matrix has cond ~ 1.6e15 and every
+        # later one ~ 2.5e3; the run needs three iterations
+        conds = []
+        assert minimize(self._rosenbrock(1e3, 0.0, conds)).iterations == 3
+        assert conds[0] > estimation.COND_MAX and max(conds[1:]) < 1e4
+        monkeypatch.setattr(estimation, "MAX_ITER", 2)
+        conds.clear()
+        res = minimize(self._rosenbrock(1e3, 0.0, conds))
+        assert conds[0] > estimation.COND_MAX and conds[1] < 1e4
+        assert (res.status, res.iterations) == ("rank_deficient", 2)
+        assert res.cond == pytest.approx(conds[1], rel=1e-6)
+
+    @pytest.mark.parametrize("tilt, status", [(1.0, "converged"), (1e-7, "rank_deficient")])
+    def test_exit_after_rejected_step_reads_conditioning(self, tilt, status):
+        # the residual is finite only at the start, so every trial step is
+        # rejected: the run stops in its first iteration, and the status
+        # depends only on the conditioning of J^T J there
+        x = np.linspace(0.0, 1.0, 20)
+        J = np.column_stack([np.ones_like(x), np.ones_like(x) + tilt * x])
+
+        def residual(p):
+            return J @ p - (2.0 - 3.0 * x) if not p.any() else np.full(x.size, np.nan)
+
+        res = minimize(FitProblem(residual, [Parameter("a", 0.0), Parameter("b", 0.0)],
+                                  jacobian=lambda p: J))
+        lam = np.linalg.eigvalsh(J.T @ J)
+        assert (lam[-1] / lam[0] > estimation.COND_MAX) == (status == "rank_deficient")
+        assert (res.status, res.iterations, res.nfev) == (status, 1, 51)
+        assert res.params == {"a": 0.0, "b": 0.0}
+
+    def test_overflowing_normal_matrix_rejects_every_step(self):
+        # J^T J overflows to inf on its diagonal: the damped matrix then
+        # holds nan (0 * inf undamped, inf * 0 off the diagonal once damped),
+        # so no step is taken and the run ends rank_deficient
+        x = np.linspace(0.0, 1.0, 20)
+        J = np.column_stack([np.full(x.size, 1e200), x])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(FitProblem(lambda p: J @ p - 1.0,
+                                      [Parameter("a", 2e-200), Parameter("b", 0.0)],
+                                      jacobian=lambda p: J))
+        assert (res.status, res.iterations, res.nfev) == ("rank_deficient", 1, 51)
+        assert res.cond == math.inf
+        assert res.params == {"a": 2e-200, "b": 0.0}
+
     def test_table_lists_parameters_and_status(self):
         x = np.linspace(0, 1, 20)
         res = minimize(FitProblem(lambda p: p[0] + p[1] * x - (2.0 - 3.0 * x),

@@ -44,7 +44,7 @@ EXPECTED = {
 }
 
 # files of the Monte Carlo fit run, which calls no command (no stdout.txt)
-MC_FILES = ["mc-fits/g2_fit.json", "mc-fits/separation.json"]
+MC_FILES = ["mc-fits/extinction.json", "mc-fits/g2_fit.json", "mc-fits/separation.json"]
 
 
 def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,6 +63,59 @@ class TestRng:
                 simulate_counts(tr, det, seed=bad)
         top = simulate_counts(tr, det, seed=(1 << 64) - 1).values
         assert not np.array_equal(top, simulate_counts(tr, det, seed=0).values)
+
+    @staticmethod
+    def _reference_counts(tr, det, seed):
+        """Per-block draws from freshly constructed Philox(key=(seed, b))."""
+        means = (tr.values * det.quantum_efficiency + det.dark_rate) * det.integration_time
+        return np.concatenate([
+            np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+            .poisson(means[lo:lo + BLOCK_PIXELS])
+            for b, lo in enumerate(range(0, means.size, BLOCK_PIXELS))])
+
+    def test_counts_match_freshly_keyed_philox_per_block(self):
+        n = 2 * BLOCK_PIXELS + 3
+        tr = SpectrumTrace(np.arange(float(n)), np.linspace(0.0, 5000.0, n),
+                           freq_kind="pixel_index", value_kind="counts_per_s")
+        det = DetectorParams(dark_rate=50.0, quantum_efficiency=0.8, integration_time=0.2)
+        for seed in (0, 9, (1 << 64) - 1):
+            assert np.array_equal(simulate_counts(tr, det, seed).values,
+                                  self._reference_counts(tr, det, seed))
+
+    def test_interleaved_and_threaded_calls_match_single_calls(self):
+        n = 2 * BLOCK_PIXELS + 3
+        tr = SpectrumTrace(np.arange(float(n)), np.linspace(0.0, 5000.0, n),
+                           freq_kind="pixel_index", value_kind="counts_per_s")
+        head = SpectrumTrace(tr.grid[:5], tr.values[:5],
+                             freq_kind="pixel_index", value_kind="counts_per_s")
+        det = DetectorParams(dark_rate=50.0, integration_time=0.2)
+        want = {s: self._reference_counts(tr, det, s) for s in (3, 4)}
+        # a short call between two long ones leaves no state behind
+        a = simulate_counts(tr, det, 3).values
+        simulate_counts(head, det, 4)
+        b = simulate_counts(tr, det, 4).values
+        assert np.array_equal(a, want[3]) and np.array_equal(b, want[4])
+
+        # more threads than cores, switching often: each keeps its own stream
+        got = {}
+
+        def draw(k):
+            got[k] = [simulate_counts(tr, det, 3 + k % 2).values for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(6))
+        for k, runs in got.items():
+            assert all(np.array_equal(c, want[3 + k % 2]) for c in runs)
 
     def test_seed_changes_output(self):
         tr = _rate_trace(200)

@@ -8,7 +8,11 @@ writes into its own directory ``OUT/<run>/``, plus ``OUT/<run>/stdout.txt``
 with what the command printed and its exit code.  One more run, ``mc-fits``,
 calls the fit engine the way the Monte Carlo studies do: it writes the
 ``FitResult.to_json()`` of 20 seeded noisy component separations (acceptance
-criterion 10) and 20 seeded noisy g2 fits (criterion 6) as two JSON arrays.
+criterion 10), 20 seeded noisy g2 fits (criterion 6) and 20 seeded noisy
+six-parameter extinction fits (a criterion-2 line at S = 1) as three JSON
+arrays.  One trace cannot separate A, B and psi, so the extinction fits are
+singular (cond is inf or above COND_MAX) and most reject trial steps: they
+diff the engine's damping and conditioning paths.
 The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
 file under OUT, sorted by path.
 
@@ -30,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from resfluor import correlation, physics, polarization, spectra, synth  # noqa: E402
+from resfluor import correlation, estimation, physics, polarization, spectra, synth  # noqa: E402
 from resfluor.cli import main as resfluor_main  # noqa: E402
 from resfluor.config import load_config  # noqa: E402
 from resfluor.measurement import DetectorParams  # noqa: E402
@@ -100,9 +104,10 @@ MC_TRIALS = 20
 
 
 def run_monte_carlo():
-    """Write MC_RUN/separation.json and MC_RUN/g2_fit.json: the fits of
-    MC_TRIALS seeded noisy inputs each, drawn as acceptance criteria 10 and 6
-    draw them, with the built-in molecule."""
+    """Write MC_RUN/separation.json, MC_RUN/g2_fit.json and
+    MC_RUN/extinction.json: the fits of MC_TRIALS seeded noisy inputs each,
+    drawn through synth as the acceptance criteria draw them, with the
+    built-in molecule."""
     mol = load_config().molecule
     geo = polarization.SeparationGeometry()
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
@@ -116,16 +121,21 @@ def run_monte_carlo():
                                                       drive=physics.DriveParams(rabi=0.0))))
     delays = np.linspace(0.0, 400.0, 801)
     drive = physics.DriveParams(rabi=50.0)
-    separations, g2_fits = [], []
+    line = spectra.ExtinctionModel(A=2.0, B=3.0, psi=1.2, mol=mol, drive=physics.DriveParams(
+        rabi=physics.rabi_for_saturation(mol, 1.0)))
+    separations, g2_fits, extinctions = [], [], []
     for t in range(MC_TRIALS):
         series = [(theta, synth.noisy_extinction_trace(model, grid, 127550.0, det, 100 * t + k))
                   for k, (theta, model) in enumerate(models)]
         separations.append(polarization.separate_components(series, geo).to_json())
         trace = synth.noisy_g2_trace(delays, mol, drive, 1e4, t)
         g2_fits.append(correlation.fit_rabi_from_g2(trace, mol).to_json())
+        trace = synth.noisy_extinction_trace(line, grid, 127550.0, det, 1000 + t)
+        extinctions.append(estimation.fit_extinction(trace).to_json())
 
     os.makedirs(MC_RUN, exist_ok=True)
-    for name, fits in (("separation.json", separations), ("g2_fit.json", g2_fits)):
+    for name, fits in (("separation.json", separations), ("g2_fit.json", g2_fits),
+                       ("extinction.json", extinctions)):
         with open(os.path.join(MC_RUN, name), "w") as fh:
             fh.write("[\n" + ",\n".join(fits) + "\n]\n")
 
