@@ -102,7 +102,8 @@ def _read_trace(path: str, cls):
 def _load_series(manifest_path: str, key: str) -> list:
     """(entry[key], trace) for each entry of a manifest's "series" list;
     entry["file"] is relative to the manifest's directory.  A malformed
-    manifest or entry is a ConfigError that names it."""
+    manifest or entry, or traces of differing units, is a ConfigError that
+    names it."""
     try:
         with open(manifest_path) as fh:
             series = json.load(fh)["series"]
@@ -122,7 +123,13 @@ def _load_series(manifest_path: str, key: str) -> list:
             raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
         if not isinstance(path, str):
             raise ConfigError(f"{where}: 'file' must be a path, got {path!r}")
-        pairs.append((value, _read_trace(os.path.join(base, path), SpectrumTrace)))
+        trace = _read_trace(os.path.join(base, path), SpectrumTrace)
+        if pairs:
+            try:
+                pairs[0][1].require_same_units(trace)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        pairs.append((value, trace))
     return pairs
 
 
@@ -183,7 +190,7 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 # each simulation returns its (trace, stem) pairs and its stdout line; s is
-# the drive's saturation parameter on resonance (nan when detuned)
+# the drive's saturation parameter
 
 def _sim_extinction(cfg: RunConfig, s: float):
     mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
@@ -249,7 +256,7 @@ SIMULATIONS = {
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    s = saturation_parameter(cfg.molecule, cfg.drive) if cfg.drive.detuning == 0 else math.nan
+    s = saturation_parameter(cfg.molecule, cfg.drive)
     traces, line = SIMULATIONS[args.subcommand](cfg, s)
     for trace, stem in traces:
         _write_trace(trace, cfg.out_dir, stem, cfg.formats)
@@ -289,7 +296,11 @@ def _g2_fit(inputs, cfg: RunConfig):
 
 
 def _linewidth_sweep(inputs, cfg: RunConfig):
-    table, res = fit_linewidth_vs_power(_load_series(inputs[0], "power_pw"))
+    series = _load_series(inputs[0], "power_pw")
+    try:
+        table, res = fit_linewidth_vs_power(series)
+    except ValueError as exc:
+        raise ConfigError(f"{inputs[0]}: {exc}") from exc
     widths = [{"power_pw": p, "fwhm_MHz": w, "fwhm_err_MHz": e} for p, w, e in table]
     return res, {"linewidths": widths}, []
 

@@ -3,10 +3,10 @@ strictly (unknown sections or keys are errors, so typos cannot pass
 silently).  Angles are degrees in the file and radians internally.
 
 The read-only built-in profile ``dbatt-paper`` carries the published
-constants of the DBATT system: gamma0 = 16.4 MHz (9.7 ns lifetime),
-gamma = 17 MHz, lambda = 590 nm, alpha_DW = 0.25, alpha_FC = 0.3,
-FPC 356 / 14 MHz at 15% transmission, 150 cps dark counts and
-P_sat = 350 pW.
+constants of the DBATT system that some output depends on: gamma0 =
+16.4 MHz (9.7 ns lifetime), gamma = 17 MHz, FPC 356 / 14 MHz at 15%
+transmission, 150 cps dark counts and P_sat = 350 pW.  The drive is
+resonant: there is no detuning key.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ def _parse_value(section, key, raw, kind):
 # section -> key -> (kind, dbatt-paper value); power_pw is optional and has
 # no value, so [drive] rabi sets the drive unless the file gives power_pw
 _SCHEMA = {
-    "molecule": {"gamma0": (float, "16.4"), "gamma": (float, "17.0"),
-                 "lambda21": (float, "590.0"), "alpha_dw": (float, "0.25"),
-                 "alpha_fc": (float, "0.3")},
-    "drive": {"rabi": (float, "0.0"), "detuning": (float, "0.0"),
-              "psi_deg": (float, "90.0"), "incident_rate": (float, "127550.0"),
+    "molecule": {"gamma0": (float, "16.4"), "gamma": (float, "17.0")},
+    "drive": {"rabi": (float, "0.0"), "psi_deg": (float, "90.0"),
+              "incident_rate": (float, "127550.0"),
               "power_pw": (float, None), "p_sat_pw": (float, "350.0")},
     "detector": {"dark_rate": (float, "150.0"), "quantum_efficiency": (float, "1.0"),
                  "integration_time": (float, "0.16")},
@@ -165,13 +163,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         return _parse_value(section, key, raw[section][key], _SCHEMA[section][key][0])
 
     with _section("molecule"):
-        mol = MoleculeParams(
-            gamma0=get("molecule", "gamma0"),
-            gamma=get("molecule", "gamma"),
-            lambda21=get("molecule", "lambda21"),
-            alpha_dw=get("molecule", "alpha_dw"),
-            alpha_fc=get("molecule", "alpha_fc"),
-        )
+        mol = MoleculeParams(gamma0=get("molecule", "gamma0"), gamma=get("molecule", "gamma"))
 
     with _section("drive"):
         cal = PowerCalibration(get("drive", "p_sat_pw"))
@@ -180,7 +172,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             rabi = rabi_for_saturation(mol, cal.saturation(get("drive", "power_pw")))
         drive = DriveParams(
             rabi=rabi,
-            detuning=get("drive", "detuning"),
             psi=math.radians(get("drive", "psi_deg")),
             incident_rate=get("drive", "incident_rate"),
         )

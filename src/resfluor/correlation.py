@@ -116,8 +116,6 @@ def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     g2(0) = 0, g2(inf) = 1; oscillatory iff the angular Rabi rate exceeds
     |Gamma_1 - Gamma_2|/2 (Gamma_1/4 for a lifetime-limited emitter).
     """
-    if drive.detuning != 0.0:
-        raise ValueError("g2 requires resonant drive (detuning = 0)")
     tau = np.abs(np.asarray(tau_ns, dtype=float)) * 1e-3
     out = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
     return out if np.ndim(tau_ns) else float(out)
@@ -208,8 +206,8 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
 
 def cross_check_saturation(rabi_mhz: float, mol: MoleculeParams) -> float:
-    """Saturation parameter for a resonant drive at the given Rabi frequency."""
-    return saturation_parameter(mol, DriveParams(rabi=rabi_mhz, detuning=0.0))
+    """Saturation parameter of a drive at the given Rabi frequency."""
+    return saturation_parameter(mol, DriveParams(rabi=rabi_mhz))
 
 
 def annotate(rabi_mhz: float, mol: MoleculeParams) -> str:

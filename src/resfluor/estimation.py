@@ -125,19 +125,9 @@ def _to_internal(p, lo):
 
 
 def _safe_exp(t):
+    """exp(t), capped below overflow: a parameter with lower bound lo has
+    external value lo + _safe_exp(t) and derivative _safe_exp(t)."""
     return math.exp(min(t, 700.0))
-
-
-def _to_external(t, lo):
-    if math.isfinite(lo):
-        return lo + _safe_exp(t)
-    return t
-
-
-def _dext_dint(t, lo):
-    if math.isfinite(lo):
-        return _safe_exp(t)
-    return 1.0
 
 
 def _normal_matrix(J):
@@ -185,13 +175,13 @@ def minimize(problem: FitProblem) -> FitResult:
         out = full.copy()
         out[free] = theta
         for k, i, lo in bounded:
-            out[i] = _to_external(theta[k], lo)
+            out[i] = lo + _safe_exp(theta[k])
         return out
 
     def dext_dint(theta):
         out = np.ones(nfree)
-        for k, _, lo in bounded:
-            out[k] = _dext_dint(theta[k], lo)
+        for k, _, _ in bounded:
+            out[k] = _safe_exp(theta[k])
         return out
 
     theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
@@ -232,8 +222,8 @@ def minimize(problem: FitProblem) -> FitResult:
         if problem.jacobian is not None:
             njev += 1
             J = np.asarray(problem.jacobian(external(theta)), dtype=float)[:, free]
-            for k, _, lo in bounded:
-                J[:, k] *= _dext_dint(theta[k], lo)
+            for k, _, _ in bounded:
+                J[:, k] *= _safe_exp(theta[k])
             return J
         J = np.empty((r.size, nfree))
         for k in range(nfree):
@@ -287,7 +277,7 @@ def minimize(problem: FitProblem) -> FitResult:
 
     if status == "max_iter" and any(_cond(A) > COND_MAX for A in normals):
         status = "rank_deficient"
-    cond = _cond(normals[-1]) if normals else math.nan
+    cond = _cond(normals[-1])
 
     # curvature-based errors at the solution, mapped to external coordinates
     J = jacobian(theta, r)
@@ -424,7 +414,10 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
         raise RankDeficientError("need spectra at >= 3 powers")
     table = []
     for power, tr in spectra:
-        r = fit_extinction(tr)
+        try:
+            r = fit_extinction(tr)
+        except ValueError as exc:
+            raise ValueError(f"trace at power {power}: {exc}") from exc
         if not r.converged:
             raise NotConvergedError(f"linewidth fit failed at power {power}", r)
         table.append((float(power), r.params["gamma"], r.errors["gamma"]))

@@ -103,18 +103,12 @@ def simulate_counts(
     )
 
 
-def interference_dip_rate(
-    incident_rate: float,
-    coherent_molecular_rate: float,
-    mode_overlap: float = 1.0,
-) -> float:
-    """On-resonance dip depth 2*overlap*sqrt(incident*coherent), i.e. the
+def interference_dip_rate(incident_rate: float, coherent_molecular_rate: float) -> float:
+    """On-resonance dip depth 2*sqrt(incident*coherent), i.e. the
     interference cross term at the intensity level."""
     if incident_rate < 0 or coherent_molecular_rate < 0:
         raise ValueError("rates must be >= 0")
-    if not (0.0 <= mode_overlap <= 1.0):
-        raise ValueError(f"mode_overlap must be in [0, 1], got {mode_overlap}")
-    return 2.0 * mode_overlap * math.sqrt(incident_rate * coherent_molecular_rate)
+    return 2.0 * math.sqrt(incident_rate * coherent_molecular_rate)
 
 
 def snr_of_detection(

@@ -35,14 +35,15 @@ class MoleculeParams:
 
     gamma0:   natural FWHM linewidth (MHz)
     gamma:    homogeneous FWHM linewidth (MHz), >= gamma0
-    lambda21: transition wavelength (nm)
-    alpha_dw: Debye-Waller factor in (0, 1]
-    alpha_fc: Franck-Condon factor in (0, 1]
+
+    lambda21 (transition wavelength, nm), alpha_dw (Debye-Waller factor)
+    and alpha_fc (Franck-Condon factor) are validated but read by no model
+    or command; the configuration no longer sets them.
     """
 
     gamma0: float
     gamma: float
-    lambda21: float
+    lambda21: float = 590.0
     alpha_dw: float = 1.0
     alpha_fc: float = 1.0
 
@@ -61,16 +62,14 @@ class MoleculeParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Excitation state of the laser drive.
+    """Excitation state of the laser drive, which is always on resonance.
 
     rabi:          Rabi frequency (MHz, same FWHM-convention scale as gamma0)
-    detuning:      laser detuning from resonance (MHz)
     psi:           interference phase (rad), stored wrapped into (-pi, pi]
     incident_rate: detected incident photon rate (counts/s)
     """
 
     rabi: float
-    detuning: float = 0.0
     psi: float = 0.5 * math.pi
     incident_rate: float = 0.0
 
@@ -83,19 +82,17 @@ class DriveParams:
 
 
 def saturation_parameter(mol: MoleculeParams, drive: DriveParams) -> float:
-    """S = (gamma*Omega^2 / 2*gamma0) / (Delta^2 + gamma^2/4)."""
+    """On-resonance S = (gamma*Omega^2 / 2*gamma0) / (gamma^2/4)."""
     num = mol.gamma * drive.rabi**2 / (2.0 * mol.gamma0)
-    den = drive.detuning**2 + mol.gamma**2 / 4.0
-    return num / den
+    return num / (mol.gamma**2 / 4.0)
 
 
-def rabi_for_saturation(mol: MoleculeParams, s: float, detuning: float = 0.0) -> float:
-    """Rabi frequency (MHz) that produces saturation parameter s at the
-    given detuning; inverse of saturation_parameter in Omega."""
+def rabi_for_saturation(mol: MoleculeParams, s: float) -> float:
+    """Rabi frequency (MHz) that produces saturation parameter s on
+    resonance; inverse of saturation_parameter in Omega."""
     if s < 0:
         raise ValueError(f"saturation parameter must be >= 0, got {s}")
-    den = detuning**2 + mol.gamma**2 / 4.0
-    return math.sqrt(s * den * 2.0 * mol.gamma0 / mol.gamma)
+    return math.sqrt(s * (mol.gamma**2 / 4.0) * 2.0 * mol.gamma0 / mol.gamma)
 
 
 def total_emission_rate(s: float) -> float:

@@ -3,7 +3,8 @@ polarizer) and its action on the extinction triple (A, B, psi).
 
 Angle convention: all angles are measured from the lab y-axis (the laser
 polarization axis), counterclockwise positive viewed along propagation.
-Jones vectors live in the fixed (x, y) lab basis.
+Jones vectors live in the fixed (x, y) lab basis, where the laser is the
+constant (0, 1).
 
 The triple (A0, B0, psi0) is intrinsic to the molecule-laser pair: it is
 normalized to unit laser-dipole overlap and no detection optics.  For a
@@ -62,20 +63,15 @@ def qwp_matrix(angle_from_y: float) -> np.ndarray:
     return np.outer(a, a.conj()) + 1j * np.outer(b, b.conj())
 
 
-def _jones_vector(e) -> np.ndarray:
-    e = np.asarray(e, dtype=complex)
-    if e.shape != (2,) or not np.isfinite(e).all():
-        raise ValueError("Jones vector must be a finite length-2 complex vector")
-    return e
-
-
 def _jones_overlaps(chain: np.ndarray, e_laser: np.ndarray, e_dipole_axis: float):
     """Unnormalised (|U d|^2, <U e, U d>, |U e|^2) of the chain's Jones
     matrix U, laser Jones vector e and (real, unit) dipole axis vector d.
 
     Raises DegenerateConfigurationError when the chain extinguishes the laser.
     """
-    e_laser = _jones_vector(e_laser)
+    e_laser = np.asarray(e_laser, dtype=complex)
+    if e_laser.shape != (2,) or not np.isfinite(e_laser).all():
+        raise ValueError("Jones vector must be a finite length-2 complex vector")
     u_l = chain @ e_laser
     u_d = chain @ axis_vector(e_dipole_axis)
     n = float(np.vdot(u_l, u_l).real)
@@ -111,23 +107,20 @@ def transform_extinction_triple(
 
 @dataclass(frozen=True)
 class SeparationGeometry:
-    """Fixed optical geometry of the component-separation measurement."""
+    """Fixed optical geometry of the component-separation measurement; the
+    laser is polarized along the lab y-axis."""
 
     dipole_angle: float = math.pi / 4.0          # dipole at 45 deg from laser
     polarizer_angle: float = 80.0 * math.pi / 180.0
     polarizer_extinction_ratio: float = 0.0
-    laser: tuple = (0.0, 1.0)                    # along the lab y-axis
 
     def __post_init__(self):
         er = self.polarizer_extinction_ratio
         if not 0.0 <= er <= 1.0:  # also false for nan
             raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
-        _jones_vector(self.laser)
-        # a tuple, so that the geometry can key the _chain_factors cache
-        object.__setattr__(self, "laser", tuple(self.laser))
 
     def laser_vector(self) -> np.ndarray:
-        return np.array(self.laser, dtype=complex)
+        return np.array([0.0, 1.0], dtype=complex)
 
     def chain(self, theta_qwp: float) -> np.ndarray:
         """Jones matrix of the QWP at theta_qwp followed by the polarizer."""

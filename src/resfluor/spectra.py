@@ -252,12 +252,10 @@ def mollow_spectrum(
 ) -> SpectrumTrace:
     """Incoherent emission spectral density vs emission detuning (MHz).
 
-    Resonant drive only.  Normalized so the trace integrates to the
+    Normalized so the trace integrates to the
     incoherent emitted-intensity factor (S^2/(1+S)^2 for a lifetime-limited
     emitter) times emission_scale.  Exactly even on symmetric grids.
     """
-    if drive.detuning != 0.0:
-        raise ValueError("mollow_spectrum requires resonant drive (detuning = 0)")
     if drive.rabi < 0 or mol.gamma <= 0:
         raise ValueError("rabi must be >= 0 and gamma > 0")
     grid = np.asarray(grid, dtype=float)

@@ -196,6 +196,10 @@ class TestSimulate:
         ("g2", "[output]\nformats = json", "[output] formats"),
         ("extinction", "[drive]\nincident_unit = W\nincident_rate = 1e-13",
          "unknown key [drive] incident_unit"),
+        ("mollow", "[drive]\ndetuning = 5", "unknown key [drive] detuning"),
+        ("extinction", "[molecule]\nlambda21 = 600", "unknown key [molecule] lambda21"),
+        ("extinction", "[molecule]\nalpha_dw = 0.5", "unknown key [molecule] alpha_dw"),
+        ("extinction", "[molecule]\nalpha_fc = 0.9", "unknown key [molecule] alpha_fc"),
     ])
     def test_output_formats_and_removed_keys_are_exit_2(self, tmp_path, capsys, command,
                                                          text, complaint):
@@ -300,6 +304,19 @@ class TestAnalyze:
                      "--config", cfg, "--out", out]) == 3
         assert not os.path.exists(os.path.join(out, "separate.json"))
 
+    def test_separate_series_of_mixed_units_is_exit_2(self, tmp_path, capsys):
+        # traces in different units cannot share one model: an input error
+        out = str(tmp_path / "out")
+        assert main(["reproduce", "fig4", "--out", out]) == 0
+        trace = tmp_path / "out" / "fig4" / "fig4_theta036.csv"
+        trace.write_text(trace.read_text().replace("value_kind = transmission",
+                                                   "value_kind = counts_per_s"))
+        assert main(["analyze", "separate", os.path.join(out, "fig4", "manifest.json"),
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "series entry 1: unit mismatch" in err
+        assert not os.path.exists(os.path.join(out, "separate.json"))
+
     def test_unparseable_input_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("")
@@ -348,6 +365,13 @@ class TestAnalyze:
         err = capfd.readouterr().err
         assert "fewer than the 6 free parameters" in err
         assert "DLASCL" not in err
+        # linewidth-sweep fits each trace of the series as fit-spectrum does
+        manifest = tmp_path / "sweep.json"
+        manifest.write_text(json.dumps({"series": [
+            {"power_pw": p, "file": "one.csv"} for p in (50.0, 350.0, 2500.0)]}))
+        assert main(["analyze", "linewidth-sweep", str(manifest), "--out", out]) == 2
+        assert (f"{manifest}: trace at power 50.0: trace has 1 points, fewer than the 6 "
+                "free parameters") in capfd.readouterr().err
         assert not os.path.exists(out)
 
     @staticmethod

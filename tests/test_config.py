@@ -12,7 +12,6 @@ def test_builtin_profile_values():
     assert cfg.molecule.gamma0 == 16.4
     assert cfg.molecule.gamma == 17.0
     assert cfg.molecule.lambda21 == 590.0
-    assert cfg.molecule.alpha_dw == 0.25
     assert cfg.fpc.fsr == 356.0
     assert cfg.fpc.fwhm == 14.0
     assert cfg.fpc.peak_transmission == 0.15
@@ -32,7 +31,7 @@ def test_overrides_and_power_to_rabi():
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("molecule", "gamma", "1e400"), ("drive", "detuning", "-inf"),
+    ("molecule", "gamma", "1e400"), ("drive", "incident_rate", "-inf"),
     ("detector", "dark_rate", "nan"), ("geometry", "qwp_angles_deg", "0, 1e309")])
 def test_non_finite_values_rejected(section, key, value):
     with pytest.raises(ConfigError, match=f"^\\[{section}\\] {key}: .* is not a finite number"):

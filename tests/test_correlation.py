@@ -82,10 +82,6 @@ class TestClosedForm:
         ref_mu_sq = g2_shape_partials_mp(tau, a, ratio * a * a)
         assert np.max(np.abs(d_mu_sq - ref_mu_sq)) <= 1e-12 * np.max(np.abs(ref_mu_sq))
 
-    def test_rejects_detuned(self):
-        with pytest.raises(ValueError):
-            g2(1.0, MOL, DriveParams(rabi=1.0, detuning=2.0))
-
 
 class TestTraceIO:
     def test_csv_round_trip_bit_exact(self):

@@ -157,9 +157,6 @@ class TestBudgets:
         dip = interference_dip_rate(550.0, 1.1)
         assert dip == pytest.approx(2.0 * math.sqrt(550.0 * 1.1), rel=1e-14)
         assert dip == pytest.approx(49.2, abs=0.05)
-        assert interference_dip_rate(550.0, 1.1, mode_overlap=0.5) == pytest.approx(dip / 2)
-        with pytest.raises(ValueError):
-            interference_dip_rate(550.0, 1.1, mode_overlap=1.5)
 
     def test_snr_of_detection(self):
         det = DetectorParams(dark_rate=150.0)

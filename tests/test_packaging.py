@@ -1,8 +1,11 @@
 """The runtime dependencies that pyproject.toml declares are the ones the
-package imports; importing the package loads nothing else; and each public
-name of the package has a caller outside its own tests."""
+package imports; importing the package loads nothing else; each public
+name of the package has a caller outside its own tests; and each option
+of the public API (a defaulted parameter or dataclass field) is passed by
+one."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -76,10 +79,10 @@ def _public_names(path):
     return {name for name in names if not name.startswith("_")}
 
 
-def test_every_public_name_has_a_caller():
-    # callers: the package's modules (the definition itself is not a load),
-    # tools/, perfbench/ and the acceptance criteria; a name that only its
-    # own unit tests reach is dead API
+def _modules_and_callers():
+    """The package's modules, and the files whose calls count as callers:
+    those modules (a definition is not a call), tools/, perfbench/ and the
+    acceptance criteria."""
     modules = [os.path.join(PACKAGE, f) for f in sorted(os.listdir(PACKAGE))
                if f.endswith(".py") and f != "__init__.py"]
     callers = modules + [os.path.join(ROOT, "tests", "test_acceptance.py")]
@@ -87,7 +90,70 @@ def test_every_public_name_has_a_caller():
         directory = os.path.join(ROOT, sub)
         callers += [os.path.join(directory, f) for f in sorted(os.listdir(directory))
                     if f.endswith(".py")]
+    return modules, callers
+
+
+def test_every_public_name_has_a_caller():
+    # a name that only its own unit tests reach is dead API
+    modules, callers = _modules_and_callers()
     used = set().union(*map(_referenced_names, callers))
     unused = [f"{os.path.basename(m)}:{name}" for m in modules
               for name in sorted(_public_names(m) - used)]
     assert unused == []
+
+
+def _defaulted_options(path):
+    """(name, {option: position}) of each public function and public
+    dataclass in the module: its defaulted parameters or fields, with the
+    position a call can pass each by (inf for a keyword-only one)."""
+    for node in _parse(path).body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            options = {name: k for k, name in enumerate(positional)
+                       if k >= len(positional) - len(args.defaults)}
+            options.update((a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            options = {f.target.id: k for k, f in enumerate(fields) if f.value is not None}
+        else:
+            continue
+        if options and not node.name.startswith("_"):
+            yield node.name, options
+
+
+def _passed_options(paths):
+    """Callee name -> (number of positional arguments, keyword names) that
+    some call in the files passes; *args or **kwargs at a call passes them
+    all."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            npos, keywords = passed.get(name, (0, set()))
+            npos = max(npos, len(node.args))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                npos = math.inf
+            passed[name] = npos, keywords | {k.arg for k in node.keywords}
+    return passed
+
+
+def test_every_option_is_passed_by_a_caller():
+    # an option that no caller passes always takes its default: a setting
+    # that changes nothing, kept alive with the checks it needs
+    modules, callers = _modules_and_callers()
+    passed = _passed_options(callers)
+    never = []
+    for module in modules:
+        for name, options in _defaulted_options(module):
+            npos, keywords = passed.get(name, (0, set()))
+            never += [f"{os.path.basename(module)}:{name}.{option}"
+                      for option, position in options.items()
+                      if position >= npos and option not in keywords]
+    assert never == []

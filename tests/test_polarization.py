@@ -248,18 +248,6 @@ class TestSeparation:
             with pytest.raises(DegenerateConfigurationError):
                 separate_components(series, geo)
 
-    def test_geometry_with_list_laser(self):
-        geo = SeparationGeometry(laser=[0.0, 1.0])
-        assert geo == GEO and hash(geo) == hash(GEO)
-        res = separate_components(self._series(10.76, 3.48, math.pi / 2.0), geo)
-        assert res.converged
-        assert res.params["A0"] == pytest.approx(10.76, rel=1e-8)
-
-    @pytest.mark.parametrize("laser", [[0.0, 1.0, 0.0], [math.nan, 1.0], np.eye(2)])
-    def test_geometry_rejects_bad_laser(self, laser):
-        with pytest.raises(ValueError, match="finite length-2"):
-            SeparationGeometry(laser=laser)
-
     def test_jacobian_after_residual_elsewhere_is_fresh(self):
         # residual and Jacobian share one memoized model evaluation: a
         # Jacobian at p2 after a residual at p1 must not reuse p1's terms

@@ -162,10 +162,6 @@ class TestMollow:
         v2 = mollow_spectrum(MOL, DriveParams(rabi=30.0), grid, emission_scale=250.0).values
         assert np.allclose(v2, 250.0 * v1, rtol=1e-14)
 
-    def test_rejects_detuned(self):
-        with pytest.raises(ValueError):
-            mollow_spectrum(MOL, DriveParams(rabi=10.0, detuning=1.0), np.linspace(-1, 1, 5))
-
 
 class TestFpc:
     def test_peak_and_periodicity(self):
