@@ -346,6 +346,36 @@ def _init_line(trace: SpectrumTrace):
     return center, gamma, baseline
 
 
+def _refine_line(trace: SpectrumTrace, center: float, gamma: float):
+    """(center, gamma) of the unit-baseline line 1 + (alpha + beta d) /
+    (d^2 + w), d = grid - center and w = gamma^2 / 4, refined from a seed by
+    one weighted linear solve (Sanathanan & Koerner 1963).
+
+    Multiplied by its denominator the line is linear in its unknowns: with
+    u = values - 1, x the grid offset from the seed centre in units of
+    h = gamma / 2 and c the centre's offset in the same units,
+    u x^2 = 2c (u x) - (c^2 + w / h^2) u + alpha' + beta' x.
+    Rows weighted by 1 / (x^2 + 1), the seed's denominator, make this
+    equation error approximate the residual.  Returns the seed when the
+    solve is singular or not finite, or gives w <= 0."""
+    h = gamma / 2.0
+    x = (trace.grid - center) / h
+    u = trace.values - 1.0
+    wt = 1.0 / (x * x + 1.0)
+    rows = np.array([u * x, u, np.ones_like(x), x]) * wt
+    try:
+        # the scaled basis is well conditioned (cond ~ 10), so its normal
+        # equations lose little to a QR solve and take half the time
+        coef = np.linalg.solve(rows @ rows.T, rows @ (u * x * x * wt))
+    except np.linalg.LinAlgError:
+        return center, gamma
+    shift = 0.5 * float(coef[0])
+    w = -float(coef[1]) - shift * shift   # in units of h^2
+    if not (math.isfinite(shift) and w > 0.0):
+        return center, gamma
+    return center + h * shift, gamma * math.sqrt(w)
+
+
 def _init_extinction(trace: SpectrumTrace):
     """_init_line plus (A, B, psi): the model is linear in (A, B cos psi,
     B sin psi) at fixed center/gamma, so a cheap linear solve seeds all

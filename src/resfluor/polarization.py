@@ -201,13 +201,15 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
         jac[:, 4] = lor * (2.0 * d * lor * m + b0 * ur)             # center
         return jac
 
-    # Seed gamma/center from the most structured trace.  At that (gamma,
+    # Seed gamma/center from the most structured trace: the grid heuristic,
+    # then one weighted linear solve of that trace's line.  At that (gamma,
     # center) the model is linear in (A0, B0 cos psi0, B0 sin psi0) over all
     # traces, and the A0, B0 and psi0 columns of the Jacobian at B0 = 1,
     # psi0 = 0 are that linear basis: one least-squares solve seeds the triple.
     spans = [float(np.ptp(tr.values)) for tr in traces]
     k = int(np.argmax(spans))
     center0, gamma0, _ = estimation._init_line(traces[k])
+    center0, gamma0 = estimation._refine_line(traces[k], center0, gamma0)
     basis = jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3]
     coef, *_ = np.linalg.lstsq(basis, values - 1.0, rcond=None)
 

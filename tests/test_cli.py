@@ -23,6 +23,19 @@ def _ini(tmp_path, text, name="run.ini"):
     return str(p)
 
 
+def _fig4_with_values(tmp_path, values):
+    """Reproduce fig4 into tmp_path, replace each trace's values by
+    values(trace, index) and return the manifest path."""
+    assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+    fig = tmp_path / "fig4"
+    for i, entry in enumerate(json.loads((fig / "manifest.json").read_text())["series"]):
+        path = fig / entry["file"]
+        trace = SpectrumTrace.from_csv(path.read_text())
+        trace.values = values(trace, i)
+        path.write_text(trace.to_csv())
+    return str(fig / "manifest.json")
+
+
 class TestSimulate:
     def test_extinction_noiseless(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -293,6 +306,14 @@ class TestAnalyze:
         assert payload["status"] == "converged"
         assert payload["params"]["psi0"] == pytest.approx(math.pi / 2.0, abs=1e-4)
 
+    def test_separate_flat_series_converges(self, tmp_path):
+        # no line in any trace: the fit still ends converged, exit 0
+        manifest = _fig4_with_values(tmp_path, lambda tr, i: np.ones_like(tr.values))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "separate", manifest, "--out", out]) == 0
+        with open(os.path.join(out, "separate.json")) as fh:
+            assert json.load(fh)["status"] == "converged"
+
     def test_separate_degenerate_geometry_is_exit_3(self, tmp_path):
         # the series includes theta = 0, where a polarizer at 90 deg
         # extinguishes the laser (DegenerateConfigurationError, a ValueError)
@@ -442,10 +463,14 @@ class TestAnalyze:
     ])
     def test_nonconvergence_writes_result_and_is_exit_4(self, tmp_path, capsys,
                                                         monkeypatch, command, name):
-        # a one-iteration budget stops every fit unconverged
+        # a one-iteration budget stops every fit of noisy data unconverged
+        # (noiseless fig4 is seeded at its solution and converges in one)
         if command == "separate":
-            assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
-            inputs = [str(tmp_path / "fig4" / "manifest.json")]
+            def noisy(trace, i):
+                rng = np.random.default_rng(i)
+                return trace.values + rng.normal(0.0, 0.007, trace.values.size)
+
+            inputs = [_fig4_with_values(tmp_path, noisy)]
         elif command == "g2-fit":
             cfg = _ini(tmp_path, "[drive]\nrabi = 60.0\n")
             assert main(["simulate", "g2", "--config", cfg, "--out", str(tmp_path)]) == 0

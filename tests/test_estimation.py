@@ -352,6 +352,30 @@ class TestExtinctionFit:
             fit_extinction(tr, fixed=("A", "psi"), init={"A": 0.0, "psi": 0.0})
 
 
+class TestRefineLine:
+    GRID = np.linspace(-150.0, 150.0, 201)
+
+    def test_noiseless_line_from_a_rough_seed(self):
+        # an asymmetric line, whose extremum is not its centre: one solve
+        # recovers centre and width from a seed 6 MHz and 30% off
+        values = extinction_fit_model(self.GRID, 40.0, 2.0, 6.0, -1.1, 3.0, 1.0)
+        center, gamma = estimation._refine_line(SpectrumTrace(self.GRID, values), 9.0, 52.0)
+        assert center == pytest.approx(3.0, abs=1e-9)
+        assert gamma == pytest.approx(40.0, rel=1e-9)
+
+    def test_flat_trace_keeps_the_seed(self):
+        # no line: the linear system is singular
+        flat = SpectrumTrace(self.GRID, np.ones_like(self.GRID))
+        assert estimation._refine_line(flat, -150.0, 3.0) == (-150.0, 3.0)
+
+    def test_real_poles_keep_the_seed(self):
+        # 1 + 30 / (g^2 - 25) sampled away from its poles at +-5 MHz is
+        # exactly the linearized model with w = -25 <= 0: no Lorentzian
+        grid = np.linspace(10.0, 150.0, 141)
+        trace = SpectrumTrace(grid, 1.0 + 30.0 / (grid * grid - 25.0))
+        assert estimation._refine_line(trace, 12.0, 8.0) == (12.0, 8.0)
+
+
 class TestSweeps:
     def test_linewidth_vs_power_round_trip(self):
         p_sat = 350.0

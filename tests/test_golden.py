@@ -66,3 +66,6 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     for path in MC_FILES:
         fits = json.loads((out / path).read_text())
         assert len(fits) == 20 and all(f["status"] == "converged" for f in fits), path
+    # the line's linearized seed leaves LM at most three iterations
+    separations = json.loads((out / "mc-fits/separation.json").read_text())
+    assert max(f["iterations"] for f in separations) <= 3
