@@ -189,6 +189,16 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _noisy_extinction(cfg: RunConfig, model: ExtinctionModel, grid, det: DetectorParams):
+    """synth.noisy_extinction_trace at [drive] incident_rate and [run] seed;
+    a zero rate, which the config allows, is a ConfigError here."""
+    rate = cfg.drive.incident_rate
+    if not rate > 0:
+        raise ConfigError(f"[drive] incident_rate must be > 0 to draw a noisy "
+                          f"extinction trace, got {rate:g}")
+    return synth.noisy_extinction_trace(model, grid, rate, det, cfg.seed)
+
+
 # each simulation returns its (trace, stem) pairs and its stdout line; s is
 # the drive's saturation parameter
 
@@ -203,8 +213,7 @@ def _sim_extinction(cfg: RunConfig, s: float):
             f"{sim['extinction_a']:g} makes the transmission negative "
             f"({trace.values.min():.4g} at its minimum)")
     if sim["noise"]:
-        trace = synth.noisy_extinction_trace(model, grid, drive.incident_rate,
-                                             cfg.detector, cfg.seed)
+        trace = _noisy_extinction(cfg, model, grid, cfg.detector)
     dip = 1.0 - float(trace.values.min())
     return [(trace, "extinction")], \
         f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz"
@@ -360,7 +369,7 @@ def _reproduce_fig2(cfg: RunConfig):
     model = _extinction_model(mol, drive, 0.0, 0.115)
     grid = np.linspace(-150.0, 150.0, 301)
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
-    noisy = synth.noisy_extinction_trace(model, grid, drive.incident_rate, det, cfg.seed)
+    noisy = _noisy_extinction(cfg, model, grid, det)
     clean = extinction_spectrum(model, grid)
     anchored = {"dip_depth": 0.115, "noise_rms": 0.007, "integration_time_s": 0.16,
                 "gamma_MHz": mol.gamma}

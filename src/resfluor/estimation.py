@@ -51,7 +51,10 @@ class FitProblem:
     jacobian(p), when given, returns the closed-form d residual / d p at the
     same vector: one row per residual entry, one column per declared
     parameter (fixed ones included).  Without it minimize takes forward
-    differences of the residual.
+    differences of the residual.  minimize works on the free columns in
+    Fortran order: a Fortran-ordered float array whose free columns lead is
+    used without a copy, and then scaled in place, so return a fresh array
+    from each call.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -166,6 +169,7 @@ def minimize(problem: FitProblem) -> FitResult:
     nfree = len(free)
     if nfree == 0:
         raise ValueError("no free parameters")
+    leading = free == list(range(nfree))
 
     full = np.array([p.value for p in pars], dtype=float)
     # (internal index, declared index, lower bound) of each bounded free parameter
@@ -217,11 +221,15 @@ def minimize(problem: FitProblem) -> FitResult:
 
     def jacobian(theta, r):
         """Jacobian in internal coordinates: the problem's closed form,
-        chained through the bound transforms, or forward differences."""
+        chained through the bound transforms, or forward differences.
+        The closed form's free columns are taken in Fortran order, the
+        layout _normal_matrix's gemm and the fit outputs depend on: a view
+        when they lead and are already in that order, else a copy."""
         nonlocal njev
         if problem.jacobian is not None:
             njev += 1
-            J = np.asarray(problem.jacobian(external(theta)), dtype=float)[:, free]
+            J = np.asarray(problem.jacobian(external(theta)), dtype=float)
+            J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
             for k, _, _ in bounded:
                 J[:, k] *= _safe_exp(theta[k])
             return J

@@ -12,6 +12,7 @@ scheme's name, RNG_NAME, is embedded in all stochastic output metadata.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ def _keyed_generator(seed: int, b: int) -> np.random.Generator:
     if gen is None:
         gen = _local.generator = np.random.Generator(np.random.Philox(0))
     gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": _ZEROS, "key": (int(seed), b)},
+                               "state": {"counter": _ZEROS, "key": (seed, b)},
                                "buffer": _ZEROS, "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
     return gen
@@ -72,8 +73,12 @@ def simulate_counts(
     with one vectorised call on the Philox stream keyed by (seed, b).  The
     partition is fixed, so the counts depend only on the rates and the seed,
     and a block's counts only on its own rates, the seed and b.
-    seed must be in [0, 2**64), the range of one Philox key word.
+    seed must be an integer (a bool or a float is a ValueError, even an
+    integral one) in [0, 2**64), the range of one Philox key word.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rates = rate_trace.values
@@ -86,21 +91,15 @@ def simulate_counts(
         block = slice(lo, lo + BLOCK_PIXELS)
         counts[block] = _keyed_generator(seed, b).poisson(means[block])
 
-    return SpectrumTrace(
-        rate_trace.grid,
-        counts,
-        freq_kind=rate_trace.freq_kind,
-        value_kind="counts",
-        meta={
-            "generator": "simulate_counts",
-            "rng": RNG_NAME,
-            "seed": int(seed),
-            "integration_time_s": det.integration_time,
-            "dark_rate_cps": det.dark_rate,
-            "quantum_efficiency": det.quantum_efficiency,
-            "input": rate_trace.meta.get("generator"),
-        },
-    )
+    return rate_trace._on_grid(counts, "counts", {
+        "generator": "simulate_counts",
+        "rng": RNG_NAME,
+        "seed": seed,
+        "integration_time_s": det.integration_time,
+        "dark_rate_cps": det.dark_rate,
+        "quantum_efficiency": det.quantum_efficiency,
+        "input": rate_trace.meta.get("generator"),
+    })
 
 
 def interference_dip_rate(incident_rate: float, coherent_molecular_rate: float) -> float:

@@ -193,7 +193,7 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     def jacobian(p):
         _, b0, _, gamma, _ = p
         d, lor, ur, ui, quad, m = terms(p)
-        jac = np.empty((lor.size, 5))
+        jac = np.empty((lor.size, 5), order="F")  # minimize's layout: no copy
         jac[:, 0] = lor * k_a                                       # A0
         jac[:, 1] = -lor * quad                                     # B0
         jac[:, 2] = b0 * lor * (d * ui - gamma / 2.0 * ur)          # psi0
@@ -206,7 +206,7 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     # center) the model is linear in (A0, B0 cos psi0, B0 sin psi0) over all
     # traces, and the A0, B0 and psi0 columns of the Jacobian at B0 = 1,
     # psi0 = 0 are that linear basis: one least-squares solve seeds the triple.
-    spans = [float(np.ptp(tr.values)) for tr in traces]
+    spans = [float(tr.values.max() - tr.values.min()) for tr in traces]
     k = int(np.argmax(spans))
     center0, gamma0, _ = estimation._init_line(traces[k])
     center0, gamma0 = estimation._refine_line(traces[k], center0, gamma0)

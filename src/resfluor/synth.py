@@ -3,9 +3,11 @@ the CLI simulate/reproduce commands and by Monte Carlo studies."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .correlation import G2Trace, g2_trace
+from .correlation import G2Trace, g2
 from .measurement import DetectorParams, RNG_NAME, simulate_counts
 from .physics import DriveParams, MoleculeParams
 from .spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
@@ -19,32 +21,23 @@ def noisy_extinction_trace(
     seed: int,
 ) -> SpectrumTrace:
     """Shot-noised normalized transmission: Poisson counts per pixel at
-    rate incident*I_d/I_e plus dark counts, dark-subtracted and renormalized."""
+    rate incident*I_d/I_e plus dark counts, dark-subtracted and renormalized.
+    incident_rate must be positive and finite."""
+    if not (math.isfinite(incident_rate) and incident_rate > 0):
+        raise ValueError(f"incident_rate must be positive and finite, got {incident_rate}")
     clean = extinction_spectrum(model, grid)
-    rate = SpectrumTrace(
-        clean.grid,
-        clean.values * incident_rate,
-        freq_kind=clean.freq_kind,
-        value_kind="counts_per_s",
-        meta=clean.meta,
-    )
+    rate = clean._on_grid(clean.values * incident_rate, "counts_per_s", clean.meta)
     counts = simulate_counts(rate, det, seed)
     t = det.integration_time
     norm = (counts.values - det.dark_rate * t) / (incident_rate * det.quantum_efficiency * t)
-    return SpectrumTrace(
-        grid,
-        norm,
-        freq_kind="detuning_MHz",
-        value_kind="transmission",
-        meta={
-            "generator": "noisy_extinction_trace",
-            "rng": RNG_NAME,
-            "seed": int(seed),
-            "incident_rate_cps": incident_rate,
-            "integration_time_s": t,
-            **{k: clean.meta[k] for k in ("A", "B", "psi", "gamma")},
-        },
-    )
+    return clean._on_grid(norm, "transmission", {
+        "generator": "noisy_extinction_trace",
+        "rng": RNG_NAME,
+        "seed": int(seed),
+        "incident_rate_cps": incident_rate,
+        "integration_time_s": t,
+        **{k: clean.meta[k] for k in ("A", "B", "psi", "gamma")},
+    })
 
 
 def noisy_g2_trace(
@@ -57,10 +50,10 @@ def noisy_g2_trace(
     """Coincidence-noised g2: Poisson draws at plateau_coincidences per bin
     on the plateau, renormalized by the plateau mean over the last 20% of
     the delay window."""
-    clean = g2_trace(delays_ns, mol, drive)
+    delays = np.asarray(delays_ns, dtype=float)
     rate = SpectrumTrace(
-        clean.delays,
-        clean.values * plateau_coincidences,
+        delays,
+        np.clip(g2(delays, mol, drive), 0.0, None) * plateau_coincidences,
         freq_kind="delay_ns",
         value_kind="counts_per_s",
     )
@@ -71,7 +64,7 @@ def noisy_g2_trace(
     if plateau <= 0:
         raise ValueError("plateau region has no coincidences; trace unusable")
     return G2Trace(
-        clean.delays,
+        delays,
         counts.values / plateau,
         meta={
             "generator": "noisy_g2_trace",

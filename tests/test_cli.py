@@ -179,6 +179,18 @@ class TestSimulate:
         assert "[simulate] " + text.split(" =")[0] in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("argv", [["simulate", "extinction"], ["reproduce", "fig2"]])
+    def test_zero_incident_rate_with_noise_is_exit_2(self, tmp_path, capsys, argv):
+        # a noisy transmission divides by the incident rate: at 0 it used to
+        # warn twice (divide by zero) and exit 3 on non-finite values
+        cfg = _ini(tmp_path, "[drive]\nincident_rate = 0\n[simulate]\nnoise = true\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert "[drive] incident_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_smallest_simulate_values_run(self, tmp_path):
         cfg = _ini(tmp_path, "[simulate]\npoints = 1\ntau_points = 1\npower_points = 1\n"
                              "grid_min = -1e-9\ngrid_max = 0\ntau_max_ns = 1e-9\n"

@@ -161,6 +161,37 @@ class TestMinimize:
             assert cf.errors[name] == pytest.approx(fd.errors[name], rel=1e-5)
         assert cf.params["z"] == fd.params["z"] == 0.2
 
+    @pytest.mark.parametrize("fixed", [(), ("a",)])
+    def test_jacobian_memory_order_changes_no_bit(self, fixed):
+        # minimize takes the free columns of a closed-form Jacobian in
+        # Fortran order, without a copy when they lead and already are: the
+        # normal matrix's gemm, and so every fit output, sees one layout
+        # whichever order the problem returns
+        x = np.linspace(-3.0, 3.0, 201)
+        y = 0.4 + 1.3 * np.exp(-0.7 * x * x) + 0.2 * x + 0.01 * np.sin(11.0 * x)
+
+        def residual(p):
+            a, b, k, c = p
+            return a + b * np.exp(-k * x * x) + c * x - y
+
+        def fit(order):
+            def jacobian(p):
+                a, b, k, c = p
+                e = np.exp(-k * x * x)
+                return np.array(np.column_stack([np.ones_like(x), e, -b * x * x * e, x]),
+                                order=order)
+
+            pars = [Parameter("a", 0.3, fixed="a" in fixed), Parameter("b", 1.0, lo=0.0),
+                    Parameter("k", 0.5, lo=0.0), Parameter("c", 0.0)]
+            return minimize(FitProblem(residual, pars, jacobian=jacobian))
+
+        c_res, f_res = fit("C"), fit("F")
+        assert c_res.converged and c_res.iterations > 1
+        for key in ("params", "errors", "cost", "status", "iterations", "cond", "nfev",
+                    "njev", "grad_norm", "param_order"):
+            assert getattr(c_res, key) == getattr(f_res, key), key
+        assert np.array_equal(c_res.covariance, f_res.covariance)
+
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):
             minimize(FitProblem(lambda p: np.array([p[0] + p[1]]),

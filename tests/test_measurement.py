@@ -64,6 +64,20 @@ class TestRng:
         top = simulate_counts(tr, det, seed=(1 << 64) - 1).values
         assert not np.array_equal(top, simulate_counts(tr, det, seed=0).values)
 
+    def test_seed_must_be_an_integer(self):
+        # a float or a bool seed used to be truncated: 1.9 and True drew
+        # seed 1's stream and recorded "seed": 1
+        tr = _rate_trace(10)
+        det = DetectorParams(dark_rate=0.0)
+        for bad in (1.9, 1.0, np.float64(2.0), True, np.True_, "3"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                simulate_counts(tr, det, seed=bad)
+        want = simulate_counts(tr, det, seed=9)
+        for seed in (np.uint64(9), np.int32(9)):
+            got = simulate_counts(tr, det, seed=seed)
+            assert np.array_equal(got.values, want.values)
+            assert got.meta == want.meta and type(got.meta["seed"]) is int
+
     @staticmethod
     def _reference_counts(tr, det, seed):
         """Per-block draws from freshly constructed Philox(key=(seed, b))."""

@@ -1,0 +1,102 @@
+"""Synthetic noisy traces: the traces derived on a checked grid keep every
+value check, and serialize as publicly constructed traces do."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from resfluor.correlation import G2Trace, g2_trace
+from resfluor.measurement import DetectorParams, simulate_counts
+from resfluor.physics import DriveParams, MoleculeParams
+from resfluor.spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
+from resfluor.synth import noisy_extinction_trace, noisy_g2_trace
+
+MOL = MoleculeParams(gamma0=16.4, gamma=17.0)
+MODEL = ExtinctionModel(A=0.05, B=0.1, psi=1.0, mol=MOL, drive=DriveParams(rabi=5.0))
+GRID = np.linspace(-150.0, 150.0, 201)
+DET = DetectorParams(dark_rate=150.0, quantum_efficiency=0.8, integration_time=0.16)
+DELAYS = np.linspace(0.0, 400.0, 401)
+
+
+def _public(tr: SpectrumTrace) -> SpectrumTrace:
+    """The same fields, through the public constructor and its full check."""
+    return SpectrumTrace(tr.grid.copy(), tr.values.copy(), freq_kind=tr.freq_kind,
+                         value_kind=tr.value_kind, meta=dict(tr.meta))
+
+
+class TestOnGrid:
+    def test_shares_the_grid_and_checks_the_values(self):
+        base = extinction_spectrum(MODEL, GRID)
+        tr = base._on_grid(base.values * 2.0, "counts_per_s", {"tag": 1})
+        assert tr.grid is base.grid and tr.freq_kind == base.freq_kind
+        assert (tr.value_kind, tr.meta) == ("counts_per_s", {"tag": 1})
+        assert tr.to_json() == _public(tr).to_json()
+        with pytest.raises(ValueError, match="length mismatch"):
+            base._on_grid(base.values[:-1], "x", {})
+        with pytest.raises(ValueError, match="1-D"):
+            base._on_grid(base.values.reshape(1, -1), "x", {})
+        for bad in (math.inf, math.nan):
+            values = base.values.copy()
+            values[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                base._on_grid(values, "x", {})
+
+    def test_negative_rates_on_a_derived_trace_still_raise(self):
+        base = extinction_spectrum(MODEL, GRID)
+        with pytest.raises(ValueError, match="count rates"):
+            simulate_counts(base._on_grid(-base.values, "counts_per_s", {}), DET, 0)
+
+
+class TestNoisyExtinction:
+    def test_matches_the_composition_of_public_traces(self):
+        got = noisy_extinction_trace(MODEL, GRID, 127550.0, DET, 5)
+        clean = extinction_spectrum(MODEL, GRID)
+        rate = SpectrumTrace(clean.grid, clean.values * 127550.0, freq_kind=clean.freq_kind,
+                             value_kind="counts_per_s", meta=clean.meta)
+        counts = simulate_counts(rate, DET, 5)
+        assert counts.to_json() == _public(counts).to_json()
+        t = DET.integration_time
+        want = (counts.values - DET.dark_rate * t) / (127550.0 * DET.quantum_efficiency * t)
+        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.grid, GRID)
+        assert (got.freq_kind, got.value_kind) == ("detuning_MHz", "transmission")
+        assert got.meta["seed"] == 5 and got.meta["generator"] == "noisy_extinction_trace"
+        assert got.to_csv() == _public(got).to_csv()
+        assert got.to_json() == _public(got).to_json()
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        # a zero rate used to divide by zero (two RuntimeWarnings) and then
+        # fail the trace's finiteness check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="incident_rate"):
+                noisy_extinction_trace(MODEL, GRID, rate, DET, 0)
+
+    def test_seed_must_be_an_integer(self):
+        for bad in (1.9, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                noisy_extinction_trace(MODEL, GRID, 127550.0, DET, bad)
+
+
+class TestNoisyG2:
+    def test_matches_the_composition_through_g2_trace(self):
+        drive = DriveParams(rabi=50.0)
+        got = noisy_g2_trace(DELAYS, MOL, drive, 1e4, 11)
+        clean = g2_trace(DELAYS, MOL, drive)
+        rate = SpectrumTrace(clean.delays, clean.values * 1e4, freq_kind="delay_ns",
+                             value_kind="counts_per_s")
+        counts = simulate_counts(rate, DetectorParams(dark_rate=0.0, integration_time=1.0), 11)
+        plateau = float(np.mean(counts.values[-80:]))
+        assert np.array_equal(got.delays, DELAYS)
+        assert np.array_equal(got.values, counts.values / plateau)
+        assert got.meta["seed"] == 11 and got.meta["generator"] == "noisy_g2_trace"
+        assert got.to_csv() == G2Trace(got.delays.copy(), got.values.copy(),
+                                       dict(got.meta)).to_csv()
+
+    def test_seed_must_be_an_integer(self):
+        for bad in (1.9, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=50.0), 1e4, bad)
