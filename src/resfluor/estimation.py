@@ -48,18 +48,16 @@ class FitProblem:
     """residual(p) maps the full parameter vector (declared order, fixed
     entries included) to a residual vector.
 
-    jacobian(p), when given, returns the closed-form d residual / d p at the
-    same vector: one row per residual entry, one column per declared
-    parameter (fixed ones included).  Without it minimize takes forward
-    differences of the residual.  minimize works on the free columns in
-    Fortran order: a Fortran-ordered float array whose free columns lead is
-    used without a copy, and then scaled in place, so return a fresh array
-    from each call.
+    jacobian(p) returns the closed-form d residual / d p at the same vector:
+    one row per residual entry, one column per declared parameter (fixed
+    ones included).  minimize works on the free columns in Fortran order: a
+    Fortran-ordered float array whose free columns lead is used without a
+    copy, and then scaled in place, so return a fresh array from each call.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     params: list
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
     def free_indices(self):
         return [i for i, p in enumerate(self.params) if not p.fixed]
@@ -70,7 +68,6 @@ MAX_ITER = 500
 XTOL = 1e-10        # relative cost decrease
 GTOL = 1e-8         # gradient inf-norm
 COND_MAX = 1e12     # normal-equations conditioning limit
-DIFF_STEP = 1e-7    # forward-difference step, relative to 1 + |internal value|
 
 
 @dataclass
@@ -83,7 +80,7 @@ class FitResult:
     covariance: Optional[np.ndarray] = None
     param_order: list = field(default_factory=list)
     nfev: int = 0            # residual evaluations made by minimize
-    njev: int = 0            # closed-form Jacobian evaluations
+    njev: int = 0            # Jacobian evaluations made by minimize
     grad_norm: float = math.nan  # inf-norm of the internal gradient, last iteration
     cond: float = math.nan   # normal-matrix condition number, last iteration
 
@@ -219,30 +216,21 @@ def minimize(problem: FitProblem) -> FitResult:
     grad_norm = math.nan
     normals = []  # each iteration's J^T J, for the conditioning checks
 
-    def jacobian(theta, r):
-        """Jacobian in internal coordinates: the problem's closed form,
-        chained through the bound transforms, or forward differences.
-        The closed form's free columns are taken in Fortran order, the
-        layout _normal_matrix's gemm and the fit outputs depend on: a view
-        when they lead and are already in that order, else a copy."""
+    def jacobian(theta):
+        """The problem's Jacobian chained through the bound transforms into
+        internal coordinates.  Its free columns are taken in Fortran order,
+        the layout _normal_matrix's gemm and the fit outputs depend on: a
+        view when they lead and are already in that order, else a copy."""
         nonlocal njev
-        if problem.jacobian is not None:
-            njev += 1
-            J = np.asarray(problem.jacobian(external(theta)), dtype=float)
-            J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
-            for k, _, _ in bounded:
-                J[:, k] *= _safe_exp(theta[k])
-            return J
-        J = np.empty((r.size, nfree))
-        for k in range(nfree):
-            h = DIFF_STEP * (1.0 + abs(theta[k]))
-            tp = theta.copy()
-            tp[k] += h
-            J[:, k] = (residual(tp) - r) / h
+        njev += 1
+        J = np.asarray(problem.jacobian(external(theta)), dtype=float)
+        J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
+        for k, _, _ in bounded:
+            J[:, k] *= _safe_exp(theta[k])
         return J
 
     for it in range(1, MAX_ITER + 1):
-        J = jacobian(theta, r)
+        J = jacobian(theta)
         g = J.T @ r
         grad_norm = float(np.abs(g).max())
         A = _normal_matrix(J)
@@ -264,7 +252,9 @@ def minimize(problem: FitProblem) -> FitResult:
                 mu = max(mu * 10.0, 1e-10 * diag_max)
                 continue
             t_new = theta + step
-            r_new = residual(t_new)
+            # a step out of the model's domain is rejected by its non-finite residual
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                r_new = residual(t_new)
             if np.isfinite(r_new).all() and (c_new := cost_of(r_new)) <= cost:
                 rel = (cost - c_new) / max(cost, 1e-300)
                 theta, r, cost = t_new, r_new, c_new
@@ -288,7 +278,7 @@ def minimize(problem: FitProblem) -> FitResult:
     cond = _cond(normals[-1])
 
     # curvature-based errors at the solution, mapped to external coordinates
-    J = jacobian(theta, r)
+    J = jacobian(theta)
     A = _normal_matrix(J)
     dof = max(r.size - nfree, 1)
     try:
@@ -438,7 +428,25 @@ def fit_extinction(
         a, b, psi, gamma, center, baseline = p
         return extinction_fit_model(data.grid, gamma, a, b, psi, center, baseline) - data.values
 
-    return minimize(FitProblem(residual, pars))
+    def jacobian(p):
+        # model baseline * (1 + lor * net), net = A - B q, q = d cos psi + gamma/2 sin psi
+        a, b, psi, gamma, center, baseline = p
+        cos, sin = math.cos(psi), math.sin(psi)
+        d = data.grid - center
+        lor = 1.0 / (d * d + gamma * gamma / 4.0)
+        q = d * cos + gamma / 2.0 * sin
+        net = a - b * q
+        scaled = baseline * lor
+        jac = np.empty((d.size, 6), order="F")  # minimize's layout: no copy
+        jac[:, 0] = scaled                                          # A
+        jac[:, 1] = -scaled * q                                     # B
+        jac[:, 2] = scaled * b * (d * sin - gamma / 2.0 * cos)      # psi
+        jac[:, 3] = -scaled * (gamma / 2.0 * lor * net + b / 2.0 * sin)  # gamma
+        jac[:, 4] = scaled * (2.0 * d * lor * net + b * cos)        # center
+        jac[:, 5] = 1.0 + lor * net                                 # baseline
+        return jac
+
+    return minimize(FitProblem(residual, pars, jacobian))
 
 
 def fit_linewidth_vs_power(spectra: Sequence[tuple]):
@@ -473,7 +481,12 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
         gamma, p_sat = p
         return gamma * np.sqrt(1.0 + powers / p_sat) - fwhm
 
-    res = minimize(FitProblem(residual, pars))
+    def jacobian(p):
+        gamma, p_sat = p
+        root = np.sqrt(1.0 + powers / p_sat)
+        return np.column_stack([root, -gamma * powers / (2.0 * p_sat * p_sat * root)])
+
+    res = minimize(FitProblem(residual, pars, jacobian))
     return table, res
 
 
@@ -508,4 +521,16 @@ def fit_saturation_curves(
         rt = b * s / (1.0 + s) - total_rates
         return np.concatenate([rc, rt])
 
-    return minimize(FitProblem(residual, pars))
+    def jacobian(p):
+        # rows: the coherent channel, then the total one; d s / d p_sat = -s / p_sat
+        p_sat, a, b = p
+        s = powers / p_sat
+        n = s.size
+        jac = np.zeros((2 * n, 3), order="F")
+        jac[:n, 0] = -a * s * (1.0 - s) / (p_sat * (1.0 + s) ** 3)
+        jac[n:, 0] = -b * s / (p_sat * (1.0 + s) ** 2)
+        jac[:n, 1] = s / (1.0 + s) ** 2
+        jac[n:, 2] = s / (1.0 + s)
+        return jac
+
+    return minimize(FitProblem(residual, pars, jacobian))

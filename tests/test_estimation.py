@@ -1,9 +1,11 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from resfluor import estimation
 from resfluor.estimation import (
@@ -19,10 +21,39 @@ from resfluor.estimation import (
     fit_saturation_curves,
     minimize,
 )
+from resfluor.measurement import DetectorParams
 from resfluor.physics import DriveParams, MoleculeParams, rabi_for_saturation
 from resfluor.spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
+from resfluor.synth import noisy_extinction_trace
 
 MOL = MoleculeParams(gamma0=16.4, gamma=17.0, lambda21=590.0)
+
+
+def _fits(fit, *args, **kwargs):
+    """(FitProblem, FitResult) of each minimize call that fit(*args,
+    **kwargs) makes, in call order."""
+    fits = []
+
+    def capture(problem):
+        res = minimize(problem)
+        fits.append((problem, res))
+        return res
+
+    with mock.patch.object(estimation, "minimize", capture):
+        fit(*args, **kwargs)
+    return fits
+
+
+def _assert_jacobian_matches_central_differences(problem, p):
+    """Every column of problem.jacobian(p), fixed ones included, against
+    central differences of the residual with steps 1e-4 * (1 + |p|)."""
+    jac = problem.jacobian(p)
+    assert jac.shape == (problem.residual(p).size, p.size)
+    for j, h in enumerate(1e-4 * (1.0 + np.abs(p))):
+        dp = np.zeros(p.size)
+        dp[j] = h
+        fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)
+        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * np.max(np.abs(jac[:, j])), j
 
 
 class TestTransforms:
@@ -54,7 +85,7 @@ class TestMinimize:
 
         pars = [Parameter("c0", 10.0), Parameter("c1", -10.0)]
         monkeypatch.setattr(estimation, "GTOL", 1e-13)
-        res = minimize(FitProblem(residual, pars))
+        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 2, increasing=True)))
         assert res.converged
         assert res.iterations <= 3
         assert res.params["c0"] == pytest.approx(2.0, abs=1e-10)
@@ -65,12 +96,7 @@ class TestMinimize:
         rng = np.random.default_rng(7)
         for _ in range(25):
             a, b = rng.uniform(-2, 2, size=2)
-
-            def residual(p):
-                return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
-
-            pars = [Parameter("x", a), Parameter("y", b)]
-            res = minimize(FitProblem(residual, pars))
+            res = minimize(self._rosenbrock(a, b, []))
             assert res.cost < 1e-12
             assert res.params["x"] == pytest.approx(1.0, abs=1e-6)
 
@@ -78,7 +104,8 @@ class TestMinimize:
         def residual(p):
             return np.array([p[0] + 2.0, p[0] - 1.0])  # free optimum -0.5
 
-        res = minimize(FitProblem(residual, [Parameter("x", 1.0, lo=0.0)]))
+        res = minimize(FitProblem(residual, [Parameter("x", 1.0, lo=0.0)],
+                                  lambda p: np.ones((2, 1))))
         assert res.params["x"] == pytest.approx(0.0, abs=1e-6)
 
     def test_fixed_parameters_do_not_move(self):
@@ -88,7 +115,7 @@ class TestMinimize:
             return p[0] + p[1] * x - (5.0 + 0.5 * x)
 
         pars = [Parameter("c0", 0.0), Parameter("c1", 0.25, fixed=True)]
-        res = minimize(FitProblem(residual, pars))
+        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 2, increasing=True)))
         assert res.params["c1"] == 0.25
         assert res.errors["c1"] == 0.0
         assert res.params["c0"] == pytest.approx(5.0 + 0.5 * 0.5 - 0.25 * 0.5, rel=1e-6)
@@ -104,34 +131,29 @@ class TestMinimize:
 
         pars = [Parameter("c0", 0.0), Parameter("c1", 0.0),
                 Parameter("c2", 0.5, fixed=True)]
-        res = minimize(FitProblem(residual, pars))
-        assert res.nfev == len(calls) > 0
+        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 3, increasing=True)))
         payload = json.loads(res.to_json())
-        assert payload["nfev"] == res.nfev
+        # nfev counts residual calls, njev Jacobian calls: one per iteration
+        # plus one for the errors
+        assert payload["nfev"] == res.nfev == len(calls) > 0
+        assert payload["njev"] == res.njev == res.iterations + 1
         assert payload["param_order"] == ["c0", "c1"]
         assert np.array_equal(np.array(payload["covariance"]), res.covariance)
         assert np.array(payload["covariance"]).shape == (2, 2)
         assert (payload["status"], payload["iterations"]) == (res.status, res.iterations)
-        # forward differences: no Jacobian calls, each column is a residual
-        # call; a closed-form Jacobian is counted in njev, not in nfev
-        assert payload["njev"] == res.njev == 0
-        assert res.nfev >= 1 + 2 * (res.iterations + 1)
         assert payload["grad_norm"] == res.grad_norm < estimation.GTOL
         assert payload["cond"] == res.cond >= 1.0
-        with_jac = minimize(FitProblem(
-            residual, pars, jacobian=lambda p: np.column_stack([np.ones_like(x), x, x * x])))
-        assert with_jac.njev == with_jac.iterations + 1
-        assert with_jac.nfev == len(calls) - res.nfev
-        assert json.loads(with_jac.to_json())["njev"] == with_jac.njev
         # a parameter the residual ignores makes the normal matrix singular
         singular = minimize(FitProblem(lambda p: p[0] - y,
-                                       [Parameter("a", 0.0), Parameter("b", 0.0)]))
+                                       [Parameter("a", 0.0), Parameter("b", 0.0)],
+                                       lambda p: np.column_stack([np.ones_like(y), 0.0 * y])))
         assert singular.cond == math.inf
         assert json.loads(singular.to_json())["cond"] is None
 
-    def test_closed_form_jacobian_reaches_forward_difference_solution(self, monkeypatch):
+    def test_bounded_fit_matches_scipy_least_squares(self, monkeypatch):
         # one parameter per bound kind, plus a fixed one between them whose
-        # column the engine must drop
+        # column the engine must drop: the chain rule through the bound
+        # transforms must reach scipy's solution and covariance
         x = np.linspace(0.0, 2.0, 60)
         y = (1.5 * np.exp(-0.8 * x) - 0.7 * x * x + 0.3 * np.cos(3.0 * x) + 0.2
              + 0.01 * np.sin(17.0 * x))
@@ -145,21 +167,31 @@ class TestMinimize:
             e = np.exp(-k * x)
             return np.column_stack([e, -a * x * e, np.ones_like(x), x * x, np.cos(3.0 * x)])
 
-        def pars():
-            return [Parameter("a", 1.0), Parameter("k", 0.5, lo=0.0),
-                    Parameter("z", 0.2, fixed=True), Parameter("c", 0.0),
-                    Parameter("f", 0.5, lo=0.0)]
-
+        pars = [Parameter("a", 1.0), Parameter("k", 0.5, lo=0.0),
+                Parameter("z", 0.2, fixed=True), Parameter("c", 0.0),
+                Parameter("f", 0.5, lo=0.0)]
         monkeypatch.setattr(estimation, "GTOL", 1e-13)
         monkeypatch.setattr(estimation, "XTOL", 1e-15)
-        fd = minimize(FitProblem(residual, pars()))
-        cf = minimize(FitProblem(residual, pars(), jacobian=jacobian))
-        assert fd.converged and cf.converged
-        assert (fd.njev, cf.njev) == (0, cf.iterations + 1)
-        for name in ("a", "k", "c", "f"):
-            assert cf.params[name] == pytest.approx(fd.params[name], rel=1e-8)
-            assert cf.errors[name] == pytest.approx(fd.errors[name], rel=1e-5)
-        assert cf.params["z"] == fd.params["z"] == 0.2
+        res = minimize(FitProblem(residual, pars, jacobian))
+        assert res.converged and res.njev == res.iterations + 1
+        assert res.params["z"] == 0.2 and res.errors["z"] == 0.0
+
+        free = [0, 1, 3, 4]
+
+        def at(q):
+            p = np.array([0.0, 0.0, 0.2, 0.0, 0.0])
+            p[free] = q
+            return p
+
+        ref = least_squares(lambda q: residual(at(q)), [1.0, 0.5, 0.0, 0.5],
+                            jac=lambda q: jacobian(at(q))[:, free],
+                            bounds=([-np.inf, 0.0, -np.inf, 0.0], np.inf),
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert ref.success and (ref.x[[1, 3]] > 0.0).all()  # an interior optimum
+        cov = np.linalg.inv(ref.jac.T @ ref.jac) * (2.0 * ref.cost / (x.size - 4))
+        for k, name in enumerate(("a", "k", "c", "f")):
+            assert res.params[name] == pytest.approx(ref.x[k], rel=1e-8)
+            assert res.errors[name] == pytest.approx(math.sqrt(cov[k, k]), rel=1e-5)
 
     @pytest.mark.parametrize("fixed", [(), ("a",)])
     def test_jacobian_memory_order_changes_no_bit(self, fixed):
@@ -195,25 +227,41 @@ class TestMinimize:
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):
             minimize(FitProblem(lambda p: np.array([p[0] + p[1]]),
-                                [Parameter("a", 0.0), Parameter("b", 0.0)]))
+                                [Parameter("a", 0.0), Parameter("b", 0.0)],
+                                lambda p: np.ones((1, 2))))
 
     def test_errors_scale_with_residual_noise(self):
         # the covariance is scaled by cost / dof: a constant fitted to N
         # points of noise sigma has std error sigma / sqrt(N)
         rng = np.random.default_rng(3)
         y = 1.0 + rng.normal(0, 0.1, 200)
-        res = minimize(FitProblem(lambda p: p[0] - y, [Parameter("c", 0.0)]))
+        res = minimize(FitProblem(lambda p: p[0] - y, [Parameter("c", 0.0)],
+                                  lambda p: np.ones((y.size, 1))))
         assert res.params["c"] == pytest.approx(np.mean(y), rel=1e-9)
         assert res.errors["c"] == pytest.approx(0.1 / math.sqrt(y.size), rel=0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_initial_residual_raises(self, bad):
         with pytest.raises(ValueError, match="initial residual is not finite"):
-            minimize(FitProblem(lambda p: np.array([p[0], bad]), [Parameter("a", 0.0)]))
+            minimize(FitProblem(lambda p: np.array([p[0], bad]), [Parameter("a", 0.0)],
+                                lambda p: np.array([[1.0], [0.0]])))
+
+    def test_trial_step_overflow_is_rejected_without_warning(self):
+        # at x = -8 the first Gauss-Newton step lands near x = 6000, where
+        # exp overflows: that trial residual is inf and rejected, silently,
+        # and damping walks to ln 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(FitProblem(lambda p: np.exp(p) - 2.0, [Parameter("x", -8.0)],
+                                      lambda p: np.exp(p)[:, None]))
+        assert res.converged
+        assert res.params["x"] == pytest.approx(math.log(2.0), rel=1e-9)
+        assert res.nfev > res.iterations + 1   # at least one rejected step
 
     def test_no_free_parameters_raises(self):
         with pytest.raises(ValueError, match="no free parameters"):
-            minimize(FitProblem(lambda p: p - 1.0, [Parameter("a", 0.0, fixed=True)]))
+            minimize(FitProblem(lambda p: p - 1.0, [Parameter("a", 0.0, fixed=True)],
+                                lambda p: np.eye(1)))
 
     def test_parameter_init_below_bound_raises(self):
         with pytest.raises(ValueError, match="outside bounds"):
@@ -222,11 +270,7 @@ class TestMinimize:
 
     def test_iteration_budget_exhausted_is_max_iter(self, monkeypatch):
         monkeypatch.setattr(estimation, "MAX_ITER", 2)
-
-        def residual(p):
-            return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
-
-        res = minimize(FitProblem(residual, [Parameter("x", -1.5), Parameter("y", 2.0)]))
+        res = minimize(self._rosenbrock(-1.5, 2.0, []))
         assert res.status == "max_iter"
         assert not res.converged
         assert res.iterations == 2
@@ -303,7 +347,8 @@ class TestMinimize:
     def test_table_lists_parameters_and_status(self):
         x = np.linspace(0, 1, 20)
         res = minimize(FitProblem(lambda p: p[0] + p[1] * x - (2.0 - 3.0 * x),
-                                  [Parameter("c0", 0.0), Parameter("c1", 0.5, fixed=True)]))
+                                  [Parameter("c0", 0.0), Parameter("c1", 0.5, fixed=True)],
+                                  lambda p: np.vander(x, 2, increasing=True)))
         lines = res.table().splitlines()
         assert lines[0].split() == ["parameter", "value", "std", "error"]
         assert [ln.split()[0] for ln in lines[1:3]] == ["c0", "c1"]
@@ -382,6 +427,47 @@ class TestExtinctionFit:
         with pytest.raises(ValueError, match="fewer than the 4 free"):
             fit_extinction(tr, fixed=("A", "psi"), init={"A": 0.0, "psi": 0.0})
 
+    @pytest.mark.parametrize("psi", [0.4, 2.0, -2.5, -0.7])   # one per quadrant
+    def test_jacobian_matches_central_differences(self, psi):
+        tr = self._trace(2.0, 5.0, psi)
+        ((problem, _),) = _fits(fit_extinction, tr)
+        # off the trace's line: another centre, width and baseline
+        _assert_jacobian_matches_central_differences(
+            problem, np.array([1.5, 4.0, psi, 24.0, -7.0, 0.9]))
+
+    @pytest.mark.parametrize("line, fixed, init", [
+        ((1.0, 0.0, 0.0), ("B", "psi"), {"B": 0.0, "psi": 0.0}),
+        ((0.0, 5.0, math.pi / 2.0), ("A", "psi", "baseline", "center", "gamma"),
+         {"A": 0.0, "psi": math.pi / 2.0, "baseline": 1.0, "center": 0.0, "gamma": MOL.gamma}),
+        ((0.0, 5.0, math.pi / 2.0), ("A", "psi", "baseline"),
+         {"A": 0.0, "psi": math.pi / 2.0, "baseline": 1.0}),
+    ], ids=["criterion-2", "criterion-8", "criterion-9"])
+    def test_jacobian_with_fixed_parameters(self, line, fixed, init):
+        # the acceptance criteria's fixed sets: every column checked at the
+        # start point, where B = 0 makes the psi column vanish, and the fit
+        # takes the free columns only
+        ((problem, res),) = _fits(fit_extinction, self._trace(*line), fixed=fixed, init=init)
+        start = np.array([par.value for par in problem.params])
+        _assert_jacobian_matches_central_differences(problem, start)
+        _assert_jacobian_matches_central_differences(problem, start * 1.1 + 0.3)
+        assert res.converged and res.njev == res.iterations + 1
+        assert res.param_order == [n for n in res.params if n not in fixed]
+
+    def test_jacobian_counts(self):
+        # one Jacobian per iteration plus one for the errors; a noisy
+        # six-free line at S = 1 (singular: one trace cannot separate A, B
+        # and psi) takes at most 20 residual calls
+        res = fit_extinction(self._trace(2.0, 5.0, 0.4))
+        assert res.converged and res.njev == res.iterations + 1
+        line = ExtinctionModel(A=2.0, B=3.0, psi=1.2, mol=MOL,
+                               drive=DriveParams(rabi=rabi_for_saturation(MOL, 1.0)))
+        det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+        grid = np.linspace(-140.0, 140.0, 201)
+        for seed in range(10):
+            res = fit_extinction(noisy_extinction_trace(line, grid, 127550.0, det, seed))
+            assert res.converged and res.njev == res.iterations + 1
+            assert res.nfev <= 20
+
 
 class TestRefineLine:
     GRID = np.linspace(-150.0, 150.0, 201)
@@ -422,6 +508,34 @@ class TestSweeps:
         assert res.params["gamma"] == pytest.approx(MOL.gamma, rel=1e-3)
         assert res.params["p_sat"] == pytest.approx(p_sat, rel=1e-2)
         assert len(table) == 4
+
+    def test_linewidth_jacobian_and_counts(self):
+        spectra = [(p, extinction_spectrum(
+            ExtinctionModel(A=1.5, B=0.0, psi=0.0, mol=MOL,
+                            drive=DriveParams(rabi=rabi_for_saturation(MOL, p / 350.0))),
+            np.linspace(-400, 400, 401))) for p in (20.0, 150.0, 700.0, 3000.0)]
+        fits = _fits(fit_linewidth_vs_power, spectra)
+        assert len(fits) == 5   # four line fits, then FWHM(P)
+        for _, res in fits:
+            assert res.converged and res.njev == res.iterations + 1
+        problem = fits[-1][0]
+        for p in ([17.0, 350.0], [25.0, 90.0]):
+            _assert_jacobian_matches_central_differences(problem, np.array(p))
+
+    def test_saturation_jacobian(self):
+        # s = 1 (P = P_sat) is the coherent peak, where its d/dP_sat is 0;
+        # a P = 0 point has a zero row in both channels
+        powers = np.r_[0.0, 350.0, np.geomspace(5.0, 1e4, 41)]
+        s = powers / 350.0
+        ((problem, res),) = _fits(fit_saturation_curves, powers,
+                                  3.0 * s / (1 + s) ** 2, 7.0 * s / (1 + s))
+        assert res.converged and res.njev == res.iterations + 1
+        jac = problem.jacobian(np.array([350.0, 3.0, 7.0]))
+        assert jac[1, 0] == 0.0 and jac[1, 1] != 0.0
+        n = powers.size
+        assert not jac[[0, n], :].any()
+        for p in ([350.0, 3.0, 7.0], [120.0, 2.0, 9.0]):
+            _assert_jacobian_matches_central_differences(problem, np.array(p))
 
     def test_linewidth_needs_three_powers(self):
         with pytest.raises(RankDeficientError):

@@ -12,6 +12,9 @@ def _traces(stems, kinds=("csv", "json")):
     return [f"{s}.{k}" for s in stems for k in kinds]
 
 
+# drive powers (pW) of the noisy extinction traces of the linewidth sweep
+SWEEP_POWERS = (50, 350, 1000, 2500)
+
 # files each run writes besides its stdout.txt
 EXPECTED = {
     "reproduce-fig2": ["fig2/manifest.json"]
@@ -34,9 +37,11 @@ EXPECTED = {
     "simulate-g2-noisy": ["g2.csv"],
     "simulate-saturation-sweep": _traces(["saturation_coherent", "saturation_total"]),
     "simulate-counts": _traces(["counts"]),
+    **{f"simulate-extinction-p{p}-noisy": _traces(["extinction"]) for p in SWEEP_POWERS},
     "analyze-fit-spectrum": ["fit_spectrum.json"],
     "analyze-fit-spectrum-noisy": ["fit_spectrum.json"],
     "analyze-separate": ["separate.json"],
+    "analyze-linewidth-sweep": ["linewidth_sweep.json"],
     "analyze-g2-fit": ["g2_fit.json"],
     "analyze-g2-fit-noisy": ["g2_fit.json"],
     "analyze-saturation-fit": ["saturation_fit.json"],
@@ -54,7 +59,8 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "SHA256SUMS").read_text().splitlines()
     paths = [line.split("  ", 1)[1] for line in lines]
-    expected = ["exceptional-point.ini", "g2-noise.ini", "noise.ini", "rabi100.ini"] + [
+    expected = ["exceptional-point.ini", "g2-noise.ini", "noise.ini", "rabi100.ini",
+                "linewidth-sweep.json"] + [f"p{p}-noise.ini" for p in SWEEP_POWERS] + [
         f"{run}/{name}" for run, names in EXPECTED.items()
         for name in names + ["stdout.txt"]] + MC_FILES
     assert paths == sorted(expected)

@@ -2,17 +2,21 @@
 
     python3 tools/golden.py OUT
 
-Runs, in this process and at ``--seed 7``, every ``reproduce`` figure, nine
-``simulate`` runs and the ``analyze`` fits that read their outputs.  Each run
-writes into its own directory ``OUT/<run>/``, plus ``OUT/<run>/stdout.txt``
-with what the command printed and its exit code.  One more run, ``mc-fits``,
-calls the fit engine the way the Monte Carlo studies do: it writes the
-``FitResult.to_json()`` of 20 seeded noisy component separations (acceptance
-criterion 10), 20 seeded noisy g2 fits (criterion 6) and 20 seeded noisy
-six-parameter extinction fits (a criterion-2 line at S = 1) as three JSON
-arrays.  One trace cannot separate A, B and psi, so the extinction fits are
-singular (cond is inf or above COND_MAX) and most reject trial steps: they
-diff the engine's damping and conditioning paths.
+Runs, in this process and at ``--seed 7``, every ``reproduce`` figure,
+thirteen ``simulate`` runs and the ``analyze`` fits that read their outputs.
+Four of the ``simulate`` runs draw noisy extinction traces at ``[drive]
+power_pw`` = 50, 350, 1000 and 2500; the tool lists them in
+``OUT/linewidth-sweep.json``, the manifest that ``analyze linewidth-sweep``
+reads.  Each run writes into its own directory ``OUT/<run>/``, plus
+``OUT/<run>/stdout.txt`` with what the command printed and its exit code.
+One more run, ``mc-fits``, calls the fit engine the way the Monte Carlo
+studies do: it writes the ``FitResult.to_json()`` of 20 seeded noisy
+component separations (acceptance criterion 10), 20 seeded noisy g2 fits
+(criterion 6) and 20 seeded noisy six-parameter extinction fits (a
+criterion-2 line at S = 1) as three JSON arrays.  One trace cannot
+separate A, B and psi, so the extinction fits are singular (cond is inf on
+all 20) and 13 of the 20 reject at least one trial step: they diff the
+engine's damping and conditioning paths.
 The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
 file under OUT, sorted by path.
 
@@ -25,6 +29,7 @@ on where OUT is.
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -41,6 +46,11 @@ from resfluor.measurement import DetectorParams  # noqa: E402
 
 SEED = "7"
 
+# drive powers (pW) of the noisy extinction traces that analyze
+# linewidth-sweep reads through the manifest SWEEP_MANIFEST
+SWEEP_POWERS = (50, 350, 1000, 2500)
+SWEEP_MANIFEST = "linewidth-sweep.json"
+
 CONFIGS = {
     "noise.ini": "[simulate]\nnoise = true\n",
     "rabi100.ini": "[drive]\nrabi = 100.0\n",
@@ -48,6 +58,8 @@ CONFIGS = {
     # exceptional point
     "exceptional-point.ini": "[molecule]\ngamma = 16.4\n\n[drive]\nrabi = 4.1\n",
     "g2-noise.ini": "[drive]\nrabi = 50.0\n\n[simulate]\nnoise = true\n",
+    **{f"p{p}-noise.ini": f"[drive]\npower_pw = {p}\n\n[simulate]\nnoise = true\n"
+       for p in SWEEP_POWERS},
 }
 
 # (run name, arguments); every run also gets --out <run name> --seed 7.
@@ -68,11 +80,15 @@ RUNS = (
     ("simulate-g2-noisy", ["simulate", "g2", "--config", "g2-noise.ini"]),
     ("simulate-saturation-sweep", ["simulate", "saturation-sweep"]),
     ("simulate-counts", ["simulate", "counts"]),
+    *((f"simulate-extinction-p{p}-noisy", ["simulate", "extinction",
+                                           "--config", f"p{p}-noise.ini"])
+      for p in SWEEP_POWERS),
     ("analyze-fit-spectrum", ["analyze", "fit-spectrum",
                               "simulate-extinction/extinction.csv"]),
     ("analyze-fit-spectrum-noisy", ["analyze", "fit-spectrum",
                                     "simulate-extinction-noisy/extinction.csv"]),
     ("analyze-separate", ["analyze", "separate", "reproduce-fig4/fig4/manifest.json"]),
+    ("analyze-linewidth-sweep", ["analyze", "linewidth-sweep", SWEEP_MANIFEST]),
     ("analyze-g2-fit", ["analyze", "g2-fit", "simulate-g2/g2.csv"]),
     ("analyze-g2-fit-noisy", ["analyze", "g2-fit", "simulate-g2-noisy/g2.csv",
                               "--config", "g2-noise.ini"]),
@@ -90,6 +106,10 @@ def run_all(out):
     for name, text in CONFIGS.items():
         with open(os.path.join(out, name), "w") as fh:
             fh.write(text)
+    series = [{"power_pw": float(p), "file": f"simulate-extinction-p{p}-noisy/extinction.csv"}
+              for p in SWEEP_POWERS]
+    with open(os.path.join(out, SWEEP_MANIFEST), "w") as fh:
+        json.dump({"series": series}, fh, indent=2)
     for name, args in RUNS:
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
