@@ -131,6 +131,41 @@ def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
     )
 
 
+# a * (delay of the first maximum) below which that maximum seeds rabi
+_FIRST_MAX_DECAY = 0.5
+
+
+def _integral_rabi_seed(tau, v, plateau, a_rate, mu_sq0, fallback):
+    """Rabi frequency (MHz) of the g2 samples v at sorted |delays| tau (us),
+    from one weighted linear solve (regression on integral equations;
+    Jacquelin 2009).
+
+    With P the plateau and a the damping rate, q = e^{a tau} (P - g2) =
+    amp (C + a S) obeys q'' = -mu^2 q with q(0) = amp and q'(0) = a amp, so
+    q = amp (1 + a tau) - mu^2 Q2, Q2 the trapezoid double integral of q.
+    The rows cover tau <= 4/a, weighted by e^{-a tau} against the growth of
+    the noise in q.  The squared angular Rabi rate is mu^2 - mu_sq0; a
+    negative one (noise about rabi = 0) seeds at its magnitude, the scale
+    the solve resolves.  Returns fallback when the solve is singular."""
+    n = int(np.searchsorted(tau, 4.0 / a_rate, side="right"))
+    t = tau[:n]
+    y = plateau - v[:n]           # e^{-a tau} q
+    e = np.exp(-a_rate * t)
+    dt = 0.5 * np.diff(t)
+    q = y / e
+    q1 = np.concatenate(([0.0], np.cumsum(dt * (q[1:] + q[:-1]))))
+    q2 = np.concatenate(([0.0], np.cumsum(dt * (q1[1:] + q1[:-1]))))
+    x1, x2 = (1.0 + a_rate * t) * e, q2 * e
+    s11, s12, s22 = float(x1 @ x1), float(x1 @ x2), float(x2 @ x2)
+    det = s11 * s22 - s12 * s12
+    if not det > 0.0:
+        return fallback
+    w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det - mu_sq0
+    if w_sq == 0.0 or not math.isfinite(w_sq):
+        return fallback
+    return math.sqrt(abs(w_sq)) / TWO_PI
+
+
 def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     """Least-squares fit of the closed form plus amplitude and flat
     background; returns rabi (MHz) with its standard error.
@@ -138,7 +173,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     gamma0 is fixed from the molecule (lifetime-derived) and reported as a
     fixed parameter.  Negative delays are mirrored, as in g2.
     """
-    a0, _ = _g2_rates(mol.gamma0, mol.gamma, 0.0)
+    a0, mu_sq0 = _g2_rates(mol.gamma0, mol.gamma, 0.0)
     decay_ns = 1e3 / a0
     delays = np.abs(trace.delays)
     if delays.max() < 3.0 * decay_ns:
@@ -149,17 +184,20 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
     # The seeds read the trace in order of |delay|: the plateau is the fifth
     # at the largest |delay| (the tail of a forward trace, the head of a
-    # mirrored one), and the oscillation frequency comes from the first
-    # interior maximum, if any.
+    # mirrored one).  The first interior maximum, if any, sits near half a
+    # Rabi period; that seeds rabi when the oscillation is fast against the
+    # decay, and the integral seed does otherwise.
     order = np.argsort(delays, kind="stable")
     v = trace.values[order]
     plateau = float(np.mean(v[-max(3, v.size // 5):]))
     i_max = int(np.argmax(v))
-    rabi0 = mol.gamma0
+    t_first = math.inf
     if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
         t_first = delays[order[i_max]]
-        if t_first > 0:
-            rabi0 = max(0.5e3 / t_first, mol.gamma0)  # first max near half a Rabi period
+    if t_first > 0 and a0 * t_first * 1e-3 < _FIRST_MAX_DECAY:
+        rabi0 = max(0.5e3 / t_first, mol.gamma0)
+    else:
+        rabi0 = _integral_rabi_seed(delays[order] * 1e-3, v, plateau, a0, mu_sq0, mol.gamma0)
 
     pars = [
         Parameter("rabi", rabi0, lo=0.0),

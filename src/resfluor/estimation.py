@@ -137,29 +137,40 @@ def _normal_matrix(J):
     return J.T @ J.copy(order="K")
 
 
-def _cond(A):
-    """lambda_max / lambda_min of the normal matrix A; inf when A is
-    singular or not finite."""
-    if np.isfinite(A).all():
-        lam = np.linalg.eigvalsh(A)
-        if lam[0] > 0:
-            return float(lam[-1] / lam[0])
-    return math.inf
+def _inverse_and_cond(A):
+    """The pseudo-inverse of the normal matrix A and lambda_max / lambda_min,
+    from one eigendecomposition.  An eigenvalue <= 1e-14 lambda_max gets a
+    zero inverse, as singular values do in pinv(A, rcond=1e-14); cond is inf
+    when A is singular.  A matrix that is not finite gives nan and inf."""
+    n = A.shape[0]
+    if not np.isfinite(A).all():
+        return np.full((n, n), np.nan), math.inf
+    lam, vec = np.linalg.eigh(A)
+    cond = float(lam[-1] / lam[0]) if lam[0] > 0 else math.inf
+    inv = np.zeros(n)
+    kept = lam > 1e-14 * lam[-1]
+    inv[kept] = 1.0 / lam[kept]
+    return (vec * inv) @ vec.T, cond
 
 
 def minimize(problem: FitProblem) -> FitResult:
     """Levenberg-Marquardt minimization of the residual norm.
 
-    Accepted steps never increase the cost; damping grows until a
-    decreasing step is found or the iteration budget runs out.
+    Accepted steps never increase the cost.  The damping mu adds
+    mu * diag(J^T J) to the normal matrix (Marquardt 1963): a rejected step
+    restarts it at 1e-3 or multiplies it by 10, an accepted one by 0.25,
+    until a decreasing step is found or the iteration budget runs out.  A
+    relative cost change below XTOL ends the run converged, a rise (the
+    cost's rounding floor) as well as a decrease.
 
-    The reported cond is lambda_max / lambda_min of the last iteration's
-    normal matrix J^T J (internal coordinates; inf when it is singular or
-    not finite).  Conditioning is evaluated only where the outcome reads it:
-    for that report, when no decreasing step exists (cond > COND_MAX then
-    makes the status rank_deficient, else converged), and, for a run that
-    exhausts MAX_ITER, at every iteration (one above COND_MAX makes it
-    rank_deficient instead of max_iter).
+    The reported cond is lambda_max / lambda_min of the normal matrix J^T J
+    at the solution (internal coordinates; inf when it is singular or not
+    finite); one eigendecomposition of that matrix gives it and the
+    covariance.  The status reads conditioning in two more places: when no
+    decreasing step exists (cond > COND_MAX then makes it rank_deficient,
+    else converged), and, for a run that exhausts MAX_ITER, at every
+    iteration (one above COND_MAX makes it rank_deficient instead of
+    max_iter).
     """
     pars = problem.params
     free = problem.free_indices()
@@ -172,65 +183,59 @@ def minimize(problem: FitProblem) -> FitResult:
     # (internal index, declared index, lower bound) of each bounded free parameter
     bounded = [(k, i, pars[i].lo) for k, i in enumerate(free) if math.isfinite(pars[i].lo)]
 
-    def external(theta):
-        out = full.copy()
-        out[free] = theta
+    def point(theta):
+        """The external parameter vector at theta and d external / d
+        internal, from one exp per bounded parameter: shared by the
+        residual, the Jacobian's chain rule and the reported values."""
+        p = full.copy()
+        p[free] = theta
+        scale = np.ones(nfree)
         for k, i, lo in bounded:
-            out[i] = lo + _safe_exp(theta[k])
-        return out
-
-    def dext_dint(theta):
-        out = np.ones(nfree)
-        for k, _, _ in bounded:
-            out[k] = _safe_exp(theta[k])
-        return out
-
-    theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
+            scale[k] = e = _safe_exp(theta[k])
+            p[i] = lo + e
+        return p, scale
 
     nfev = 0
     njev = 0
 
-    def residual(t):
+    def residual(p):
         nonlocal nfev
         nfev += 1
-        return np.asarray(problem.residual(external(t)), dtype=float)
+        return np.asarray(problem.residual(p), dtype=float)
 
-    r0 = residual(theta)
-    if r0.size < nfree:
+    def jacobian(p, scale):
+        """The problem's Jacobian at p chained through the bound transforms
+        into internal coordinates.  Its free columns are taken in Fortran
+        order, the layout _normal_matrix's gemm and the fit outputs depend
+        on: a view when they lead and are already in that order, else a
+        copy."""
+        nonlocal njev
+        njev += 1
+        J = np.asarray(problem.jacobian(p), dtype=float)
+        J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
+        J *= scale
+        return J
+
+    theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
+    p, scale = point(theta)
+    r = residual(p)
+    if r.size < nfree:
         raise RankDeficientError(
-            f"residual dimension {r0.size} < free parameter count {nfree}"
+            f"residual dimension {r.size} < free parameter count {nfree}"
         )
-    if not np.isfinite(r0).all():
+    if not np.isfinite(r).all():
         raise ValueError("initial residual is not finite")
+    with np.errstate(over="ignore"):
+        cost = float(np.sum(r * r))
 
-    def cost_of(r):
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = float(np.sum(r * r))
-        return c if math.isfinite(c) else math.inf
-
-    cost = cost_of(r0)
-    r = r0
     mu = 0.0
     status = "max_iter"
     it = 0
     grad_norm = math.nan
     normals = []  # each iteration's J^T J, for the conditioning checks
 
-    def jacobian(theta):
-        """The problem's Jacobian chained through the bound transforms into
-        internal coordinates.  Its free columns are taken in Fortran order,
-        the layout _normal_matrix's gemm and the fit outputs depend on: a
-        view when they lead and are already in that order, else a copy."""
-        nonlocal njev
-        njev += 1
-        J = np.asarray(problem.jacobian(external(theta)), dtype=float)
-        J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
-        for k, _, _ in bounded:
-            J[:, k] *= _safe_exp(theta[k])
-        return J
-
     for it in range(1, MAX_ITER + 1):
-        J = jacobian(theta)
+        J = jacobian(p, scale)
         g = J.T @ r
         grad_norm = float(np.abs(g).max())
         A = _normal_matrix(J)
@@ -240,63 +245,61 @@ def minimize(problem: FitProblem) -> FitResult:
             break
         diag = np.diag(A).copy()
         diag[diag <= 0] = 1.0
-        diag_max = diag.max()
 
         accepted = False
         for _ in range(50):
-            # undamped: A itself (0 * an inf diagonal stays a nan, as before)
-            damped = A if mu == 0 and math.isfinite(diag_max) else A + mu * np.diag(diag)
+            # damping on the diagonal only, so an inf there stays off it
+            damped = A if mu == 0 else A + np.diag(mu * diag)
             try:
                 step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
-                mu = max(mu * 10.0, 1e-10 * diag_max)
+                mu = max(mu * 10.0, 1e-3)
                 continue
             t_new = theta + step
-            # a step out of the model's domain is rejected by its non-finite residual
+            # a step out of the model's domain is rejected by its cost: a
+            # non-finite residual makes it nan or inf
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                r_new = residual(t_new)
-            if np.isfinite(r_new).all() and (c_new := cost_of(r_new)) <= cost:
-                rel = (cost - c_new) / max(cost, 1e-300)
-                theta, r, cost = t_new, r_new, c_new
+                p_new, s_new = point(t_new)
+                r_new = residual(p_new)
+                c_new = float(np.sum(r_new * r_new))
+            rel = (cost - c_new) / max(cost, 1e-300)
+            if c_new <= cost and c_new < math.inf:
+                theta, p, scale, r, cost = t_new, p_new, s_new, r_new, c_new
                 mu *= 0.25
-                if mu < 1e-14 * diag_max:
+                if mu < 1e-14:
                     mu = 0.0  # undamped Gauss-Newton while steps keep working
                 accepted = True
                 if rel < XTOL:
                     status = "converged"
                 break
-            mu = max(mu * 10.0, 1e-10 * diag_max)
-        if not accepted:
-            # no decreasing step exists: a local minimum, unless degenerate
-            status = "rank_deficient" if _cond(A) > COND_MAX else "converged"
-            break
+            if -rel < XTOL:
+                status = "converged"  # a rise below XTOL: the cost's rounding floor
+                break
+            mu = max(mu * 10.0, 1e-3)
         if status == "converged":
             break
+        if not accepted:
+            # no decreasing step exists: a local minimum, unless degenerate
+            status = "rank_deficient" if _inverse_and_cond(A)[1] > COND_MAX else "converged"
+            break
 
-    if status == "max_iter" and any(_cond(A) > COND_MAX for A in normals):
+    if status == "max_iter" and any(_inverse_and_cond(A)[1] > COND_MAX for A in normals):
         status = "rank_deficient"
-    cond = _cond(normals[-1])
 
     # curvature-based errors at the solution, mapped to external coordinates
-    J = jacobian(theta)
-    A = _normal_matrix(J)
+    A = _normal_matrix(jacobian(p, scale))
     dof = max(r.size - nfree, 1)
-    try:
-        cov_int = np.linalg.pinv(A, rcond=1e-14) * (cost / dof)
-    except np.linalg.LinAlgError:
-        cov_int = np.full((nfree, nfree), np.nan)
-    dpdt = dext_dint(theta)
-    cov = cov_int * np.outer(dpdt, dpdt)
+    inverse, cond = _inverse_and_cond(A)
+    cov = inverse * (cost / dof) * np.outer(scale, scale)
 
-    p_ext = external(theta)
-    params = {p.name: float(p_ext[i]) for i, p in enumerate(pars)}
+    params = {q.name: float(p[i]) for i, q in enumerate(pars)}
     errors = {}
     for k, i in enumerate(free):
         v = cov[k, k]
         errors[pars[i].name] = float(math.sqrt(v)) if v >= 0 else float("nan")
-    for p in pars:
-        if p.fixed:
-            errors[p.name] = 0.0
+    for q in pars:
+        if q.fixed:
+            errors[q.name] = 0.0
     return FitResult(
         params=params,
         errors=errors,
@@ -326,11 +329,19 @@ def extinction_fit_model(grid, gamma, a, b, psi, center, baseline):
     )
 
 
+def _median(x):
+    """np.median of a 1-D array, bit for bit, from one partition: np.median's
+    nan check imports numpy.ma, ~14 ms in a fresh process."""
+    lo, hi = (x.size - 1) // 2, x.size // 2
+    part = np.partition(x, (lo, hi))
+    return float((part[lo] + part[hi]) / 2.0)
+
+
 def _init_line(trace: SpectrumTrace):
     """Heuristic (center, gamma, baseline): extremum of the smoothed trace
     locates the line, half-width at half extremum seeds gamma."""
     g, v = trace.grid, trace.values
-    base = float(np.median(v))
+    base = _median(v)
     kernel = np.ones(max(3, v.size // 50))
     kernel /= kernel.size
     sm = np.convolve(v - base, kernel, mode="same")
@@ -474,7 +485,7 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
 
     pars = [
         Parameter("gamma", float(fwhm.min()), lo=1e-12),
-        Parameter("p_sat", float(np.median(powers)), lo=1e-300),
+        Parameter("p_sat", _median(powers), lo=1e-300),
     ]
 
     def residual(p):

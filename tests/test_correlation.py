@@ -136,16 +136,68 @@ class TestRabiFit:
         delays = np.linspace(0.0, 400.0, 801)
         fwd = noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed=seed)
         mirrored = G2Trace(-delays[::-1], fwd.values[::-1])
-
-        def seeds(tr):
-            with mock.patch.object(correlation, "minimize", side_effect=RuntimeError) as m:
-                with pytest.raises(RuntimeError):
-                    fit_rabi_from_g2(tr, MOL)
-            return [(p.name, p.value) for p in m.call_args.args[0].params]
-
-        assert seeds(mirrored) == seeds(fwd)
-        assert seeds(fwd)[0][1] > MOL.gamma0  # seeded from the first maximum
+        assert self._seeds(mirrored) == self._seeds(fwd)
+        assert self._seeds(fwd)["rabi"] == pytest.approx(50.0, rel=0.05)
         assert fit_rabi_from_g2(mirrored, MOL).nfev == fit_rabi_from_g2(fwd, MOL).nfev
+
+    @staticmethod
+    def _seeds(tr):
+        """The initial parameter values fit_rabi_from_g2 hands minimize."""
+        with mock.patch.object(correlation, "minimize", side_effect=RuntimeError) as m:
+            with pytest.raises(RuntimeError):
+                fit_rabi_from_g2(tr, MOL)
+        return {p.name: p.value for p in m.call_args.args[0].params}
+
+    @pytest.mark.parametrize("rabi", [2.0, 5.0, 20.0, 50.0])
+    def test_integral_seed_of_a_slow_oscillation(self, rabi):
+        # a * (first maximum) >= 0.5: one linear solve seeds rabi, off only
+        # by the trapezoid rule's error on the noiseless trace
+        tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
+        assert self._seeds(tr)["rabi"] == pytest.approx(rabi, rel=2e-3)
+
+    @pytest.mark.parametrize("rabi", [100.0, 200.0])
+    def test_first_maximum_seeds_a_fast_oscillation(self, rabi):
+        # a * (first maximum) < 0.5: the first maximum sits half a Rabi
+        # period from zero delay, here on a sample
+        tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
+        first_max = tr.delays[np.argmax(tr.values)]
+        assert _g2_rates(MOL.gamma0, MOL.gamma, 0.0)[0] * first_max * 1e-3 < 0.5
+        assert self._seeds(tr)["rabi"] == 0.5e3 / first_max == rabi
+
+    @pytest.mark.parametrize("seed", [71, 74, 154, 213, 286])
+    def test_rounding_floor_costs_at_most_two_extra_evaluations(self, seed):
+        # criterion-6 traces whose last trial step raises the cost by a
+        # rounding error: the fit stops at that rise
+        tr = noisy_g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0),
+                            1e4, seed)
+        res = fit_rabi_from_g2(tr, MOL)
+        assert res.converged
+        assert res.nfev - res.iterations <= 2
+
+    def test_no_criterion_6_trace_takes_more_than_five_extra_evaluations(self):
+        delays = np.linspace(0.0, 400.0, 801)
+        extra = []
+        for seed in range(400):
+            res = fit_rabi_from_g2(
+                noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed), MOL)
+            extra.append(res.nfev - res.iterations)
+        assert max(extra) <= 5
+
+    def test_seed_sweep_no_worse_than_the_first_maximum(self):
+        # mean iterations over 20 noisy traces per Rabi frequency, against
+        # the seed that always reads the first maximum (gamma0 without one)
+        delays = np.linspace(0.0, 400.0, 801)
+        for rabi in (0.0, 5.0, 20.0, 50.0, 100.0, 200.0, 300.0):
+            traces = [noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4, seed)
+                      for seed in range(20)]
+            seeded = np.mean([fit_rabi_from_g2(tr, MOL).iterations for tr in traces])
+            with mock.patch.object(correlation, "_FIRST_MAX_DECAY", math.inf), \
+                    mock.patch.object(correlation, "_integral_rabi_seed",
+                                      lambda *args: args[-1]):
+                first_max = np.mean([fit_rabi_from_g2(tr, MOL).iterations for tr in traces])
+            assert seeded <= first_max, rabi
+            if rabi <= 50.0:
+                assert seeded < first_max - 0.3, rabi
 
     @pytest.mark.parametrize("mol", [
         MOL,

@@ -310,7 +310,10 @@ class TestMinimize:
         res = minimize(self._rosenbrock(1e3, 0.0, conds))
         assert conds[0] > estimation.COND_MAX and conds[1] < 1e4
         assert (res.status, res.iterations) == ("rank_deficient", 2)
-        assert res.cond == pytest.approx(conds[1], rel=1e-6)
+        # the reported cond is the normal matrix's at the solution: the
+        # final Jacobian call's
+        assert len(conds) == res.njev == 3
+        assert res.cond == pytest.approx(conds[-1], rel=1e-6)
 
     @pytest.mark.parametrize("tilt, status", [(1.0, "converged"), (1e-7, "rank_deficient")])
     def test_exit_after_rejected_step_reads_conditioning(self, tilt, status):
@@ -330,19 +333,37 @@ class TestMinimize:
         assert (res.status, res.iterations, res.nfev) == (status, 1, 51)
         assert res.params == {"a": 0.0, "b": 0.0}
 
-    def test_overflowing_normal_matrix_rejects_every_step(self):
-        # J^T J overflows to inf on its diagonal: the damped matrix then
-        # holds nan (0 * inf undamped, inf * 0 off the diagonal once damped),
-        # so no step is taken and the run ends rank_deficient
+    def test_cost_rise_below_xtol_ends_converged(self, monkeypatch):
+        # every move raises the cost by 2e-13 relative, a rise below XTOL:
+        # the run stops at its first trial step, at the current point
+        x = np.linspace(0.0, 1.0, 20)
+        J = np.column_stack([np.ones_like(x), x])
+        y = 1.0 + 0.5 * x + 0.01 * np.sin(7.0 * x)
+        start = np.linalg.lstsq(J, y, rcond=None)[0]
+
+        def residual(p):
+            return (J @ p - y) * (1.0 if np.array_equal(p, start) else 1.0 + 1e-13)
+
+        monkeypatch.setattr(estimation, "GTOL", 0.0)
+        res = minimize(FitProblem(residual, [Parameter("a", start[0]), Parameter("b", start[1])],
+                                  jacobian=lambda p: J))
+        assert (res.status, res.iterations, res.nfev) == ("converged", 1, 2)
+        assert [res.params["a"], res.params["b"]] == list(start)
+
+    def test_overflowing_normal_matrix_still_takes_a_step(self):
+        # J^T J overflows to inf on its diagonal: damping only the diagonal
+        # keeps nan out of the damped matrix, so the run steps in b, the
+        # column that does not overflow, to its minimizer with a held
         x = np.linspace(0.0, 1.0, 20)
         J = np.column_stack([np.full(x.size, 1e200), x])
         with np.errstate(over="ignore", invalid="ignore"):
             res = minimize(FitProblem(lambda p: J @ p - 1.0,
                                       [Parameter("a", 2e-200), Parameter("b", 0.0)],
                                       jacobian=lambda p: J))
-        assert (res.status, res.iterations, res.nfev) == ("rank_deficient", 1, 51)
+        assert (res.status, res.iterations, res.nfev) == ("converged", 2, 3)
         assert res.cond == math.inf
-        assert res.params == {"a": 2e-200, "b": 0.0}
+        assert res.params["a"] == 2e-200
+        assert res.params["b"] == pytest.approx(-x.sum() / (x * x).sum(), rel=1e-12)
 
     def test_table_lists_parameters_and_status(self):
         x = np.linspace(0, 1, 20)
@@ -377,6 +398,20 @@ class TestExtinctionFit:
         assert res.params["gamma"] == pytest.approx(MOL.gamma, rel=1e-8)
         assert res.params["B"] == pytest.approx(8.0, rel=1e-6)
         assert res.params["baseline"] == pytest.approx(1.0, rel=1e-8)
+
+    def test_six_free_fits_restart_damping_at_1e_3(self):
+        # noisy copies of criterion 10's theta = 0 trace: the six-free fit is
+        # singular and rejects its first undamped step.  The damping restarts
+        # at 1e-3 of each diagonal entry (Marquardt 1963), where a few tenfold
+        # rises find a decreasing step
+        model = ExtinctionModel(A=178.42, B=14.171, psi=2.967, mol=MOL,
+                                drive=DriveParams(rabi=0.0))
+        det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+        grid = np.linspace(-140.0, 140.0, 201)
+        fits = [fit_extinction(noisy_extinction_trace(model, grid, 127550.0, det, seed))
+                for seed in range(20)]
+        assert all(r.converged for r in fits)
+        assert max(r.nfev for r in fits) <= 12
 
     def test_single_trace_a_b_degeneracy(self):
         # the A term and the B*sin(psi) term are both proportional to the

@@ -49,7 +49,8 @@ EXPECTED = {
 }
 
 # files of the Monte Carlo fit run, which calls no command (no stdout.txt)
-MC_FILES = ["mc-fits/extinction.json", "mc-fits/g2_fit.json", "mc-fits/separation.json"]
+MC_FILES = ["mc-fits/extinction.json", "mc-fits/g2_fit.json", "mc-fits/g2_fit_regimes.json",
+            "mc-fits/separation.json"]
 
 
 def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
@@ -71,7 +72,15 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
         assert (out / run / "stdout.txt").read_text().endswith("exit 0\n"), run
     for path in MC_FILES:
         fits = json.loads((out / path).read_text())
-        assert len(fits) == 20 and all(f["status"] == "converged" for f in fits), path
-    # the line's linearized seed leaves LM at most three iterations
+        groups = [fits]
+        if path.endswith("regimes.json"):  # 20 fits per Rabi frequency (MHz)
+            assert list(fits) == ["0", "5", "200"]
+            groups = fits.values()
+        for group in groups:
+            assert len(group) == 20 and all(f["status"] == "converged" for f in group), path
+    # the linearized seeds leave LM at most three iterations for the line
+    # and four for g2
     separations = json.loads((out / "mc-fits/separation.json").read_text())
     assert max(f["iterations"] for f in separations) <= 3
+    g2_fits = json.loads((out / "mc-fits/g2_fit.json").read_text())
+    assert max(f["iterations"] for f in g2_fits) <= 4

@@ -49,6 +49,22 @@ def test_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+def test_fit_spectrum_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median's nan check imports numpy.ma, ~14 ms of a fresh process; the
+    # line seed takes its median from np.partition instead
+    from resfluor.cli import main
+
+    assert main(["simulate", "extinction", "--out", str(tmp_path / "sim")]) == 0
+    argv = ["analyze", "fit-spectrum", str(tmp_path / "sim" / "extinction.csv"),
+            "--out", str(tmp_path / "fit")]
+    code = ("import sys; from resfluor.cli import main; "
+            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def _parse(path):
     with open(path) as fh:
         return ast.parse(fh.read(), path)

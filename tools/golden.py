@@ -15,8 +15,12 @@ component separations (acceptance criterion 10), 20 seeded noisy g2 fits
 (criterion 6) and 20 seeded noisy six-parameter extinction fits (a
 criterion-2 line at S = 1) as three JSON arrays.  One trace cannot
 separate A, B and psi, so the extinction fits are singular (cond is inf on
-all 20) and 13 of the 20 reject at least one trial step: they diff the
-engine's damping and conditioning paths.
+all 20); 17 of the 20 reject a trial step and 3 meet a singular solve, so
+they diff the engine's damping and conditioning paths.  A fourth file,
+``g2_fit_regimes.json``, holds 20 noisy g2 fits at each Rabi frequency of
+G2_REGIMES_MHZ, keyed by it: at 0 and 5 MHz the fit seeds rabi from one
+linear solve, at 200 MHz from the first maximum, so both seeds are
+diffed.
 The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
 file under OUT, sorted by path.
 
@@ -121,13 +125,14 @@ def run_all(out):
 
 MC_RUN = "mc-fits"
 MC_TRIALS = 20
+G2_REGIMES_MHZ = (0.0, 5.0, 200.0)
 
 
 def run_monte_carlo():
-    """Write MC_RUN/separation.json, MC_RUN/g2_fit.json and
-    MC_RUN/extinction.json: the fits of MC_TRIALS seeded noisy inputs each,
-    drawn through synth as the acceptance criteria draw them, with the
-    built-in molecule."""
+    """Write MC_RUN/separation.json, MC_RUN/g2_fit.json,
+    MC_RUN/extinction.json and MC_RUN/g2_fit_regimes.json: the fits of
+    MC_TRIALS seeded noisy inputs each, drawn through synth as the
+    acceptance criteria draw them, with the built-in molecule."""
     mol = load_config().molecule
     geo = polarization.SeparationGeometry()
     det = DetectorParams(dark_rate=0.0, integration_time=0.16)
@@ -153,11 +158,19 @@ def run_monte_carlo():
         trace = synth.noisy_extinction_trace(line, grid, 127550.0, det, 1000 + t)
         extinctions.append(estimation.fit_extinction(trace).to_json())
 
+    regimes = {
+        f"{rabi:g}": [json.loads(correlation.fit_rabi_from_g2(
+            synth.noisy_g2_trace(delays, mol, physics.DriveParams(rabi=rabi), 1e4, t),
+            mol).to_json()) for t in range(MC_TRIALS)]
+        for rabi in G2_REGIMES_MHZ}
+
     os.makedirs(MC_RUN, exist_ok=True)
     for name, fits in (("separation.json", separations), ("g2_fit.json", g2_fits),
                        ("extinction.json", extinctions)):
         with open(os.path.join(MC_RUN, name), "w") as fh:
             fh.write("[\n" + ",\n".join(fits) + "\n]\n")
+    with open(os.path.join(MC_RUN, "g2_fit_regimes.json"), "w") as fh:
+        fh.write(json.dumps(regimes, indent=2) + "\n")
 
 
 def write_sums(out):
