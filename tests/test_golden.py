@@ -49,8 +49,12 @@ EXPECTED = {
 }
 
 # files of the Monte Carlo fit run, which calls no command (no stdout.txt)
-MC_FILES = ["mc-fits/extinction.json", "mc-fits/g2_fit.json", "mc-fits/g2_fit_regimes.json",
-            "mc-fits/separation.json"]
+MC_FILES = ["mc-fits/extinction.json", "mc-fits/extinction_fixed.json", "mc-fits/g2_fit.json",
+            "mc-fits/g2_fit_regimes.json", "mc-fits/separation.json"]
+# keys of the MC files that hold 20 fits per key: Rabi frequency (MHz) or
+# fixed parameter set
+MC_KEYS = {"mc-fits/g2_fit_regimes.json": ["0", "5", "200"],
+           "mc-fits/extinction_fixed.json": ["B,psi", "A,psi,baseline"]}
 
 
 def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
@@ -73,8 +77,8 @@ def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
     for path in MC_FILES:
         fits = json.loads((out / path).read_text())
         groups = [fits]
-        if path.endswith("regimes.json"):  # 20 fits per Rabi frequency (MHz)
-            assert list(fits) == ["0", "5", "200"]
+        if path in MC_KEYS:
+            assert list(fits) == MC_KEYS[path]
             groups = fits.values()
         for group in groups:
             assert len(group) == 20 and all(f["status"] == "converged" for f in group), path

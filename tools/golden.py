@@ -20,7 +20,13 @@ they diff the engine's damping and conditioning paths.  A fourth file,
 ``g2_fit_regimes.json``, holds 20 noisy g2 fits at each Rabi frequency of
 G2_REGIMES_MHZ, keyed by it: at 0 and 5 MHz the fit seeds rabi from one
 linear solve, at 200 MHz from the first maximum, so both seeds are
-diffed.
+diffed.  A fifth file, ``extinction_fixed.json``, holds 20 noisy
+extinction fits for each fixed set of EXTINCTION_FIXED, keyed by it:
+the (B, psi) set of criterion 2 (a Lorentzian at S = 1) and the (A, psi,
+baseline) set of criterion 9 (its 11.5% dip).  Their free Jacobian
+columns do not lead, so these fits diff the engine's column-copy path.
+At criterion 2's A = 1 the peak dip (0.7%) sits at the shot-noise level:
+those fits take 12 to 29 iterations, so they also diff the damping path.
 The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
 file under OUT, sorted by path.
 
@@ -126,11 +132,17 @@ def run_all(out):
 MC_RUN = "mc-fits"
 MC_TRIALS = 20
 G2_REGIMES_MHZ = (0.0, 5.0, 200.0)
+# fixed set -> init of the fixed parameters, as acceptance criteria 2 and 9 fit
+EXTINCTION_FIXED = {
+    "B,psi": {"B": 0.0, "psi": 0.0},
+    "A,psi,baseline": {"A": 0.0, "psi": math.pi / 2.0, "baseline": 1.0},
+}
 
 
 def run_monte_carlo():
     """Write MC_RUN/separation.json, MC_RUN/g2_fit.json,
-    MC_RUN/extinction.json and MC_RUN/g2_fit_regimes.json: the fits of
+    MC_RUN/extinction.json, MC_RUN/g2_fit_regimes.json and
+    MC_RUN/extinction_fixed.json: the fits of
     MC_TRIALS seeded noisy inputs each, drawn through synth as the
     acceptance criteria draw them, with the built-in molecule."""
     mol = load_config().molecule
@@ -164,13 +176,34 @@ def run_monte_carlo():
             mol).to_json()) for t in range(MC_TRIALS)]
         for rabi in G2_REGIMES_MHZ}
 
+    # criterion 2: a pure Lorentzian (B = 0) at S = 1 over +-6 broadened
+    # widths; criterion 9: a pure dispersive dip of 11.5% on 801 pixels
+    wide = 6.0 * mol.gamma * math.sqrt(2.0)
+    lines = {
+        "B,psi": (spectra.ExtinctionModel(
+            A=1.0, B=0.0, psi=0.0, mol=mol,
+            drive=physics.DriveParams(rabi=physics.rabi_for_saturation(mol, 1.0))),
+            np.linspace(-wide, wide, 601)),
+        "A,psi,baseline": (spectra.ExtinctionModel(
+            A=0.0, B=0.115 * mol.gamma / 2.0, psi=math.pi / 2.0, mol=mol,
+            drive=physics.DriveParams(rabi=0.0, psi=math.pi / 2.0)),
+            np.linspace(-100.0, 100.0, 801)),
+    }
+    fixed_fits = {
+        key: [json.loads(estimation.fit_extinction(
+            synth.noisy_extinction_trace(model, line_grid, 127550.0, det, 2000 + t),
+            init=EXTINCTION_FIXED[key], fixed=tuple(key.split(","))).to_json())
+            for t in range(MC_TRIALS)]
+        for key, (model, line_grid) in lines.items()}
+
     os.makedirs(MC_RUN, exist_ok=True)
     for name, fits in (("separation.json", separations), ("g2_fit.json", g2_fits),
                        ("extinction.json", extinctions)):
         with open(os.path.join(MC_RUN, name), "w") as fh:
             fh.write("[\n" + ",\n".join(fits) + "\n]\n")
-    with open(os.path.join(MC_RUN, "g2_fit_regimes.json"), "w") as fh:
-        fh.write(json.dumps(regimes, indent=2) + "\n")
+    for name, keyed in (("g2_fit_regimes.json", regimes), ("extinction_fixed.json", fixed_fits)):
+        with open(os.path.join(MC_RUN, name), "w") as fh:
+            fh.write(json.dumps(keyed, indent=2) + "\n")
 
 
 def write_sums(out):
