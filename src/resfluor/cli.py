@@ -17,7 +17,7 @@ import numpy as np
 
 from . import synth
 from .config import ConfigError, RunConfig, load_config
-from .correlation import G2Trace, annotate, cross_check_saturation, fit_rabi_from_g2, g2_trace
+from .correlation import G2Trace, annotate, fit_rabi_from_g2, g2_trace
 from .estimation import (
     NotConvergedError,
     RankDeficientError,
@@ -301,7 +301,8 @@ def _g2_fit(inputs, cfg: RunConfig):
     except ValueError as exc:
         raise ConfigError(f"{inputs[0]}: {exc}") from exc
     rabi = res.params["rabi"]
-    return res, {"saturation": cross_check_saturation(rabi, mol)}, [annotate(rabi, mol)]
+    saturation = saturation_parameter(mol, DriveParams(rabi=rabi))
+    return res, {"saturation": saturation}, [annotate(rabi, mol)]
 
 
 def _linewidth_sweep(inputs, cfg: RunConfig):
@@ -339,17 +340,20 @@ ANALYSES = {
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
     """Run the fit, write its JSON, print its table and map its status to
-    the exit code.  A fit that stops unconverged with NotConvergedError
-    still writes the result it carries, with the error message; input that
-    cannot determine the fit (RankDeficientError) is an input error."""
+    the exit code.  An unconverged fit still writes its result, with an
+    error message (NotConvergedError's, else its status) that stderr
+    repeats; input that cannot determine the fit (RankDeficientError) is an
+    input error."""
     fit, name = ANALYSES[args.subcommand]
     try:
         res, extra, lines = fit(args.inputs, cfg)
     except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         res, extra, lines = exc.result, {"error": str(exc)}, []
     except RankDeficientError as exc:
         raise ConfigError(f"input cannot determine the fit: {exc}") from exc
+    if not res.converged:
+        extra.setdefault("error", f"fit did not converge (status {res.status})")
+        print(f"error: {extra['error']}", file=sys.stderr)
     _write_json({**json.loads(res.to_json()), **extra}, cfg.out_dir, name)
     print(res.table())
     for line in lines:

@@ -209,26 +209,18 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     tau = delays * 1e-3
     ones = np.ones(tau.size)
     zeros = np.zeros(tau.size)
-    memo = {}
-
-    def terms(rabi):
-        """The shape and its derivative in mu^2 at rabi: one exp/cos/sin
-        pass per Rabi frequency, shared by the residual and the
-        Jacobian (LM takes the Jacobian where it last evaluated the
-        residual)."""
-        if rabi not in memo:
-            memo.clear()
-            memo[rabi] = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, rabi),
-                                   partials=True)
-        return memo[rabi]
+    # the shape and its derivative in mu^2: one exp/cos/sin pass per point,
+    # shared by the residual and the Jacobian
+    terms = estimation._cache_last(
+        lambda p: _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, p[0]), partials=True))
 
     def residual(p):
-        rabi, amp, bg, _ = p
-        return bg + amp * terms(rabi)[0] - trace.values
+        _, amp, bg, _ = p
+        return bg + amp * terms(p)[0] - trace.values
 
     def jacobian(p):
         rabi, amp = p[0], p[1]
-        shape, d_mu_sq = terms(rabi)
+        shape, d_mu_sq = terms(p)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
         return np.array([
             d_mu_sq * (amp * dmu_drabi),    # rabi
@@ -243,12 +235,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     return res
 
 
-def cross_check_saturation(rabi_mhz: float, mol: MoleculeParams) -> float:
-    """Saturation parameter of a drive at the given Rabi frequency."""
-    return saturation_parameter(mol, DriveParams(rabi=rabi_mhz))
-
-
 def annotate(rabi_mhz: float, mol: MoleculeParams) -> str:
     """Panel-style annotation string for a fitted Rabi frequency."""
-    s = cross_check_saturation(rabi_mhz, mol)
+    s = saturation_parameter(mol, DriveParams(rabi=rabi_mhz))
     return f"Omega={rabi_mhz:.4g} MHz, S={s:.4g}"

@@ -2,6 +2,11 @@
 engine plus the spectrum-specific fit recipes (extinction line fits,
 power-broadening sweeps, saturation curves).
 
+One interference line serves fit_extinction (one trace, times a baseline)
+and polarization.separate_components (a QWP-angle series): _line_terms,
+_line_jacobian and _seed_triple give its terms, its five Jacobian columns
+and its (A, B, psi) seed.
+
 Lower bounds are enforced by a smooth log transform, so the curvature-based
 standard errors stay meaningful at the solution.
 """
@@ -319,14 +324,66 @@ def minimize(problem: FitProblem) -> FitResult:
 # Fit recipes
 # ---------------------------------------------------------------------------
 
+def _cache_last(terms):
+    """terms(p), kept for the last p (by its bytes): LM takes the Jacobian
+    where it last evaluated the residual, and the two share the terms."""
+    key = value = None
+
+    def cached(p):
+        nonlocal key, value
+        k = p.tobytes()
+        if k != key:
+            key, value = k, terms(p)
+        return value
+
+    return cached
+
+
+def _line_terms(grid, k_a, k_b, a, b, psi, gamma, center):
+    """(d, lor, Re u, Im u, quad, m) of the line 1 + lor m: d = grid -
+    center, lor = 1 / (d^2 + gamma^2 / 4), u = e^{i psi} k_b, quad = d Re u
+    + gamma/2 Im u and m = a k_a - b quad.  k_a = k_b = 1 for a trace seen
+    directly, else the detection chain's Jones factors at each pixel."""
+    d = grid - center
+    lor = 1.0 / (d * d + gamma * gamma / 4.0)
+    u = complex(math.cos(psi), math.sin(psi)) * k_b
+    ur, ui = u.real, u.imag
+    quad = d * ur + gamma / 2.0 * ui
+    return d, lor, ur, ui, quad, a * k_a - b * quad
+
+
+def _line_jacobian(jac, scale, terms, k_a, b, gamma):
+    """jac with its (a, b, psi, gamma, center) columns set to the
+    derivatives of scale (1 + lor m), scale held fixed."""
+    d, lor, ur, ui, quad, m = terms
+    jac[:, 0] = scale * k_a
+    jac[:, 1] = -scale * quad
+    jac[:, 2] = scale * b * (d * ui - gamma / 2.0 * ur)
+    jac[:, 3] = -scale * (gamma / 2.0 * lor * m + b / 2.0 * ui)
+    jac[:, 4] = scale * (2.0 * d * lor * m + b * ur)
+    return jac
+
+
+def _seed_triple(basis, target, floor):
+    """(a, b, psi) from one least-squares solve.  At fixed (gamma, center)
+    the line is linear in (a, b cos psi, b sin psi), and the a, b and psi
+    columns of its Jacobian at b = 1, psi = 0 are that basis; a and b are
+    held at floor or above."""
+    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return (max(float(coef[0]), floor), max(math.hypot(coef[1], coef[2]), floor),
+            math.atan2(coef[2], coef[1]))
+
+
+def _transmission(terms, a, b, baseline):
+    """baseline (1 + a lor - b lor quad): one trace's line from its terms."""
+    _, lor, _, _, quad, _ = terms
+    return baseline * (1.0 + a * lor - b * lor * quad)
+
+
 def extinction_fit_model(grid, gamma, a, b, psi, center, baseline):
     """Interference transmission model with an effective (already power
     broadened) width gamma."""
-    d = grid - center
-    lor = 1.0 / (d * d + gamma * gamma / 4.0)
-    return baseline * (
-        1.0 + a * lor - b * lor * (d * math.cos(psi) + gamma / 2.0 * math.sin(psi))
-    )
+    return _transmission(_line_terms(grid, 1.0, 1.0, a, b, psi, gamma, center), a, b, baseline)
 
 
 def _median(x):
@@ -385,78 +442,45 @@ def _refine_line(trace: SpectrumTrace, center: float, gamma: float):
     return center + h * shift, gamma * math.sqrt(w)
 
 
-def _init_extinction(trace: SpectrumTrace):
-    """_init_line plus (A, B, psi): the model is linear in (A, B cos psi,
-    B sin psi) at fixed center/gamma, so a cheap linear solve seeds all
-    three, including the psi quadrant."""
-    center, gamma, baseline = _init_line(trace)
-    g, v = trace.grid, trace.values
-    d = g - center
-    lor = 1.0 / (d * d + gamma * gamma / 4.0)
-    basis = np.column_stack([lor, lor * d, lor * gamma / 2.0])
-    coef, *_ = np.linalg.lstsq(basis, v / baseline - 1.0, rcond=None)
-    a0 = max(float(coef[0]), 1e-9)
-    b0 = max(float(math.hypot(coef[1], coef[2])), 1e-9)
-    psi0 = math.atan2(-coef[2], -coef[1])
-    return center, gamma, a0, b0, psi0, baseline
-
-
 def fit_extinction(
     data: SpectrumTrace,
     init: Optional[dict] = None,
     fixed: Sequence[str] = (),
 ) -> FitResult:
-    """Fit {A, B, psi, gamma, center, baseline} to a transmission trace."""
-    nfree = sum(name not in fixed for name in ("A", "B", "psi", "gamma", "center", "baseline"))
+    """Fit {A, B, psi, gamma, center, baseline} to a transmission trace:
+    the line of separate_components with k_A = k_B = 1, times a baseline."""
+    names = ("A", "B", "psi", "gamma", "center", "baseline")
+    nfree = sum(name not in fixed for name in names)
     if data.grid.size < nfree:
         raise ValueError(
             f"trace has {data.grid.size} points, fewer than the {nfree} free parameters"
         )
-    span = data.grid[-1] - data.grid[0]
-    center0, gamma0, a0, b0, psi0, base0 = _init_extinction(data)
-    if span < 3.0 * gamma0:
-        raise ValueError("trace must cover at least three linewidths")
-    defaults = {
-        "A": a0,
-        "B": b0,
-        "psi": psi0,
-        "gamma": gamma0,
-        "center": center0,
-        "baseline": base0,
-    }
-    if init:
-        defaults.update(init)
-    pars = [
-        Parameter("A", defaults["A"], lo=0.0, fixed="A" in fixed),
-        Parameter("B", defaults["B"], lo=0.0, fixed="B" in fixed),
-        Parameter("psi", defaults["psi"], fixed="psi" in fixed),
-        Parameter("gamma", defaults["gamma"], lo=1e-12, fixed="gamma" in fixed),
-        Parameter("center", defaults["center"], fixed="center" in fixed),
-        Parameter("baseline", defaults["baseline"], lo=1e-12, fixed="baseline" in fixed),
-    ]
+    terms = _cache_last(lambda p: _line_terms(data.grid, 1.0, 1.0, *p[:5]))
 
     def residual(p):
-        a, b, psi, gamma, center, baseline = p
-        return extinction_fit_model(data.grid, gamma, a, b, psi, center, baseline) - data.values
+        a, b, _, _, _, baseline = p
+        return _transmission(terms(p), a, b, baseline) - data.values
 
     def jacobian(p):
-        # model baseline * (1 + lor * net), net = A - B q, q = d cos psi + gamma/2 sin psi
-        a, b, psi, gamma, center, baseline = p
-        cos, sin = math.cos(psi), math.sin(psi)
-        d = data.grid - center
-        lor = 1.0 / (d * d + gamma * gamma / 4.0)
-        q = d * cos + gamma / 2.0 * sin
-        net = a - b * q
-        scaled = baseline * lor
-        jac = np.empty((d.size, 6), order="F")  # minimize's layout: no copy
-        jac[:, 0] = scaled                                          # A
-        jac[:, 1] = -scaled * q                                     # B
-        jac[:, 2] = scaled * b * (d * sin - gamma / 2.0 * cos)      # psi
-        jac[:, 3] = -scaled * (gamma / 2.0 * lor * net + b / 2.0 * sin)  # gamma
-        jac[:, 4] = scaled * (2.0 * d * lor * net + b * cos)        # center
-        jac[:, 5] = 1.0 + lor * net                                 # baseline
+        _, b, _, gamma, _, baseline = p
+        t = terms(p)
+        lor, m = t[1], t[5]
+        jac = np.empty((data.grid.size, 6), order="F")  # minimize's layout: no copy
+        _line_jacobian(jac, baseline * lor, t, 1.0, b, gamma)
+        jac[:, 5] = 1.0 + lor * m                        # baseline
         return jac
 
+    # gamma/center/baseline from the grid heuristic, then (A, B, psi) from
+    # the Jacobian of the unit-baseline line
+    center0, gamma0, base0 = _init_line(data)
+    a0, b0, psi0 = _seed_triple(jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))[:, :3],
+                                data.values / base0 - 1.0, 1e-9)
+    if data.grid[-1] - data.grid[0] < 3.0 * gamma0:
+        raise ValueError("trace must cover at least three linewidths")
+    start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
+    lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
+    pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)
+            for name, lo in zip(names, lows)]
     return minimize(FitProblem(residual, pars, jacobian))
 
 

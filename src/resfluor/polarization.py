@@ -166,57 +166,31 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     grid = np.concatenate([tr.grid for tr in traces])
     values = np.concatenate([tr.values for tr in traces])
 
-    memo = {}
-
-    def terms(p):
-        """d, the Lorentzian, Re/Im of e^{i psi0} k_B, quad = d Re + gamma/2 Im
-        and m = A0 k_A - B0 quad (so that residual = 1 + lor m - values): the
-        parts of the model that the residual and its Jacobian share, computed
-        once per parameter vector (LM takes the Jacobian where it last
-        evaluated the residual)."""
-        key = p.tobytes()
-        if key not in memo:
-            a0, b0, psi0, gamma, center = p
-            d = grid - center
-            lor = 1.0 / (d * d + gamma * gamma / 4.0)
-            u = complex(math.cos(psi0), math.sin(psi0)) * k_b
-            ur, ui = u.real, u.imag
-            quad = d * ur + gamma / 2.0 * ui
-            memo.clear()
-            memo[key] = d, lor, ur, ui, quad, a0 * k_a - b0 * quad
-        return memo[key]
+    terms = estimation._cache_last(lambda p: estimation._line_terms(grid, k_a, k_b, *p))
 
     def residual(p):
         _, lor, _, _, _, m = terms(p)
         return 1.0 + lor * m - values
 
     def jacobian(p):
-        _, b0, _, gamma, _ = p
-        d, lor, ur, ui, quad, m = terms(p)
-        jac = np.empty((lor.size, 5), order="F")  # minimize's layout: no copy
-        jac[:, 0] = lor * k_a                                       # A0
-        jac[:, 1] = -lor * quad                                     # B0
-        jac[:, 2] = b0 * lor * (d * ui - gamma / 2.0 * ur)          # psi0
-        jac[:, 3] = -lor * (gamma / 2.0 * lor * m + b0 / 2.0 * ui)  # gamma
-        jac[:, 4] = lor * (2.0 * d * lor * m + b0 * ur)             # center
-        return jac
+        t = terms(p)
+        jac = np.empty((grid.size, 5), order="F")  # minimize's layout: no copy
+        return estimation._line_jacobian(jac, t[1], t, k_a, p[1], p[3])
 
     # Seed gamma/center from the most structured trace: the grid heuristic,
     # then one weighted linear solve of that trace's line.  At that (gamma,
-    # center) the model is linear in (A0, B0 cos psi0, B0 sin psi0) over all
-    # traces, and the A0, B0 and psi0 columns of the Jacobian at B0 = 1,
-    # psi0 = 0 are that linear basis: one least-squares solve seeds the triple.
+    # center) one least-squares solve over all traces seeds the triple.
     spans = [float(tr.values.max() - tr.values.min()) for tr in traces]
     k = int(np.argmax(spans))
     center0, gamma0, _ = estimation._init_line(traces[k])
     center0, gamma0 = estimation._refine_line(traces[k], center0, gamma0)
-    basis = jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3]
-    coef, *_ = np.linalg.lstsq(basis, values - 1.0, rcond=None)
+    a0, b0, psi0 = estimation._seed_triple(
+        jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3], values - 1.0, 1e-3)
 
     pars = [
-        Parameter("A0", max(float(coef[0]), 1e-3), lo=0.0),
-        Parameter("B0", max(math.hypot(coef[1], coef[2]), 1e-3), lo=0.0),
-        Parameter("psi0", math.atan2(coef[2], coef[1])),
+        Parameter("A0", a0, lo=0.0),
+        Parameter("B0", b0, lo=0.0),
+        Parameter("psi0", psi0),
         Parameter("gamma", gamma0, lo=1e-12),
         Parameter("center", center0),
     ]

@@ -472,11 +472,14 @@ class TestAnalyze:
         ("separate", "separate.json"),
         ("g2-fit", "g2_fit.json"),
         ("linewidth-sweep", "linewidth_sweep.json"),
+        ("fit-spectrum", "fit_spectrum.json"),
+        ("saturation-fit", "saturation_fit.json"),
     ])
     def test_nonconvergence_writes_result_and_is_exit_4(self, tmp_path, capsys,
                                                         monkeypatch, command, name):
         # a one-iteration budget stops every fit of noisy data unconverged
-        # (noiseless fig4 is seeded at its solution and converges in one)
+        # (noiseless fig4 is seeded at its solution and converges in one);
+        # whether the fit raised or returned, the result and stderr say why
         if command == "separate":
             def noisy(trace, i):
                 rng = np.random.default_rng(i)
@@ -487,6 +490,15 @@ class TestAnalyze:
             cfg = _ini(tmp_path, "[drive]\nrabi = 60.0\n")
             assert main(["simulate", "g2", "--config", cfg, "--out", str(tmp_path)]) == 0
             inputs = [str(tmp_path / "g2.csv")]
+        elif command == "fit-spectrum":
+            cfg = _ini(tmp_path, "[simulate]\nnoise = true\n")
+            assert main(["simulate", "extinction", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+            inputs = [str(tmp_path / "extinction.csv")]
+        elif command == "saturation-fit":
+            assert main(["simulate", "saturation-sweep", "--out", str(tmp_path)]) == 0
+            inputs = [str(tmp_path / "saturation_coherent.csv"),
+                      str(tmp_path / "saturation_total.csv")]
         else:
             inputs = [self._power_series(tmp_path, [50.0, 350.0, 2500.0])]
         capsys.readouterr()
@@ -497,7 +509,9 @@ class TestAnalyze:
             payload = json.load(fh)
         assert payload["status"] != "converged"
         assert payload["error"]
-        assert f"status: {payload['status']}" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert f"status: {payload['status']}" in printed.out
+        assert f"error: {payload['error']}" in printed.err
 
 
 class TestReproduce:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from resfluor import estimation
+from resfluor import correlation, estimation, polarization
 from resfluor.estimation import (
     FitProblem,
     NotConvergedError,
@@ -24,7 +24,7 @@ from resfluor.estimation import (
 from resfluor.measurement import DetectorParams
 from resfluor.physics import DriveParams, MoleculeParams, rabi_for_saturation
 from resfluor.spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
-from resfluor.synth import noisy_extinction_trace
+from resfluor.synth import noisy_extinction_trace, noisy_g2_trace
 
 MOL = MoleculeParams(gamma0=16.4, gamma=17.0, lambda21=590.0)
 
@@ -502,6 +502,79 @@ class TestExtinctionFit:
             res = fit_extinction(noisy_extinction_trace(line, grid, 127550.0, det, seed))
             assert res.converged and res.njev == res.iterations + 1
             assert res.nfev <= 20
+
+
+def _separation_problem():
+    geo = polarization.SeparationGeometry()
+    det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+    series = []
+    for i, deg in enumerate((0.0, 36.0, 72.0, 108.0, 144.0)):
+        th = math.radians(deg)
+        a, b, psi = polarization.transform_extinction_triple(
+            geo.chain(th), geo.laser_vector(), geo.dipole_angle, 10.76, 3.48, math.pi / 2.0)
+        model = ExtinctionModel(A=a, B=b, psi=psi, mol=MOL, drive=DriveParams(rabi=0.0))
+        series.append((th, noisy_extinction_trace(
+            model, np.linspace(-140.0, 140.0, 201), 127550.0, det, i)))
+    return polarization, polarization.separate_components, (series, geo)
+
+
+def _g2_problem():
+    trace = noisy_g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0), 1e4, 0)
+    return correlation, correlation.fit_rabi_from_g2, (trace, MOL)
+
+
+def _extinction_problem():
+    line = ExtinctionModel(A=2.0, B=3.0, psi=1.2, mol=MOL,
+                           drive=DriveParams(rabi=rabi_for_saturation(MOL, 1.0)))
+    det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+    trace = noisy_extinction_trace(line, np.linspace(-140.0, 140.0, 201), 127550.0, det, 0)
+    return estimation, fit_extinction, (trace,)
+
+
+class TestModelCache:
+    # (recipe, p1, p2): the last two cases differ only in a parameter that
+    # the cached model terms do not read
+    @pytest.mark.parametrize("recipe, p1, p2", [
+        (_separation_problem, [10.0, 3.0, 1.5, 17.5, 0.3], [11.0, 3.5, 1.6, 16.5, -0.2]),
+        (_g2_problem, [48.0, 1.0, 0.01, 16.4], [52.0, 1.05, -0.01, 16.4]),
+        (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
+         [2.2, 2.8, 1.1, 22.0, -1.0, 0.98]),
+        (_g2_problem, [50.0, 1.0, 0.0, 16.4], [50.0, 1.1, 0.0, 16.4]),
+        (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
+         [2.0, 3.0, 1.2, 24.0, 1.0, 0.98]),
+    ], ids=["separation", "g2", "extinction", "g2-amplitude", "extinction-baseline"])
+    def test_jacobian_after_residual_elsewhere_is_fresh(self, recipe, p1, p2):
+        # residual and Jacobian share one cached model evaluation: a
+        # Jacobian or residual at p2 after a residual at p1 must not reuse
+        # p1's terms or values
+        module, fit, args = recipe()
+        p1, p2 = np.array(p1), np.array(p2)
+
+        class Captured(Exception):
+            pass
+
+        def capture(problem):
+            raise Captured(problem)
+
+        def problem():
+            with mock.patch.object(module, "minimize", capture):
+                with pytest.raises(Captured) as info:
+                    fit(*args)
+            return info.value.args[0]
+
+        warm, cold = problem(), problem()
+        r1 = warm.residual(p1)
+        j2 = warm.jacobian(p2)
+        assert np.array_equal(j2, cold.jacobian(p2))
+        assert np.array_equal(warm.residual(p2), cold.residual(p2))
+        assert not np.array_equal(warm.residual(p2), r1)
+        assert np.array_equal(warm.jacobian(p2), j2)
+        assert np.array_equal(warm.residual(p1), r1)
+        assert np.array_equal(warm.jacobian(p1), problem().jacobian(p1))
+        # a stale cache would also freeze the residual: check the Jacobian
+        # at p2 against the residual's own differences there
+        warm.residual(p1)
+        _assert_jacobian_matches_central_differences(warm, p2)
 
 
 class TestRefineLine:

@@ -259,34 +259,6 @@ class TestSeparation:
             with pytest.raises(DegenerateConfigurationError):
                 separate_components(series, geo)
 
-    def test_jacobian_after_residual_elsewhere_is_fresh(self):
-        # residual and Jacobian share one memoized model evaluation: a
-        # Jacobian at p2 after a residual at p1 must not reuse p1's terms
-        series = self._series(10.76, 3.48, math.pi / 2.0, noise_seed=0)
-
-        class Captured(Exception):
-            pass
-
-        def capture(problem):
-            raise Captured(problem)
-
-        def problem():
-            with mock.patch.object(polarization, "minimize", capture):
-                with pytest.raises(Captured) as info:
-                    separate_components(series, GEO)
-            return info.value.args[0]
-
-        p1 = np.array([10.0, 3.0, 1.5, 17.5, 0.3])
-        p2 = np.array([11.0, 3.5, 1.6, 16.5, -0.2])
-        warm, cold = problem(), problem()
-        r1 = warm.residual(p1)
-        j2 = warm.jacobian(p2)
-        assert np.array_equal(j2, cold.jacobian(p2))
-        assert np.array_equal(warm.residual(p2), cold.residual(p2))
-        assert np.array_equal(warm.jacobian(p2), j2)
-        assert np.array_equal(warm.residual(p1), r1)
-        assert np.array_equal(warm.jacobian(p1), problem().jacobian(p1))
-
     # noiseless series on mixed grids, (lo, hi, pixels) per trace, seen
     # through an ideal or a leaky polarizer
     LINE_DRAWS = dict(
