@@ -7,7 +7,6 @@ error, 4 fit non-convergence (the result file is still written).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -15,16 +14,10 @@ import sys
 
 import numpy as np
 
-from . import synth
+# Only the layers that every command needs are imported here; each command
+# imports synth, correlation, estimation or polarization where it uses them,
+# so a fresh process compiles and loads no layer that its command does not run.
 from .config import ConfigError, RunConfig, load_config
-from .correlation import G2Trace, annotate, fit_rabi_from_g2, g2_trace
-from .estimation import (
-    NotConvergedError,
-    RankDeficientError,
-    fit_extinction,
-    fit_linewidth_vs_power,
-    fit_saturation_curves,
-)
 from .measurement import (
     DetectorParams,
     interference_dip_rate,
@@ -37,7 +30,6 @@ from .physics import (
     rabi_for_saturation,
     saturation_parameter,
 )
-from .polarization import separate_components, transform_extinction_triple
 from .spectra import (
     ExtinctionModel,
     SpectrumTrace,
@@ -53,6 +45,8 @@ EXIT_NOCONV = 4
 
 
 def _config_hash(cfg: RunConfig) -> str:
+    import hashlib
+
     blob = json.dumps(cfg.raw, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -192,11 +186,13 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
 def _noisy_extinction(cfg: RunConfig, model: ExtinctionModel, grid, det: DetectorParams):
     """synth.noisy_extinction_trace at [drive] incident_rate and [run] seed;
     a zero rate, which the config allows, is a ConfigError here."""
+    from .synth import noisy_extinction_trace
+
     rate = cfg.drive.incident_rate
     if not rate > 0:
         raise ConfigError(f"[drive] incident_rate must be > 0 to draw a noisy "
                           f"extinction trace, got {rate:g}")
-    return synth.noisy_extinction_trace(model, grid, rate, det, cfg.seed)
+    return noisy_extinction_trace(model, grid, rate, det, cfg.seed)
 
 
 # each simulation returns its (trace, stem) pairs and its stdout line; s is
@@ -219,7 +215,16 @@ def _sim_extinction(cfg: RunConfig, s: float):
         f"extinction: dip depth {dip:.4f}, S={s:.4g}, gamma={mol.gamma} MHz"
 
 
+def _require_noiseless(cfg: RunConfig, command: str):
+    """A ConfigError for [simulate] noise = true on a simulation that draws
+    no counts, rather than a noiseless output under a noisy config."""
+    if cfg.simulate["noise"]:
+        raise ConfigError(f"[simulate] noise = true: simulate {command} draws no counts; "
+                          f"set noise = false")
+
+
 def _sim_mollow(cfg: RunConfig, s: float):
+    _require_noiseless(cfg, "mollow")
     drive, sim = cfg.drive, cfg.simulate
     emission, detected = _mollow_traces(cfg.fpc, cfg.molecule, drive, s,
                                         sim["emission_scale"], sim["laser_background_rate"])
@@ -228,16 +233,21 @@ def _sim_mollow(cfg: RunConfig, s: float):
 
 
 def _sim_g2(cfg: RunConfig, s: float):
+    from .correlation import annotate, g2_trace
+
     mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
     delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
     if sim["noise"]:
-        trace = synth.noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
+        from .synth import noisy_g2_trace
+
+        trace = noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
     else:
         trace = g2_trace(delays, mol, drive)
     return [(trace, "g2")], f"g2: {annotate(drive.rabi, mol)}"
 
 
 def _sim_saturation_sweep(cfg: RunConfig, s: float):
+    _require_noiseless(cfg, "saturation-sweep")
     sim = cfg.simulate
     powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
     coh, tot = _saturation_traces(cfg.power_calibration, powers, sim["emission_scale"],
@@ -278,6 +288,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _fit_spectrum(inputs, cfg: RunConfig):
+    from .estimation import fit_extinction
+
     trace = _read_trace(inputs[0], SpectrumTrace)
     try:
         res = fit_extinction(trace)
@@ -287,6 +299,8 @@ def _fit_spectrum(inputs, cfg: RunConfig):
 
 
 def _separate(inputs, cfg: RunConfig):
+    from .polarization import separate_components
+
     pairs = [(math.radians(theta), trace)
              for theta, trace in _load_series(inputs[0], "theta_deg")]
     res = separate_components(pairs, cfg.geometry)
@@ -294,6 +308,8 @@ def _separate(inputs, cfg: RunConfig):
 
 
 def _g2_fit(inputs, cfg: RunConfig):
+    from .correlation import G2Trace, annotate, fit_rabi_from_g2
+
     mol = cfg.molecule
     trace = _read_trace(inputs[0], G2Trace)
     try:
@@ -306,6 +322,8 @@ def _g2_fit(inputs, cfg: RunConfig):
 
 
 def _linewidth_sweep(inputs, cfg: RunConfig):
+    from .estimation import fit_linewidth_vs_power
+
     series = _load_series(inputs[0], "power_pw")
     try:
         table, res = fit_linewidth_vs_power(series)
@@ -316,6 +334,8 @@ def _linewidth_sweep(inputs, cfg: RunConfig):
 
 
 def _saturation_fit(inputs, cfg: RunConfig):
+    from .estimation import fit_saturation_curves
+
     if len(inputs) != 2:
         raise ConfigError("saturation-fit needs two inputs: coherent.csv total.csv")
     coh = _read_trace(inputs[0], SpectrumTrace)
@@ -344,6 +364,8 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     error message (NotConvergedError's, else its status) that stderr
     repeats; input that cannot determine the fit (RankDeficientError) is an
     input error."""
+    from .estimation import NotConvergedError, RankDeficientError
+
     fit, name = ANALYSES[args.subcommand]
     try:
         res, extra, lines = fit(args.inputs, cfg)
@@ -394,6 +416,8 @@ def _reproduce_fig3(cfg: RunConfig):
 
 
 def _reproduce_fig4(cfg: RunConfig):
+    from .polarization import transform_extinction_triple
+
     mol = cfg.molecule
     geo = cfg.geometry
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0)
@@ -423,6 +447,8 @@ def _reproduce_fig4(cfg: RunConfig):
 
 
 def _reproduce_fig5(cfg: RunConfig):
+    from .correlation import g2_trace
+
     mol = cfg.molecule
     sats = [0.05, 0.5, 2.0, 8.0, 20.0, 60.0, 150.0]
     traces = []

@@ -11,15 +11,13 @@ resonant: there is no detuning key.
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .measurement import DetectorParams, PowerCalibration
-from .physics import DriveParams, MoleculeParams, rabi_for_saturation
-from .polarization import SeparationGeometry
+from .physics import DriveParams, MoleculeParams, SeparationGeometry, rabi_for_saturation
 from .spectra import FpcParams
 
 
@@ -126,6 +124,8 @@ def _read_ini(raw: dict, path: str):
     """Merge the INI file at path into raw.  Values are literal (no '%'
     interpolation), and [DEFAULT] is an ordinary, hence unknown, section:
     no header can name the empty default_section."""
+    import configparser  # only a run with a config file parses one
+
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",),
                                    interpolation=None, default_section="")
     try:

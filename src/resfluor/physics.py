@@ -1,15 +1,23 @@
-"""Steady-state two-level-system quantities and parameter containers.
+"""Steady-state two-level-system quantities and the parameter containers
+of the emitter, the drive and the detection geometry.
 
 Frequency convention: every public linewidth, Rabi frequency and detuning
 is a cyclic frequency in MHz on the FWHM scale.  Dynamical rate equations
 use angular rates 2*pi*f internally; :func:`cyclic_to_angular` is the
 single conversion point.
+
+Angle convention of the Jones builders: all angles are measured from the
+lab y-axis (the laser polarization axis), counterclockwise positive viewed
+along propagation.  Jones vectors live in the fixed (x, y) lab basis, where
+the laser is the constant (0, 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,6 +35,14 @@ def normalize_phase(psi: float) -> float:
     elif psi <= -math.pi:
         psi += TWO_PI
     return psi
+
+
+def _require_finite(obj, *names):
+    """ValueError naming the first of the fields names of obj that is not finite."""
+    for name in names:
+        v = getattr(obj, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,7 @@ class MoleculeParams:
     def __post_init__(self):
         if not (self.gamma0 > 0 and math.isfinite(self.gamma0)):
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        _require_finite(self, "gamma")
         if self.gamma < self.gamma0:
             raise ValueError(f"gamma ({self.gamma}) must be >= gamma0 ({self.gamma0})")
         if not (self.lambda21 > 0):
@@ -74,11 +91,60 @@ class DriveParams:
     incident_rate: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "rabi", "psi", "incident_rate")
         if self.rabi < 0:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         if self.incident_rate < 0:
             raise ValueError(f"incident_rate must be >= 0, got {self.incident_rate}")
         object.__setattr__(self, "psi", normalize_phase(self.psi))
+
+
+def axis_vector(angle_from_y: float) -> np.ndarray:
+    """Real unit Jones vector at the given angle from the y-axis."""
+    return np.array([math.sin(angle_from_y), math.cos(angle_from_y)], dtype=complex)
+
+
+def polarizer_matrix(angle_from_y: float, extinction_ratio: float = 0.0) -> np.ndarray:
+    """Projector onto the pass axis, with amplitude leakage
+    sqrt(extinction_ratio) along the rejected axis (coherent leakage)."""
+    a = axis_vector(angle_from_y)
+    b = np.array([a[1], -a[0]], dtype=complex)  # perpendicular axis
+    m = np.outer(a, a.conj())
+    if extinction_ratio > 0.0:
+        m = m + math.sqrt(extinction_ratio) * np.outer(b, b.conj())
+    return m
+
+
+def qwp_matrix(angle_from_y: float) -> np.ndarray:
+    """Quarter waveplate, fast axis at the given angle; retardance exactly
+    pi/2 (unitary)."""
+    a = axis_vector(angle_from_y)
+    b = np.array([a[1], -a[0]], dtype=complex)
+    return np.outer(a, a.conj()) + 1j * np.outer(b, b.conj())
+
+
+@dataclass(frozen=True)
+class SeparationGeometry:
+    """Fixed optical geometry of the component-separation measurement; the
+    laser is polarized along the lab y-axis."""
+
+    dipole_angle: float = math.pi / 4.0          # dipole at 45 deg from laser
+    polarizer_angle: float = 80.0 * math.pi / 180.0
+    polarizer_extinction_ratio: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "dipole_angle", "polarizer_angle")
+        er = self.polarizer_extinction_ratio
+        if not 0.0 <= er <= 1.0:  # also false for nan
+            raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
+
+    def laser_vector(self) -> np.ndarray:
+        return np.array([0.0, 1.0], dtype=complex)
+
+    def chain(self, theta_qwp: float) -> np.ndarray:
+        """Jones matrix of the QWP at theta_qwp followed by the polarizer."""
+        return (polarizer_matrix(self.polarizer_angle, self.polarizer_extinction_ratio)
+                @ qwp_matrix(theta_qwp))
 
 
 def saturation_parameter(mol: MoleculeParams, drive: DriveParams) -> float:

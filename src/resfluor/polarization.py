@@ -1,10 +1,7 @@
-"""Jones-calculus model of the detection chain (quarter waveplate +
-polarizer) and its action on the extinction triple (A, B, psi).
-
-Angle convention: all angles are measured from the lab y-axis (the laser
-polarization axis), counterclockwise positive viewed along propagation.
-Jones vectors live in the fixed (x, y) lab basis, where the laser is the
-constant (0, 1).
+"""Action of the detection chain (quarter waveplate + polarizer) on the
+extinction triple (A, B, psi), and the joint component separation of a
+QWP-angle series.  The chain's geometry and Jones matrices, and their angle
+convention, live in :mod:`physics`.
 
 The triple (A0, B0, psi0) is intrinsic to the molecule-laser pair: it is
 normalized to unit laser-dipole overlap and no detection optics.  For a
@@ -17,13 +14,11 @@ intensity projection, which is why the A-term only changes magnitude.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .physics import normalize_phase
+from .physics import SeparationGeometry, axis_vector, normalize_phase
 from . import estimation
 from .estimation import (
     FitProblem,
@@ -37,30 +32,6 @@ from .estimation import (
 class DegenerateConfigurationError(ValueError):
     """The chain extinguishes the laser field: the detected-intensity
     normalization of the transmission trace is undefined."""
-
-
-def axis_vector(angle_from_y: float) -> np.ndarray:
-    """Real unit Jones vector at the given angle from the y-axis."""
-    return np.array([math.sin(angle_from_y), math.cos(angle_from_y)], dtype=complex)
-
-
-def polarizer_matrix(angle_from_y: float, extinction_ratio: float = 0.0) -> np.ndarray:
-    """Projector onto the pass axis, with amplitude leakage
-    sqrt(extinction_ratio) along the rejected axis (coherent leakage)."""
-    a = axis_vector(angle_from_y)
-    b = np.array([a[1], -a[0]], dtype=complex)  # perpendicular axis
-    m = np.outer(a, a.conj())
-    if extinction_ratio > 0.0:
-        m = m + math.sqrt(extinction_ratio) * np.outer(b, b.conj())
-    return m
-
-
-def qwp_matrix(angle_from_y: float) -> np.ndarray:
-    """Quarter waveplate, fast axis at the given angle; retardance exactly
-    pi/2 (unitary)."""
-    a = axis_vector(angle_from_y)
-    b = np.array([a[1], -a[0]], dtype=complex)
-    return np.outer(a, a.conj()) + 1j * np.outer(b, b.conj())
 
 
 def _jones_overlaps(chain: np.ndarray, e_laser: np.ndarray, e_dipole_axis: float):
@@ -103,29 +74,6 @@ def transform_extinction_triple(
     a_new = a0 * dd / n
     bc = b0 * np.exp(1j * psi0) * (overlap / n)
     return a_new, float(abs(bc)), normalize_phase(float(np.angle(bc)))
-
-
-@dataclass(frozen=True)
-class SeparationGeometry:
-    """Fixed optical geometry of the component-separation measurement; the
-    laser is polarized along the lab y-axis."""
-
-    dipole_angle: float = math.pi / 4.0          # dipole at 45 deg from laser
-    polarizer_angle: float = 80.0 * math.pi / 180.0
-    polarizer_extinction_ratio: float = 0.0
-
-    def __post_init__(self):
-        er = self.polarizer_extinction_ratio
-        if not 0.0 <= er <= 1.0:  # also false for nan
-            raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
-
-    def laser_vector(self) -> np.ndarray:
-        return np.array([0.0, 1.0], dtype=complex)
-
-    def chain(self, theta_qwp: float) -> np.ndarray:
-        """Jones matrix of the QWP at theta_qwp followed by the polarizer."""
-        return (polarizer_matrix(self.polarizer_angle, self.polarizer_extinction_ratio)
-                @ qwp_matrix(theta_qwp))
 
 
 @functools.lru_cache(maxsize=1024)

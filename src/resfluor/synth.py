@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from .correlation import G2Trace, g2
 from .measurement import DetectorParams, RNG_NAME, simulate_counts
 from .physics import DriveParams, MoleculeParams
 from .spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
@@ -50,6 +49,8 @@ def noisy_g2_trace(
     """Coincidence-noised g2: Poisson draws at plateau_coincidences per bin
     on the plateau, renormalized by the plateau mean over the last 20% of
     the delay window."""
+    from .correlation import G2Trace, g2
+
     delays = np.asarray(delays_ns, dtype=float)
     rate = SpectrumTrace(
         delays,

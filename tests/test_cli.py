@@ -191,6 +191,31 @@ class TestSimulate:
         assert "[drive] incident_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,stem", [
+        ("extinction", "extinction"), ("g2", "g2"), ("counts", "counts"),
+        ("mollow", None), ("saturation-sweep", None)])
+    def test_noise_true_draws_noise_or_is_exit_2(self, tmp_path, capsys, command, stem):
+        # mollow and saturation-sweep draw no counts: with noise = true they
+        # used to exit 0 with files identical to the noiseless run
+        noisy, clean = (_ini(tmp_path, f"[simulate]\nnoise = {v}\n", f"{v}.ini")
+                        for v in ("true", "false"))
+        if stem is None:
+            out = tmp_path / "out"
+            assert main(["simulate", command, "--config", noisy, "--out", str(out)]) == 2
+            assert "[simulate] noise" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        text = {}
+        runs = {"noisy1": (noisy, 1), "noisy2": (noisy, 2), "clean1": (clean, 1)}
+        for name, (cfg, seed) in runs.items():
+            out = tmp_path / name
+            assert main(["simulate", command, "--config", cfg, "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            text[name] = (out / (stem + ".csv")).read_text()
+        assert text["noisy1"] != text["noisy2"]
+        # counts are always drawn: the key changes nothing there
+        assert (text["noisy1"] == text["clean1"]) == (command == "counts")
+
     def test_smallest_simulate_values_run(self, tmp_path):
         cfg = _ini(tmp_path, "[simulate]\npoints = 1\ntau_points = 1\npower_points = 1\n"
                              "grid_min = -1e-9\ngrid_max = 0\ntau_max_ns = 1e-9\n"

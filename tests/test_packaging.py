@@ -24,7 +24,8 @@ def _third_party_imports():
             continue
         with open(os.path.join(PACKAGE, fname)) as fh:
             tree = ast.parse(fh.read(), fname)
-        for node in tree.body:
+        # every import, also one inside a function (a command's own layers)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -63,6 +64,41 @@ def test_fit_spectrum_leaves_numpy_ma_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+BASE_MODULES = {"resfluor", "resfluor.cli", "resfluor.config", "resfluor.physics",
+                "resfluor.spectra", "resfluor.measurement"}
+
+
+def _loaded_modules(argv=None):
+    """(exit code, resfluor modules loaded) of main(argv) in a fresh
+    interpreter; with no argv, (None, the modules) of importing the CLI."""
+    code = (f"import sys; from resfluor.cli import main; argv = {argv!r}; "
+            "code = main(argv) if argv else None; "
+            "print(code, sorted(m for m in sys.modules if m.startswith('resfluor')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    exit_code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    return ast.literal_eval(exit_code), set(ast.literal_eval(modules))
+
+
+def test_cli_import_loads_only_the_base_modules():
+    # the layers a command needs are imported by that command
+    assert _loaded_modules() == (None, BASE_MODULES)
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["reproduce", "fig3"], set()),
+    (["simulate", "mollow"], set()),
+    (["analyze", "fit-spectrum", "{sim}/extinction.csv"], {"resfluor.estimation"}),
+])
+def test_command_loads_only_its_layers(tmp_path, argv, extra):
+    from resfluor.cli import main
+
+    assert main(["simulate", "extinction", "--out", str(tmp_path / "sim")]) == 0
+    argv = [a.format(sim=tmp_path / "sim") for a in argv] + ["--out", str(tmp_path / "out")]
+    assert _loaded_modules(argv) == (0, BASE_MODULES | extra)
 
 
 def _parse(path):

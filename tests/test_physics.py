@@ -6,6 +6,7 @@ import pytest
 from resfluor.physics import (
     DriveParams,
     MoleculeParams,
+    SeparationGeometry,
     coherent_emission_rate,
     cyclic_to_angular,
     incoherent_emission_rate,
@@ -53,6 +54,22 @@ def test_drive_validation_and_psi_wrap():
         DriveParams(rabi=1.0, incident_rate=-1.0)
     d = DriveParams(rabi=1.0, psi=3.0 * math.pi)
     assert d.psi == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: MoleculeParams(gamma0=16.4, gamma=v),
+    lambda v: DriveParams(rabi=v),
+    lambda v: DriveParams(rabi=1.0, psi=v),
+    lambda v: DriveParams(rabi=1.0, incident_rate=v),
+    lambda v: SeparationGeometry(dipole_angle=v),
+    lambda v: SeparationGeometry(polarizer_angle=v),
+], ids=["gamma", "rabi", "psi", "incident_rate", "dipole_angle", "polarizer_angle"])
+def test_non_finite_values_rejected(build, bad):
+    # nan passed every ordering check (nan < gamma0 is False), and inf
+    # every lower bound
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_linewidth_from_lifetime():

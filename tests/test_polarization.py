@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from resfluor import polarization
 from resfluor.estimation import RankDeficientError, extinction_fit_model
-from resfluor.physics import DriveParams, MoleculeParams, normalize_phase
-from resfluor.polarization import (
-    DegenerateConfigurationError,
+from resfluor.physics import (
+    DriveParams,
+    MoleculeParams,
     SeparationGeometry,
     axis_vector,
+    normalize_phase,
     polarizer_matrix,
     qwp_matrix,
+)
+from resfluor.polarization import (
+    DegenerateConfigurationError,
     separate_components,
     transform_extinction_triple,
 )
