@@ -4,8 +4,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "golden.py")
+# the sums of the committed tree; a change that moves an output updates it
+COMMITTED = os.path.join(ROOT, "tests", "golden", "SHA256SUMS")
 
 
 def _traces(stems, kinds=("csv", "json")):
@@ -57,12 +61,44 @@ MC_KEYS = {"mc-fits/g2_fit_regimes.json": ["0", "5", "200"],
            "mc-fits/extinction_fixed.json": ["B,psi", "A,psi,baseline"]}
 
 
-def test_golden_tool_writes_sorted_sums_of_every_output(tmp_path):
-    out = tmp_path / "golden"
+def _split(text):
+    """(header lines, {path: sha256}) of a SHA256SUMS text."""
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    sums = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("#"))
+    return header, sums
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """The directory of one run of the golden tool."""
+    out = tmp_path_factory.mktemp("golden")
     proc = subprocess.run([sys.executable, TOOL, str(out)], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def test_sums_match_the_committed_file(golden):
+    header, sums = _split((golden / "SHA256SUMS").read_text())
+    with open(COMMITTED) as fh:
+        want_header, want = _split(fh.read())
+    # other library builds may round the fits differently: say which
+    assert header == want_header, (
+        f"versions differ from the committed sums: {want_header} committed, "
+        f"{header} here")
+    moved = sorted(p for p in sums.keys() & want.keys() if sums[p] != want[p])
+    assert not moved, f"outputs moved: {moved}"
+    assert sums.keys() == want.keys(), (
+        f"new outputs: {sorted(sums.keys() - want.keys())}, "
+        f"gone: {sorted(want.keys() - sums.keys())}")
+
+
+def test_golden_tool_writes_sorted_sums_of_every_output(golden):
+    out = golden
     lines = (out / "SHA256SUMS").read_text().splitlines()
+    assert [line.split()[1] for line in lines[:3]] == ["python", "numpy", "blas"]
+    lines = lines[3:]
     paths = [line.split("  ", 1)[1] for line in lines]
     expected = ["exceptional-point.ini", "g2-noise.ini", "noise.ini", "rabi100.ini",
                 "linewidth-sweep.json"] + [f"p{p}-noise.ini" for p in SWEEP_POWERS] + [

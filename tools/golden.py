@@ -27,11 +27,14 @@ baseline) set of criterion 9 (its 11.5% dip).  Their free Jacobian
 columns do not lead, so these fits diff the engine's column-copy path.
 At criterion 2's A = 1 the peak dip (0.7%) sits at the shot-noise level:
 those fits take 12 to 29 iterations, so they also diff the damping path.
-The tool then writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per
-file under OUT, sorted by path.
+The tool then writes ``OUT/SHA256SUMS``: a header of ``# <name> <version>``
+lines (Python, numpy and the OpenBLAS numpy was built with, whose kernels
+set the last bits of every fit), then one ``<sha256>  <path>`` line per file
+under OUT, sorted by path.
 
-A change that must not alter behaviour runs the tool on the old and on the
-new tree and diffs the two sums files.  Paths given to the CLI are relative
+``tests/golden/SHA256SUMS`` holds the sums of the committed tree, and
+``tests/test_golden.py`` compares a fresh run with it.  A change that moves
+an output updates that file and names the moved files.  Paths given to the CLI are relative
 to OUT, so neither the printed paths nor the hashed ``[output] dir`` depend
 on where OUT is.
 """
@@ -206,6 +209,14 @@ def run_monte_carlo():
             fh.write(json.dumps(keyed, indent=2) + "\n")
 
 
+def versions():
+    """(name, version) of the interpreter and the libraries the sums depend
+    on; the BLAS as numpy's build records it (numpy >= 1.26)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return [("python", sys.version.split()[0]), ("numpy", np.__version__),
+            ("blas", f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")]
+
+
 def write_sums(out):
     lines = []
     for dirpath, _, filenames in os.walk(out):
@@ -218,7 +229,7 @@ def write_sums(out):
                 lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}\n")
     lines.sort(key=lambda line: line.split("  ", 1)[1])
     with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
-        fh.writelines(lines)
+        fh.writelines([f"# {name} {version}\n" for name, version in versions()] + lines)
 
 
 def main(argv):
