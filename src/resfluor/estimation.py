@@ -193,12 +193,15 @@ def minimize(problem: FitProblem) -> FitResult:
         internal, from one exp per bounded parameter: shared by the
         residual, the Jacobian's chain rule and the reported values."""
         p = full.copy()
-        p[free] = theta
-        scale = np.ones(nfree)
+        if leading:
+            p[:nfree] = theta
+        else:
+            p[free] = theta
+        scale = [1.0] * nfree
         for k, i, lo in bounded:
             scale[k] = e = _safe_exp(theta[k])
             p[i] = lo + e
-        return p, scale
+        return p, np.array(scale)
 
     nfev = 0
     njev = 0
@@ -248,15 +251,19 @@ def minimize(problem: FitProblem) -> FitResult:
         if grad_norm < GTOL:
             status = "converged"
             break
-        diag = np.diag(A).copy()
-        diag[diag <= 0] = 1.0
+        diag = A.diagonal()
+        diag = np.where(diag <= 0, 1.0, diag)
+        neg_g = -g
 
         accepted = False
         for _ in range(50):
             # damping on the diagonal only, so an inf there stays off it
-            damped = A if mu == 0 else A + np.diag(mu * diag)
+            damped = A
+            if mu != 0:
+                damped = A.copy()
+                damped.flat[::nfree + 1] += mu * diag
             try:
-                step = np.linalg.solve(damped, -g)
+                step = np.linalg.solve(damped, neg_g)
             except np.linalg.LinAlgError:
                 mu = max(mu * 10.0, 1e-3)
                 continue
@@ -266,7 +273,7 @@ def minimize(problem: FitProblem) -> FitResult:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 p_new, s_new = point(t_new)
                 r_new = residual(p_new)
-                c_new = float(np.sum(r_new * r_new))
+                c_new = float(np.add.reduce(r_new * r_new))  # np.sum's bits
             rel = (cost - c_new) / max(cost, 1e-300)
             if c_new <= cost and c_new < math.inf:
                 theta, p, scale, r, cost = t_new, p_new, s_new, r_new, c_new
@@ -394,12 +401,20 @@ def _median(x):
     return float((part[lo] + part[hi]) / 2.0)
 
 
+# points a trace needs to seed its line: the width of the smoothing kernel
+_LINE_SEED_POINTS = 3
+
+
 def _init_line(trace: SpectrumTrace):
     """Heuristic (center, gamma, baseline): extremum of the smoothed trace
-    locates the line, half-width at half extremum seeds gamma."""
+    locates the line, half-width at half extremum seeds gamma.  A trace of
+    fewer than _LINE_SEED_POINTS points is a ValueError."""
     g, v = trace.grid, trace.values
+    if v.size < _LINE_SEED_POINTS:
+        raise ValueError(f"trace has {v.size} points, too few to seed the line "
+                         f"(at least {_LINE_SEED_POINTS})")
     base = _median(v)
-    kernel = np.ones(max(3, v.size // 50))
+    kernel = np.ones(max(_LINE_SEED_POINTS, v.size // 50))
     kernel /= kernel.size
     sm = np.convolve(v - base, kernel, mode="same")
     i0 = int(np.argmax(np.abs(sm)))
@@ -473,10 +488,10 @@ def fit_extinction(
     # gamma/center/baseline from the grid heuristic, then (A, B, psi) from
     # the Jacobian of the unit-baseline line
     center0, gamma0, base0 = _init_line(data)
-    a0, b0, psi0 = _seed_triple(jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))[:, :3],
-                                data.values / base0 - 1.0, 1e-9)
     if data.grid[-1] - data.grid[0] < 3.0 * gamma0:
         raise ValueError("trace must cover at least three linewidths")
+    a0, b0, psi0 = _seed_triple(jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))[:, :3],
+                                data.values / base0 - 1.0, 1e-9)
     start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
     lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)

@@ -130,7 +130,10 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     # center) one least-squares solve over all traces seeds the triple.
     spans = [float(tr.values.max() - tr.values.min()) for tr in traces]
     k = int(np.argmax(spans))
-    center0, gamma0, _ = estimation._init_line(traces[k])
+    try:
+        center0, gamma0, _ = estimation._init_line(traces[k])
+    except ValueError as exc:
+        raise RankDeficientError(f"QWP-angle series: {exc}") from exc
     center0, gamma0 = estimation._refine_line(traces[k], center0, gamma0)
     a0, b0, psi0 = estimation._seed_triple(
         jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3], values - 1.0, 1e-3)

@@ -362,6 +362,23 @@ class TestAnalyze:
                      "--config", cfg, "--out", out]) == 3
         assert not os.path.exists(os.path.join(out, "separate.json"))
 
+    def test_separate_one_row_traces_is_exit_2(self, tmp_path, capfd):
+        # used to end in "Mean of empty slice", LAPACK's DLASCL complaint
+        # and exit 3
+        series = []
+        for i, theta in enumerate((0, 36, 72, 108, 144)):
+            (tmp_path / f"t{i}.csv").write_text(f"frequency_MHz,value\n0.0,0.9{i}\n")
+            series.append({"theta_deg": theta, "file": f"t{i}.csv"})
+        manifest = tmp_path / "series.json"
+        manifest.write_text(json.dumps({"series": series}))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "separate", str(manifest), "--out", out]) == 2
+        err = capfd.readouterr().err
+        assert ("input cannot determine the fit: QWP-angle series: trace has 1 points, "
+                "too few to seed the line") in err
+        assert "DLASCL" not in err
+        assert not os.path.exists(out)
+
     def test_separate_series_of_mixed_units_is_exit_2(self, tmp_path, capsys):
         # traces in different units cannot share one model: an input error
         out = str(tmp_path / "out")

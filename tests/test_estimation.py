@@ -462,6 +462,21 @@ class TestExtinctionFit:
         with pytest.raises(ValueError, match="fewer than the 4 free"):
             fit_extinction(tr, fixed=("A", "psi"), init={"A": 0.0, "psi": 0.0})
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_trace_too_short_to_seed_the_line_rejected(self, n):
+        # enough points for one free parameter, too few for the seed's
+        # smoothing: rejected before it takes the mean of an empty slice
+        tr = SpectrumTrace(np.arange(float(n)), np.full(n, 0.9))
+        fixed = ("A", "B", "psi", "center", "baseline")
+        with pytest.raises(ValueError, match=f"{n} points, too few to seed the line"):
+            fit_extinction(tr, fixed=fixed)
+
+    def test_coverage_checked_before_the_seed_solve(self, monkeypatch):
+        tr = self._trace(0.0, 5.0, math.pi / 2.0, grid=np.linspace(-8, 8, 33))
+        monkeypatch.setattr(estimation, "_seed_triple", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="three linewidths"):
+            fit_extinction(tr)
+
     @pytest.mark.parametrize("psi", [0.4, 2.0, -2.5, -0.7])   # one per quadrant
     def test_jacobian_matches_central_differences(self, psi):
         tr = self._trace(2.0, 5.0, psi)

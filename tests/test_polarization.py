@@ -185,6 +185,14 @@ class TestSeparation:
         with pytest.raises(RankDeficientError):
             separate_components(degenerate, GEO)
 
+    def test_one_point_traces_are_rank_deficient(self):
+        # the seed's smoothing needs three points: rejected before its mean
+        series = [(th, SpectrumTrace(np.array([0.0]), np.array([0.9 + 0.01 * i]),
+                                     value_kind="transmission"))
+                  for i, th in enumerate(self.ANGLES)]
+        with pytest.raises(RankDeficientError, match="1 points, too few to seed the line"):
+            separate_components(series, GEO)
+
     def test_round_trip_mixed_grids_leaky_polarizer(self):
         # traces of different lengths and spans, seen through a polarizer
         # with coherent leakage: each trace must get its own angle's factors

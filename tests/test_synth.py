@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from resfluor import synth
 from resfluor.correlation import G2Trace, g2_trace
 from resfluor.measurement import DetectorParams, simulate_counts
 from resfluor.physics import DriveParams, MoleculeParams
@@ -100,3 +101,79 @@ class TestNoisyG2:
         for bad in (1.9, True):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=50.0), 1e4, bad)
+
+
+class TestNoiselessMemo:
+    """Repeated draws reuse the noiseless model; each draw stays the bits of
+    a draw from an empty memo."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        synth._memo.clear()
+        yield
+        synth._memo.clear()
+
+    @staticmethod
+    def _cold(draw):
+        synth._memo.clear()
+        return draw()
+
+    def test_same_draw_twice_is_byte_identical_and_evaluates_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(synth, "extinction_spectrum",
+                            lambda *a: calls.append(a) or extinction_spectrum(*a))
+        first = noisy_extinction_trace(MODEL, GRID, 127550.0, DET, 3)
+        second = noisy_extinction_trace(MODEL, GRID, 127550.0, DET, 3)
+        assert len(calls) == 1
+        assert second.to_csv() == first.to_csv() and second.to_json() == first.to_json()
+        assert second.grid is GRID
+        g2_draw = lambda: noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=50.0), 1e4, 3)  # noqa: E731
+        hit = (g2_draw(), g2_draw())
+        assert hit[0].to_csv() == hit[1].to_csv() == self._cold(g2_draw).to_csv()
+
+    def test_caller_arrays_mutated_after_a_draw_change_no_later_draw(self):
+        grid, delays = GRID.copy(), DELAYS.copy()
+        drive = DriveParams(rabi=50.0)
+        first = noisy_extinction_trace(MODEL, grid, 127550.0, DET, 4).to_csv()
+        g2_first = noisy_g2_trace(delays, MOL, drive, 1e4, 4).to_csv()
+        grid *= 2.0
+        delays[1:] += 1.0
+        again = noisy_extinction_trace(MODEL, GRID.copy(), 127550.0, DET, 4)
+        assert again.to_csv() == first
+        assert noisy_g2_trace(DELAYS.copy(), MOL, drive, 1e4, 4).to_csv() == g2_first
+        # the mutated arrays are other keys: their draws are cold draws
+        moved = noisy_extinction_trace(MODEL, grid, 127550.0, DET, 4)
+        assert moved.grid is grid
+        assert moved.to_csv() == self._cold(
+            lambda: noisy_extinction_trace(MODEL, grid.copy(), 127550.0, DET, 4)).to_csv()
+        for values in synth._memo.values():
+            assert not values.flags.writeable
+
+    def test_signed_zero_psi_keeps_its_own_meta(self):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            synth._memo.clear()
+            traces = [noisy_extinction_trace(
+                ExtinctionModel(A=0.05, B=0.1, psi=psi, mol=MOL, drive=DriveParams(rabi=5.0)),
+                GRID, 127550.0, DET, 6) for psi in (first, second)]
+            assert len(synth._memo) == 1   # equal models: the second draw hits
+            for psi, tr in zip((first, second), traces):
+                assert math.copysign(1.0, tr.meta["psi"]) == math.copysign(1.0, psi)
+                assert f'"psi": {psi!r}' in tr.to_csv()
+
+    def test_drives_differing_only_in_rabi_draw_differently(self):
+        a = noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=50.0), 1e4, 8)
+        b = noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=60.0), 1e4, 8)
+        assert not np.array_equal(a.values, b.values)
+        assert (a.meta["rabi"], b.meta["rabi"]) == (50.0, 60.0)
+        assert b.to_csv() == self._cold(
+            lambda: noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=60.0), 1e4, 8)).to_csv()
+
+    def test_memo_stays_within_its_bound(self):
+        models = [ExtinctionModel(A=0.05, B=0.1, psi=0.1 * k, mol=MOL, drive=DriveParams(rabi=5.0))
+                  for k in range(synth.MEMO_SIZE + 3)]
+        draws = [noisy_extinction_trace(m, GRID, 127550.0, DET, 9).to_csv() for m in models]
+        assert len(synth._memo) == synth.MEMO_SIZE
+        # the oldest models were dropped and come back as cold draws
+        again = [noisy_extinction_trace(m, GRID, 127550.0, DET, 9).to_csv() for m in models]
+        assert again == draws
+        assert len(synth._memo) == synth.MEMO_SIZE
