@@ -3,11 +3,12 @@ the CLI simulate/reproduce commands and by Monte Carlo studies.
 
 A Monte Carlo study draws many seeds from one noiseless model, so the draws
 share a small memo of noiseless values: at most MEMO_SIZE entries, keyed by
-the frozen model parameters and the bytes of the float grid, each a private
-read-only copy.  Keys that compare equal evaluate to the same values (psi =
--0.0 and 0.0 differ only in the sign of a zero that a 1 absorbs), so a draw
-is the same bits whether its model was remembered or evaluated.  The grid array and the meta
-of every trace come from its own call.
+the frozen model parameters and the shape and bytes of the float grid, each
+a private read-only copy.  Keys that compare equal evaluate to the same
+values (psi = -0.0 and 0.0 differ only in the sign of a zero that a 1
+absorbs), so a draw is the same bits whether its model was remembered or
+evaluated.  The grid array and the meta of every trace come from its own
+call.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ MEMO_SIZE = 8
 _memo: dict = {}
 
 
-def _remember(key, values):
-    """Keep a read-only copy of values under key, dropping the oldest entry
-    when the memo is full."""
-    if len(_memo) >= MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    kept = np.array(values, dtype=float)
-    kept.flags.writeable = False
-    _memo[key] = kept
+def _noiseless(key, evaluate):
+    """The values under key; on a miss, a read-only copy of evaluate()'s,
+    kept in place of the oldest entry when the memo is full."""
+    values = _memo.get(key)
+    if values is None:
+        values = np.array(evaluate(), dtype=float)
+        values.flags.writeable = False
+        if len(_memo) >= MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[key] = values
+    return values
 
 
 def noisy_extinction_trace(
@@ -49,16 +53,10 @@ def noisy_extinction_trace(
     if not (math.isfinite(incident_rate) and incident_rate > 0):
         raise ValueError(f"incident_rate must be positive and finite, got {incident_rate}")
     grid = np.asarray(grid, dtype=float)
-    key = (model, grid.tobytes())
-    values = _memo.get(key)
-    if values is None:
-        clean = extinction_spectrum(model, grid)
-        _remember(key, clean.values)
-        rate = clean._on_grid(clean.values * incident_rate, "counts_per_s", clean.meta)
-    else:
-        # the public constructor checks this call's grid
-        rate = SpectrumTrace(grid, values * incident_rate, value_kind="counts_per_s",
-                             meta={"generator": "extinction_spectrum"})
+    values = _noiseless((model, grid.shape, grid.tobytes()),
+                        lambda: extinction_spectrum(model, grid).values)
+    rate = SpectrumTrace(grid, values * incident_rate, value_kind="counts_per_s",
+                         meta={"generator": "extinction_spectrum"})
     counts = simulate_counts(rate, det, seed)
     t = det.integration_time
     norm = (counts.values - det.dark_rate * t) / (incident_rate * det.quantum_efficiency * t)
@@ -88,13 +86,10 @@ def noisy_g2_trace(
     from .correlation import G2Trace, g2
 
     delays = np.asarray(delays_ns, dtype=float)
-    key = (mol, drive, delays.tobytes())
-    values = _memo.get(key)
-    clean = np.clip(g2(delays, mol, drive), 0.0, None) if values is None else values
-    rate = SpectrumTrace(delays, clean * plateau_coincidences, freq_kind="delay_ns",
+    values = _noiseless((mol, drive, delays.shape, delays.tobytes()),
+                        lambda: np.clip(g2(delays, mol, drive), 0.0, None))
+    rate = SpectrumTrace(delays, values * plateau_coincidences, freq_kind="delay_ns",
                          value_kind="counts_per_s")
-    if values is None:
-        _remember(key, clean)
     det = DetectorParams(dark_rate=0.0, integration_time=1.0)
     counts = simulate_counts(rate, det, seed)
     tail = max(3, int(0.2 * counts.values.size))

@@ -149,6 +149,16 @@ class TestNoiselessMemo:
         for values in synth._memo.values():
             assert not values.flags.writeable
 
+    def test_a_rejected_grid_of_the_same_bytes_is_another_key(self):
+        drive = DriveParams(rabi=50.0)
+        for draw in (lambda d: noisy_g2_trace(d, MOL, drive, 1e4, 5),
+                     lambda d: noisy_extinction_trace(MODEL, d, 127550.0, DET, 5)):
+            with pytest.raises(ValueError, match="1-D"):
+                draw(np.linspace(0.0, 400.0, 400).reshape(2, 200))
+            flat = draw(np.linspace(0.0, 400.0, 400))
+            assert flat.to_csv() == self._cold(
+                lambda: draw(np.linspace(0.0, 400.0, 400))).to_csv()
+
     def test_signed_zero_psi_keeps_its_own_meta(self):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
             synth._memo.clear()

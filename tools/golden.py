@@ -28,15 +28,15 @@ columns do not lead, so these fits diff the engine's column-copy path.
 At criterion 2's A = 1 the peak dip (0.7%) sits at the shot-noise level:
 those fits take 12 to 29 iterations, so they also diff the damping path.
 The tool then writes ``OUT/SHA256SUMS``: a header of ``# <name> <version>``
-lines (Python, numpy and the OpenBLAS numpy was built with, whose kernels
-set the last bits of every fit), then one ``<sha256>  <path>`` line per file
+lines (Python, numpy and the BLAS numpy was built with, whose kernels set
+the last bits of every fit), then one ``<sha256>  <path>`` line per file
 under OUT, sorted by path.
 
 ``tests/golden/SHA256SUMS`` holds the sums of the committed tree, and
 ``tests/test_golden.py`` compares a fresh run with it.  A change that moves
-an output updates that file and names the moved files.  Paths given to the CLI are relative
-to OUT, so neither the printed paths nor the hashed ``[output] dir`` depend
-on where OUT is.
+an output updates that file and names the moved files.  Paths given to the
+CLI are relative to OUT, so neither the printed paths nor the hashed
+``[output] dir`` depend on where OUT is.
 """
 
 import contextlib
