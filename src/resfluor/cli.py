@@ -238,6 +238,10 @@ def _sim_g2(cfg: RunConfig, s: float):
     mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
     delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
     if sim["noise"]:
+        if sim["tau_points"] < 2:
+            raise ConfigError(f"[simulate] tau_points must be >= 2 to draw a noisy g2 trace, "
+                              f"got {sim['tau_points']}: the one delay, 0, has g2 = 0 and "
+                              f"no plateau to normalize by")
         from .synth import noisy_g2_trace
 
         trace = noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)

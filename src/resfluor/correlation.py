@@ -57,7 +57,7 @@ _SERIES_POW = np.arange(5)
 _SERIES_DS = np.array([-(k + 1) / math.factorial(2 * k + 3) for k in range(5)])
 
 
-def _g2_shape(tau, a_rate, mu_sq, partials=False):
+def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
     """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us); with
     partials, the pair (shape, d shape/dmu^2) for 1-D tau.
 
@@ -66,11 +66,16 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False):
     sinh(nu tau)/nu, and at mu^2 = 0 they are 1 and tau.  dS/dmu^2 =
     (tau C - S)/(2 mu^2) cancels as mu^2 tau^2 -> 0; there it comes from
     its Taylor series.
+
+    decay, if given, is e^{-a tau} at the same tau, and tau_min is at most
+    the smallest positive tau: a series cut at or below it takes no delay.
+    Neither moves a bit of the result.
     """
     if mu_sq > 0.0:
         mu = math.sqrt(mu_sq)
-        e = np.exp(-a_rate * tau)
-        c, s = np.cos(mu * tau), np.sin(mu * tau)
+        e = np.exp(-a_rate * tau) if decay is None else decay
+        mu_tau = mu * tau
+        c, s = np.cos(mu_tau), np.sin(mu_tau)
         damped = e * (c + (a_rate / mu) * s)
         ec, es = e * c, e * s / mu
     else:
@@ -85,29 +90,62 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False):
         damped = ec + a_rate * es
     if not partials:
         return 1.0 - damped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eds = (tau * ec - es) / (2.0 * mu_sq)
     # the series below |mu^2| tau^2 = _SERIES_X; tau = 0 is exact as it
-    # stands, except at mu^2 = 0
-    small = tau < (math.sqrt(_SERIES_X / abs(mu_sq)) if mu_sq else math.inf)
+    # stands, except at mu^2 = 0, where the closed form is 0/0 or x/0 and
+    # the series takes every delay
     if mu_sq:
-        small &= tau > 0.0
-    if small.any():
+        eds = (tau * ec - es) / (2.0 * mu_sq)
+        cut = math.sqrt(_SERIES_X / abs(mu_sq))
+        small = None if cut <= tau_min else (tau < cut) & (tau > 0.0)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eds = (tau * ec - es) / (2.0 * mu_sq)
+        small = tau < math.inf
+    if small is not None and small.any():
         t = tau[small]
         t2 = t * t
-        eds[small] = np.exp(-a_rate * t) * t * t2 * (
-            np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
+        e = np.exp(-a_rate * t) if decay is None else decay[small]
+        eds[small] = e * t * t2 * (np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
     return 1.0 - damped, 0.5 * tau * es - a_rate * eds
+
+
+def _g2_damping(gamma0: float, gamma: float):
+    """Damping rate a of g2 and the part ((Gamma_2 - Gamma_1)/2)^2 of mu^2
+    that does not depend on the drive (angular, per us), for population
+    decay gamma0 and linewidth gamma (cyclic MHz)."""
+    g1 = cyclic_to_angular(gamma0)
+    g2r = math.pi * gamma
+    return 0.5 * (g1 + g2r), (0.5 * (g2r - g1)) ** 2
 
 
 def _g2_rates(gamma0: float, gamma: float, rabi: float):
     """Damping rate a and squared oscillation frequency mu^2 (angular, per
     us) of g2 for population decay gamma0, linewidth gamma and Rabi
     frequency rabi (cyclic MHz)."""
-    g1 = cyclic_to_angular(gamma0)
-    g2r = math.pi * gamma
+    a_rate, off_sq = _g2_damping(gamma0, gamma)
     w = cyclic_to_angular(rabi)
-    return 0.5 * (g1 + g2r), w * w - (0.5 * (g2r - g1)) ** 2
+    return a_rate, w * w - off_sq
+
+
+def _g2_fit_terms(tau, gamma0: float, gamma: float):
+    """terms(rabi) = _g2_shape(tau, *_g2_rates(gamma0, gamma, rabi),
+    partials=True), bit for bit, for the many rabi of one fit: a, the
+    drive-free part of mu^2 and the smallest positive tau are computed
+    once, e^{-a tau} once at the first oscillating rabi."""
+    a_rate, off_sq = _g2_damping(gamma0, gamma)
+    positive = tau[tau > 0.0]
+    tau_min = float(positive.min()) if positive.size else math.inf
+    decay = None
+
+    def terms(rabi):
+        nonlocal decay
+        w = cyclic_to_angular(rabi)
+        mu_sq = w * w - off_sq
+        if decay is None and mu_sq > 0.0:
+            decay = np.exp(-a_rate * tau)
+        return _g2_shape(tau, a_rate, mu_sq, partials=True, decay=decay, tau_min=tau_min)
+
+    return terms
 
 
 def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
@@ -189,7 +227,8 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     # decay, and the integral seed does otherwise.
     order = np.argsort(delays, kind="stable")
     v = trace.values[order]
-    plateau = float(np.mean(v[-max(3, v.size // 5):]))
+    tail = v[-max(3, v.size // 5):]
+    plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
     i_max = int(np.argmax(v))
     t_first = math.inf
     if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
@@ -207,12 +246,10 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     ]
 
     tau = delays * 1e-3
-    ones = np.ones(tau.size)
-    zeros = np.zeros(tau.size)
-    # the shape and its derivative in mu^2: one exp/cos/sin pass per point,
-    # shared by the residual and the Jacobian
-    terms = estimation._cache_last(
-        lambda p: _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, p[0]), partials=True))
+    # the shape and its derivative in mu^2, shared by the residual and the
+    # Jacobian; what does not depend on rabi is computed once per fit
+    model = _g2_fit_terms(tau, mol.gamma0, mol.gamma)
+    terms = estimation._cache_last(lambda p: model(p[0]))
 
     def residual(p):
         _, amp, bg, _ = p
@@ -222,12 +259,12 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         rabi, amp = p[0], p[1]
         shape, d_mu_sq = terms(p)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
-        return np.array([
-            d_mu_sq * (amp * dmu_drabi),    # rabi
-            shape,                          # amplitude
-            ones,                           # background
-            zeros,                          # gamma0: the residual does not read it
-        ]).T
+        jac = np.empty((tau.size, 4), order="F")   # minimize's layout: no copy
+        jac[:, 0] = d_mu_sq * (amp * dmu_drabi)     # rabi
+        jac[:, 1] = shape                           # amplitude
+        jac[:, 2] = 1.0                             # background
+        jac[:, 3] = 0.0                             # gamma0: the residual does not read it
+        return jac
 
     res = minimize(FitProblem(residual, pars, jacobian=jacobian))
     if res.status == "max_iter":

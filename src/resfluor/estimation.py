@@ -251,8 +251,7 @@ def minimize(problem: FitProblem) -> FitResult:
         if grad_norm < GTOL:
             status = "converged"
             break
-        diag = A.diagonal()
-        diag = np.where(diag <= 0, 1.0, diag)
+        diag = None  # the damping scale: built at the first damped step
         neg_g = -g
 
         accepted = False
@@ -260,6 +259,9 @@ def minimize(problem: FitProblem) -> FitResult:
             # damping on the diagonal only, so an inf there stays off it
             damped = A
             if mu != 0:
+                if diag is None:
+                    diag = A.diagonal()
+                    diag = np.where(diag <= 0, 1.0, diag)
                 damped = A.copy()
                 damped.flat[::nfree + 1] += mu * diag
             try:

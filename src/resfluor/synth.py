@@ -14,12 +14,16 @@ call.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .measurement import DetectorParams, RNG_NAME, simulate_counts
 from .physics import DriveParams, MoleculeParams
 from .spectra import ExtinctionModel, SpectrumTrace, extinction_spectrum
+
+if TYPE_CHECKING:  # correlation loads the fit engine, which no extinction draw needs
+    from .correlation import G2Trace
 
 # entries of the noiseless memo: a QWP-angle series draws from five models,
 # and the golden Monte Carlo run interleaves seven
@@ -92,8 +96,8 @@ def noisy_g2_trace(
                          value_kind="counts_per_s")
     det = DetectorParams(dark_rate=0.0, integration_time=1.0)
     counts = simulate_counts(rate, det, seed)
-    tail = max(3, int(0.2 * counts.values.size))
-    plateau = float(np.mean(counts.values[-tail:]))
+    tail = counts.values[-max(3, int(0.2 * counts.values.size)):]
+    plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
     if plateau <= 0:
         raise ValueError("plateau region has no coincidences; trace unusable")
     return G2Trace(

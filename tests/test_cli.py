@@ -191,6 +191,16 @@ class TestSimulate:
         assert "[drive] incident_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points, code", [(1, 2), (2, 0)])
+    def test_noisy_g2_needs_two_delays(self, tmp_path, capsys, points, code):
+        # one delay is tau = 0, where g2 = 0: no seed draws a plateau, and
+        # this used to exit 3 after drawing
+        cfg = _ini(tmp_path, f"[simulate]\nnoise = true\ntau_points = {points}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "g2", "--config", cfg, "--out", str(out)]) == code
+        assert ("[simulate] tau_points" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("command,stem", [
         ("extinction", "extinction"), ("g2", "g2"), ("counts", "counts"),
         ("mollow", None), ("saturation-sweep", None)])

@@ -20,6 +20,8 @@ from resfluor.synth import noisy_g2_trace
 
 MOL = MoleculeParams(gamma0=16.4, gamma=17.0, lambda21=590.0)
 LIFETIME_LIMITED = MoleculeParams(gamma0=16.4, gamma=16.4, lambda21=590.0)
+# gamma = 2 gamma0: the drive-free part of mu^2 is exactly 0
+MU_SQ_ZERO = MoleculeParams(gamma0=16.4, gamma=2.0 * 16.4, lambda21=590.0)
 
 
 class TestClosedForm:
@@ -80,6 +82,43 @@ class TestClosedForm:
         assert np.array_equal(shape, _g2_shape(tau, a, ratio * a * a))
         ref_mu_sq = g2_shape_partials_mp(tau, a, ratio * a * a)
         assert np.max(np.abs(d_mu_sq - ref_mu_sq)) <= 1e-12 * np.max(np.abs(ref_mu_sq))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward-order", "reverse-order"])
+    @pytest.mark.parametrize("delays", [np.linspace(0.0, 400.0, 801),
+                                        np.linspace(-400.0, 400.0, 1601)],
+                             ids=["forward", "mirrored"])
+    def test_fit_terms_match_g2_shape_bit_for_bit(self, delays, reverse):
+        # one fit's terms, called as LM calls them, against _g2_shape at each
+        # rabi.  mu^2 > 0 with the Taylor series at every positive delay
+        # (mu^2 = 1e-6 a^2: the cut is ~1.3 us), at the first one only (the
+        # cut at 1.5 steps) and at none (criterion 6: the cut, 0.32 ns, is
+        # below the 0.5-ns step); mu^2 < 0; mu^2 = 0 (gamma = 2 gamma0, no
+        # drive).  In reverse order e^{-a tau} is computed after the
+        # overdamped points.
+        tau = np.abs(delays) * 1e-3
+        step = 0.5e-3
+        every = np.count_nonzero(tau > 0.0)
+        first = np.count_nonzero(tau == step)
+        for mol, regimes in (
+                (MOL, {"every": "1e-6", "first": "1.5 steps", "none": 50.0, "overdamped": 2.0}),
+                (MU_SQ_ZERO, {"zero": 0.0, "every": "1e-6", "none": 50.0})):
+            a, off_sq = correlation._g2_damping(mol.gamma0, mol.gamma)
+            target = {"1e-6": 1e-6 * a * a, "1.5 steps": correlation._SERIES_X / (1.5 * step) ** 2}
+            rabis = {name: math.sqrt(off_sq + target[r]) / (2.0 * math.pi) if r in target else r
+                     for name, r in regimes.items()}
+            terms = correlation._g2_fit_terms(tau, mol.gamma0, mol.gamma)
+            for name in (reversed(rabis) if reverse else rabis):
+                _, mu_sq = _g2_rates(mol.gamma0, mol.gamma, rabis[name])
+                cut = math.sqrt(correlation._SERIES_X / abs(mu_sq)) if mu_sq else math.inf
+                in_series = np.count_nonzero((tau > 0.0) & (tau < cut))
+                assert {"every": mu_sq > 0 and in_series == every,
+                        "first": mu_sq > 0 and in_series == first,
+                        "none": mu_sq > 0 and in_series == 0,
+                        "overdamped": mu_sq < 0, "zero": mu_sq == 0}[name], name
+                got = terms(rabis[name])
+                want = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, rabis[name]),
+                                 partials=True)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], name
 
 
 class TestTraceIO:

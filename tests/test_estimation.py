@@ -365,6 +365,23 @@ class TestMinimize:
         assert res.params["a"] == 2e-200
         assert res.params["b"] == pytest.approx(-x.sum() / (x * x).sum(), rel=1e-12)
 
+    def test_zero_diagonal_entry_is_damped_by_one(self):
+        # the residual does not read b: its Jacobian column is zero, J^T J
+        # is singular and every undamped solve raises LinAlgError.  Damping
+        # b's zero diagonal entry by mu * 1.0 keeps the damped solve
+        # regular, so a steps to its minimizer and b stays put
+        x = np.linspace(0.0, 1.0, 20)
+        y = np.exp(0.7 * x) + 0.01 * np.sin(9.0 * x)
+
+        def jacobian(p):
+            return np.column_stack([x * np.exp(p[0] * x), np.zeros_like(x)])
+
+        res = minimize(FitProblem(lambda p: np.exp(p[0] * x) - y,
+                                  [Parameter("a", 0.0), Parameter("b", 0.5)], jacobian=jacobian))
+        assert (res.status, res.iterations, res.nfev) == ("converged", 6, 6)
+        assert res.params == {"a": 0.702124332901918, "b": 0.5}
+        assert res.cond == math.inf
+
     def test_table_lists_parameters_and_status(self):
         x = np.linspace(0, 1, 20)
         res = minimize(FitProblem(lambda p: p[0] + p[1] * x - (2.0 - 3.0 * x),

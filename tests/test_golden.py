@@ -124,3 +124,35 @@ def test_golden_tool_writes_sorted_sums_of_every_output(golden):
     assert max(f["iterations"] for f in separations) <= 3
     g2_fits = json.loads((out / "mc-fits/g2_fit.json").read_text())
     assert max(f["iterations"] for f in g2_fits) <= 4
+
+
+def test_compare_prints_the_largest_relative_change_of_each_moved_file(tmp_path):
+    same = "delay_ns,g2\n0,0\n0.5,1e-05\n"
+    trees = {
+        "old": {"same/g2.csv": same, "SHA256SUMS": "# python 3\n", "fit/only-old.txt": "1\n",
+                "fit/g2_fit.json": '{"rabi": 50.0, "cost": 2.0, "cond": Infinity}\n',
+                "fit/stdout.txt": "fig2: S=1.5\nexit 0\n"},
+        "new": {"same/g2.csv": same, "fit/only-new.txt": "2\n",
+                "fit/g2_fit.json": '{"rabi": 50.00000001, "cost": 1.5, "cond": Infinity}\n',
+                "fit/stdout.txt": "fig2: S=1.5, A=2\nexit 0\n"},
+    }
+    for name, files in trees.items():
+        for rel, text in files.items():
+            (tmp_path / name / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / rel).write_text(text)
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    proc = subprocess.run([sys.executable, TOOL, "--compare", old, new],
+                          capture_output=True, text=True, timeout=60)
+    # cost moves by 0.5 / 2.0 and rabi by 2e-10; the stdout gains a number;
+    # SHA256SUMS is not compared
+    assert proc.stdout.splitlines() == [
+        "fit/g2_fit.json: largest relative change 0.25 over 3 numbers",
+        "fit/stdout.txt: 2 numbers, now 3",
+        "fit/only-old.txt: gone",
+        "fit/only-new.txt: new",
+        "moved: 2 of 3 files",
+    ]
+    assert proc.returncode == 1
+    proc = subprocess.run([sys.executable, TOOL, "--compare", old, old],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "moved: 0 of 4 files\n")

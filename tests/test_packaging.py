@@ -1,10 +1,11 @@
 """The runtime dependencies that pyproject.toml declares are the ones the
 package imports; importing the package loads nothing else; each public
-name of the package has a caller outside its own tests; and each option
-of the public API (a defaulted parameter or dataclass field) is passed by
-one."""
+name of the package has a caller outside its own tests; each option of
+the public API (a defaulted parameter or dataclass field) is passed by
+one; and every name an annotation reads is bound in its module."""
 
 import ast
+import builtins
 import math
 import os
 import re
@@ -99,6 +100,52 @@ def test_command_loads_only_its_layers(tmp_path, argv, extra):
     assert main(["simulate", "extinction", "--out", str(tmp_path / "sim")]) == 0
     argv = [a.format(sim=tmp_path / "sim") for a in argv] + ["--out", str(tmp_path / "out")]
     assert _loaded_modules(argv) == (0, BASE_MODULES | extra)
+
+
+def _module_bindings(tree):
+    """Names bound at module level: imports (those under an `if
+    TYPE_CHECKING:` too), definitions and assignments."""
+    names = set()
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.If) else [node]
+        for stmt in body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _annotation_names(tree):
+    """Names read by the tree's annotations, string ones included."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations += [a.annotation for a in [*args.posonlyargs, *args.args,
+                                                   *args.kwonlyargs, args.vararg, args.kwarg]
+                            if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.parse(node.value, mode="eval")
+            names.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("fname", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_annotations_read_bound_names(fname):
+    # typing.get_type_hints and static checkers resolve an annotation in its
+    # module's namespace; an import inside the function does not bind there
+    tree = _parse(os.path.join(PACKAGE, fname))
+    assert _annotation_names(tree) - _module_bindings(tree) - set(dir(builtins)) == set()
 
 
 def _parse(path):

@@ -1,6 +1,7 @@
 """Golden-output run of the resfluor CLI.
 
     python3 tools/golden.py OUT
+    python3 tools/golden.py --compare OLD NEW
 
 Runs, in this process and at ``--seed 7``, every ``reproduce`` figure,
 thirteen ``simulate`` runs and the ``analyze`` fits that read their outputs.
@@ -37,6 +38,14 @@ under OUT, sorted by path.
 an output updates that file and names the moved files.  Paths given to the
 CLI are relative to OUT, so neither the printed paths nor the hashed
 ``[output] dir`` depend on where OUT is.
+
+``--compare OLD NEW`` reads two such output directories.  For each file
+whose bytes differ it prints the largest relative change of the numbers
+parsed from it (``|new - old| / max(|old|, |new|)``, number by number in
+the order they appear), or the two counts when they differ; then the files
+only one side has, and ``moved: <k> of <n> files`` (of the files both
+have).  It exits 0 when the two directories hold the same files with the
+same bytes, and 1 otherwise.
 """
 
 import contextlib
@@ -45,6 +54,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -217,24 +227,79 @@ def versions():
             ("blas", f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")]
 
 
-def write_sums(out):
-    lines = []
+def _files(out):
+    """Paths of the files under out, relative and with / separators,
+    SHA256SUMS left out."""
+    paths = set()
     for dirpath, _, filenames in os.walk(out):
         for fname in filenames:
-            path = os.path.join(dirpath, fname)
-            rel = os.path.relpath(path, out).replace(os.sep, "/")
-            if rel == "SHA256SUMS":
-                continue
-            with open(path, "rb") as fh:
-                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}\n")
-    lines.sort(key=lambda line: line.split("  ", 1)[1])
+            rel = os.path.relpath(os.path.join(dirpath, fname), out).replace(os.sep, "/")
+            if rel != "SHA256SUMS":
+                paths.add(rel)
+    return paths
+
+
+def write_sums(out):
+    lines = []
+    for rel in sorted(_files(out)):
+        with open(os.path.join(out, rel), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}\n")
     with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
         fh.writelines([f"# {name} {version}\n" for name, version in versions()] + lines)
 
 
+# a number as the outputs print it (a non-finite one as Python's repr and
+# JSON write it), not part of a word such as fig2 or a hex digest
+NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    rb"|nan|inf|NaN|Infinity)(?![\w.])")
+
+
+def _numbers(data):
+    return [float(m.replace(b"Infinity", b"inf")) for m in NUMBER.findall(data)]
+
+
+def _relative_change(old, new):
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return math.inf
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def compare(old, new):
+    """Print how the output directory new differs from old; return the
+    number of files that differ: moved, gone or new."""
+    old_files, new_files = _files(old), _files(new)
+    common = sorted(old_files & new_files)
+    moved = 0
+    for rel in common:
+        with open(os.path.join(old, rel), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(new, rel), "rb") as fh:
+            b = fh.read()
+        if a == b:
+            continue
+        moved += 1
+        x, y = _numbers(a), _numbers(b)
+        if len(x) != len(y):
+            print(f"{rel}: {len(x)} numbers, now {len(y)}")
+        else:
+            change = max(map(_relative_change, x, y), default=0.0)
+            print(f"{rel}: largest relative change {change:.3g} over {len(x)} numbers")
+    for rel in sorted(old_files - new_files):
+        print(f"{rel}: gone")
+    for rel in sorted(new_files - old_files):
+        print(f"{rel}: new")
+    print(f"moved: {moved} of {len(common)} files")
+    return moved + len(old_files ^ new_files)
+
+
 def main(argv):
-    if len(argv) != 1:
-        print("usage: python3 tools/golden.py OUT", file=sys.stderr)
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        return 1 if compare(*argv[1:]) else 0
+    if len(argv) != 1 or argv[0] == "--compare":
+        print("usage: python3 tools/golden.py OUT\n"
+              "       python3 tools/golden.py --compare OLD NEW", file=sys.stderr)
         return 2
     out = os.path.abspath(argv[0])
     os.makedirs(out, exist_ok=True)
