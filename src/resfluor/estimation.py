@@ -5,7 +5,7 @@ power-broadening sweeps, saturation curves).
 One interference line serves fit_extinction (one trace, times a baseline)
 and polarization.separate_components (a QWP-angle series): _line_terms,
 _line_jacobian and _seed_triple give its terms, its five Jacobian columns
-and its (A, B, psi) seed.
+(the first three of them are the seed's basis) and its (A, B, psi) seed.
 
 Lower bounds are enforced by a smooth log transform, so the curvature-based
 standard errors stay meaningful at the solution.
@@ -184,7 +184,7 @@ def minimize(problem: FitProblem) -> FitResult:
         raise ValueError("no free parameters")
     leading = free == list(range(nfree))
 
-    full = np.array([p.value for p in pars], dtype=float)
+    full = np.array([p.value for p in pars], dtype=float).tolist()
     # (internal index, declared index, lower bound) of each bounded free parameter
     bounded = [(k, i, pars[i].lo) for k, i in enumerate(free) if math.isfinite(pars[i].lo)]
 
@@ -192,16 +192,18 @@ def minimize(problem: FitProblem) -> FitResult:
         """The external parameter vector at theta and d external / d
         internal, from one exp per bounded parameter: shared by the
         residual, the Jacobian's chain rule and the reported values."""
+        t = theta.tolist()
         p = full.copy()
         if leading:
-            p[:nfree] = theta
+            p[:nfree] = t
         else:
-            p[free] = theta
+            for k, i in enumerate(free):
+                p[i] = t[k]
         scale = [1.0] * nfree
         for k, i, lo in bounded:
-            scale[k] = e = _safe_exp(theta[k])
+            scale[k] = e = _safe_exp(t[k])
             p[i] = lo + e
-        return p, np.array(scale)
+        return np.array(p), np.array(scale)
 
     nfev = 0
     njev = 0
@@ -245,7 +247,8 @@ def minimize(problem: FitProblem) -> FitResult:
     for it in range(1, MAX_ITER + 1):
         J = jacobian(p, scale)
         g = J.T @ r
-        grad_norm = float(np.abs(g).max())
+        gl = g.tolist()   # np.abs(g).max(), nan included
+        grad_norm = math.nan if any(map(math.isnan, gl)) else max(map(abs, gl))
         A = _normal_matrix(J)
         normals.append(A)
         if grad_norm < GTOL:
@@ -363,13 +366,37 @@ def _line_terms(grid, k_a, k_b, a, b, psi, gamma, center):
 
 def _line_jacobian(jac, scale, terms, k_a, b, gamma):
     """jac with its (a, b, psi, gamma, center) columns set to the
-    derivatives of scale (1 + lor m), scale held fixed."""
+    derivatives of scale (1 + lor m), scale held fixed.  A buffer of three
+    columns gets the (a, b, psi) ones only, the basis of _seed_triple.  Each
+    column is computed in place, with the rounding of
+        scale k_a,  -scale quad,  scale b (d Im u - gamma/2 Re u),
+        -scale (gamma/2 lor m + b/2 Im u),  scale (2 d lor m + b Re u)
+    evaluated left to right (negation and the order of two factors change
+    no bits)."""
     d, lor, ur, ui, quad, m = terms
-    jac[:, 0] = scale * k_a
-    jac[:, 1] = -scale * quad
-    jac[:, 2] = scale * b * (d * ui - gamma / 2.0 * ur)
-    jac[:, 3] = -scale * (gamma / 2.0 * lor * m + b / 2.0 * ui)
-    jac[:, 4] = scale * (2.0 * d * lor * m + b * ur)
+    half = gamma / 2.0
+    np.multiply(scale, k_a, out=jac[:, 0])
+    col = jac[:, 1]
+    np.negative(scale, out=col)
+    col *= quad
+    col = jac[:, 2]
+    np.multiply(d, ui, out=col)
+    col -= half * ur
+    np.multiply(scale * b, col, out=col)
+    if jac.shape[1] == 3:
+        return jac
+    col = jac[:, 3]
+    np.multiply(half, lor, out=col)
+    col *= m
+    col += b / 2.0 * ui
+    col *= scale
+    np.negative(col, out=col)
+    col = jac[:, 4]
+    np.multiply(d, 2.0, out=col)
+    col *= lor
+    col *= m
+    col += b * ur
+    col *= scale
     return jac
 
 
@@ -416,15 +443,15 @@ def _init_line(trace: SpectrumTrace):
         raise ValueError(f"trace has {v.size} points, too few to seed the line "
                          f"(at least {_LINE_SEED_POINTS})")
     base = _median(v)
-    kernel = np.ones(max(_LINE_SEED_POINTS, v.size // 50))
-    kernel /= kernel.size
-    sm = np.convolve(v - base, kernel, mode="same")
-    i0 = int(np.argmax(np.abs(sm)))
+    width = max(_LINE_SEED_POINTS, v.size // 50)
+    sm = np.convolve(v - base, np.full(width, 1.0 / width), mode="same")
+    mag = np.abs(sm)
+    i0 = int(np.argmax(mag))
     center = float(g[i0])
     depth = float(sm[i0])
-    half = np.abs(sm) > abs(depth) / 2.0
-    step = float(np.mean(np.diff(g)))
-    gamma = max(float(np.sum(half) * step), 2.0 * step)
+    half = np.count_nonzero(mag > abs(depth) / 2.0)
+    step = float(np.add.reduce(np.diff(g)) / (g.size - 1))   # np.mean's bits
+    gamma = max(half * step, 2.0 * step)
     baseline = base if base > 0 else 1.0
     return center, gamma, baseline
 
@@ -492,8 +519,10 @@ def fit_extinction(
     center0, gamma0, base0 = _init_line(data)
     if data.grid[-1] - data.grid[0] < 3.0 * gamma0:
         raise ValueError("trace must cover at least three linewidths")
-    a0, b0, psi0 = _seed_triple(jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))[:, :3],
-                                data.values / base0 - 1.0, 1e-9)
+    seed = terms(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))
+    basis = _line_jacobian(np.empty((data.grid.size, 3), order="F"), seed[1], seed,
+                           1.0, 1.0, gamma0)   # scale 1 * lor: lor's bits
+    a0, b0, psi0 = _seed_triple(basis, data.values / base0 - 1.0, 1e-9)
     start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
     lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)

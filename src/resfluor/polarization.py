@@ -76,13 +76,22 @@ def transform_extinction_triple(
     return a_new, float(abs(bc)), normalize_phase(float(np.angle(bc)))
 
 
-@functools.lru_cache(maxsize=1024)
-def _chain_factors(geometry: SeparationGeometry, theta_qwp: float):
-    """_jones_overlaps of the geometry's chain at theta_qwp, computed once
-    per (geometry, angle) and process.  A degenerate chain raises on every
-    call: exceptions are not cached."""
-    return _jones_overlaps(geometry.chain(theta_qwp), geometry.laser_vector(),
-                           geometry.dipole_angle)
+@functools.lru_cache(maxsize=32)
+def _series_factors(geometry: SeparationGeometry, thetas: tuple, sizes: tuple):
+    """(k_A, k_B, starts) of a QWP-angle series: k_A = |U d|^2 / |U e|^2 and
+    k_B = <U e, U d> / |U e|^2 of each angle's chain (_jones_overlaps),
+    spread over that trace's pixels, and the index of each trace's first
+    pixel in the concatenated series.  Computed once per (geometry, angles,
+    trace sizes) and process, as read-only arrays; a degenerate chain raises
+    on every call: exceptions are not cached."""
+    factors = [_jones_overlaps(geometry.chain(t), geometry.laser_vector(),
+                               geometry.dipole_angle) for t in thetas]
+    k_a = np.repeat([dd / n for dd, _, n in factors], sizes)
+    k_b = np.repeat([overlap / n for _, overlap, n in factors], sizes)
+    starts = np.cumsum((0,) + sizes[:-1])
+    for a in (k_a, k_b, starts):
+        a.flags.writeable = False
+    return k_a, k_b, starts
 
 
 def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) -> FitResult:
@@ -92,25 +101,27 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     molecule/drive state.  Every trace is modeled by the extinction spectrum
     whose per-trace (A', B', psi') derive from the shared intrinsic triple
     as in transform_extinction_triple.  Returns the fitted
-    (A0, B0, psi0, gamma, center) with standard errors.
+    (A0, B0, psi0, gamma, center) with standard errors.  An empty trace is a
+    RankDeficientError that names its angle.
     """
     if len(spectra) < 3:
         raise RankDeficientError("need >= 3 spectra at distinct QWP angles")
-    thetas = [float(t) for t, _ in spectra]
+    thetas = tuple(float(t) for t, _ in spectra)
     if len({round(t, 12) for t in thetas}) < 3:
         raise RankDeficientError("QWP angles are degenerate; need >= 3 distinct angles")
     traces = [tr for _, tr in spectra]
+    sizes = tuple(tr.grid.size for tr in traces)
+    for t, size in zip(thetas, sizes):
+        if size == 0:
+            raise RankDeficientError(f"QWP-angle series: the trace at theta_qwp = {t!r} "
+                                     "rad is empty")
     for tr in traces[1:]:
         traces[0].require_same_units(tr)
 
     # The model is linear in A0 and B0 exp(i psi0): each angle's chain enters
-    # only through k_A = |U d|^2 / |U e|^2 and k_B = <U e, U d> / |U e|^2,
-    # computed once per angle (cached across calls) and spread over that
-    # trace's pixels.
-    factors = [_chain_factors(geometry, t) for t in thetas]
-    sizes = [tr.grid.size for tr in traces]
-    k_a = np.repeat([dd / n for dd, _, n in factors], sizes)
-    k_b = np.repeat([overlap / n for _, overlap, n in factors], sizes)
+    # only through k_A and k_B, spread over that trace's pixels once per
+    # series shape (cached across calls).
+    k_a, k_b, starts = _series_factors(geometry, thetas, sizes)
     grid = np.concatenate([tr.grid for tr in traces])
     values = np.concatenate([tr.values for tr in traces])
 
@@ -125,18 +136,22 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
         jac = np.empty((grid.size, 5), order="F")  # minimize's layout: no copy
         return estimation._line_jacobian(jac, t[1], t, k_a, p[1], p[3])
 
-    # Seed gamma/center from the most structured trace: the grid heuristic,
-    # then one weighted linear solve of that trace's line.  At that (gamma,
-    # center) one least-squares solve over all traces seeds the triple.
-    spans = [float(tr.values.max() - tr.values.min()) for tr in traces]
+    # Seed gamma/center from the most structured trace (largest span: one
+    # reduceat each for the traces' maxima and minima; no trace is empty),
+    # the grid heuristic, then one weighted linear solve of that trace's
+    # line.  At that (gamma, center) one least-squares solve over all traces
+    # seeds the triple.
+    spans = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
     k = int(np.argmax(spans))
     try:
         center0, gamma0, _ = estimation._init_line(traces[k])
     except ValueError as exc:
         raise RankDeficientError(f"QWP-angle series: {exc}") from exc
     center0, gamma0 = estimation._refine_line(traces[k], center0, gamma0)
-    a0, b0, psi0 = estimation._seed_triple(
-        jacobian(np.array([0.0, 1.0, 0.0, gamma0, center0]))[:, :3], values - 1.0, 1e-3)
+    seed = terms(np.array([0.0, 1.0, 0.0, gamma0, center0]))
+    basis = estimation._line_jacobian(np.empty((grid.size, 3), order="F"), seed[1], seed,
+                                      k_a, 1.0, gamma0)
+    a0, b0, psi0 = estimation._seed_triple(basis, values - 1.0, 1e-3)
 
     pars = [
         Parameter("A0", a0, lo=0.0),

@@ -62,23 +62,31 @@ class SpectrumTrace:
         if not np.isfinite(g).all() or not np.isfinite(self.values).all():
             raise ValueError("grid and values must be finite")
 
-    def _on_grid(self, values, value_kind: str, meta: dict) -> "SpectrumTrace":
-        """A trace of values on this trace's grid and freq_kind.  The grid
-        array is shared and, checked when this trace was built, not checked
-        again; the values get __post_init__'s shape and finiteness checks."""
+    @staticmethod
+    def _on_checked_grid(grid, values, freq_kind: str, value_kind: str,
+                         meta: dict) -> "SpectrumTrace":
+        """A trace of values on grid, a float array with the shape and bytes
+        of a grid that passed __post_init__'s checks: the grid is not
+        checked again; the values get __post_init__'s shape and finiteness
+        checks."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("grid and values must be 1-D arrays")
-        if values.size != self.grid.size:
+        if values.size != grid.size:
             raise ValueError(
-                f"grid ({self.grid.size}) and values ({values.size}) length mismatch"
+                f"grid ({grid.size}) and values ({values.size}) length mismatch"
             )
         if not np.isfinite(values).all():
             raise ValueError("grid and values must be finite")
         trace = object.__new__(SpectrumTrace)
-        trace.__dict__.update(grid=self.grid, values=values, freq_kind=self.freq_kind,
+        trace.__dict__.update(grid=grid, values=values, freq_kind=freq_kind,
                               value_kind=value_kind, meta=meta)
         return trace
+
+    def _on_grid(self, values, value_kind: str, meta: dict) -> "SpectrumTrace":
+        """A trace of values on this trace's grid array (shared, not checked
+        again) and freq_kind; see _on_checked_grid."""
+        return self._on_checked_grid(self.grid, values, self.freq_kind, value_kind, meta)
 
     def require_same_units(self, other: "SpectrumTrace"):
         if (self.freq_kind, self.value_kind) != (other.freq_kind, other.value_kind):

@@ -7,8 +7,10 @@ the frozen model parameters and the shape and bytes of the float grid, each
 a private read-only copy.  Keys that compare equal evaluate to the same
 values (psi = -0.0 and 0.0 differ only in the sign of a zero that a 1
 absorbs), so a draw is the same bits whether its model was remembered or
-evaluated.  The grid array and the meta of every trace come from its own
-call.
+evaluated.  An entry is stored only once its grid has passed the trace
+checks, so a memo hit does not check the grid again; it still checks that
+the rate values are finite.  The grid array and the meta of every trace
+come from its own call.
 """
 
 from __future__ import annotations
@@ -30,18 +32,27 @@ if TYPE_CHECKING:  # correlation loads the fit engine, which no extinction draw 
 MEMO_SIZE = 8
 _memo: dict = {}
 
+_NO_PLATEAU = "plateau region has no coincidences; trace unusable"
 
-def _noiseless(key, evaluate):
-    """The values under key; on a miss, a read-only copy of evaluate()'s,
-    kept in place of the oldest entry when the memo is full."""
+
+def _rate_trace(key, grid, evaluate, scale, freq_kind, meta):
+    """The counts_per_s trace on grid of scale times the noiseless values
+    under key.  On a miss the values are a read-only copy of evaluate()'s,
+    kept in place of the oldest entry when the memo is full, but only after
+    the trace has passed every check; on a hit the grid has the shape and
+    bytes of a grid that passed them, so only the rate values are checked."""
     values = _memo.get(key)
-    if values is None:
-        values = np.array(evaluate(), dtype=float)
-        values.flags.writeable = False
-        if len(_memo) >= MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[key] = values
-    return values
+    if values is not None:
+        return SpectrumTrace._on_checked_grid(grid, values * scale, freq_kind,
+                                              "counts_per_s", meta)
+    values = np.array(evaluate(), dtype=float)
+    values.flags.writeable = False
+    rate = SpectrumTrace(grid, values * scale, freq_kind=freq_kind,
+                         value_kind="counts_per_s", meta=meta)
+    if len(_memo) >= MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[key] = values
+    return rate
 
 
 def noisy_extinction_trace(
@@ -57,10 +68,9 @@ def noisy_extinction_trace(
     if not (math.isfinite(incident_rate) and incident_rate > 0):
         raise ValueError(f"incident_rate must be positive and finite, got {incident_rate}")
     grid = np.asarray(grid, dtype=float)
-    values = _noiseless((model, grid.shape, grid.tobytes()),
-                        lambda: extinction_spectrum(model, grid).values)
-    rate = SpectrumTrace(grid, values * incident_rate, value_kind="counts_per_s",
-                         meta={"generator": "extinction_spectrum"})
+    rate = _rate_trace((model, grid.shape, grid.tobytes()), grid,
+                       lambda: extinction_spectrum(model, grid).values, incident_rate,
+                       "detuning_MHz", {"generator": "extinction_spectrum"})
     counts = simulate_counts(rate, det, seed)
     t = det.integration_time
     norm = (counts.values - det.dark_rate * t) / (incident_rate * det.quantum_efficiency * t)
@@ -86,20 +96,24 @@ def noisy_g2_trace(
 ) -> G2Trace:
     """Coincidence-noised g2: Poisson draws at plateau_coincidences per bin
     on the plateau, renormalized by the plateau mean over the last 20% of
-    the delay window."""
+    the delay window (at least 3 delays).  A plateau whose noiseless rates
+    are all zero (a one-delay trace at tau = 0, say) is a ValueError before
+    any draw."""
     from .correlation import G2Trace, g2
 
     delays = np.asarray(delays_ns, dtype=float)
-    values = _noiseless((mol, drive, delays.shape, delays.tobytes()),
-                        lambda: np.clip(g2(delays, mol, drive), 0.0, None))
-    rate = SpectrumTrace(delays, values * plateau_coincidences, freq_kind="delay_ns",
-                         value_kind="counts_per_s")
+    rate = _rate_trace((mol, drive, delays.shape, delays.tobytes()), delays,
+                       lambda: np.clip(g2(delays, mol, drive), 0.0, None),
+                       plateau_coincidences, "delay_ns", {})
+    n_tail = max(3, int(0.2 * delays.size))
+    if not rate.values[-n_tail:].any():
+        raise ValueError(_NO_PLATEAU)
     det = DetectorParams(dark_rate=0.0, integration_time=1.0)
     counts = simulate_counts(rate, det, seed)
-    tail = counts.values[-max(3, int(0.2 * counts.values.size)):]
+    tail = counts.values[-n_tail:]
     plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
     if plateau <= 0:
-        raise ValueError("plateau region has no coincidences; trace unusable")
+        raise ValueError(_NO_PLATEAU)
     return G2Trace(
         delays,
         counts.values / plateau,

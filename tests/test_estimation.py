@@ -394,6 +394,17 @@ class TestMinimize:
         assert float(lines[2].split()[2]) == 0.0
         assert lines[3].startswith(f"status: {res.status}  iterations: {res.iterations}")
 
+    def test_nan_gradient_entry_is_not_converged(self):
+        # a gradient (0, nan): its inf-norm is nan wherever the nan sits,
+        # so a zero entry beside it does not read as converged
+        def jacobian(p):
+            return np.array([[1.0, math.nan], [1.0, 0.0], [0.0, 1.0]])
+
+        res = minimize(FitProblem(lambda p: np.array([p[0] - 1.0, p[0] - 1.0, 0.0]),
+                                  [Parameter("a", 1.0), Parameter("b", 0.0)], jacobian))
+        assert math.isnan(res.grad_norm)
+        assert not res.converged
+
 
 class TestExtinctionFit:
     def _trace(self, a, b, psi, rabi=0.0, grid=None):
@@ -607,6 +618,36 @@ class TestModelCache:
         # at p2 against the residual's own differences there
         warm.residual(p1)
         _assert_jacobian_matches_central_differences(warm, p2)
+
+
+class TestLineJacobian:
+    # the terms of a three-angle series (Jones factors per pixel) and of one
+    # trace seen directly (k_A = k_B = 1), away from b = 1 and psi = 0
+    GRID = np.linspace(-140.0, 140.0, 201)
+    FACTORS = [(np.repeat([0.3, 0.9, 0.55], 67), np.repeat([0.2 + 0.4j, 0.7 - 0.1j, -0.3j], 67)),
+               (1.0, 1.0)]
+    P = (10.76, 3.48, 1.2, 17.5, 2.0)
+
+    def _fill(self, columns, k_a, k_b):
+        terms = estimation._line_terms(self.GRID, k_a, k_b, *self.P)
+        jac = np.empty((self.GRID.size, columns), order="F")
+        return estimation._line_jacobian(jac, 1.3 * terms[1], terms, k_a, self.P[1], self.P[3])
+
+    @pytest.mark.parametrize("k_a, k_b", FACTORS, ids=["series", "one-trace"])
+    def test_three_columns_are_the_first_three_of_five(self, k_a, k_b):
+        five = self._fill(5, k_a, k_b)
+        assert self._fill(3, k_a, k_b).tobytes(order="F") == five[:, :3].tobytes(order="F")
+
+    @pytest.mark.parametrize("k_a, k_b", FACTORS, ids=["series", "one-trace"])
+    def test_columns_have_the_bits_of_their_expressions(self, k_a, k_b):
+        d, lor, ur, ui, quad, m = estimation._line_terms(self.GRID, k_a, k_b, *self.P)
+        scale, b, gamma = 1.3 * lor, self.P[1], self.P[3]
+        expected = [scale * k_a, -scale * quad, scale * b * (d * ui - gamma / 2.0 * ur),
+                    -scale * (gamma / 2.0 * lor * m + b / 2.0 * ui),
+                    scale * (2.0 * d * lor * m + b * ur)]
+        jac = self._fill(5, k_a, k_b)
+        for column, value in enumerate(expected):
+            assert jac[:, column].tobytes() == value.tobytes()
 
 
 class TestRefineLine:

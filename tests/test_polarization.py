@@ -253,23 +253,56 @@ class TestSeparation:
     @pytest.mark.parametrize("geo", [GEO, SeparationGeometry(polarizer_extinction_ratio=1e-3)],
                              ids=["default", "leaky"])
     def test_cached_chain_factors_equal_direct_overlaps(self, geo):
-        for th in self.ANGLES:
-            direct = polarization._jones_overlaps(geo.chain(th), geo.laser_vector(),
-                                                  geo.dipole_angle)
-            assert polarization._chain_factors(geo, th) == direct
-            assert polarization._chain_factors(geo, th) == direct  # cache hit
-        hits = polarization._chain_factors.cache_info().hits
-        separate_components(self._series(5.0, 2.0, 1.0), geo)
-        assert polarization._chain_factors.cache_info().hits == hits + len(self.ANGLES)
+        series = self._series(5.0, 2.0, 1.0)
+        sizes = (201, 7, 40, 201, 3)
+        k_a, k_b, starts = polarization._series_factors(geo, tuple(self.ANGLES), sizes)
+        assert starts.tolist() == [0, 201, 208, 248, 449]
+        assert not (k_a.flags.writeable or k_b.flags.writeable or starts.flags.writeable)
+        for th, lo, size in zip(self.ANGLES, starts, sizes):
+            dd, overlap, n = polarization._jones_overlaps(geo.chain(th), geo.laser_vector(),
+                                                          geo.dipole_angle)
+            assert k_a[lo:lo + size].tobytes() == np.full(size, dd / n).tobytes()
+            assert k_b[lo:lo + size].tobytes() == np.full(size, overlap / n).tobytes()
+        separate_components(series, geo)
+        info = polarization._series_factors.cache_info()
+        separate_components(series, geo)
+        again = polarization._series_factors.cache_info()
+        assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
     def test_degenerate_geometry_raises_on_every_call(self):
         geo = SeparationGeometry(polarizer_angle=math.pi / 2.0)
         series = self._series(5.0, 2.0, 1.0)
         for _ in range(2):
             with pytest.raises(DegenerateConfigurationError):
-                polarization._chain_factors(geo, 0.0)
+                polarization._series_factors(geo, tuple(self.ANGLES), (201,) * 5)
             with pytest.raises(DegenerateConfigurationError):
                 separate_components(series, geo)
+
+    def test_empty_trace_is_rank_deficient_before_any_work(self, monkeypatch):
+        # reduceat would read the next trace's first value for an empty one
+        series = self._series(5.0, 2.0, 1.0)
+        series[3] = (series[3][0], SpectrumTrace(np.array([]), np.array([]),
+                                                 value_kind="transmission"))
+        monkeypatch.setattr(polarization, "_series_factors",
+                            mock.Mock(side_effect=AssertionError("factors built")))
+        with pytest.raises(RankDeficientError,
+                           match=rf"theta_qwp = {self.ANGLES[3]!r} rad is empty"):
+            separate_components(series, GEO)
+
+    def test_most_structured_trace_seeds_the_line(self, monkeypatch):
+        # mixed lengths: the reduceat spans pick the trace of largest max - min
+        grids = [np.linspace(-140.0, 140.0, n) for n in (201, 31, 95)]
+        series = [(th, extinction_spectrum(ExtinctionModel(
+            A=a, B=0.0, psi=0.0, mol=MOL, drive=DriveParams(rabi=0.0)), grid))
+            for th, a, grid in zip(self.ANGLES, (1.0, 30.0, 4.0), grids)]
+        spans = [float(tr.values.max() - tr.values.min()) for _, tr in series]
+        assert int(np.argmax(spans)) == 1
+        seen = []
+        init_line = polarization.estimation._init_line
+        monkeypatch.setattr(polarization.estimation, "_init_line",
+                            lambda tr: seen.append(tr) or init_line(tr))
+        separate_components(series, GEO)
+        assert len(seen) == 1 and seen[0] is series[1][1]
 
     # noiseless series on mixed grids, (lo, hi, pixels) per trace, seen
     # through an ideal or a leaky polarizer

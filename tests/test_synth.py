@@ -178,6 +178,56 @@ class TestNoiselessMemo:
         assert b.to_csv() == self._cold(
             lambda: noisy_g2_trace(DELAYS, MOL, DriveParams(rabi=60.0), 1e4, 8)).to_csv()
 
+    def test_rejected_grid_leaves_no_entry(self):
+        # g2 evaluates on any 1-D delays: the trace check must come first
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            noisy_g2_trace([0.0, 5.0, 3.0], MOL, DriveParams(rabi=50.0), 1e4, 1)
+        assert synth._memo == {}
+
+    def test_dark_plateau_is_rejected_before_the_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("counts drawn for a plateau without coincidences")
+
+        monkeypatch.setattr(synth, "simulate_counts", no_draw)
+        for delays, plateau in (([0.0], 1e4), (DELAYS, 0.0)):
+            for _ in range(2):   # a memo miss, then a hit
+                with pytest.raises(ValueError, match="plateau region has no coincidences"):
+                    noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), plateau, 1)
+
+    def test_a_hit_rejects_what_a_miss_rejects(self):
+        drive = DriveParams(rabi=50.0)
+        bad_draws = {
+            "unsorted delays": lambda: noisy_g2_trace([0.0, 5.0, 3.0], MOL, drive, 1e4, 1),
+            "2-D delays": lambda: noisy_g2_trace(DELAYS[:400].reshape(2, 200), MOL, drive,
+                                                 1e4, 1),
+            "nan coincidences": lambda: noisy_g2_trace(DELAYS, MOL, drive, math.nan, 1),
+            "negative coincidences": lambda: noisy_g2_trace(DELAYS, MOL, drive, -1.0, 1),
+            "float seed": lambda: noisy_g2_trace(DELAYS, MOL, drive, 1e4, 1.5),
+            "reversed grid": lambda: noisy_extinction_trace(MODEL, GRID[::-1], 127550.0,
+                                                            DET, 1),
+            "non-finite grid": lambda: noisy_extinction_trace(
+                MODEL, np.append(GRID, math.nan), 127550.0, DET, 1),
+            "zero incident rate": lambda: noisy_extinction_trace(MODEL, GRID, 0.0, DET, 1),
+            "seed out of range": lambda: noisy_extinction_trace(MODEL, GRID, 127550.0, DET, -1),
+        }
+
+        def rejection(draw):
+            with pytest.raises(ValueError) as info:
+                draw()
+            return type(info.value), str(info.value)
+
+        cold = {name: self._cold(lambda: rejection(draw)) for name, draw in bad_draws.items()}
+        synth._memo.clear()
+        # the valid draws on these models and grids: every later draw that
+        # can reach the memo is a hit
+        noisy_g2_trace(DELAYS, MOL, drive, 1e4, 0)
+        noisy_extinction_trace(MODEL, GRID, 127550.0, DET, 0)
+        entries = list(synth._memo.items())
+        assert len(entries) == 2
+        for name, draw in bad_draws.items():
+            assert rejection(draw) == cold[name], name
+        assert [(k, id(v)) for k, v in synth._memo.items()] == [(k, id(v)) for k, v in entries]
+
     def test_memo_stays_within_its_bound(self):
         models = [ExtinctionModel(A=0.05, B=0.1, psi=0.1 * k, mol=MOL, drive=DriveParams(rabi=5.0))
                   for k in range(synth.MEMO_SIZE + 3)]
