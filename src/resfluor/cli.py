@@ -51,37 +51,28 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_trace(trace, out_dir: str, stem: str, formats) -> list:
-    """Write trace as out_dir/stem.<format> for each of formats that the
-    trace type has; a ConfigError when that writes no file."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, stem + ".csv")
-        with open(path, "w") as fh:
-            fh.write(trace.to_csv())
-        written.append(path)
-    if "json" in formats and hasattr(trace, "to_json"):
-        path = os.path.join(out_dir, stem + ".json")
-        with open(path, "w") as fh:
-            fh.write(trace.to_json())
-        written.append(path)
-    if not written:
-        raise ConfigError(f"[output] formats = {', '.join(formats)} writes no file "
-                          f"for a {type(trace).__name__}")
-    return written
-
-
-def _write_json(obj: dict, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_text(text: str, out_dir: str, name: str) -> str:
+    """Write text to out_dir/name, creating out_dir; a path that cannot be
+    written is a ConfigError."""
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
+def _write_trace(trace: SpectrumTrace, out_dir: str, stem: str, formats) -> list:
+    """Write trace as out_dir/stem.<format> for each of formats."""
+    return [_write_text(trace.to_csv() if fmt == "csv" else trace.to_json(), out_dir,
+                        f"{stem}.{fmt}")
+            for fmt in ("csv", "json") if fmt in formats]
+
+
 def _read_trace(path: str, cls):
-    """Parse the CSV file at path as a cls (SpectrumTrace or G2Trace).  A
+    """Parse the CSV file at path as a cls (a SpectrumTrace class).  A
     missing, unparseable or empty trace is a ConfigError."""
     try:
         with open(path) as fh:
@@ -303,11 +294,14 @@ def _fit_spectrum(inputs, cfg: RunConfig):
 
 
 def _separate(inputs, cfg: RunConfig):
-    from .polarization import separate_components
+    from .polarization import DegenerateConfigurationError, separate_components
 
     pairs = [(math.radians(theta), trace)
              for theta, trace in _load_series(inputs[0], "theta_deg")]
-    res = separate_components(pairs, cfg.geometry)
+    try:
+        res = separate_components(pairs, cfg.geometry)
+    except DegenerateConfigurationError as exc:
+        raise ConfigError(f"[geometry] detection chain: {exc}") from exc
     return res, {}, [f"psi0 = {math.degrees(res.params['psi0']):.2f} deg"]
 
 
@@ -380,7 +374,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     if not res.converged:
         extra.setdefault("error", f"fit did not converge (status {res.status})")
         print(f"error: {extra['error']}", file=sys.stderr)
-    _write_json({**json.loads(res.to_json()), **extra}, cfg.out_dir, name)
+    _write_text(json.dumps({**json.loads(res.to_json()), **extra}, indent=2), cfg.out_dir, name)
     print(res.table())
     for line in lines:
         print(line)
@@ -420,22 +414,28 @@ def _reproduce_fig3(cfg: RunConfig):
 
 
 def _reproduce_fig4(cfg: RunConfig):
-    from .polarization import transform_extinction_triple
+    from .polarization import DegenerateConfigurationError, transform_extinction_triple
 
     mol = cfg.molecule
     geo = cfg.geometry
+    cos_dipole = abs(math.cos(geo.dipole_angle))
+    if cos_dipole < 1e-12:
+        raise ConfigError(f"[geometry] dipole_angle_deg = {math.degrees(geo.dipole_angle):g} "
+                          f"puts the dipole perpendicular to the laser: fig4 has no B0")
     drive = DriveParams(rabi=0.0, psi=math.pi / 2.0)
     # intrinsic triple sized so the projected spectra show percent-scale features
     model = _extinction_model(mol, drive, 0.08, 0.30)
     a0 = model.A / 0.5
-    b0 = model.B / math.cos(geo.dipole_angle)
+    b0 = model.B / cos_dipole
     psi0 = math.pi / 2.0
     grid = np.linspace(-150.0, 150.0, 301)
     traces, series = [], []
     for theta in cfg.qwp_angles:
-        ap, bp, pp = transform_extinction_triple(
-            geo.chain(theta), geo.laser_vector(), geo.dipole_angle, a0, b0, psi0
-        )
+        try:
+            ap, bp, pp = transform_extinction_triple(geo.chain(theta), geo.laser_vector(),
+                                                     geo.dipole_angle, a0, b0, psi0)
+        except DegenerateConfigurationError as exc:
+            raise ConfigError(f"[geometry] detection chain: {exc}") from exc
         tr = extinction_spectrum(ExtinctionModel(A=ap, B=bp, psi=pp, mol=mol, drive=drive),
                                  grid)
         tr.meta["theta_qwp_deg"] = math.degrees(theta)
@@ -523,7 +523,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
         "config_hash": _config_hash(cfg),
         **extra,
     }
-    _write_json(manifest, out, "manifest.json")
+    _write_text(json.dumps(manifest, indent=2), out, "manifest.json")
     print(f"{fig}: wrote {len(traces)} data files + manifest to {out}")
     return EXIT_OK
 

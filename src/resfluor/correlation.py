@@ -9,43 +9,32 @@ oscillation, and g2(tau) is that population normalized to its steady state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .physics import TWO_PI, DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
-from .spectra import _csv_text, _parse_csv
+from .spectra import SpectrumTrace, _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
 
 
-@dataclass
-class G2Trace:
-    """Normalized intensity correlation vs delay (ns).  Delays may be
-    negative for symmetric display."""
+class G2Trace(SpectrumTrace):
+    """Normalized intensity correlation vs delay (ns): a SpectrumTrace of
+    kinds (delay_ns, g2) whose values are >= 0 and whose CSV has its own
+    layout.  Delays may be negative for symmetric display."""
 
-    delays: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.delays = np.asarray(self.delays, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.delays.shape != self.values.shape or self.delays.ndim != 1:
-            raise ValueError("delays and values must be 1-D arrays of equal length")
-        t = self.delays
-        if t.size >= 2 and not (t[1:] > t[:-1]).all():
-            raise ValueError("delays must be strictly increasing")
-        if (self.values < 0).any() or not np.isfinite(self.values).all():
-            raise ValueError("g2 values must be finite and >= 0")
+    def __init__(self, delays, values, meta=None):
+        super().__init__(delays, values, "delay_ns", "g2", {} if meta is None else meta)
+        if (self.values < 0).any():
+            raise ValueError("g2 values must be >= 0")
 
     def to_csv(self) -> str:
-        return _csv_text({"meta": self.meta}, "delay_ns,g2", self.delays, self.values)
+        return _csv_text({"meta": self.meta}, "delay_ns,g2", self.grid, self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "G2Trace":
         fields, delays, values = _parse_csv(text)
-        return cls(delays, values, fields.get("meta", {}))
+        return cls(delays, values, fields.get("meta"))
 
 
 # |mu^2 tau^2| below which dS/dmu^2 comes from its Taylor series: entry k
@@ -190,15 +179,17 @@ def _integral_rabi_seed(tau, v, plateau, a_rate, mu_sq0, fallback):
     y = plateau - v[:n]           # e^{-a tau} q
     e = np.exp(-a_rate * t)
     dt = 0.5 * np.diff(t)
-    q = y / e
-    q1 = np.concatenate(([0.0], np.cumsum(dt * (q[1:] + q[:-1]))))
-    q2 = np.concatenate(([0.0], np.cumsum(dt * (q1[1:] + q1[:-1]))))
-    x1, x2 = (1.0 + a_rate * t) * e, q2 * e
-    s11, s12, s22 = float(x1 @ x1), float(x1 @ x2), float(x2 @ x2)
-    det = s11 * s22 - s12 * s12
-    if not det > 0.0:
-        return fallback
-    w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det - mu_sq0
+    # samples near the float limit give inf or nan: the checks fall back
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = y / e
+        q1 = np.concatenate(([0.0], np.cumsum(dt * (q[1:] + q[:-1]))))
+        q2 = np.concatenate(([0.0], np.cumsum(dt * (q1[1:] + q1[:-1]))))
+        x1, x2 = (1.0 + a_rate * t) * e, q2 * e
+        s11, s12, s22 = float(x1 @ x1), float(x1 @ x2), float(x2 @ x2)
+        det = s11 * s22 - s12 * s12
+        if not det > 0.0:
+            return fallback
+        w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det - mu_sq0
     if w_sq == 0.0 or not math.isfinite(w_sq):
         return fallback
     return math.sqrt(abs(w_sq)) / TWO_PI
@@ -213,7 +204,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     """
     a0, mu_sq0 = _g2_rates(mol.gamma0, mol.gamma, 0.0)
     decay_ns = 1e3 / a0
-    delays = np.abs(trace.delays)
+    delays = np.abs(trace.grid)
     if delays.max() < 3.0 * decay_ns:
         raise ValueError(
             f"trace too short: spans {delays.max():.3g} ns, "

@@ -235,8 +235,6 @@ def minimize(problem: FitProblem) -> FitResult:
         )
     if not np.isfinite(r).all():
         raise ValueError("initial residual is not finite")
-    with np.errstate(over="ignore"):
-        cost = float(np.sum(r * r))
 
     mu = 0.0
     status = "max_iter"
@@ -244,70 +242,74 @@ def minimize(problem: FitProblem) -> FitResult:
     grad_norm = math.nan
     normals = []  # each iteration's J^T J, for the conditioning checks
 
-    for it in range(1, MAX_ITER + 1):
-        J = jacobian(p, scale)
-        g = J.T @ r
-        gl = g.tolist()   # np.abs(g).max(), nan included
-        grad_norm = math.nan if any(map(math.isnan, gl)) else max(map(abs, gl))
-        A = _normal_matrix(J)
-        normals.append(A)
-        if grad_norm < GTOL:
-            status = "converged"
-            break
-        diag = None  # the damping scale: built at the first damped step
-        neg_g = -g
+    # past the float range (a runaway, data near the float limit) inf and nan
+    # are read as what they are: a gradient that is not finite fails the test,
+    # a trial cost that is not finite is rejected, such a normal matrix has cond inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cost = float(np.sum(r * r))
+        for it in range(1, MAX_ITER + 1):
+            J = jacobian(p, scale)
+            g = J.T @ r
+            gl = g.tolist()   # np.abs(g).max(), nan included
+            grad_norm = math.nan if any(map(math.isnan, gl)) else max(map(abs, gl))
+            A = _normal_matrix(J)
+            normals.append(A)
+            if grad_norm < GTOL:
+                status = "converged"
+                break
+            diag = None  # the damping scale: built at the first damped step
+            neg_g = -g
 
-        accepted = False
-        for _ in range(50):
-            # damping on the diagonal only, so an inf there stays off it
-            damped = A
-            if mu != 0:
-                if diag is None:
-                    diag = A.diagonal()
-                    diag = np.where(diag <= 0, 1.0, diag)
-                damped = A.copy()
-                damped.flat[::nfree + 1] += mu * diag
-            try:
-                step = np.linalg.solve(damped, neg_g)
-            except np.linalg.LinAlgError:
-                mu = max(mu * 10.0, 1e-3)
-                continue
-            t_new = theta + step
-            # a step out of the model's domain is rejected by its cost: a
-            # non-finite residual makes it nan or inf
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            accepted = False
+            for _ in range(50):
+                # damping on the diagonal only, so an inf there stays off it
+                damped = A
+                if mu != 0:
+                    if diag is None:
+                        diag = A.diagonal()
+                        diag = np.where(diag <= 0, 1.0, diag)
+                    damped = A.copy()
+                    damped.flat[::nfree + 1] += mu * diag
+                try:
+                    step = np.linalg.solve(damped, neg_g)
+                except np.linalg.LinAlgError:
+                    mu = max(mu * 10.0, 1e-3)
+                    continue
+                t_new = theta + step
+                # a step out of the model's domain is rejected by its cost: a
+                # non-finite residual makes it nan or inf
                 p_new, s_new = point(t_new)
                 r_new = residual(p_new)
                 c_new = float(np.add.reduce(r_new * r_new))  # np.sum's bits
-            rel = (cost - c_new) / max(cost, 1e-300)
-            if c_new <= cost and c_new < math.inf:
-                theta, p, scale, r, cost = t_new, p_new, s_new, r_new, c_new
-                mu *= 0.25
-                if mu < 1e-14:
-                    mu = 0.0  # undamped Gauss-Newton while steps keep working
-                accepted = True
-                if rel < XTOL:
-                    status = "converged"
+                rel = (cost - c_new) / max(cost, 1e-300)
+                if c_new <= cost and c_new < math.inf:
+                    theta, p, scale, r, cost = t_new, p_new, s_new, r_new, c_new
+                    mu *= 0.25
+                    if mu < 1e-14:
+                        mu = 0.0  # undamped Gauss-Newton while steps keep working
+                    accepted = True
+                    if rel < XTOL:
+                        status = "converged"
+                    break
+                if -rel < XTOL:
+                    status = "converged"  # a rise below XTOL: the cost's rounding floor
+                    break
+                mu = max(mu * 10.0, 1e-3)
+            if status == "converged":
                 break
-            if -rel < XTOL:
-                status = "converged"  # a rise below XTOL: the cost's rounding floor
+            if not accepted:
+                # no decreasing step exists: a local minimum, unless degenerate
+                status = "rank_deficient" if _inverse_and_cond(A)[1] > COND_MAX else "converged"
                 break
-            mu = max(mu * 10.0, 1e-3)
-        if status == "converged":
-            break
-        if not accepted:
-            # no decreasing step exists: a local minimum, unless degenerate
-            status = "rank_deficient" if _inverse_and_cond(A)[1] > COND_MAX else "converged"
-            break
 
-    if status == "max_iter" and any(_inverse_and_cond(A)[1] > COND_MAX for A in normals):
-        status = "rank_deficient"
+        if status == "max_iter" and any(_inverse_and_cond(A)[1] > COND_MAX for A in normals):
+            status = "rank_deficient"
 
-    # curvature-based errors at the solution, mapped to external coordinates
-    A = _normal_matrix(jacobian(p, scale))
-    dof = max(r.size - nfree, 1)
-    inverse, cond = _inverse_and_cond(A)
-    cov = inverse * (cost / dof) * np.outer(scale, scale)
+        # curvature-based errors at the solution, mapped to external coordinates
+        A = _normal_matrix(jacobian(p, scale))
+        dof = max(r.size - nfree, 1)
+        inverse, cond = _inverse_and_cond(A)
+        cov = inverse * (cost / dof) * np.outer(scale, scale)
 
     params = {q.name: float(p[i]) for i, q in enumerate(pars)}
     errors = {}
@@ -535,10 +537,13 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
     FWHM(P) = gamma*sqrt(1 + P/P_sat).
 
     Returns (table, result) where table is a list of (power, fwhm, fwhm_err)
-    and result carries {gamma, p_sat}.
+    and result carries {gamma, p_sat}.  A negative power is a ValueError.
     """
     if len(spectra) < 3:
         raise RankDeficientError("need spectra at >= 3 powers")
+    low = min(float(power) for power, _ in spectra)
+    if low < 0:
+        raise ValueError(f"power must be >= 0, got {low:g}")
     table = []
     for power, tr in spectra:
         try:
@@ -550,7 +555,8 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
         table.append((float(power), r.params["gamma"], r.errors["gamma"]))
     powers = np.array([t[0] for t in table])
     fwhm = np.array([t[1] for t in table])
-    if powers.max() / max(powers.min(), 1e-300) < 3.0:
+    # as Python floats: a span beyond the float range is inf, not a warning
+    if float(powers.max()) / max(float(powers.min()), 1e-300) < 3.0:
         raise RankDeficientError("power span too small to separate gamma and P_sat")
 
     pars = [

@@ -82,7 +82,7 @@ def simulate_counts(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rates = rate_trace.values
-    if np.any(rates < 0):
+    if (rates < 0).any():
         raise ValueError("count rates must be >= 0")
     means = (rates * det.quantum_efficiency + det.dark_rate) * det.integration_time
 

@@ -92,6 +92,26 @@ class TestSimulate:
         assert tr.values[0] == 0.0
         assert tr.values[-1] == pytest.approx(1.0, abs=0.05)
 
+    def test_g2_trace_json_only(self, tmp_path):
+        # a g2 trace is a SpectrumTrace: formats = json writes its JSON form
+        # (it used to be exit 2, no file written)
+        cfg = _ini(tmp_path, "[drive]\nrabi = 60.0\n[output]\nformats = json\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "g2", "--config", cfg, "--out", str(out)]) == 0
+        assert os.listdir(out) == ["g2.json"]
+        payload = json.loads((out / "g2.json").read_text())
+        assert (payload["freq_kind"], payload["value_kind"]) == ("delay_ns", "g2")
+        assert payload["values"][0] == 0.0 and len(payload["grid"]) == len(payload["values"])
+
+    @pytest.mark.parametrize("argv", [["simulate", "counts"], ["reproduce", "fig3"]])
+    def test_out_naming_a_file_is_exit_2(self, tmp_path, capsys, argv):
+        # used to end in a FileExistsError / NotADirectoryError traceback
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_text() == "a file\n"
+
     def test_counts_threads_bit_identical(self, tmp_path):
         out1, out8 = str(tmp_path / "t1"), str(tmp_path / "t8")
         args = ["simulate", "counts", "--seed", "3"]
@@ -253,7 +273,6 @@ class TestSimulate:
         ("extinction", "[output]\nformats = cvs", "[output] formats"),
         ("extinction", "[output]\nformats = csv, xml", "[output] formats"),
         ("extinction", "[output]\nformats = ,", "[output] formats"),
-        ("g2", "[output]\nformats = json", "[output] formats"),
         ("extinction", "[drive]\nincident_unit = W\nincident_rate = 1e-13",
          "unknown key [drive] incident_unit"),
         ("mollow", "[drive]\ndetuning = 5", "unknown key [drive] detuning"),
@@ -361,15 +380,16 @@ class TestAnalyze:
         with open(os.path.join(out, "separate.json")) as fh:
             assert json.load(fh)["status"] == "converged"
 
-    def test_separate_degenerate_geometry_is_exit_3(self, tmp_path):
+    def test_separate_degenerate_geometry_is_exit_2(self, tmp_path, capsys):
         # the series includes theta = 0, where a polarizer at 90 deg
-        # extinguishes the laser (DegenerateConfigurationError, a ValueError)
+        # extinguishes the laser: a configuration error (it was exit 3)
         out = str(tmp_path / "out")
         assert main(["reproduce", "fig4", "--out", out]) == 0
         cfg = _ini(tmp_path, "[geometry]\npolarizer_angle_deg = 90\n")
         assert main(["analyze", "separate",
                      os.path.join(out, "fig4", "manifest.json"),
-                     "--config", cfg, "--out", out]) == 3
+                     "--config", cfg, "--out", out]) == 2
+        assert "[geometry] detection chain: chain extinguishes" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "separate.json"))
 
     def test_separate_one_row_traces_is_exit_2(self, tmp_path, capfd):
@@ -428,6 +448,21 @@ class TestAnalyze:
         capfd.readouterr()
         assert main(["analyze", command, str(headerless), "--out", out]) == 2
         assert "CSV trace is missing its header row" in capfd.readouterr().err
+
+    def test_g2_fit_with_an_infinite_delay_is_exit_2_at_read(self, tmp_path, capsys):
+        # it used to pass the reader, warn twice in the g2 shape and exit 2
+        # only on a non-finite initial residual
+        delays = np.linspace(0.0, 400.0, 801)
+        text = G2Trace(delays, np.ones_like(delays)).to_csv()
+        bad = tmp_path / "g2.csv"
+        bad.write_text(text.replace("\n400.0,", "\ninf,"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "g2-fit", str(bad), "--out", str(out)]) == 2
+        assert f"cannot parse trace {bad}: grid and values must be finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),
@@ -602,6 +637,38 @@ class TestReproduce:
         assert main(["reproduce", "fig4", "--config", cfg, "--out", str(out)]) == 2
         assert "[geometry] qwp_angles_deg" in capsys.readouterr().err
         assert not (out / "fig4").exists()
+
+    @pytest.mark.parametrize("dipole_deg", [45, 135, 225])
+    def test_fig4_separates_back_at_any_dipole_angle(self, tmp_path, dipole_deg):
+        # B0 = B/|cos(dipole angle)|: at 135 and 225 deg it used to be
+        # negative, and fig4 exited 3
+        cfg = _ini(tmp_path, f"[geometry]\ndipole_angle_deg = {dipole_deg}\n")
+        out = str(tmp_path / "out")
+        assert main(["reproduce", "fig4", "--config", cfg, "--out", out]) == 0
+        assert main(["analyze", "separate", os.path.join(out, "fig4", "manifest.json"),
+                     "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "separate.json")) as fh:
+            params = json.load(fh)["params"]
+        assert params["A0"] == pytest.approx(11.56, rel=1e-6)
+        assert params["B0"] == pytest.approx(3.6062446, rel=1e-6)
+        assert params["psi0"] == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+    def test_fig4_perpendicular_dipole_is_exit_2(self, tmp_path, capsys):
+        # cos(90 deg) ~ 6e-17 used to give a B0 of ~1e16, with exit 0
+        cfg = _ini(tmp_path, "[geometry]\ndipole_angle_deg = 90\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig4", "--config", cfg, "--out", str(out)]) == 2
+        assert "[geometry] dipole_angle_deg = 90" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig4_degenerate_geometry_is_exit_2(self, tmp_path, capsys):
+        # the default series' theta = 0 with a polarizer at 90 deg
+        # extinguishes the laser (it was exit 3)
+        cfg = _ini(tmp_path, "[geometry]\npolarizer_angle_deg = 90\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig4", "--config", cfg, "--out", str(out)]) == 2
+        assert "[geometry] detection chain: chain extinguishes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fig4_writes_one_file_per_angle(self, tmp_path):
         cfg = _ini(tmp_path, "[geometry]\nqwp_angles_deg = 0, 0.6, 36, 72\n")

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from resfluor.correlation import (
     g2_trace,
 )
 from resfluor.physics import DriveParams, MoleculeParams, saturation_parameter
+from resfluor.spectra import SpectrumTrace
 from resfluor.synth import noisy_g2_trace
 
 MOL = MoleculeParams(gamma0=16.4, gamma=17.0, lambda21=590.0)
@@ -125,7 +128,7 @@ class TestTraceIO:
     def test_csv_round_trip_bit_exact(self):
         tr = g2_trace(np.linspace(0, 300, 301), MOL, DriveParams(rabi=50.0))
         back = G2Trace.from_csv(tr.to_csv())
-        assert np.array_equal(back.delays, tr.delays)
+        assert np.array_equal(back.grid, tr.grid)
         assert np.array_equal(back.values, tr.values)
         assert back.meta == tr.meta
 
@@ -134,6 +137,30 @@ class TestTraceIO:
             G2Trace(np.array([0.0, 1.0]), np.array([0.0, -0.5]))
         with pytest.raises(ValueError):
             G2Trace(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("delays,values,message", [
+        ([0.0, math.inf], [0.0, 1.0], "grid and values must be finite"),
+        ([0.0, 1.0], [0.0, math.nan], "grid and values must be finite"),
+        ([0.0, 1.0], [0.0, -0.5], "g2 values must be >= 0"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "length mismatch"),
+    ])
+    def test_checks_are_spectrum_trace_checks_plus_non_negative_values(self, delays, values,
+                                                                       message):
+        with pytest.raises(ValueError, match=message):
+            G2Trace(np.array(delays), np.array(values))
+
+    def test_is_a_spectrum_trace_of_delay_and_g2_kinds(self):
+        tr = g2_trace(np.linspace(0, 300, 301), MOL, DriveParams(rabi=50.0))
+        assert isinstance(tr, SpectrumTrace)
+        assert (tr.freq_kind, tr.value_kind) == ("delay_ns", "g2")
+        assert G2Trace([0.0], [0.0]).meta == {}
+        back = json.loads(tr.to_json())
+        assert (back["grid"], back["values"]) == (tr.grid.tolist(), tr.values.tolist())
+        assert (back["freq_kind"], back["value_kind"], back["meta"]) == \
+            ("delay_ns", "g2", tr.meta)
+        # the g2 CSV keeps its own columns and comments
+        assert tr.to_csv().splitlines()[:2] == ["# meta = " + json.dumps(tr.meta),
+                                                "delay_ns,g2"]
 
 
 class TestRabiFit:
@@ -198,7 +225,7 @@ class TestRabiFit:
         # a * (first maximum) < 0.5: the first maximum sits half a Rabi
         # period from zero delay, here on a sample
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
-        first_max = tr.delays[np.argmax(tr.values)]
+        first_max = tr.grid[np.argmax(tr.values)]
         assert _g2_rates(MOL.gamma0, MOL.gamma, 0.0)[0] * first_max * 1e-3 < 0.5
         assert self._seeds(tr)["rabi"] == 0.5e3 / first_max == rabi
 
@@ -220,6 +247,18 @@ class TestRabiFit:
                 noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed), MOL)
             extra.append(res.nfev - res.iterations)
         assert max(extra) <= 5
+
+    def test_integral_seed_past_the_float_range_falls_back(self):
+        # a sample near the float limit overflows the solve's sums: it used
+        # to warn twice, and now returns the fallback silently
+        tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=5.0))
+        v = tr.values.copy()
+        v[5] = 1e300
+        a0, mu_sq0 = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed = correlation._integral_rabi_seed(tr.grid * 1e-3, v, 1.0, a0, mu_sq0, -1.0)
+        assert seed == -1.0
 
     def test_seed_sweep_no_worse_than_the_first_maximum(self):
         # mean iterations over 20 noisy traces per Rabi frequency, against

@@ -258,6 +258,20 @@ class TestMinimize:
         assert res.params["x"] == pytest.approx(math.log(2.0), rel=1e-9)
         assert res.nfev > res.iterations + 1   # at least one rejected step
 
+    def test_jacobian_past_the_float_range_is_no_step_and_no_warning(self):
+        # a closed form that overflows (a runaway point, data near the
+        # float limit) used to leak its RuntimeWarning from the Jacobian or
+        # from J^T r; the run takes no step and does not converge
+        big = np.float64(1e200)
+        for jacobian in (lambda p: np.full((2, 1), big * big),
+                         lambda p: np.full((2, 1), big)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = minimize(FitProblem(lambda p: np.full(2, p[0] - 1e200),
+                                          [Parameter("a", 0.0)], jacobian=jacobian))
+            assert not res.converged
+            assert res.params["a"] == 0.0
+
     def test_no_free_parameters_raises(self):
         with pytest.raises(ValueError, match="no free parameters"):
             minimize(FitProblem(lambda p: p - 1.0, [Parameter("a", 0.0, fixed=True)],
@@ -717,6 +731,19 @@ class TestSweeps:
         assert not jac[[0, n], :].any()
         for p in ([350.0, 3.0, 7.0], [120.0, 2.0, 9.0]):
             _assert_jacobian_matches_central_differences(problem, np.array(p))
+
+    def test_linewidth_power_checks(self):
+        line = extinction_spectrum(ExtinctionModel(A=1.5, B=0.0, psi=0.0, mol=MOL,
+                                                   drive=DriveParams(rabi=5.0)),
+                                   np.linspace(-400, 400, 401))
+        with pytest.raises(ValueError, match="power must be >= 0, got -50"):
+            fit_linewidth_vs_power([(50.0, line), (-50.0, line), (500.0, line)])
+        # a span past the float range (0 counts as 1e-300) used to warn of
+        # an overflow; equal widths at every power make no P_sat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, res = fit_linewidth_vs_power([(0.0, line), (50.0, line), (1.8e8, line)])
+        assert res.params["gamma"] == pytest.approx(fit_extinction(line).params["gamma"])
 
     def test_linewidth_needs_three_powers(self):
         with pytest.raises(RankDeficientError):

@@ -29,7 +29,7 @@ EXPECTED = {
     + _traces([f"fig4/fig4_theta{t:03d}" for t in (0, 36, 72, 108, 144)]),
     "reproduce-fig5": ["fig5/manifest.json"]
     + _traces([f"fig5/fig5_spectrum_{i}" for i in range(7)])
-    + _traces([f"fig5/fig5_g2_{i}" for i in range(7)], kinds=("csv",)),
+    + _traces([f"fig5/fig5_g2_{i}" for i in range(7)]),
     "reproduce-fig6": ["fig6/manifest.json"]
     + _traces(["fig6/fig6_counts", "fig6/fig6_model"]),
     "simulate-extinction": _traces(["extinction"]),
@@ -37,8 +37,8 @@ EXPECTED = {
     "simulate-mollow": _traces(["mollow_emission", "mollow_detected"]),
     "simulate-mollow-rabi100": _traces(["mollow_emission", "mollow_detected"]),
     "simulate-mollow-exceptional-point": _traces(["mollow_emission", "mollow_detected"]),
-    "simulate-g2": ["g2.csv"],
-    "simulate-g2-noisy": ["g2.csv"],
+    "simulate-g2": _traces(["g2"]),
+    "simulate-g2-noisy": _traces(["g2"]),
     "simulate-saturation-sweep": _traces(["saturation_coherent", "saturation_total"]),
     "simulate-counts": _traces(["counts"]),
     **{f"simulate-extinction-p{p}-noisy": _traces(["extinction"]) for p in SWEEP_POWERS},

@@ -87,14 +87,14 @@ class TestNoisyG2:
         drive = DriveParams(rabi=50.0)
         got = noisy_g2_trace(DELAYS, MOL, drive, 1e4, 11)
         clean = g2_trace(DELAYS, MOL, drive)
-        rate = SpectrumTrace(clean.delays, clean.values * 1e4, freq_kind="delay_ns",
+        rate = SpectrumTrace(clean.grid, clean.values * 1e4, freq_kind="delay_ns",
                              value_kind="counts_per_s")
         counts = simulate_counts(rate, DetectorParams(dark_rate=0.0, integration_time=1.0), 11)
         plateau = float(np.mean(counts.values[-80:]))
-        assert np.array_equal(got.delays, DELAYS)
+        assert np.array_equal(got.grid, DELAYS)
         assert np.array_equal(got.values, counts.values / plateau)
         assert got.meta["seed"] == 11 and got.meta["generator"] == "noisy_g2_trace"
-        assert got.to_csv() == G2Trace(got.delays.copy(), got.values.copy(),
+        assert got.to_csv() == G2Trace(got.grid.copy(), got.values.copy(),
                                        dict(got.meta)).to_csv()
 
     def test_seed_must_be_an_integer(self):
