@@ -35,6 +35,7 @@ from .spectra import (
     SpectrumTrace,
     convolve_instrument,
     extinction_spectrum,
+    lorentzian_profile,
     mollow_spectrum,
 )
 
@@ -122,7 +123,7 @@ def _extinction_model(mol, drive: DriveParams, a_frac: float, b_dip: float) -> E
     """Extinction model at the drive's phase and power-broadened width whose
     A-term peak and B-term dip (at psi = pi/2) on resonance are the
     fractions a_frac and b_dip of the baseline."""
-    l0 = 1.0 / (mol.gamma**2 / 4.0 + drive.rabi**2 * mol.gamma / (2.0 * mol.gamma0))
+    l0 = float(lorentzian_profile(0.0, mol, drive.rabi))
     return ExtinctionModel(A=a_frac / l0, B=b_dip / (l0 * mol.gamma / 2.0), psi=drive.psi,
                            mol=mol, drive=drive)
 
@@ -285,12 +286,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 def _fit_spectrum(inputs, cfg: RunConfig):
     from .estimation import fit_extinction
 
-    trace = _read_trace(inputs[0], SpectrumTrace)
-    try:
-        res = fit_extinction(trace)
-    except ValueError as exc:
-        raise ConfigError(f"{inputs[0]}: {exc}") from exc
-    return res, {}, []
+    return fit_extinction(_read_trace(inputs[0], SpectrumTrace)), {}, []
 
 
 def _separate(inputs, cfg: RunConfig):
@@ -309,11 +305,7 @@ def _g2_fit(inputs, cfg: RunConfig):
     from .correlation import G2Trace, annotate, fit_rabi_from_g2
 
     mol = cfg.molecule
-    trace = _read_trace(inputs[0], G2Trace)
-    try:
-        res = fit_rabi_from_g2(trace, mol)
-    except ValueError as exc:
-        raise ConfigError(f"{inputs[0]}: {exc}") from exc
+    res = fit_rabi_from_g2(_read_trace(inputs[0], G2Trace), mol)
     rabi = res.params["rabi"]
     saturation = saturation_parameter(mol, DriveParams(rabi=rabi))
     return res, {"saturation": saturation}, [annotate(rabi, mol)]
@@ -323,12 +315,12 @@ def _linewidth_sweep(inputs, cfg: RunConfig):
     from .estimation import fit_linewidth_vs_power
 
     series = _load_series(inputs[0], "power_pw")
-    try:
-        table, res = fit_linewidth_vs_power(series)
-    except ValueError as exc:
-        raise ConfigError(f"{inputs[0]}: {exc}") from exc
+    table, res = fit_linewidth_vs_power(series)
     widths = [{"power_pw": p, "fwhm_MHz": w, "fwhm_err_MHz": e} for p, w, e in table]
-    return res, {"linewidths": widths}, []
+    extra = {"linewidths": widths}
+    if len(table) < len(series):   # the sweep stopped at this power's line fit
+        extra["error"] = f"linewidth fit failed at power {series[len(table)][0]}"
+    return res, extra, []
 
 
 def _saturation_fit(inputs, cfg: RunConfig):
@@ -340,11 +332,7 @@ def _saturation_fit(inputs, cfg: RunConfig):
     tot = _read_trace(inputs[1], SpectrumTrace)
     if coh.grid.size != tot.grid.size or not np.allclose(coh.grid, tot.grid):
         raise ConfigError("saturation-fit: power grids of the two channels differ")
-    try:
-        res = fit_saturation_curves(coh.grid, coh.values, tot.values)
-    except ValueError as exc:
-        raise ConfigError(f"{inputs[0]}: {exc}") from exc
-    return res, {}, []
+    return fit_saturation_curves(coh.grid, coh.values, tot.values), {}, []
 
 
 ANALYSES = {
@@ -357,20 +345,22 @@ ANALYSES = {
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    """Run the fit, write its JSON, print its table and map its status to
-    the exit code.  An unconverged fit still writes its result, with an
-    error message (NotConvergedError's, else its status) that stderr
-    repeats; input that cannot determine the fit (RankDeficientError) is an
-    input error."""
-    from .estimation import NotConvergedError, RankDeficientError
+    """Run the fit and map its outcome to the exit code, the one place that
+    does.  Input the fit rejects (ValueError, RankDeficientError) is exit 2
+    and writes nothing.  A fit that ran writes its JSON and prints its
+    table; an unconverged one adds an error message (the analysis's own,
+    else its status), which stderr repeats, and is exit 4."""
+    from .estimation import RankDeficientError
 
     fit, name = ANALYSES[args.subcommand]
     try:
         res, extra, lines = fit(args.inputs, cfg)
-    except NotConvergedError as exc:
-        res, extra, lines = exc.result, {"error": str(exc)}, []
+    except ConfigError:
+        raise
     except RankDeficientError as exc:
         raise ConfigError(f"input cannot determine the fit: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{args.inputs[0]}: {exc}") from exc
     if not res.converged:
         extra.setdefault("error", f"fit did not converge (status {res.status})")
         print(f"error: {extra['error']}", file=sys.stderr)

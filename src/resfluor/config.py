@@ -27,6 +27,10 @@ class ConfigError(ValueError):
 
 _FORMATS = ("csv", "json")
 
+# every shipped config, golden run and benchmark workload uses <= 801 samples;
+# a million make one simulate run peak near 0.25 GB and write ~40 MB files
+_MAX_SAMPLES = 1_000_000
+
 
 def _parse_value(section, key, raw, kind):
     try:
@@ -121,18 +125,20 @@ def _merge(raw: dict, sections, source: str):
 
 
 def _read_ini(raw: dict, path: str):
-    """Merge the INI file at path into raw.  Values are literal (no '%'
-    interpolation), and [DEFAULT] is an ordinary, hence unknown, section:
-    no header can name the empty default_section."""
+    """Merge the INI file at path, UTF-8 text, into raw.  Values are literal
+    (no '%' interpolation), and [DEFAULT] is an ordinary, hence unknown,
+    section: no header can name the empty default_section."""
     import configparser  # only a run with a config file parses one
 
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",),
                                    interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     _merge(raw, ((section, cp.items(section)) for section in cp.sections()), path)
@@ -211,8 +217,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
     sim = {k: get("simulate", k) for k in _SCHEMA["simulate"]}
     for key in ("points", "tau_points", "power_points"):
-        if sim[key] < 1:
-            raise ConfigError(f"[simulate] {key} must be >= 1, got {sim[key]}")
+        if not 1 <= sim[key] <= _MAX_SAMPLES:
+            raise ConfigError(f"[simulate] {key} must be in [1, {_MAX_SAMPLES}], got {sim[key]}")
     if sim["grid_min"] >= sim["grid_max"]:
         raise ConfigError(f"[simulate] grid_min ({sim['grid_min']:g}) must be below "
                           f"grid_max ({sim['grid_max']:g})")

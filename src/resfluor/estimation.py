@@ -28,11 +28,8 @@ class RankDeficientError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """Raised by recipes that require convergence; carries the last FitResult."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """Unused: no recipe raises it, since a FitResult's status says how the
+    fit ended.  Kept only because perfbench's workloads still catch it."""
 
 
 @dataclass
@@ -175,7 +172,8 @@ def minimize(problem: FitProblem) -> FitResult:
     decreasing step exists (cond > COND_MAX then makes it rank_deficient,
     else converged), and, for a run that exhausts MAX_ITER, at every
     iteration (one above COND_MAX makes it rank_deficient instead of
-    max_iter).
+    max_iter).  It raises only before iterating: RankDeficientError for fewer
+    residuals than free parameters, ValueError for a non-finite residual or cost.
     """
     pars = problem.params
     free = problem.free_indices()
@@ -247,6 +245,8 @@ def minimize(problem: FitProblem) -> FitResult:
     # a trial cost that is not finite is rejected, such a normal matrix has cond inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cost = float(np.sum(r * r))
+        if cost == math.inf:
+            raise ValueError("initial cost is not finite")
         for it in range(1, MAX_ITER + 1):
             J = jacobian(p, scale)
             g = J.T @ r
@@ -425,11 +425,12 @@ def extinction_fit_model(grid, gamma, a, b, psi, center, baseline):
 
 
 def _median(x):
-    """np.median of a 1-D array, bit for bit, from one partition: np.median's
-    nan check imports numpy.ma, ~14 ms in a fresh process."""
+    """np.median of a 1-D array, bit for bit, from one partition (np.median's
+    nan check imports numpy.ma, ~14 ms in a fresh process), summed as Python
+    floats: a sum beyond the float range is inf, not a warning."""
     lo, hi = (x.size - 1) // 2, x.size // 2
     part = np.partition(x, (lo, hi))
-    return float((part[lo] + part[hi]) / 2.0)
+    return (float(part[lo]) + float(part[hi])) / 2.0
 
 
 # points a trace needs to seed its line: the width of the smoothing kernel
@@ -471,16 +472,17 @@ def _refine_line(trace: SpectrumTrace, center: float, gamma: float):
     equation error approximate the residual.  Returns the seed when the
     solve is singular or not finite, or gives w <= 0."""
     h = gamma / 2.0
-    x = (trace.grid - center) / h
-    u = trace.values - 1.0
-    wt = 1.0 / (x * x + 1.0)
-    rows = np.array([u * x, u, np.ones_like(x), x]) * wt
-    try:
-        # the scaled basis is well conditioned (cond ~ 10), so its normal
-        # equations lose little to a QR solve and take half the time
-        coef = np.linalg.solve(rows @ rows.T, rows @ (u * x * x * wt))
-    except np.linalg.LinAlgError:
-        return center, gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (trace.grid - center) / h
+        u = trace.values - 1.0
+        wt = 1.0 / (x * x + 1.0)
+        rows = np.array([u * x, u, np.ones_like(x), x]) * wt
+        try:
+            # the scaled basis is well conditioned (cond ~ 10), so its normal
+            # equations lose little to a QR solve and take half the time
+            coef = np.linalg.solve(rows @ rows.T, rows @ (u * x * x * wt))
+        except np.linalg.LinAlgError:
+            return center, gamma
     shift = 0.5 * float(coef[0])
     w = -float(coef[1]) - shift * shift   # in units of h^2
     if not (math.isfinite(shift) and w > 0.0):
@@ -524,7 +526,11 @@ def fit_extinction(
     seed = terms(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))
     basis = _line_jacobian(np.empty((data.grid.size, 3), order="F"), seed[1], seed,
                            1.0, 1.0, gamma0)   # scale 1 * lor: lor's bits
-    a0, b0, psi0 = _seed_triple(basis, data.values / base0 - 1.0, 1e-9)
+    with np.errstate(over="ignore"):
+        target = data.values / base0 - 1.0
+    if not np.isfinite(target).all():
+        raise ValueError("trace values exceed the float range relative to their median")
+    a0, b0, psi0 = _seed_triple(basis, target, 1e-9)
     start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
     lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)
@@ -536,14 +542,18 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
     """From (power, SpectrumTrace) pairs, extract per-power FWHM and fit
     FWHM(P) = gamma*sqrt(1 + P/P_sat).
 
-    Returns (table, result) where table is a list of (power, fwhm, fwhm_err)
-    and result carries {gamma, p_sat}.  A negative power is a ValueError.
+    Returns (table, result): (power, fwhm, fwhm_err) rows and the {gamma,
+    p_sat} fit, or the rows before the first line fit that does not converge
+    and that fit.  Too few, negative or too close powers raise before fitting.
     """
     if len(spectra) < 3:
         raise RankDeficientError("need spectra at >= 3 powers")
-    low = min(float(power) for power, _ in spectra)
-    if low < 0:
-        raise ValueError(f"power must be >= 0, got {low:g}")
+    given = [float(power) for power, _ in spectra]
+    if min(given) < 0:
+        raise ValueError(f"power must be >= 0, got {min(given):g}")
+    # as Python floats: a span beyond the float range is inf, not a warning
+    if max(given) / max(min(given), 1e-300) < 3.0:
+        raise RankDeficientError("power span too small to separate gamma and P_sat")
     table = []
     for power, tr in spectra:
         try:
@@ -551,13 +561,10 @@ def fit_linewidth_vs_power(spectra: Sequence[tuple]):
         except ValueError as exc:
             raise ValueError(f"trace at power {power}: {exc}") from exc
         if not r.converged:
-            raise NotConvergedError(f"linewidth fit failed at power {power}", r)
+            return table, r
         table.append((float(power), r.params["gamma"], r.errors["gamma"]))
-    powers = np.array([t[0] for t in table])
+    powers = np.array(given)
     fwhm = np.array([t[1] for t in table])
-    # as Python floats: a span beyond the float range is inf, not a warning
-    if float(powers.max()) / max(float(powers.min()), 1e-300) < 3.0:
-        raise RankDeficientError("power span too small to separate gamma and P_sat")
 
     pars = [
         Parameter("gamma", float(fwhm.min()), lo=1e-12),
@@ -591,13 +598,14 @@ def fit_saturation_curves(
     if (powers < 0).any():
         raise ValueError(f"power must be >= 0, got {powers.min():g}")
     positive = powers[powers > 0]
-    if positive.size == 0 or positive.max() / positive.min() < 100.0:
+    # as Python floats, a span or seed beyond the float range is inf, not a warning
+    if positive.size == 0 or float(positive.max()) / float(positive.min()) < 100.0:
         raise RankDeficientError("need >= 2 decades of power around P_sat")
 
     p_sat0 = float(powers[np.argmax(coherent_rates)])
     pars = [
         Parameter("p_sat", p_sat0, lo=1e-300),
-        Parameter("a", float(4.0 * coherent_rates.max()), lo=1e-300),
+        Parameter("a", 4.0 * float(coherent_rates.max()), lo=1e-300),
         Parameter("b", float(total_rates.max()), lo=1e-300),
     ]
 

@@ -100,9 +100,11 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     spectra: (theta_qwp, SpectrumTrace) pairs sharing one underlying
     molecule/drive state.  Every trace is modeled by the extinction spectrum
     whose per-trace (A', B', psi') derive from the shared intrinsic triple
-    as in transform_extinction_triple.  Returns the fitted
-    (A0, B0, psi0, gamma, center) with standard errors.  An empty trace is a
-    RankDeficientError that names its angle.
+    as in transform_extinction_triple.  Returns minimize's result, whatever
+    its status: the fitted (A0, B0, psi0, gamma, center) with standard
+    errors.  Fewer than three distinct angles, an empty trace (named by its
+    angle) or a seed trace too short to seed the line is a
+    RankDeficientError, raised before the fit runs.
     """
     if len(spectra) < 3:
         raise RankDeficientError("need >= 3 spectra at distinct QWP angles")
@@ -162,11 +164,5 @@ def separate_components(spectra: Sequence[tuple], geometry: SeparationGeometry) 
     ]
 
     res = minimize(FitProblem(residual, pars, jacobian=jacobian))
-    if res.status == "max_iter":
-        raise estimation.NotConvergedError(
-            f"component separation did not converge (last cost {res.cost:.3g})", res
-        )
-    if res.status == "rank_deficient":
-        raise RankDeficientError("component separation is rank deficient")
     res.params["psi0"] = normalize_phase(res.params["psi0"])
     return res

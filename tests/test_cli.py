@@ -464,6 +464,22 @@ class TestAnalyze:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_g2_fit_with_an_overflowing_cost_is_exit_2(self, tmp_path, capsys):
+        # one value of 1e300 keeps the residual finite but overflows its
+        # square sum: this used to exit 0 with status converged at cost inf
+        out = tmp_path / "out"
+        assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "g2.csv").read_text().splitlines()
+        lines[-1] = lines[-1].split(",")[0] + ",1e300"
+        bad = tmp_path / "g2_big.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "g2-fit", str(bad), "--out", str(out)]) == 2
+        assert f"error: {bad}: initial cost is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
@@ -555,18 +571,22 @@ class TestAnalyze:
         assert main(["analyze", command, str(manifest), "--out", out]) == 2
         assert "cannot parse manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, name", [
-        ("separate", "separate.json"),
-        ("g2-fit", "g2_fit.json"),
-        ("linewidth-sweep", "linewidth_sweep.json"),
-        ("fit-spectrum", "fit_spectrum.json"),
-        ("saturation-fit", "saturation_fit.json"),
-    ])
+    @pytest.mark.parametrize("command, name, cond_max", [
+        pytest.param(command, name, cond_max, id=f"{command}-{name}{suffix}")
+        for cond_max, suffix in ((None, ""), (0.0, "-rank-deficient"))
+        for command, name in (("separate", "separate.json"),
+                              ("g2-fit", "g2_fit.json"),
+                              ("linewidth-sweep", "linewidth_sweep.json"),
+                              ("fit-spectrum", "fit_spectrum.json"),
+                              ("saturation-fit", "saturation_fit.json"))])
     def test_nonconvergence_writes_result_and_is_exit_4(self, tmp_path, capsys,
-                                                        monkeypatch, command, name):
+                                                        monkeypatch, command, name,
+                                                        cond_max):
         # a one-iteration budget stops every fit of noisy data unconverged
         # (noiseless fig4 is seeded at its solution and converges in one);
-        # whether the fit raised or returned, the result and stderr say why
+        # COND_MAX = 0 makes every such stop rank_deficient.  Each command
+        # writes its result, and the result and stderr say why: a
+        # rank-deficient separation used to exit 2 and write nothing
         if command == "separate":
             def noisy(trace, i):
                 rng = np.random.default_rng(i)
@@ -590,12 +610,18 @@ class TestAnalyze:
             inputs = [self._power_series(tmp_path, [50.0, 350.0, 2500.0])]
         capsys.readouterr()
         monkeypatch.setattr(estimation, "MAX_ITER", 1)
+        if cond_max is not None:
+            monkeypatch.setattr(estimation, "COND_MAX", cond_max)
         out = str(tmp_path / "out")
         assert main(["analyze", command, *inputs, "--out", out]) == 4
         with open(os.path.join(out, name)) as fh:
             payload = json.load(fh)
         assert payload["status"] != "converged"
+        if cond_max is not None:
+            assert payload["status"] == "rank_deficient"
         assert payload["error"]
+        if command == "linewidth-sweep":
+            assert payload["error"] == "linewidth fit failed at power 50.0"
         printed = capsys.readouterr()
         assert f"status: {payload['status']}" in printed.out
         assert f"error: {payload['error']}" in printed.err

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from resfluor import config
 from resfluor.config import ConfigError, load_config
 from resfluor.physics import DriveParams, saturation_parameter
 
@@ -137,3 +138,22 @@ def test_ini_values_are_literal(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[output]\ndir = out%x\n")
     assert load_config(str(p)).out_dir == "out%x"
+
+
+@pytest.mark.parametrize("key", ["points", "tau_points", "power_points"])
+def test_sample_counts_bounded(key):
+    # checked before any array is allocated: points = 100000000000 passed
+    # here and ended simulate extinction and counts in a MemoryError
+    bound = config._MAX_SAMPLES
+    assert load_config(overrides={"simulate": {key: bound}}).simulate[key] == bound
+    for count in (bound + 1, 100000000000):
+        with pytest.raises(ConfigError, match=rf"^\[simulate\] {key} must be in \[1, {bound}\]"):
+            load_config(overrides={"simulate": {key: count}})
+
+
+def test_file_that_is_not_utf8_is_config_error(tmp_path):
+    # it escaped as a bare UnicodeDecodeError (exit 3)
+    p = tmp_path / "run.ini"
+    p.write_bytes(b"[run]\nseed = 1\xff\n")
+    with pytest.raises(ConfigError, match="is not UTF-8 text"):
+        load_config(str(p))

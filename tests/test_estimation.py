@@ -10,7 +10,6 @@ from scipy.optimize import least_squares
 from resfluor import correlation, estimation, polarization
 from resfluor.estimation import (
     FitProblem,
-    NotConvergedError,
     Parameter,
     RankDeficientError,
     _safe_exp,
@@ -261,16 +260,28 @@ class TestMinimize:
     def test_jacobian_past_the_float_range_is_no_step_and_no_warning(self):
         # a closed form that overflows (a runaway point, data near the
         # float limit) used to leak its RuntimeWarning from the Jacobian or
-        # from J^T r; the run takes no step and does not converge
+        # from J^T r; the run takes no step and does not converge.  The
+        # residual keeps its square sum (2e300) finite: an infinite starting
+        # cost is rejected before any Jacobian call
         big = np.float64(1e200)
         for jacobian in (lambda p: np.full((2, 1), big * big),
                          lambda p: np.full((2, 1), big)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = minimize(FitProblem(lambda p: np.full(2, p[0] - 1e200),
+                res = minimize(FitProblem(lambda p: np.full(2, p[0] - 1e150),
                                           [Parameter("a", 0.0)], jacobian=jacobian))
             assert not res.converged
             assert res.params["a"] == 0.0
+
+    def test_infinite_initial_cost_raises(self):
+        # a finite residual whose square sum overflows used to end
+        # converged at cost inf after 50 rejected trial steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial cost is not finite"):
+                minimize(FitProblem(lambda p: np.full(2, p[0] - 1e200),
+                                    [Parameter("a", 0.0)],
+                                    jacobian=lambda p: np.ones((2, 1))))
 
     def test_no_free_parameters_raises(self):
         with pytest.raises(ValueError, match="no free parameters"):
@@ -588,6 +599,53 @@ def _extinction_problem():
     return estimation, fit_extinction, (trace,)
 
 
+def _linewidth_series():
+    """Noiseless line traces at four powers, P_sat = 350 pW."""
+    return [(p, extinction_spectrum(
+        ExtinctionModel(A=1.5, B=0.0, psi=0.0, mol=MOL,
+                        drive=DriveParams(rabi=rabi_for_saturation(MOL, p / 350.0))),
+        np.linspace(-400, 400, 401))) for p in (20.0, 150.0, 700.0, 3000.0)]
+
+
+class TestRecipeOutcomes:
+    """A recipe returns the fit that ran, whatever its status; it raises
+    only for input that it rejects before the fit."""
+
+    @pytest.mark.parametrize("problem", [_separation_problem, _g2_problem],
+                             ids=["separation", "g2"])
+    def test_max_iter_is_returned(self, monkeypatch, problem):
+        # both recipes raised NotConvergedError here
+        _, fit, args = problem()
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
+        res = fit(*args)
+        assert res.status == "max_iter" and res.iterations == 1
+
+    def test_linewidth_sweep_stops_at_its_first_unconverged_line_fit(self, monkeypatch):
+        spectra = _linewidth_series()
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "MAX_ITER", 1)
+            table, res = fit_linewidth_vs_power(spectra)
+        # a one-trace line is singular (cond inf), so the stop reads rank_deficient
+        assert table == []
+        assert res.status == "rank_deficient" and res.iterations == 1
+        assert "center" in res.params
+        # the third of four line fits ends unconverged
+        fits = []
+
+        def third_fails(trace):
+            res = fit_extinction(trace)
+            fits.append(res)
+            if len(fits) == 3:
+                res.status = "max_iter"
+            return res
+
+        monkeypatch.setattr(estimation, "fit_extinction", third_fails)
+        table, res = fit_linewidth_vs_power(spectra)
+        assert len(fits) == 3 and res is fits[2]
+        assert [row[0] for row in table] == [20.0, 150.0]
+        assert [row[1] for row in table] == [fit.params["gamma"] for fit in fits[:2]]
+
+
 class TestModelCache:
     # (recipe, p1, p2): the last two cases differ only in a parameter that
     # the cached model terms do not read
@@ -705,11 +763,7 @@ class TestSweeps:
         assert len(table) == 4
 
     def test_linewidth_jacobian_and_counts(self):
-        spectra = [(p, extinction_spectrum(
-            ExtinctionModel(A=1.5, B=0.0, psi=0.0, mol=MOL,
-                            drive=DriveParams(rabi=rabi_for_saturation(MOL, p / 350.0))),
-            np.linspace(-400, 400, 401))) for p in (20.0, 150.0, 700.0, 3000.0)]
-        fits = _fits(fit_linewidth_vs_power, spectra)
+        fits = _fits(fit_linewidth_vs_power, _linewidth_series())
         assert len(fits) == 5   # four line fits, then FWHM(P)
         for _, res in fits:
             assert res.converged and res.njev == res.iterations + 1
