@@ -65,11 +65,10 @@ def _write_text(text: str, out_dir: str, name: str) -> str:
     return path
 
 
-def _write_trace(trace: SpectrumTrace, out_dir: str, stem: str, formats) -> list:
-    """Write trace as out_dir/stem.<format> for each of formats."""
-    return [_write_text(trace.to_csv() if fmt == "csv" else trace.to_json(), out_dir,
-                        f"{stem}.{fmt}")
-            for fmt in ("csv", "json") if fmt in formats]
+def _write_trace(trace: SpectrumTrace, out_dir: str, stem: str):
+    """Write trace as out_dir/stem.csv and then out_dir/stem.json."""
+    _write_text(trace.to_csv(), out_dir, f"{stem}.csv")
+    _write_text(trace.to_json(), out_dir, f"{stem}.json")
 
 
 def _read_trace(path: str, cls):
@@ -163,10 +162,13 @@ def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
     times scale."""
     sat = np.array([cal.saturation(p) for p in powers])
+    # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its limit
+    with np.errstate(over="ignore"):
+        coherent = scale * sat / (1 + sat) ** 2
     return tuple(
         SpectrumTrace(powers, values, freq_kind="power_pW", value_kind="rate_factor",
                       meta={"generator": f"{generator}_{part}", "p_sat_pw": cal.p_at_s1})
-        for part, values in (("coherent", scale * sat / (1 + sat) ** 2),
+        for part, values in (("coherent", coherent),
                              ("total", scale * sat / (1 + sat)))
     )
 
@@ -274,7 +276,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     s = saturation_parameter(cfg.molecule, cfg.drive)
     traces, line = SIMULATIONS[args.subcommand](cfg, s)
     for trace, stem in traces:
-        _write_trace(trace, cfg.out_dir, stem, cfg.formats)
+        _write_trace(trace, cfg.out_dir, stem)
     print(line)
     return EXIT_OK
 
@@ -496,14 +498,10 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     fig = args.figure
     if fig not in FIGURES:
         raise ConfigError(f"unknown figure id {fig!r} (use fig2..fig6)")
-    # the manifest lists the CSV files, which analyze reads back
-    if "csv" not in cfg.formats:
-        raise ConfigError(f"reproduce writes CSV data files: [output] formats = "
-                          f"{', '.join(cfg.formats)} must include csv")
     traces, anchored, synthetic, extra = FIGURES[fig](cfg)
     out = os.path.join(cfg.out_dir, fig)
     for trace, stem, _ in traces:
-        _write_trace(trace, out, stem, cfg.formats)
+        _write_trace(trace, out, stem)
     manifest = {
         "figure": fig,
         "files": {stem + ".csv": description for _, stem, description in traces},

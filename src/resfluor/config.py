@@ -6,7 +6,7 @@ The read-only built-in profile ``dbatt-paper`` carries the published
 constants of the DBATT system that some output depends on: gamma0 =
 16.4 MHz (9.7 ns lifetime), gamma = 17 MHz, FPC 356 / 14 MHz at 15%
 transmission, 150 cps dark counts and P_sat = 350 pW.  The drive is
-resonant: there is no detuning key.
+resonant: there is no detuning key.  [output] names only the directory.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .spectra import FpcParams
 class ConfigError(ValueError):
     """Configuration problem, addressed by section and field."""
 
-
-_FORMATS = ("csv", "json")
 
 # every shipped config, golden run and benchmark workload uses <= 801 samples;
 # a million make one simulate run peak near 0.25 GB and write ~40 MB files
@@ -82,7 +80,7 @@ _SCHEMA = {
                  "plateau_coincidences": (float, "10000"),
                  "power_min_pw": (float, "5.0"), "power_max_pw": (float, "10000.0"),
                  "power_points": (int, "25")},
-    "output": {"dir": (str, "out"), "formats": (str, "csv,json")},
+    "output": {"dir": (str, "out")},
     "run": {"seed": (int, "1"), "threads": (int, "1")},
 }
 
@@ -98,7 +96,6 @@ class RunConfig:
     power_calibration: PowerCalibration
     simulate: dict
     out_dir: str
-    formats: list
     seed: int
     threads: int
     raw: dict = field(default_factory=dict)
@@ -232,11 +229,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ConfigError(f"[simulate] power_min_pw ({sim['power_min_pw']:g}) must be in "
                           f"(0, power_max_pw = {sim['power_max_pw']:g})")
 
-    formats = [f.strip() for f in get("output", "formats").split(",") if f.strip()]
-    if not formats or not set(formats) <= set(_FORMATS):
-        raise ConfigError(f"[output] formats must list one or more of "
-                          f"{', '.join(_FORMATS)}, got {raw['output']['formats']!r}")
-
     return RunConfig(
         molecule=mol,
         drive=drive,
@@ -247,7 +239,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         power_calibration=cal,
         simulate=sim,
         out_dir=get("output", "dir"),
-        formats=formats,
         seed=get("run", "seed"),
         threads=get("run", "threads"),
         raw=raw,

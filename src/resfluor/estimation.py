@@ -521,8 +521,12 @@ def fit_extinction(
     # gamma/center/baseline from the grid heuristic, then (A, B, psi) from
     # the Jacobian of the unit-baseline line
     center0, gamma0, base0 = _init_line(data)
+    lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     if data.grid[-1] - data.grid[0] < 3.0 * gamma0:
         raise ValueError("trace must cover at least three linewidths")
+    if base0 < lows[5] and "baseline" not in (init or {}):
+        raise ValueError(f"trace median {base0:g} is below the baseline floor "
+                         f"{lows[5]:g}: rescale the trace")
     seed = terms(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))
     basis = _line_jacobian(np.empty((data.grid.size, 3), order="F"), seed[1], seed,
                            1.0, 1.0, gamma0)   # scale 1 * lor: lor's bits
@@ -532,7 +536,6 @@ def fit_extinction(
         raise ValueError("trace values exceed the float range relative to their median")
     a0, b0, psi0 = _seed_triple(basis, target, 1e-9)
     start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
-    lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)
             for name, lo in zip(names, lows)]
     return minimize(FitProblem(residual, pars, jacobian))

@@ -198,7 +198,9 @@ def lorentzian_profile(delta, mol: MoleculeParams, rabi: float):
     if rabi < 0:
         raise ValueError(f"rabi must be >= 0, got {rabi}")
     delta = np.asarray(delta, dtype=float)
-    den = delta**2 + mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0)
+    # a detuning past ~1e154 MHz overflows den to inf: L = 0, its limit
+    with np.errstate(over="ignore"):
+        den = delta**2 + mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0)
     return 1.0 / den
 
 
@@ -306,9 +308,11 @@ def mollow_spectrum(
     # the density is even in the emission detuning: evaluating at |grid|
     # makes that exact (bitwise) on symmetric grids
     s_iw = 1j * TWO_PI * np.abs(grid)           # i omega, rad/us
-    resolvent = np.polyval(p, s_iw) / np.polyval(q, s_iw)   # w . (s - M)^-1 x0
-    # + 0.0 turns the -0.0 of an undriven emitter (x0 = 0) into +0.0
-    vals = 4.0 * emission_scale * resolvent.real + 0.0
+    # past the float range the density is inf or nan: SpectrumTrace rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        resolvent = np.polyval(p, s_iw) / np.polyval(q, s_iw)   # w . (s - M)^-1 x0
+        # + 0.0 turns the -0.0 of an undriven emitter (x0 = 0) into +0.0
+        vals = 4.0 * emission_scale * resolvent.real + 0.0
     s = saturation_parameter(mol, drive)
     return SpectrumTrace(
         grid,

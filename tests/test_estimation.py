@@ -524,6 +524,19 @@ class TestExtinctionFit:
         with pytest.raises(ValueError, match=f"{n} points, too few to seed the line"):
             fit_extinction(tr, fixed=fixed)
 
+    def test_median_below_the_baseline_floor_names_the_trace_scale(self):
+        # the baseline is seeded at the trace median; below its 1e-12 floor
+        # the error used to name only the engine's parameter
+        tr = self._trace(0.0, 5.0, math.pi / 2.0)
+        small = SpectrumTrace(tr.grid, tr.values * 1e-13)
+        median = f"{np.median(small.values):g}"
+        with pytest.raises(ValueError, match=rf"^trace median {median} is below the "
+                                             rf"baseline floor 1e-12"):
+            fit_extinction(small)
+        # a baseline given by init is checked as that parameter
+        with pytest.raises(ValueError, match="parameter baseline: init 1e-13 outside bounds"):
+            fit_extinction(small, init={"baseline": 1e-13})
+
     def test_coverage_checked_before_the_seed_solve(self, monkeypatch):
         tr = self._trace(0.0, 5.0, math.pi / 2.0, grid=np.linspace(-8, 8, 33))
         monkeypatch.setattr(estimation, "_seed_triple", mock.Mock(side_effect=AssertionError))
