@@ -158,16 +158,16 @@ def _mollow_traces(fpc, mol, drive: DriveParams, s: float, scale: float,
     return emission, detected
 
 
-def _saturation_traces(cal, powers, scale: float, generator: str) -> tuple:
+def _saturation_traces(p_sat: float, powers, scale: float, generator: str) -> tuple:
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
-    times scale."""
-    sat = np.array([cal.saturation(p) for p in powers])
+    times scale, at S = powers / p_sat."""
+    sat = powers / p_sat
     # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its limit
     with np.errstate(over="ignore"):
         coherent = scale * sat / (1 + sat) ** 2
     return tuple(
         SpectrumTrace(powers, values, freq_kind="power_pW", value_kind="rate_factor",
-                      meta={"generator": f"{generator}_{part}", "p_sat_pw": cal.p_at_s1})
+                      meta={"generator": f"{generator}_{part}", "p_sat_pw": p_sat})
         for part, values in (("coherent", coherent),
                              ("total", scale * sat / (1 + sat)))
     )
@@ -248,10 +248,10 @@ def _sim_saturation_sweep(cfg: RunConfig, s: float):
     _require_noiseless(cfg, "saturation-sweep")
     sim = cfg.simulate
     powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
-    coh, tot = _saturation_traces(cfg.power_calibration, powers, sim["emission_scale"],
+    coh, tot = _saturation_traces(cfg.p_sat_pw, powers, sim["emission_scale"],
                                   "saturation_sweep")
     return [(coh, "saturation_coherent"), (tot, "saturation_total")], \
-        f"saturation-sweep: P_sat={cfg.power_calibration.p_at_s1} pW, coherent max at S=1"
+        f"saturation-sweep: P_sat={cfg.p_sat_pw} pW, coherent max at S=1"
 
 
 def _sim_counts(cfg: RunConfig, s: float):
@@ -273,7 +273,14 @@ SIMULATIONS = {
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    s = saturation_parameter(cfg.molecule, cfg.drive)
+    mol, drive = cfg.molecule, cfg.drive
+    try:
+        s = saturation_parameter(mol, drive)
+    except ArithmeticError:  # an overflow, or gamma^2 underflowing to 0
+        raise ConfigError(
+            f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g} and [drive] Rabi "
+            f"frequency {drive.rabi:g} MHz: computing the saturation parameter "
+            f"S = 2 rabi^2 / (gamma0 gamma) leaves the float range") from None
     traces, line = SIMULATIONS[args.subcommand](cfg, s)
     for trace, stem in traces:
         _write_trace(trace, cfg.out_dir, stem)
@@ -397,8 +404,7 @@ def _reproduce_fig2(cfg: RunConfig):
 
 
 def _reproduce_fig3(cfg: RunConfig):
-    coh, tot = _saturation_traces(cfg.power_calibration, np.geomspace(5.0, 1e4, 41),
-                                  1.0, "fig3")
+    coh, tot = _saturation_traces(cfg.p_sat_pw, np.geomspace(5.0, 1e4, 41), 1.0, "fig3")
     traces = [(coh, "fig3_coherent", "coherent part, S/(1+S)^2"),
               (tot, "fig3_total", "fluorescence excitation signal, S/(1+S)")]
     anchored = {"p_sat_pw": 350.0, "power_span_pw": [5.0, 1e4]}

@@ -7,6 +7,10 @@ constants of the DBATT system that some output depends on: gamma0 =
 16.4 MHz (9.7 ns lifetime), gamma = 17 MHz, FPC 356 / 14 MHz at 15%
 transmission, 150 cps dark counts and P_sat = 350 pW.  The drive is
 resonant: there is no detuning key.  [output] names only the directory.
+
+A RunConfig holds only what a command reads.  [drive] power_pw sets the
+Rabi frequency at S = power_pw / p_sat_pw.  [run] threads is parsed,
+checked and hashed but has no field: sampling runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .measurement import DetectorParams, PowerCalibration
+from .measurement import DetectorParams
 from .physics import DriveParams, MoleculeParams, SeparationGeometry, rabi_for_saturation
 from .spectra import FpcParams
 
@@ -93,20 +97,11 @@ class RunConfig:
     fpc: FpcParams
     geometry: SeparationGeometry
     qwp_angles: list
-    power_calibration: PowerCalibration
+    p_sat_pw: float
     simulate: dict
     out_dir: str
     seed: int
-    threads: int
     raw: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # seed is one Philox key word; threads is accepted for compatibility
-        # and changes no output, since sampling runs in the calling thread.
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"[run] seed must be in [0, 2**64), got {self.seed}")
-        if self.threads < 1:
-            raise ConfigError(f"[run] threads must be >= 1, got {self.threads}")
 
 
 def _merge(raw: dict, sections, source: str):
@@ -169,10 +164,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         mol = MoleculeParams(gamma0=get("molecule", "gamma0"), gamma=get("molecule", "gamma"))
 
     with _section("drive"):
-        cal = PowerCalibration(get("drive", "p_sat_pw"))
+        p_sat = get("drive", "p_sat_pw")
+        if not p_sat > 0:
+            raise ValueError(f"P at S=1 must be positive and finite, got {p_sat}")
         rabi = get("drive", "rabi")
         if "power_pw" in raw["drive"]:
-            rabi = rabi_for_saturation(mol, cal.saturation(get("drive", "power_pw")))
+            power = get("drive", "power_pw")
+            if not power >= 0:
+                raise ValueError(f"power must be finite and >= 0, got {power}")
+            rabi = rabi_for_saturation(mol, power / p_sat)
         drive = DriveParams(
             rabi=rabi,
             psi=math.radians(get("drive", "psi_deg")),
@@ -229,6 +229,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ConfigError(f"[simulate] power_min_pw ({sim['power_min_pw']:g}) must be in "
                           f"(0, power_max_pw = {sim['power_max_pw']:g})")
 
+    # seed is one Philox key word; threads changes no output but keeps its check
+    seed, threads = get("run", "seed"), get("run", "threads")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"[run] seed must be in [0, 2**64), got {seed}")
+    if threads < 1:
+        raise ConfigError(f"[run] threads must be >= 1, got {threads}")
+
     return RunConfig(
         molecule=mol,
         drive=drive,
@@ -236,10 +243,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         fpc=fpc,
         geometry=geo,
         qwp_angles=qwp,
-        power_calibration=cal,
+        p_sat_pw=p_sat,
         simulate=sim,
         out_dir=get("output", "dir"),
-        seed=get("run", "seed"),
-        threads=get("run", "threads"),
+        seed=seed,
         raw=raw,
     )

@@ -7,6 +7,8 @@ only on the rate trace and the seed.  Each thread keeps one Philox and
 re-keys it for every block; a fresh Philox(key=(seed, b)) gives the same
 stream, but constructing one costs more than a small block's draw.  The
 scheme's name, RNG_NAME, is embedded in all stochastic output metadata.
+The counts trace shares the rate trace's grid (SpectrumTrace._on_checked_grid).
+Power is not calibrated here: S = P / P_sat is one division in config and cli.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def simulate_counts(
         block = slice(lo, lo + BLOCK_PIXELS)
         counts[block] = _keyed_generator(seed, b).poisson(means[block])
 
-    return rate_trace._on_grid(counts, "counts", {
+    meta = {
         "generator": "simulate_counts",
         "rng": RNG_NAME,
         "seed": seed,
@@ -99,7 +101,9 @@ def simulate_counts(
         "dark_rate_cps": det.dark_rate,
         "quantum_efficiency": det.quantum_efficiency,
         "input": rate_trace.meta.get("generator"),
-    })
+    }
+    return SpectrumTrace._on_checked_grid(rate_trace.grid, counts, rate_trace.freq_kind,
+                                          "counts", meta)
 
 
 def interference_dip_rate(incident_rate: float, coherent_molecular_rate: float) -> float:
@@ -119,18 +123,3 @@ def snr_of_detection(
     noise = math.sqrt((incident_rate + det.dark_rate) * t)
     return dip_rate * t / noise if noise > 0 else math.inf
 
-
-@dataclass(frozen=True)
-class PowerCalibration:
-    """Linear power -> saturation map anchored at S(P_at_S1) = 1."""
-
-    p_at_s1: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p_at_s1) and self.p_at_s1 > 0):
-            raise ValueError(f"P at S=1 must be positive and finite, got {self.p_at_s1}")
-
-    def saturation(self, power: float) -> float:
-        if not (math.isfinite(power) and power >= 0):
-            raise ValueError(f"power must be finite and >= 0, got {power}")
-        return power / self.p_at_s1

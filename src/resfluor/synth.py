@@ -74,7 +74,7 @@ def noisy_extinction_trace(
     counts = simulate_counts(rate, det, seed)
     t = det.integration_time
     norm = (counts.values - det.dark_rate * t) / (incident_rate * det.quantum_efficiency * t)
-    return rate._on_grid(norm, "transmission", {
+    return SpectrumTrace._on_checked_grid(rate.grid, norm, rate.freq_kind, "transmission", {
         "generator": "noisy_extinction_trace",
         "rng": RNG_NAME,
         "seed": int(seed),

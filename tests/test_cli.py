@@ -283,6 +283,29 @@ class TestSimulate:
             assert _read(str(out / "saturation_coherent.csv")).values[-1] == 0.0
             assert _read(str(out / "saturation_total.csv")).values[-1] == 1.0
 
+    @pytest.mark.parametrize("text,values", [
+        ("[molecule]\ngamma = 1e300", "gamma0 = 16.4, gamma = 1e+300 and [drive] Rabi "
+                                      "frequency 0 MHz"),
+        ("[drive]\nrabi = 1e200", "gamma0 = 16.4, gamma = 17 and [drive] Rabi "
+                                  "frequency 1e+200 MHz"),
+        ("[molecule]\ngamma0 = 1e-300\ngamma = 1e-300", "gamma0 = 1e-300, gamma = 1e-300"),
+    ], ids=["gamma-overflow", "rabi-overflow", "gamma-underflow"])
+    def test_saturation_parameter_outside_the_float_range_is_exit_2(self, tmp_path, capsys,
+                                                                     text, values):
+        # these exited 3 printing only Python's float message, such as
+        # "(34, 'Numerical result out of range')" or "float division by zero"
+        cfg = _ini(tmp_path, text + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "extinction", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [molecule] ") and values in err
+        assert "saturation parameter" in err and not out.exists()
+        # analyze derives no saturation parameter, so it still takes the config
+        trace = tmp_path / "trace"
+        assert main(["simulate", "extinction", "--out", str(trace)]) == 0
+        assert main(["analyze", "fit-spectrum", str(trace / "extinction.csv"),
+                     "--config", cfg, "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("command,text,complaint", [
         ("extinction", "[output]\nformats = cvs", "[output] formats"),
         ("extinction", "[output]\nformats = csv, xml", "[output] formats"),

@@ -8,7 +8,6 @@ import pytest
 from resfluor.measurement import (
     BLOCK_PIXELS,
     DetectorParams,
-    PowerCalibration,
     RNG_NAME,
     interference_dip_rate,
     simulate_counts,
@@ -177,15 +176,6 @@ class TestBudgets:
         snr = snr_of_detection(49.2, 550.0, det, 4.0)
         assert snr == pytest.approx(49.2 * 4.0 / math.sqrt(700.0 * 4.0), rel=1e-12)
         assert 3.0 < snr < 4.5
-
-    def test_power_calibration(self):
-        cal = PowerCalibration(350.0)
-        assert cal.saturation(350.0) == 1.0
-        assert cal.saturation(123.0) == pytest.approx(123.0 / 350.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            PowerCalibration(0.0)
-        with pytest.raises(ValueError):
-            cal.saturation(-1.0)
 
 
 def test_detector_validation():

@@ -201,6 +201,37 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
+def _run_config_reads(path):
+    """Attribute names read off a RunConfig in the file: off a
+    load_config() call, or off a name that a parameter annotated RunConfig
+    or an assignment from load_config() binds."""
+    tree = _parse(path)
+
+    def loads_config(node):
+        return isinstance(node, ast.Call) and "load_config" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    bound = {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)
+             and a.annotation is not None and ast.unparse(a.annotation) == "RunConfig"}
+    bound |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and loads_config(node.value) for t in node.targets if isinstance(t, ast.Name)}
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and (loads_config(node.value)
+                 or isinstance(node.value, ast.Name) and node.value.id in bound)}
+
+
+def test_every_run_config_field_is_read():
+    # a field that no command reads is a record of what the config held, kept
+    # in step with the checks that build it; config.py itself only builds it
+    fields = [node.target.id for cls in _parse(os.path.join(PACKAGE, "config.py")).body
+              if isinstance(cls, ast.ClassDef) and cls.name == "RunConfig"
+              for node in cls.body if isinstance(node, ast.AnnAssign)]
+    _, callers = _modules_and_callers()
+    read = set().union(*(_run_config_reads(path) for path in callers
+                         if os.path.basename(path) != "config.py"))
+    assert [name for name in fields if name not in read] == []
+
+
 def _defaulted_options(path):
     """(name, {option: position}) of each public function and public
     dataclass in the module: its defaulted parameters or fields, with the

@@ -46,6 +46,19 @@ class TestSpectrumTrace:
             SpectrumTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]),
                           freq_kind="detuning_MHz", value_kind="x")
 
+    @pytest.mark.parametrize("grid,values,message", [
+        ([1.0, 0.0, 2.0], [0.0, math.nan, 0.0], "grid must be strictly increasing"),
+        ([[0.0, 1.0]], [math.nan, 0.0], "grid and values must be 1-D arrays"),
+        ([1.0, 0.0], [[0.0, 1.0]], "grid and values must be 1-D arrays"),
+        ([1.0, 0.0], [math.nan], r"grid \(2\) and values \(1\) length mismatch"),
+        ([0.0, math.inf], [0.0, 1.0], "grid and values must be finite"),
+        ([0.0, 1.0], [math.inf, 1.0], "grid and values must be finite"),
+    ], ids=["order-then-nan", "2d-grid", "2d-values", "length", "inf-grid", "inf-values"])
+    def test_first_failing_check_is_reported(self, grid, values, message):
+        # the checks run in one order: shapes, lengths, grid order, finiteness
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpectrumTrace(np.array(grid), np.array(values))
+
     def test_json_round_trip_bit_exact(self):
         tr = _trace()
         tr.values[3] = 1.0 / 3.0

@@ -28,26 +28,38 @@ def _public(tr: SpectrumTrace) -> SpectrumTrace:
 
 
 class TestOnGrid:
+    @staticmethod
+    def _on_grid(base, values, value_kind="x", meta=None):
+        return SpectrumTrace._on_checked_grid(base.grid, values, base.freq_kind, value_kind,
+                                              {} if meta is None else meta)
+
     def test_shares_the_grid_and_checks_the_values(self):
         base = extinction_spectrum(MODEL, GRID)
-        tr = base._on_grid(base.values * 2.0, "counts_per_s", {"tag": 1})
+        tr = self._on_grid(base, base.values * 2.0, "counts_per_s", {"tag": 1})
         assert tr.grid is base.grid and tr.freq_kind == base.freq_kind
         assert (tr.value_kind, tr.meta) == ("counts_per_s", {"tag": 1})
         assert tr.to_json() == _public(tr).to_json()
         with pytest.raises(ValueError, match="length mismatch"):
-            base._on_grid(base.values[:-1], "x", {})
+            self._on_grid(base, base.values[:-1])
         with pytest.raises(ValueError, match="1-D"):
-            base._on_grid(base.values.reshape(1, -1), "x", {})
+            self._on_grid(base, base.values.reshape(1, -1))
         for bad in (math.inf, math.nan):
             values = base.values.copy()
             values[7] = bad
             with pytest.raises(ValueError, match="finite"):
-                base._on_grid(values, "x", {})
+                self._on_grid(base, values)
+
+    def test_does_not_check_the_grid_again(self):
+        # the grid passed the checks once; a derived trace only checks its values
+        base = extinction_spectrum(MODEL, GRID)
+        backwards = GRID[::-1].copy()
+        tr = SpectrumTrace._on_checked_grid(backwards, base.values, "detuning_MHz", "x", {})
+        assert tr.grid is backwards
 
     def test_negative_rates_on_a_derived_trace_still_raise(self):
         base = extinction_spectrum(MODEL, GRID)
         with pytest.raises(ValueError, match="count rates"):
-            simulate_counts(base._on_grid(-base.values, "counts_per_s", {}), DET, 0)
+            simulate_counts(self._on_grid(base, -base.values, "counts_per_s"), DET, 0)
 
 
 class TestNoisyExtinction:
