@@ -161,15 +161,23 @@ def _mollow_traces(fpc, mol, drive: DriveParams, s: float, scale: float,
 def _saturation_traces(p_sat: float, powers, scale: float, generator: str) -> tuple:
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
     times scale, at S = powers / p_sat."""
-    sat = powers / p_sat
-    # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its limit
-    with np.errstate(over="ignore"):
+    # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its
+    # limit.  Where S or scale * S overflows, the factors come in an order
+    # that does not, with S/(1 + S) = 1 at S = inf: coherent 0, total scale.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sat = powers / p_sat
         coherent = scale * sat / (1 + sat) ** 2
+        total = scale * sat / (1 + sat)
+        bad = ~np.isfinite(total)
+        if bad.any():
+            s = sat[bad]
+            share = np.where(np.isinf(s), 1.0, s / (1 + s))
+            total[bad] = scale * share
+            coherent[bad] = scale * share / (1 + s)
     return tuple(
         SpectrumTrace(powers, values, freq_kind="power_pW", value_kind="rate_factor",
                       meta={"generator": f"{generator}_{part}", "p_sat_pw": p_sat})
-        for part, values in (("coherent", coherent),
-                             ("total", scale * sat / (1 + sat)))
+        for part, values in (("coherent", coherent), ("total", total))
     )
 
 
@@ -456,7 +464,12 @@ def _reproduce_fig5(cfg: RunConfig):
     traces = []
     delays = np.linspace(0.0, 400.0, 801)
     for i, s in enumerate(sats):
-        drive = DriveParams(rabi=rabi_for_saturation(mol, s))
+        try:
+            drive = DriveParams(rabi=rabi_for_saturation(mol, s))
+        except ArithmeticError:  # gamma^2 overflows
+            raise ConfigError(
+                f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g}: computing the "
+                f"Rabi frequency at fig5's S = {s:g} leaves the float range") from None
         _, detected = _mollow_traces(cfg.fpc, mol, drive, s, 1000.0, 50.0)
         traces.append((detected, f"fig5_spectrum_{i}", f"FPC scan, S={s}"))
         traces.append((g2_trace(delays, mol, drive), f"fig5_g2_{i}", f"g2(tau), S={s}"))

@@ -172,7 +172,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             power = get("drive", "power_pw")
             if not power >= 0:
                 raise ValueError(f"power must be finite and >= 0, got {power}")
-            rabi = rabi_for_saturation(mol, power / p_sat)
+            try:
+                rabi = rabi_for_saturation(mol, power / p_sat)
+            except ArithmeticError:  # gamma^2 overflows
+                raise ConfigError(
+                    f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g} and [drive] "
+                    f"power_pw = {power:g}, p_sat_pw = {p_sat:g}: computing the Rabi "
+                    f"frequency at S = power_pw / p_sat_pw leaves the float range") from None
         drive = DriveParams(
             rabi=rabi,
             psi=math.radians(get("drive", "psi_deg")),

@@ -8,7 +8,9 @@ oscillation, and g2(tau) is that population normalized to its steady state.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +27,13 @@ class G2Trace(SpectrumTrace):
 
     def __init__(self, delays, values, meta=None):
         super().__init__(delays, values, "delay_ns", "g2", {} if meta is None else meta)
-        if (self.values < 0).any():
+
+    @staticmethod
+    def _checked_values(grid, values, check_grid: bool) -> np.ndarray:
+        values = SpectrumTrace._checked_values(grid, values, check_grid)
+        if (values < 0).any():
             raise ValueError("g2 values must be >= 0")
+        return values
 
     def to_csv(self) -> str:
         return _csv_text({"meta": self.meta}, "delay_ns,g2", self.grid, self.values)
@@ -116,23 +123,68 @@ def _g2_rates(gamma0: float, gamma: float, rabi: float):
     return a_rate, w * w - off_sq
 
 
-def _g2_fit_terms(tau, gamma0: float, gamma: float):
-    """terms(rabi) = _g2_shape(tau, *_g2_rates(gamma0, gamma, rabi),
-    partials=True), bit for bit, for the many rabi of one fit: a, the
-    drive-free part of mu^2 and the smallest positive tau are computed
-    once, e^{-a tau} once at the first oscillating rabi."""
+class _G2Plan(NamedTuple):
+    """What a g2 fit reads that only the delays and (gamma0, gamma) fix;
+    every array is read-only."""
+
+    delays: np.ndarray      # |delays| (ns)
+    order: np.ndarray       # their stable sort order
+    tau: np.ndarray         # |delays| (us), in trace order
+    tau_min: float          # the smallest positive tau (inf if none)
+    decay: np.ndarray       # e^{-a tau}
+    a_rate: float           # damping rate a (angular, per us)
+    off_sq: float           # the drive-free part of mu^2: mu^2 = w^2 - off_sq
+    # the integral seed's window, the sorted tau = t <= 4/a: e^{-a t}, the
+    # trapezoid half-steps, x1 = (1 + a t) e^{-a t} and x1 . x1
+    seed_e: np.ndarray
+    seed_dt: np.ndarray
+    seed_x1: np.ndarray
+    seed_s11: float
+
+
+# one plan per (delay-grid shape and bytes, gamma0, gamma); a Monte Carlo
+# study fits many traces on one grid, and a few grids at most interleave
+@functools.lru_cache(maxsize=8)
+def _g2_plan(shape: tuple, data: bytes, gamma0: float, gamma: float) -> _G2Plan:
+    """The _G2Plan of the float delay grid with this shape and these bytes,
+    for population decay gamma0 and linewidth gamma (cyclic MHz).  A grid
+    shorter than three decay times is a ValueError on every call:
+    exceptions are not cached."""
     a_rate, off_sq = _g2_damping(gamma0, gamma)
+    delays = np.abs(np.frombuffer(data).reshape(shape))
+    decay_ns = 1e3 / a_rate
+    if delays.max() < 3.0 * decay_ns:
+        raise ValueError(
+            f"trace too short: spans {delays.max():.3g} ns, "
+            f"need >= {3.0 * decay_ns:.3g} ns (three decay times)"
+        )
+    order = np.argsort(delays, kind="stable")
+    tau = delays * 1e-3
     positive = tau[tau > 0.0]
-    tau_min = float(positive.min()) if positive.size else math.inf
-    decay = None
+    t = delays[order] * 1e-3
+    t = t[:int(np.searchsorted(t, 4.0 / a_rate, side="right"))]
+    e = np.exp(-a_rate * t)
+    x1 = (1.0 + a_rate * t) * e
+    plan = _G2Plan(delays, order, tau, float(positive.min()) if positive.size else math.inf,
+                   np.exp(-a_rate * tau), a_rate, off_sq,
+                   e, 0.5 * np.diff(t), x1, float(x1 @ x1))
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
+def _g2_fit_terms(plan: _G2Plan):
+    """terms(rabi) = _g2_shape(plan.tau, *_g2_rates(gamma0, gamma, rabi),
+    partials=True), bit for bit, for the many rabi of one fit: a, the
+    drive-free part of mu^2, the smallest positive tau and e^{-a tau} come
+    from the plan."""
+    tau, a_rate, off_sq = plan.tau, plan.a_rate, plan.off_sq
 
     def terms(rabi):
-        nonlocal decay
         w = cyclic_to_angular(rabi)
-        mu_sq = w * w - off_sq
-        if decay is None and mu_sq > 0.0:
-            decay = np.exp(-a_rate * tau)
-        return _g2_shape(tau, a_rate, mu_sq, partials=True, decay=decay, tau_min=tau_min)
+        return _g2_shape(tau, a_rate, w * w - off_sq, partials=True, decay=plan.decay,
+                         tau_min=plan.tau_min)
 
     return terms
 
@@ -162,34 +214,32 @@ def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
 _FIRST_MAX_DECAY = 0.5
 
 
-def _integral_rabi_seed(tau, v, plateau, a_rate, mu_sq0, fallback):
-    """Rabi frequency (MHz) of the g2 samples v at sorted |delays| tau (us),
-    from one weighted linear solve (regression on integral equations;
-    Jacquelin 2009).
+def _integral_rabi_seed(plan: _G2Plan, v, plateau, fallback):
+    """Rabi frequency (MHz) of the g2 samples v in the plan's order of
+    |delay|, from one weighted linear solve (regression on integral
+    equations; Jacquelin 2009).
 
     With P the plateau and a the damping rate, q = e^{a tau} (P - g2) =
     amp (C + a S) obeys q'' = -mu^2 q with q(0) = amp and q'(0) = a amp, so
     q = amp (1 + a tau) - mu^2 Q2, Q2 the trapezoid double integral of q.
-    The rows cover tau <= 4/a, weighted by e^{-a tau} against the growth of
-    the noise in q.  The squared angular Rabi rate is mu^2 - mu_sq0; a
-    negative one (noise about rabi = 0) seeds at its magnitude, the scale
-    the solve resolves.  Returns fallback when the solve is singular."""
-    n = int(np.searchsorted(tau, 4.0 / a_rate, side="right"))
-    t = tau[:n]
-    y = plateau - v[:n]           # e^{-a tau} q
-    e = np.exp(-a_rate * t)
-    dt = 0.5 * np.diff(t)
+    The rows cover tau <= 4/a (the plan's seed window), weighted by
+    e^{-a tau} against the growth of the noise in q.  The squared angular
+    Rabi rate is mu^2 - mu^2(rabi = 0) = mu^2 + off_sq; a negative one
+    (noise about rabi = 0) seeds at its magnitude, the scale the solve
+    resolves.  Returns fallback when the solve is singular."""
+    e, dt, x1 = plan.seed_e, plan.seed_dt, plan.seed_x1
+    y = plateau - v[:e.size]      # e^{-a tau} q
     # samples near the float limit give inf or nan: the checks fall back
     with np.errstate(over="ignore", invalid="ignore"):
         q = y / e
         q1 = np.concatenate(([0.0], np.cumsum(dt * (q[1:] + q[:-1]))))
         q2 = np.concatenate(([0.0], np.cumsum(dt * (q1[1:] + q1[:-1]))))
-        x1, x2 = (1.0 + a_rate * t) * e, q2 * e
-        s11, s12, s22 = float(x1 @ x1), float(x1 @ x2), float(x2 @ x2)
+        x2 = q2 * e
+        s11, s12, s22 = plan.seed_s11, float(x1 @ x2), float(x2 @ x2)
         det = s11 * s22 - s12 * s12
         if not det > 0.0:
             return fallback
-        w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det - mu_sq0
+        w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det + plan.off_sq
     if w_sq == 0.0 or not math.isfinite(w_sq):
         return fallback
     return math.sqrt(abs(w_sq)) / TWO_PI
@@ -202,34 +252,29 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     gamma0 is fixed from the molecule (lifetime-derived) and reported as a
     fixed parameter.  Negative delays are mirrored, as in g2.  The result is
     minimize's, whatever its status; a trace shorter than three decay times
-    is a ValueError, raised before the fit runs.
+    is a ValueError, raised before the fit runs.  What only the delays and
+    (gamma0, gamma) fix comes from their plan (_g2_plan), shared by every
+    fit on that grid.
     """
-    a0, mu_sq0 = _g2_rates(mol.gamma0, mol.gamma, 0.0)
-    decay_ns = 1e3 / a0
-    delays = np.abs(trace.grid)
-    if delays.max() < 3.0 * decay_ns:
-        raise ValueError(
-            f"trace too short: spans {delays.max():.3g} ns, "
-            f"need >= {3.0 * decay_ns:.3g} ns (three decay times)"
-        )
+    grid = trace.grid
+    plan = _g2_plan(grid.shape, grid.tobytes(), mol.gamma0, mol.gamma)
 
     # The seeds read the trace in order of |delay|: the plateau is the fifth
     # at the largest |delay| (the tail of a forward trace, the head of a
     # mirrored one).  The first interior maximum, if any, sits near half a
     # Rabi period; that seeds rabi when the oscillation is fast against the
     # decay, and the integral seed does otherwise.
-    order = np.argsort(delays, kind="stable")
-    v = trace.values[order]
+    v = trace.values[plan.order]
     tail = v[-max(3, v.size // 5):]
     plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
     i_max = int(np.argmax(v))
     t_first = math.inf
     if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
-        t_first = delays[order[i_max]]
-    if t_first > 0 and a0 * t_first * 1e-3 < _FIRST_MAX_DECAY:
+        t_first = plan.delays[plan.order[i_max]]
+    if t_first > 0 and plan.a_rate * t_first * 1e-3 < _FIRST_MAX_DECAY:
         rabi0 = max(0.5e3 / t_first, mol.gamma0)
     else:
-        rabi0 = _integral_rabi_seed(delays[order] * 1e-3, v, plateau, a0, mu_sq0, mol.gamma0)
+        rabi0 = _integral_rabi_seed(plan, v, plateau, mol.gamma0)
 
     pars = [
         Parameter("rabi", rabi0, lo=0.0),
@@ -238,10 +283,9 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         Parameter("gamma0", mol.gamma0, fixed=True),
     ]
 
-    tau = delays * 1e-3
     # the shape and its derivative in mu^2, shared by the residual and the
-    # Jacobian; what does not depend on rabi is computed once per fit
-    model = _g2_fit_terms(tau, mol.gamma0, mol.gamma)
+    # Jacobian
+    model = _g2_fit_terms(plan)
     terms = estimation._cache_last(lambda p: model(p[0]))
 
     def residual(p):
@@ -252,7 +296,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         rabi, amp = p[0], p[1]
         shape, d_mu_sq = terms(p)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
-        jac = np.empty((tau.size, 4), order="F")   # minimize's layout: no copy
+        jac = np.empty((grid.size, 4), order="F")   # minimize's layout: no copy
         jac[:, 0] = d_mu_sq * (amp * dmu_drabi)     # rabi
         jac[:, 1] = shape                           # amplitude
         jac[:, 2] = 1.0                             # background

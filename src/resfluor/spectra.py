@@ -49,18 +49,37 @@ class SpectrumTrace:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.values = _checked_values(self.grid, self.values, check_grid=True)
+        self.values = self._checked_values(self.grid, self.values, check_grid=True)
 
-    @staticmethod
-    def _on_checked_grid(grid, values, freq_kind: str, value_kind: str,
+    @classmethod
+    def _on_checked_grid(cls, grid, values, freq_kind: str, value_kind: str,
                          meta: dict) -> "SpectrumTrace":
-        """A trace of values on grid, a float array with the shape and bytes
-        of a grid that passed __post_init__'s checks: the grid is not
-        checked again; the values get __post_init__'s checks."""
-        trace = object.__new__(SpectrumTrace)
-        trace.__dict__.update(grid=grid, values=_checked_values(grid, values, check_grid=False),
+        """A trace of this class of values on grid, a float array with the
+        shape and bytes of a grid that passed __post_init__'s checks: the
+        grid is not checked again; the values get __post_init__'s checks."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(grid=grid,
+                              values=cls._checked_values(grid, values, check_grid=False),
                               freq_kind=freq_kind, value_kind=value_kind, meta=meta)
         return trace
+
+    @staticmethod
+    def _checked_values(grid: np.ndarray, values, check_grid: bool) -> np.ndarray:
+        """values as a float array, checked to be 1-D, finite and as long as
+        the 1-D grid; with check_grid, the grid is checked to be strictly
+        increasing and finite too, after the lengths and before the values'
+        finiteness.  Both constructors run it, so a subclass adds its own
+        checks of the values here."""
+        values = np.asarray(values, dtype=float)
+        if grid.ndim != 1 or values.ndim != 1:
+            raise ValueError("grid and values must be 1-D arrays")
+        if grid.size != values.size:
+            raise ValueError(f"grid ({grid.size}) and values ({values.size}) length mismatch")
+        if check_grid and grid.size >= 2 and not (grid[1:] > grid[:-1]).all():
+            raise ValueError("grid must be strictly increasing")
+        if not np.isfinite(values).all() or check_grid and not np.isfinite(grid).all():
+            raise ValueError("grid and values must be finite")
+        return values
 
     def require_same_units(self, other: "SpectrumTrace"):
         if (self.freq_kind, self.value_kind) != (other.freq_kind, other.value_kind):
@@ -92,22 +111,6 @@ class SpectrumTrace:
     def from_csv(cls, text: str) -> "SpectrumTrace":
         fields, grid, values = _parse_csv(text)
         return cls(grid, values, **fields)
-
-
-def _checked_values(grid: np.ndarray, values, check_grid: bool) -> np.ndarray:
-    """values as a float array, checked to be 1-D, finite and as long as the
-    1-D grid; with check_grid, the grid is checked to be strictly increasing
-    and finite too, after the lengths and before the values' finiteness."""
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or values.ndim != 1:
-        raise ValueError("grid and values must be 1-D arrays")
-    if grid.size != values.size:
-        raise ValueError(f"grid ({grid.size}) and values ({values.size}) length mismatch")
-    if check_grid and grid.size >= 2 and not (grid[1:] > grid[:-1]).all():
-        raise ValueError("grid must be strictly increasing")
-    if not np.isfinite(values).all() or check_grid and not np.isfinite(grid).all():
-        raise ValueError("grid and values must be finite")
-    return values
 
 
 # '# key = value' comment lines a trace CSV may carry; meta is JSON

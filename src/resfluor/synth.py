@@ -34,6 +34,9 @@ _memo: dict = {}
 
 _NO_PLATEAU = "plateau region has no coincidences; trace unusable"
 
+# a g2 draw counts coincidences: no dark counts, unit efficiency and time
+_COINCIDENCE_COUNTER = DetectorParams(dark_rate=0.0, integration_time=1.0)
+
 
 def _rate_trace(key, grid, evaluate, scale, freq_kind, meta):
     """The counts_per_s trace on grid of scale times the noiseless values
@@ -108,22 +111,17 @@ def noisy_g2_trace(
     n_tail = max(3, int(0.2 * delays.size))
     if not rate.values[-n_tail:].any():
         raise ValueError(_NO_PLATEAU)
-    det = DetectorParams(dark_rate=0.0, integration_time=1.0)
-    counts = simulate_counts(rate, det, seed)
+    counts = simulate_counts(rate, _COINCIDENCE_COUNTER, seed)
     tail = counts.values[-n_tail:]
     plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
     if plateau <= 0:
         raise ValueError(_NO_PLATEAU)
-    return G2Trace(
-        delays,
-        counts.values / plateau,
-        meta={
-            "generator": "noisy_g2_trace",
-            "rng": RNG_NAME,
-            "seed": int(seed),
-            "plateau_coincidences": plateau_coincidences,
-            "rabi": drive.rabi,
-            "gamma0": mol.gamma0,
-            "gamma": mol.gamma,
-        },
-    )
+    return G2Trace._on_checked_grid(rate.grid, counts.values / plateau, "delay_ns", "g2", {
+        "generator": "noisy_g2_trace",
+        "rng": RNG_NAME,
+        "seed": int(seed),
+        "plateau_coincidences": plateau_coincidences,
+        "rabi": drive.rabi,
+        "gamma0": mol.gamma0,
+        "gamma": mol.gamma,
+    })

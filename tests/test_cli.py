@@ -264,13 +264,21 @@ class TestSimulate:
          ["extinction"]),
         ("saturation-sweep", "[simulate]\npower_min_pw = 1e-300\npower_max_pw = 1e300", 0,
          ["saturation_coherent", "saturation_total"]),
+        ("saturation-sweep", "[drive]\np_sat_pw = 1e-300\n[simulate]\npower_max_pw = 1e300",
+         0, ["saturation_coherent", "saturation_total"]),
+        ("saturation-sweep", "[simulate]\npower_max_pw = 1e300\nemission_scale = 1e12", 0,
+         ["saturation_coherent", "saturation_total"]),
         ("mollow", "[simulate]\nemission_scale = 1e308", 3, []),
         ("mollow", "[fpc]\nfsr = 1e300\nfwhm = 1e299", 3, []),
-    ], ids=["extinction", "extinction-noisy", "saturation-sweep", "mollow-scale", "mollow-fpc"])
+    ], ids=["extinction", "extinction-noisy", "saturation-sweep", "saturation-sweep-S-inf",
+            "saturation-sweep-scale-S-inf", "mollow-scale", "mollow-fpc"])
     def test_values_near_the_float_range_end_without_a_warning(self, tmp_path, command,
                                                                 text, code, stems):
         # each used to leak an overflow or invalid-value RuntimeWarning, which
-        # tier-1 turns into a failure; the exit codes and files are as before
+        # tier-1 turns into a failure; the exit codes and files are as before,
+        # except that a saturation sweep whose S = P / P_sat or scale * S
+        # overflows exited 3 and now takes the limits: coherent 0, total the
+        # scale, while the factors at finite scale * S keep their bits
         cfg = _ini(tmp_path, text + "\n")
         out = tmp_path / "out"
         assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == code
@@ -280,8 +288,17 @@ class TestSimulate:
             tr = _read(str(out / "extinction.csv"))
             assert tr.values[0] == tr.values[-1] == 1.0   # far from the line
         if command == "saturation-sweep":
-            assert _read(str(out / "saturation_coherent.csv")).values[-1] == 0.0
-            assert _read(str(out / "saturation_total.csv")).values[-1] == 1.0
+            scale = 1e12 if "emission_scale" in text else 1.0
+            coherent = _read(str(out / "saturation_coherent.csv"))
+            total = _read(str(out / "saturation_total.csv"))
+            assert coherent.values[-1] < 1e-280 * scale
+            assert total.values[-1] == scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                sat = total.grid / (1e-300 if "p_sat_pw" in text else 350.0)
+                closed = scale * sat / (1 + sat)
+            finite = np.isfinite(closed)
+            assert finite.any()
+            assert np.array_equal(total.values[finite], closed[finite])
 
     @pytest.mark.parametrize("text,values", [
         ("[molecule]\ngamma = 1e300", "gamma0 = 16.4, gamma = 1e+300 and [drive] Rabi "
@@ -305,6 +322,21 @@ class TestSimulate:
         assert main(["simulate", "extinction", "--out", str(trace)]) == 0
         assert main(["analyze", "fit-spectrum", str(trace / "extinction.csv"),
                      "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [["simulate", "extinction"],
+                                      ["analyze", "fit-spectrum", "trace.csv"],
+                                      ["reproduce", "fig2"]])
+    def test_power_to_rabi_outside_the_float_range_is_exit_2(self, tmp_path, capsys, argv):
+        # load_config's Rabi frequency at S = power_pw / p_sat_pw overflowed
+        # (gamma^2) and every command exited 3 with only Python's
+        # "(34, 'Numerical result out of range')"
+        cfg = _ini(tmp_path, "[molecule]\ngamma = 1e300\n[drive]\npower_pw = 10\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [molecule] gamma0 = 16.4, gamma = 1e+300 and [drive] "
+                              "power_pw = 10, p_sat_pw = 350: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,text,complaint", [
         ("extinction", "[output]\nformats = cvs", "[output] formats"),
@@ -680,6 +712,16 @@ class TestReproduce:
             assert os.path.exists(os.path.join(out, fig, name)), name
         written = {n for n in os.listdir(os.path.join(out, fig)) if n.endswith(".csv")}
         assert written == set(manifest["files"])
+
+    def test_fig5_rabi_outside_the_float_range_is_exit_2(self, tmp_path, capsys):
+        # fig5's own rabi_for_saturation calls overflowed (gamma^2): exit 3
+        # with only Python's "(34, 'Numerical result out of range')"
+        cfg = _ini(tmp_path, "[molecule]\ngamma = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig5", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [molecule] gamma0 = 16.4, gamma = 1e+300: ")
+        assert "fig5's S = 0.05" in err and not (out / "fig5").exists()
 
     @pytest.mark.parametrize("angles", ["0, 0.4, 36, 72", "36, 72, 71.6, 108", ""])
     def test_fig4_angles_without_distinct_file_names_are_exit_2(self, tmp_path, capsys,

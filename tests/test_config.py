@@ -5,7 +5,7 @@ import pytest
 
 from resfluor import config
 from resfluor.config import ConfigError, load_config
-from resfluor.physics import DriveParams, saturation_parameter
+from resfluor.physics import DriveParams, rabi_for_saturation, saturation_parameter
 
 
 def test_builtin_profile_values():
@@ -29,6 +29,18 @@ def test_overrides_and_power_to_rabi():
     assert s == pytest.approx(1.0, rel=1e-12)
     cfg2 = load_config(overrides={"drive": {"power_pw": 1400.0}})
     assert saturation_parameter(cfg2.molecule, cfg2.drive) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_power_to_rabi_outside_the_float_range_is_config_error():
+    # gamma^2 overflows in rabi_for_saturation: this used to raise Python's
+    # "(34, 'Numerical result out of range')", an exit 3 naming no key
+    with pytest.raises(ConfigError, match=re.escape(
+            "[molecule] gamma0 = 16.4, gamma = 1e+300 and [drive] power_pw = 10, "
+            "p_sat_pw = 350: ")):
+        load_config(overrides={"molecule": {"gamma": "1e300"}, "drive": {"power_pw": "10"}})
+    # a finite Rabi frequency keeps its bits
+    cfg = load_config(overrides={"molecule": {"gamma": "1e150"}, "drive": {"power_pw": "10"}})
+    assert cfg.drive.rabi == rabi_for_saturation(cfg.molecule, 10.0 / 350.0)
 
 
 @pytest.mark.parametrize("section,key,value", [

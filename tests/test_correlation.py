@@ -96,8 +96,7 @@ class TestClosedForm:
         # (mu^2 = 1e-6 a^2: the cut is ~1.3 us), at the first one only (the
         # cut at 1.5 steps) and at none (criterion 6: the cut, 0.32 ns, is
         # below the 0.5-ns step); mu^2 < 0; mu^2 = 0 (gamma = 2 gamma0, no
-        # drive).  In reverse order e^{-a tau} is computed after the
-        # overdamped points.
+        # drive).  Reversed, the overdamped points come first.
         tau = np.abs(delays) * 1e-3
         step = 0.5e-3
         every = np.count_nonzero(tau > 0.0)
@@ -109,7 +108,8 @@ class TestClosedForm:
             target = {"1e-6": 1e-6 * a * a, "1.5 steps": correlation._SERIES_X / (1.5 * step) ** 2}
             rabis = {name: math.sqrt(off_sq + target[r]) / (2.0 * math.pi) if r in target else r
                      for name, r in regimes.items()}
-            terms = correlation._g2_fit_terms(tau, mol.gamma0, mol.gamma)
+            terms = correlation._g2_fit_terms(
+                correlation._g2_plan(delays.shape, delays.tobytes(), mol.gamma0, mol.gamma))
             for name in (reversed(rabis) if reverse else rabis):
                 _, mu_sq = _g2_rates(mol.gamma0, mol.gamma, rabis[name])
                 cut = math.sqrt(correlation._SERIES_X / abs(mu_sq)) if mu_sq else math.inf
@@ -254,10 +254,11 @@ class TestRabiFit:
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=5.0))
         v = tr.values.copy()
         v[5] = 1e300
-        a0, mu_sq0 = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
+        plan = correlation._g2_plan(tr.grid.shape, tr.grid.tobytes(), MOL.gamma0, MOL.gamma)
+        assert plan.seed_e.size > 5   # v[5] is in the seed's window
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            seed = correlation._integral_rabi_seed(tr.grid * 1e-3, v, 1.0, a0, mu_sq0, -1.0)
+            seed = correlation._integral_rabi_seed(plan, v, 1.0, -1.0)
         assert seed == -1.0
 
     def test_seed_sweep_no_worse_than_the_first_maximum(self):
@@ -321,10 +322,66 @@ class TestRabiFit:
             assert res.nfev <= res.iterations + 2
 
     def test_short_trace_rejected(self):
+        # the same error on every call: a plan that raises is not cached
         delays = np.linspace(0.0, 20.0, 41)
         tr = g2_trace(delays, MOL, DriveParams(rabi=60.0))
-        with pytest.raises(ValueError):
-            fit_rabi_from_g2(tr, MOL)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="trace too short") as info:
+                fit_rabi_from_g2(tr, MOL)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+
+class TestFitPlan:
+    """fit_rabi_from_g2 reads what only the delays and (gamma0, gamma) fix
+    from one cached plan per grid and molecule (correlation._g2_plan)."""
+
+    @staticmethod
+    def _fit_json(tr, mol=MOL):
+        return fit_rabi_from_g2(tr, mol).to_json()
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "mirrored"])
+    def test_cold_and_warm_plans_give_the_same_bytes(self, mirrored):
+        # Omega = 0 and 5 MHz take the integral seed's fallback and solve,
+        # 50 MHz is criterion 6, 200 MHz takes the first-maximum seed
+        delays = np.linspace(0.0, 400.0, 801)
+        for rabi in (0.0, 5.0, 50.0, 200.0):
+            tr = noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4, seed=3)
+            if mirrored:
+                tr = G2Trace(-delays[::-1], tr.values[::-1])
+            correlation._g2_plan.cache_clear()
+            cold = self._fit_json(tr)
+            assert correlation._g2_plan.cache_info().misses == 1
+            warm = self._fit_json(tr)
+            assert correlation._g2_plan.cache_info().hits == 1
+            assert warm == cold, rabi
+        with mock.patch.object(correlation, "_integral_rabi_seed",
+                               side_effect=AssertionError("integral seed")):
+            self._fit_json(tr)   # 200 MHz: the first maximum seeds rabi
+
+    def test_molecules_sharing_a_grid_get_separate_plans(self):
+        delays = np.linspace(0.0, 400.0, 801)
+        other = MoleculeParams(gamma0=16.4, gamma=40.0, lambda21=590.0)
+        correlation._g2_plan.cache_clear()
+        plans = [correlation._g2_plan(delays.shape, delays.tobytes(), mol.gamma0, mol.gamma)
+                 for mol in (MOL, other, MOL)]
+        assert plans[0] is plans[2] and plans[0] is not plans[1]
+        assert plans[0].a_rate != plans[1].a_rate
+        tr = noisy_g2_trace(delays, other, DriveParams(rabi=50.0), 1e4, seed=4)
+        warm = self._fit_json(tr, other)
+        correlation._g2_plan.cache_clear()
+        assert self._fit_json(tr, other) == warm
+
+    def test_plan_arrays_are_read_only(self):
+        delays = np.linspace(-400.0, 400.0, 1601)
+        plan = correlation._g2_plan(delays.shape, delays.tobytes(), MOL.gamma0, MOL.gamma)
+        arrays = [x for x in plan if isinstance(x, np.ndarray)]
+        assert len(arrays) == 7
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 def test_saturation_annotation():
