@@ -162,8 +162,9 @@ def _saturation_traces(p_sat: float, powers, scale: float, generator: str) -> tu
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
     times scale, at S = powers / p_sat."""
     # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its
-    # limit.  Where S or scale * S overflows, the factors come in an order
-    # that does not, with S/(1 + S) = 1 at S = inf: coherent 0, total scale.
+    # limit.  Where S or scale * S overflows, the factors are computed as
+    # scale * S/(1 + S) and scale * S/(1 + S) / (1 + S), with S/(1 + S) = 1
+    # at S = inf: total tends to the scale and coherent to 0.
     with np.errstate(over="ignore", invalid="ignore"):
         sat = powers / p_sat
         coherent = scale * sat / (1 + sat) ** 2

@@ -127,8 +127,7 @@ class _G2Plan(NamedTuple):
     """What a g2 fit reads that only the delays and (gamma0, gamma) fix;
     every array is read-only."""
 
-    delays: np.ndarray      # |delays| (ns)
-    order: np.ndarray       # their stable sort order
+    order: np.ndarray       # the stable sort order of |delays|
     tau: np.ndarray         # |delays| (us), in trace order
     tau_min: float          # the smallest positive tau (inf if none)
     decay: np.ndarray       # e^{-a tau}
@@ -165,7 +164,7 @@ def _g2_plan(shape: tuple, data: bytes, gamma0: float, gamma: float) -> _G2Plan:
     t = t[:int(np.searchsorted(t, 4.0 / a_rate, side="right"))]
     e = np.exp(-a_rate * t)
     x1 = (1.0 + a_rate * t) * e
-    plan = _G2Plan(delays, order, tau, float(positive.min()) if positive.size else math.inf,
+    plan = _G2Plan(order, tau, float(positive.min()) if positive.size else math.inf,
                    np.exp(-a_rate * tau), a_rate, off_sq,
                    e, 0.5 * np.diff(t), x1, float(x1 @ x1))
     for a in plan:
@@ -270,7 +269,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     i_max = int(np.argmax(v))
     t_first = math.inf
     if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
-        t_first = plan.delays[plan.order[i_max]]
+        t_first = abs(grid[plan.order[i_max]])
     if t_first > 0 and plan.a_rate * t_first * 1e-3 < _FIRST_MAX_DECAY:
         rabi0 = max(0.5e3 / t_first, mol.gamma0)
     else:

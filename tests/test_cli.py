@@ -277,8 +277,9 @@ class TestSimulate:
         # each used to leak an overflow or invalid-value RuntimeWarning, which
         # tier-1 turns into a failure; the exit codes and files are as before,
         # except that a saturation sweep whose S = P / P_sat or scale * S
-        # overflows exited 3 and now takes the limits: coherent 0, total the
-        # scale, while the factors at finite scale * S keep their bits
+        # overflows exited 3 and now ends at scale * S/(1 + S) and
+        # scale * S/(1 + S)^2 with S/(1 + S) = 1, while the factors at finite
+        # scale * S keep their bits
         cfg = _ini(tmp_path, text + "\n")
         out = tmp_path / "out"
         assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == code
@@ -291,14 +292,19 @@ class TestSimulate:
             scale = 1e12 if "emission_scale" in text else 1.0
             coherent = _read(str(out / "saturation_coherent.csv"))
             total = _read(str(out / "saturation_total.csv"))
-            assert coherent.values[-1] < 1e-280 * scale
-            assert total.values[-1] == scale
             with np.errstate(over="ignore", invalid="ignore"):
                 sat = total.grid / (1e-300 if "p_sat_pw" in text else 350.0)
-                closed = scale * sat / (1 + sat)
-            finite = np.isfinite(closed)
-            assert finite.any()
-            assert np.array_equal(total.values[finite], closed[finite])
+                closed = {"coherent": scale * sat / (1 + sat) ** 2,
+                          "total": scale * sat / (1 + sat)}
+            if scale == 1.0:
+                assert coherent.values[-1] == 0.0
+            else:   # scale * S overflows at a finite S = 2.9e297
+                assert coherent.values[-1] == scale * 1.0 / (1 + sat[-1]) > 0.0
+            assert total.values[-1] == scale
+            for tr, want in ((coherent, closed["coherent"]), (total, closed["total"])):
+                finite = np.isfinite(want)
+                assert finite.any()
+                assert np.array_equal(tr.values[finite], want[finite])
 
     @pytest.mark.parametrize("text,values", [
         ("[molecule]\ngamma = 1e300", "gamma0 = 16.4, gamma = 1e+300 and [drive] Rabi "

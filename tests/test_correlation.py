@@ -377,7 +377,7 @@ class TestFitPlan:
         delays = np.linspace(-400.0, 400.0, 1601)
         plan = correlation._g2_plan(delays.shape, delays.tobytes(), MOL.gamma0, MOL.gamma)
         arrays = [x for x in plan if isinstance(x, np.ndarray)]
-        assert len(arrays) == 7
+        assert len(arrays) == 6
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
