@@ -54,8 +54,8 @@ _SERIES_DS = np.array([-(k + 1) / math.factorial(2 * k + 3) for k in range(5)])
 
 
 def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
-    """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us); with
-    partials, the pair (shape, d shape/dmu^2) for 1-D tau.
+    """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us, an array);
+    with partials, the pair (shape, d shape/dmu^2) for 1-D tau.
 
     C = cos(mu tau) and S = sin(mu tau)/mu, mu = sqrt(mu^2), are entire in
     mu^2: below the oscillation threshold (mu^2 = -nu^2) they are cosh and
@@ -65,53 +65,85 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
 
     decay, if given, is e^{-a tau} at the same tau, and tau_min is at most
     the smallest positive tau: a series cut at or below it takes no delay.
-    Neither moves a bit of the result.
+    Neither moves a bit of the result.  Each step runs in place in a buffer
+    of its own (tau and decay are only read), with the rounding of the
+    expressions in the comments: reordering the two operands of one IEEE
+    operation moves no bit.
     """
     if mu_sq > 0.0:
         mu = math.sqrt(mu_sq)
         e = np.exp(-a_rate * tau) if decay is None else decay
-        mu_tau = mu * tau
-        c, s = np.cos(mu_tau), np.sin(mu_tau)
-        damped = e * (c + (a_rate / mu) * s)
-        ec, es = e * c, e * s / mu
+        s = np.multiply(mu, tau)
+        c = np.cos(s)
+        np.sin(s, out=s)
+        damped = np.multiply(a_rate / mu, s)   # e (c + (a / mu) s)
+        damped += c
+        damped *= e
+        ec, es = c, s
+        ec *= e                                # e c
+        es *= e                                # e s / mu
+        es /= mu
     else:
         # overdamped, overflow-safe: with f = e^{-(a - nu) tau} and
         # q = e^{-2 nu tau} - 1, e^{-a tau} C = f (1 + q/2) and
         # e^{-a tau} S = -f q / (2 nu)
         nu = math.sqrt(-mu_sq)
-        f = np.exp((nu - a_rate) * tau)
-        q = np.expm1(-2.0 * nu * tau)
-        ec = f * (1.0 + 0.5 * q)
-        es = f * q / (-2.0 * nu) if nu else f * tau
-        damped = ec + a_rate * es
+        f = np.multiply(nu - a_rate, tau)
+        np.exp(f, out=f)
+        es = np.multiply(-2.0 * nu, tau)
+        np.expm1(es, out=es)                   # q
+        ec = np.multiply(0.5, es)              # f (1 + 0.5 q)
+        ec += 1.0
+        ec *= f
+        if nu:
+            es *= f                            # f q / (-2 nu)
+            es /= -2.0 * nu
+        else:
+            np.multiply(f, tau, out=es)        # f tau
+        damped = np.multiply(a_rate, es, out=f)   # ec + a es
+        damped += ec
+    shape = np.subtract(1.0, damped, out=damped)
     if not partials:
-        return 1.0 - damped
+        return shape
     # the series below |mu^2| tau^2 = _SERIES_X; tau = 0 is exact as it
     # stands, except at mu^2 = 0, where the closed form is 0/0 or x/0 and
     # the series takes every delay
+    eds = np.multiply(tau, ec)                 # (tau ec - es) / (2 mu^2)
+    eds -= es
     if mu_sq:
-        eds = (tau * ec - es) / (2.0 * mu_sq)
+        eds /= 2.0 * mu_sq
         cut = math.sqrt(_SERIES_X / abs(mu_sq))
         small = None if cut <= tau_min else (tau < cut) & (tau > 0.0)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eds = (tau * ec - es) / (2.0 * mu_sq)
         small = tau < math.inf
     if small is not None and small.any():
         t = tau[small]
         t2 = t * t
         e = np.exp(-a_rate * t) if decay is None else decay[small]
         eds[small] = e * t * t2 * (np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
-    return 1.0 - damped, 0.5 * tau * es - a_rate * eds
+    d_mu_sq = np.multiply(0.5, tau, out=ec)    # 0.5 tau es - a eds
+    d_mu_sq *= es
+    eds *= a_rate
+    d_mu_sq -= eds
+    return shape, d_mu_sq
 
 
 def _g2_damping(gamma0: float, gamma: float):
     """Damping rate a of g2 and the part ((Gamma_2 - Gamma_1)/2)^2 of mu^2
     that does not depend on the drive (angular, per us), for population
-    decay gamma0 and linewidth gamma (cyclic MHz)."""
+    decay gamma0 and linewidth gamma (cyclic MHz); a ValueError naming both
+    when either is beyond the float range."""
     g1 = cyclic_to_angular(gamma0)
     g2r = math.pi * gamma
-    return 0.5 * (g1 + g2r), (0.5 * (g2r - g1)) ** 2
+    a_rate = 0.5 * (g1 + g2r)
+    try:
+        off_sq = (0.5 * (g2r - g1)) ** 2
+    except OverflowError:
+        off_sq = math.inf
+    if not (math.isfinite(a_rate) and math.isfinite(off_sq)):
+        raise ValueError(f"gamma0 = {gamma0:g} and gamma = {gamma:g} MHz put the g2 "
+                         f"damping outside the float range")
+    return a_rate, off_sq
 
 
 def _g2_rates(gamma0: float, gamma: float, rabi: float):
@@ -195,8 +227,8 @@ def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
     |Gamma_1 - Gamma_2|/2 (Gamma_1/4 for a lifetime-limited emitter).
     """
     tau = np.abs(np.asarray(tau_ns, dtype=float)) * 1e-3
-    out = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
-    return out if np.ndim(tau_ns) else float(out)
+    out = _g2_shape(np.atleast_1d(tau), *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
+    return out if np.ndim(tau_ns) else float(out[0])
 
 
 def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
@@ -288,15 +320,17 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     terms = estimation._cache_last(lambda p: model(p[0]))
 
     def residual(p):
-        _, amp, bg, _ = p
-        return bg + amp * terms(p)[0] - trace.values
+        r = np.multiply(p[1], terms(p)[0])   # bg + amp shape - values
+        r += p[2]
+        r -= trace.values
+        return r
 
     def jacobian(p):
         rabi, amp = p[0], p[1]
         shape, d_mu_sq = terms(p)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
         jac = np.empty((grid.size, 4), order="F")   # minimize's layout: no copy
-        jac[:, 0] = d_mu_sq * (amp * dmu_drabi)     # rabi
+        np.multiply(d_mu_sq, amp * dmu_drabi, out=jac[:, 0])   # rabi
         jac[:, 1] = shape                           # amplitude
         jac[:, 2] = 1.0                             # background
         jac[:, 3] = 0.0                             # gamma0: the residual does not read it

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg   # numpy's LAPACK gufuncs; `import numpy` loads them
 
 from .spectra import SpectrumTrace
 
@@ -139,6 +140,28 @@ def _normal_matrix(J):
     return J.T @ J.copy(order="K")
 
 
+def _solve(A, b):
+    """np.linalg.solve(A, b) for a square float matrix and a vector, bit for
+    bit, from the LAPACK gufunc it wraps: the invalid flag that the gufunc
+    raises for a singular matrix is numpy's LinAlgError, as there."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.solve1(A, b, signature="dd->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
+def _eigh(A):
+    """np.linalg.eigh(A) of a symmetric float matrix, bit for bit, from the
+    LAPACK gufunc it wraps: (eigenvalues ascending, eigenvectors), and
+    numpy's LinAlgError when the gufunc flags non-convergence."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.eigh_lo(A, signature="d->dd")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
+
+
 def _inverse_and_cond(A):
     """The pseudo-inverse of the normal matrix A and lambda_max / lambda_min,
     from one eigendecomposition.  An eigenvalue <= 1e-14 lambda_max gets a
@@ -147,11 +170,10 @@ def _inverse_and_cond(A):
     n = A.shape[0]
     if not np.isfinite(A).all():
         return np.full((n, n), np.nan), math.inf
-    lam, vec = np.linalg.eigh(A)
-    cond = float(lam[-1] / lam[0]) if lam[0] > 0 else math.inf
-    inv = np.zeros(n)
-    kept = lam > 1e-14 * lam[-1]
-    inv[kept] = 1.0 / lam[kept]
+    lam, vec = _eigh(A)
+    lam = lam.tolist()   # a few eigenvalues: Python floats, the same IEEE arithmetic
+    cond = lam[-1] / lam[0] if lam[0] > 0 else math.inf
+    inv = [1.0 / x if x > 1e-14 * lam[-1] else 0.0 for x in lam]
     return (vec * inv) @ vec.T, cond
 
 
@@ -226,13 +248,6 @@ def minimize(problem: FitProblem) -> FitResult:
 
     theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
     p, scale = point(theta)
-    r = residual(p)
-    if r.size < nfree:
-        raise RankDeficientError(
-            f"residual dimension {r.size} < free parameter count {nfree}"
-        )
-    if not np.isfinite(r).all():
-        raise ValueError("initial residual is not finite")
 
     mu = 0.0
     status = "max_iter"
@@ -241,9 +256,17 @@ def minimize(problem: FitProblem) -> FitResult:
     normals = []  # each iteration's J^T J, for the conditioning checks
 
     # past the float range (a runaway, data near the float limit) inf and nan
-    # are read as what they are: a gradient that is not finite fails the test,
-    # a trial cost that is not finite is rejected, such a normal matrix has cond inf
+    # are read as what they are: a residual or gradient that is not finite
+    # fails its test, a trial cost that is not finite is rejected, such a
+    # normal matrix has cond inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = residual(p)
+        if r.size < nfree:
+            raise RankDeficientError(
+                f"residual dimension {r.size} < free parameter count {nfree}"
+            )
+        if not np.isfinite(r).all():
+            raise ValueError("initial residual is not finite")
         cost = float(np.sum(r * r))
         if cost == math.inf:
             raise ValueError("initial cost is not finite")
@@ -271,7 +294,7 @@ def minimize(problem: FitProblem) -> FitResult:
                     damped = A.copy()
                     damped.flat[::nfree + 1] += mu * diag
                 try:
-                    step = np.linalg.solve(damped, neg_g)
+                    step = _solve(damped, neg_g)
                 except np.linalg.LinAlgError:
                     mu = max(mu * 10.0, 1e-3)
                     continue
@@ -480,7 +503,7 @@ def _refine_line(trace: SpectrumTrace, center: float, gamma: float):
         try:
             # the scaled basis is well conditioned (cond ~ 10), so its normal
             # equations lose little to a QR solve and take half the time
-            coef = np.linalg.solve(rows @ rows.T, rows @ (u * x * x * wt))
+            coef = _solve(rows @ rows.T, rows @ (u * x * x * wt))
         except np.linalg.LinAlgError:
             return center, gamma
     shift = 0.5 * float(coef[0])

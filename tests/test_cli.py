@@ -557,6 +557,40 @@ class TestAnalyze:
         assert f"error: {bad}: initial cost is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gammas", [(16.4, 1e300), (1e300, 1e308)])
+    def test_g2_fit_with_damping_outside_the_float_range_is_exit_2(self, tmp_path, capsys,
+                                                                    gammas):
+        # the g2 damping's square overflowed as a Python float: this exited
+        # 3 printing only "(34, 'Numerical result out of range')"
+        assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
+        cfg = _ini(tmp_path, "[molecule]\ngamma0 = {}\ngamma = {}\n".format(*gammas))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'g2.csv'}: gamma0 = {gammas[0]:g} and "
+                              f"gamma = {gammas[1]:g} MHz put the g2 damping outside the "
+                              "float range")
+        assert not out.exists()
+
+    def test_g2_fit_with_a_runaway_initial_residual_is_exit_2_without_warning(self, tmp_path,
+                                                                             capsys):
+        # gamma0 = 1e300, gamma = 2e300: the seed's Rabi rate squared
+        # overflows, and the initial residual, evaluated outside minimize's
+        # errstate, warned four times before the exit
+        assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
+        cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e300\ngamma = 2e300\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'g2.csv'}: initial residual is not finite\n"
+        assert not out.exists()
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2

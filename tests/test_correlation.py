@@ -124,6 +124,87 @@ class TestClosedForm:
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want], name
 
 
+def _g2_shape_expressions(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
+    """_g2_shape written as plain expressions, one temporary per operation:
+    the form whose bits the in-place kernel must keep."""
+    if mu_sq > 0.0:
+        mu = math.sqrt(mu_sq)
+        e = np.exp(-a_rate * tau) if decay is None else decay
+        mu_tau = mu * tau
+        c, s = np.cos(mu_tau), np.sin(mu_tau)
+        damped = e * (c + (a_rate / mu) * s)
+        ec, es = e * c, e * s / mu
+    else:
+        nu = math.sqrt(-mu_sq)
+        f = np.exp((nu - a_rate) * tau)
+        q = np.expm1(-2.0 * nu * tau)
+        ec = f * (1.0 + 0.5 * q)
+        es = f * q / (-2.0 * nu) if nu else f * tau
+        damped = ec + a_rate * es
+    if not partials:
+        return 1.0 - damped
+    if mu_sq:
+        eds = (tau * ec - es) / (2.0 * mu_sq)
+        cut = math.sqrt(correlation._SERIES_X / abs(mu_sq))
+        small = None if cut <= tau_min else (tau < cut) & (tau > 0.0)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eds = (tau * ec - es) / (2.0 * mu_sq)
+        small = tau < math.inf
+    if small is not None and small.any():
+        t = tau[small]
+        t2 = t * t
+        e = np.exp(-a_rate * t) if decay is None else decay[small]
+        eds[small] = e * t * t2 * (np.power.outer(-mu_sq * t2, correlation._SERIES_POW)
+                                   @ correlation._SERIES_DS)
+    return 1.0 - damped, 0.5 * tau * es - a_rate * eds
+
+
+class TestInPlaceKernel:
+    """_g2_shape computes each step in place; it must keep the bits of the
+    plain expressions and never write into the plan it reads."""
+
+    @pytest.mark.parametrize("mu_sq_of_a", [
+        ("oscillatory", 50.0), ("oscillatory", 1.0), ("series cut", 1e-3), ("series cut", 1e-6),
+        ("overdamped", -0.5), ("overdamped series", -1e-6), ("mu^2 = 0", 0.0)],
+        ids=lambda x: f"{x[0]}, {x[1]:g} a^2")
+    @pytest.mark.parametrize("delays", [np.linspace(0.0, 400.0, 801),
+                                        np.linspace(-400.0, 400.0, 1601)[::-1]],
+                             ids=["forward", "mirrored-reversed"])
+    def test_bits_equal_the_plain_expressions(self, mu_sq_of_a, delays):
+        a = correlation._g2_damping(MOL.gamma0, MOL.gamma)[0]
+        mu_sq = mu_sq_of_a[1] * a * a
+        tau = np.abs(delays) * 1e-3
+        tau.flags.writeable = False
+        decay = np.exp(-a * tau)
+        decay.flags.writeable = False
+        positive = tau[tau > 0.0].min()
+        for kwargs in ({}, {"decay": decay}, {"decay": decay, "tau_min": positive}):
+            for partials in (False, True):
+                got = _g2_shape(tau, a, mu_sq, partials, **kwargs)
+                want = _g2_shape_expressions(tau, a, mu_sq, partials, **kwargs)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), kwargs
+
+    def test_scalar_delay_takes_the_array_kernel(self):
+        drive = DriveParams(rabi=40.0)
+        for tau_ns in (0.0, 7.25, -31.0):
+            value = g2(tau_ns, MOL, drive)
+            assert type(value) is float
+            assert value == g2(np.array([tau_ns]), MOL, drive)[0]
+
+    def test_plan_bytes_unchanged_after_fits(self):
+        delays = np.linspace(-400.0, 400.0, 801)
+        correlation._g2_plan.cache_clear()
+        plan = correlation._g2_plan(delays.shape, delays.tobytes(), MOL.gamma0, MOL.gamma)
+        before = [x.tobytes() if isinstance(x, np.ndarray) else x for x in plan]
+        for seed in range(50):
+            rabi = (0.0, 5.0, 50.0, 200.0, 300.0)[seed % 5]
+            tr = noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4, seed=seed)
+            fit_rabi_from_g2(tr, MOL)
+        assert correlation._g2_plan.cache_info().hits == 50
+        assert [x.tobytes() if isinstance(x, np.ndarray) else x for x in plan] == before
+
+
 class TestTraceIO:
     def test_csv_round_trip_bit_exact(self):
         tr = g2_trace(np.linspace(0, 300, 301), MOL, DriveParams(rabi=50.0))

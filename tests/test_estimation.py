@@ -431,6 +431,65 @@ class TestMinimize:
         assert not res.converged
 
 
+class TestLapackHelpers:
+    """_solve and _eigh call the LAPACK gufuncs that np.linalg.solve and
+    np.linalg.eigh wrap, and must give their bits and their errors."""
+
+    @staticmethod
+    def _matrices(n, seed):
+        """A random SPD matrix, the normal matrix of a random Jacobian and
+        that matrix damped as minimize damps it."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, n))
+        jac = rng.normal(size=(3 * n + 5, n)) * np.geomspace(1e-3, 1e3, n)
+        normal = estimation._normal_matrix(np.asfortranarray(jac))
+        damped = normal.copy()
+        damped.flat[::n + 1] += rng.uniform(1e-3, 10.0) * normal.diagonal()
+        return x @ x.T + n * np.eye(n), normal, damped
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bits_equal_numpy_linalg(self, n):
+        for seed in range(20):
+            b = np.random.default_rng(100 + seed).normal(size=n)
+            for a in self._matrices(n, seed):
+                assert estimation._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+                got, want = estimation._eigh(a), np.linalg.eigh(a)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inverse_and_cond_equal_the_array_form(self, n):
+        # the pseudo-inverse from Python floats against numpy's boolean mask,
+        # on regular matrices and on ones of rank n - 1 (a zero eigenvalue)
+        for seed in range(20):
+            for a in self._matrices(n, seed):
+                for m in (a, a - np.linalg.eigvalsh(a)[0] * np.eye(n)):
+                    lam, vec = np.linalg.eigh(m)
+                    inv = np.zeros(n)
+                    kept = lam > 1e-14 * lam[-1]
+                    inv[kept] = 1.0 / lam[kept]
+                    got, cond = estimation._inverse_and_cond(m)
+                    assert got.tobytes() == ((vec * inv) @ vec.T).tobytes()
+                    assert cond == (float(lam[-1] / lam[0]) if lam[0] > 0 else math.inf)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.ones((3, 3)),
+                                   np.diag([1.0, 0.0, 2.0])], ids=["zero", "rank-1", "zero-pivot"])
+    def test_singular_matrix_raises_linalg_error(self, a):
+        # numpy's own singular test, also under minimize's loop, where an
+        # invalid value is otherwise ignored and would give a nan step
+        b = np.ones(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        for state in ({}, {"all": "ignore"}):
+            with np.errstate(**state), pytest.raises(np.linalg.LinAlgError):
+                estimation._solve(a, b)
+
+    def test_nan_input_raises_in_neither(self):
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        b = np.ones(3)
+        assert estimation._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
 class TestExtinctionFit:
     def _trace(self, a, b, psi, rabi=0.0, grid=None):
         model = ExtinctionModel(A=a, B=b, psi=psi, mol=MOL,
