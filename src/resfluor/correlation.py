@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .physics import TWO_PI, DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
-from .spectra import SpectrumTrace, _csv_text, _parse_csv
+from .spectra import SpectrumTrace, _G2_COLUMNS, _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
 
@@ -36,11 +36,16 @@ class G2Trace(SpectrumTrace):
         return values
 
     def to_csv(self) -> str:
-        return _csv_text({"meta": self.meta}, "delay_ns,g2", self.grid, self.values)
+        return _csv_text({"meta": self.meta}, _G2_COLUMNS, self.grid, self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "G2Trace":
-        fields, delays, values = _parse_csv(text)
+        """The trace of a to_csv text; a freq_kind or value_kind comment
+        other than delay_ns or g2 (another trace's CSV) is a ValueError."""
+        fields, _, delays, values = _parse_csv(text)
+        for key, kind in (("freq_kind", "delay_ns"), ("value_kind", "g2")):
+            if fields.get(key, kind) != kind:
+                raise ValueError(f"{key} = {fields[key]} is not a g2 trace's {kind}")
         return cls(delays, values, fields.get("meta"))
 
 
@@ -53,9 +58,9 @@ _SERIES_POW = np.arange(5)
 _SERIES_DS = np.array([-(k + 1) / math.factorial(2 * k + 3) for k in range(5)])
 
 
-def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
-    """The g2 shape 1 - e^{-a tau} (C + a S) at |delays| tau (us, an array);
-    with partials, the pair (shape, d shape/dmu^2) for 1-D tau.
+def _g2_shape(plan, mu_sq, partials=False):
+    """The g2 shape 1 - e^{-a tau} (C + a S) at the plan's |delays| tau
+    (us) and damping rate a; with partials, the pair (shape, d shape/dmu^2).
 
     C = cos(mu tau) and S = sin(mu tau)/mu, mu = sqrt(mu^2), are entire in
     mu^2: below the oscillation threshold (mu^2 = -nu^2) they are cosh and
@@ -63,16 +68,17 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
     (tau C - S)/(2 mu^2) cancels as mu^2 tau^2 -> 0; there it comes from
     its Taylor series.
 
-    decay, if given, is e^{-a tau} at the same tau, and tau_min is at most
-    the smallest positive tau: a series cut at or below it takes no delay.
-    Neither moves a bit of the result.  Each step runs in place in a buffer
-    of its own (tau and decay are only read), with the rounding of the
-    expressions in the comments: reordering the two operands of one IEEE
-    operation moves no bit.
+    e^{-a tau} is the plan's, and a series cut at or below the plan's
+    smallest positive tau takes no delay: neither moves a bit against
+    computing e^{-a tau} here and testing every delay against the cut.
+    Each step runs in place in a buffer of its own (the plan's arrays are
+    only read), with the rounding of the expressions in the comments:
+    reordering the two operands of one IEEE operation moves no bit.
     """
+    tau, a_rate = plan.tau, plan.a_rate
     if mu_sq > 0.0:
         mu = math.sqrt(mu_sq)
-        e = np.exp(-a_rate * tau) if decay is None else decay
+        e = plan.decay
         s = np.multiply(mu, tau)
         c = np.cos(s)
         np.sin(s, out=s)
@@ -113,13 +119,13 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
     if mu_sq:
         eds /= 2.0 * mu_sq
         cut = math.sqrt(_SERIES_X / abs(mu_sq))
-        small = None if cut <= tau_min else (tau < cut) & (tau > 0.0)
+        small = None if cut <= plan.tau_min else (tau < cut) & (tau > 0.0)
     else:
         small = tau < math.inf
     if small is not None and small.any():
         t = tau[small]
         t2 = t * t
-        e = np.exp(-a_rate * t) if decay is None else decay[small]
+        e = plan.decay[small]
         eds[small] = e * t * t2 * (np.power.outer(-mu_sq * t2, _SERIES_POW) @ _SERIES_DS)
     d_mu_sq = np.multiply(0.5, tau, out=ec)    # 0.5 tau es - a eds
     d_mu_sq *= es
@@ -128,11 +134,40 @@ def _g2_shape(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
     return shape, d_mu_sq
 
 
-def _g2_damping(gamma0: float, gamma: float):
-    """Damping rate a of g2 and the part ((Gamma_2 - Gamma_1)/2)^2 of mu^2
-    that does not depend on the drive (angular, per us), for population
+class _G2Plan(NamedTuple):
+    """What evaluating g2 on a delay grid reads that only the delays (read
+    flat) and (gamma0, gamma) fix: g2() and every Rabi fit on that grid
+    share it.  Every array is read-only."""
+
+    order: np.ndarray       # the stable sort order of |delays|
+    tau: np.ndarray         # |delays| (us), in grid order
+    tau_min: float          # the smallest positive tau (inf if none)
+    span_ns: float          # the largest |delay| (ns; 0 if none)
+    decay: np.ndarray       # e^{-a tau}
+    a_rate: float           # damping rate a (angular, per us)
+    off_sq: float           # the drive-free part of mu^2
+    # the integral seed's window, the sorted tau = t <= 4/a: e^{-a t}, the
+    # trapezoid half-steps, x1 = (1 + a t) e^{-a t} and x1 . x1
+    seed_e: np.ndarray
+    seed_dt: np.ndarray
+    seed_x1: np.ndarray
+    seed_s11: float
+
+    def mu_sq(self, rabi: float) -> float:
+        """Squared oscillation frequency mu^2 = w^2 - off_sq (angular, per
+        us) at Rabi frequency rabi (cyclic MHz)."""
+        w = cyclic_to_angular(rabi)
+        return w * w - self.off_sq
+
+
+# one plan per (delay bytes, gamma0, gamma); a Monte Carlo study draws and
+# fits many traces on one grid, and a few grids at most interleave
+@functools.lru_cache(maxsize=8)
+def _g2_plan(data: bytes, gamma0: float, gamma: float) -> _G2Plan:
+    """The _G2Plan of the float delays with these bytes, for population
     decay gamma0 and linewidth gamma (cyclic MHz); a ValueError naming both
-    when either is beyond the float range."""
+    when the damping rate a or the drive-free part of mu^2,
+    ((Gamma_2 - Gamma_1)/2)^2, is beyond the float range."""
     g1 = cyclic_to_angular(gamma0)
     g2r = math.pi * gamma
     a_rate = 0.5 * (g1 + g2r)
@@ -143,52 +178,7 @@ def _g2_damping(gamma0: float, gamma: float):
     if not (math.isfinite(a_rate) and math.isfinite(off_sq)):
         raise ValueError(f"gamma0 = {gamma0:g} and gamma = {gamma:g} MHz put the g2 "
                          f"damping outside the float range")
-    return a_rate, off_sq
-
-
-def _g2_rates(gamma0: float, gamma: float, rabi: float):
-    """Damping rate a and squared oscillation frequency mu^2 (angular, per
-    us) of g2 for population decay gamma0, linewidth gamma and Rabi
-    frequency rabi (cyclic MHz)."""
-    a_rate, off_sq = _g2_damping(gamma0, gamma)
-    w = cyclic_to_angular(rabi)
-    return a_rate, w * w - off_sq
-
-
-class _G2Plan(NamedTuple):
-    """What a g2 fit reads that only the delays and (gamma0, gamma) fix;
-    every array is read-only."""
-
-    order: np.ndarray       # the stable sort order of |delays|
-    tau: np.ndarray         # |delays| (us), in trace order
-    tau_min: float          # the smallest positive tau (inf if none)
-    decay: np.ndarray       # e^{-a tau}
-    a_rate: float           # damping rate a (angular, per us)
-    off_sq: float           # the drive-free part of mu^2: mu^2 = w^2 - off_sq
-    # the integral seed's window, the sorted tau = t <= 4/a: e^{-a t}, the
-    # trapezoid half-steps, x1 = (1 + a t) e^{-a t} and x1 . x1
-    seed_e: np.ndarray
-    seed_dt: np.ndarray
-    seed_x1: np.ndarray
-    seed_s11: float
-
-
-# one plan per (delay-grid shape and bytes, gamma0, gamma); a Monte Carlo
-# study fits many traces on one grid, and a few grids at most interleave
-@functools.lru_cache(maxsize=8)
-def _g2_plan(shape: tuple, data: bytes, gamma0: float, gamma: float) -> _G2Plan:
-    """The _G2Plan of the float delay grid with this shape and these bytes,
-    for population decay gamma0 and linewidth gamma (cyclic MHz).  A grid
-    shorter than three decay times is a ValueError on every call:
-    exceptions are not cached."""
-    a_rate, off_sq = _g2_damping(gamma0, gamma)
-    delays = np.abs(np.frombuffer(data).reshape(shape))
-    decay_ns = 1e3 / a_rate
-    if delays.max() < 3.0 * decay_ns:
-        raise ValueError(
-            f"trace too short: spans {delays.max():.3g} ns, "
-            f"need >= {3.0 * decay_ns:.3g} ns (three decay times)"
-        )
+    delays = np.abs(np.frombuffer(data))
     order = np.argsort(delays, kind="stable")
     tau = delays * 1e-3
     positive = tau[tau > 0.0]
@@ -197,7 +187,7 @@ def _g2_plan(shape: tuple, data: bytes, gamma0: float, gamma: float) -> _G2Plan:
     e = np.exp(-a_rate * t)
     x1 = (1.0 + a_rate * t) * e
     plan = _G2Plan(order, tau, float(positive.min()) if positive.size else math.inf,
-                   np.exp(-a_rate * tau), a_rate, off_sq,
+                   float(delays.max(initial=0.0)), np.exp(-a_rate * tau), a_rate, off_sq,
                    e, 0.5 * np.diff(t), x1, float(x1 @ x1))
     for a in plan:
         if isinstance(a, np.ndarray):
@@ -205,37 +195,23 @@ def _g2_plan(shape: tuple, data: bytes, gamma0: float, gamma: float) -> _G2Plan:
     return plan
 
 
-def _g2_fit_terms(plan: _G2Plan):
-    """terms(rabi) = _g2_shape(plan.tau, *_g2_rates(gamma0, gamma, rabi),
-    partials=True), bit for bit, for the many rabi of one fit: a, the
-    drive-free part of mu^2, the smallest positive tau and e^{-a tau} come
-    from the plan."""
-    tau, a_rate, off_sq = plan.tau, plan.a_rate, plan.off_sq
-
-    def terms(rabi):
-        w = cyclic_to_angular(rabi)
-        return _g2_shape(tau, a_rate, w * w - off_sq, partials=True, decay=plan.decay,
-                         tau_min=plan.tau_min)
-
-    return terms
-
-
 def g2(tau_ns, mol: MoleculeParams, drive: DriveParams):
-    """g2 at delay tau (ns); negative delays are mirrored.
+    """g2 at delay tau (ns), clipped at 0; negative delays are mirrored.
 
     g2(0) = 0, g2(inf) = 1; oscillatory iff the angular Rabi rate exceeds
     |Gamma_1 - Gamma_2|/2 (Gamma_1/4 for a lifetime-limited emitter).
     """
-    tau = np.abs(np.asarray(tau_ns, dtype=float)) * 1e-3
-    out = _g2_shape(np.atleast_1d(tau), *_g2_rates(mol.gamma0, mol.gamma, drive.rabi))
-    return out if np.ndim(tau_ns) else float(out[0])
+    delays = np.asarray(tau_ns, dtype=float)
+    plan = _g2_plan(delays.tobytes(), mol.gamma0, mol.gamma)
+    out = np.clip(_g2_shape(plan, plan.mu_sq(drive.rabi)), 0.0, None)
+    return out.reshape(delays.shape) if delays.ndim else float(out[0])
 
 
 def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
-    vals = g2(np.asarray(delays_ns, dtype=float), mol, drive)
+    delays = np.asarray(delays_ns, dtype=float)
     return G2Trace(
-        np.asarray(delays_ns, dtype=float),
-        np.clip(vals, 0.0, None),
+        delays,
+        g2(delays, mol, drive),
         meta={"generator": "g2_trace", "rabi": drive.rabi,
               "gamma0": mol.gamma0, "gamma": mol.gamma},
     )
@@ -282,13 +258,20 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
     gamma0 is fixed from the molecule (lifetime-derived) and reported as a
     fixed parameter.  Negative delays are mirrored, as in g2.  The result is
-    minimize's, whatever its status; a trace shorter than three decay times
-    is a ValueError, raised before the fit runs.  What only the delays and
-    (gamma0, gamma) fix comes from their plan (_g2_plan), shared by every
-    fit on that grid.
+    minimize's, whatever its status; a trace shorter than three decay times,
+    or a decay time beyond the float range, is a ValueError raised before
+    the fit runs.  What only the delays and (gamma0, gamma) fix comes from
+    their plan (_g2_plan), shared with g2() and every fit on that grid.
     """
     grid = trace.grid
-    plan = _g2_plan(grid.shape, grid.tobytes(), mol.gamma0, mol.gamma)
+    plan = _g2_plan(grid.tobytes(), mol.gamma0, mol.gamma)
+    decay_ns = 1e3 / plan.a_rate
+    if not math.isfinite(decay_ns):
+        raise ValueError(f"gamma0 = {mol.gamma0:g} and gamma = {mol.gamma:g} MHz put the g2 "
+                         f"decay time outside the float range")
+    if plan.span_ns < 3.0 * decay_ns:
+        raise ValueError(f"trace too short: spans {plan.span_ns:.3g} ns, "
+                         f"need >= {3.0 * decay_ns:.3g} ns (three decay times)")
 
     # The seeds read the trace in order of |delay|: the plateau is the fifth
     # at the largest |delay| (the tail of a forward trace, the head of a
@@ -316,8 +299,7 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
     # the shape and its derivative in mu^2, shared by the residual and the
     # Jacobian
-    model = _g2_fit_terms(plan)
-    terms = estimation._cache_last(lambda p: model(p[0]))
+    terms = estimation._cache_last(lambda p: _g2_shape(plan, plan.mu_sq(p[0]), partials=True))
 
     def residual(p):
         r = np.multiply(p[1], terms(p)[0])   # bg + amp shape - values

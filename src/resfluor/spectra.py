@@ -109,12 +109,16 @@ class SpectrumTrace:
 
     @classmethod
     def from_csv(cls, text: str) -> "SpectrumTrace":
-        fields, grid, values = _parse_csv(text)
+        fields, columns, grid, values = _parse_csv(text)
+        if columns == _G2_COLUMNS:
+            raise ValueError(f"columns {columns} are a g2 trace's, not a spectrum's")
         return cls(grid, values, **fields)
 
 
 # '# key = value' comment lines a trace CSV may carry; meta is JSON
 _CSV_FIELDS = ("freq_kind", "value_kind", "meta")
+# the column-name row of a g2 trace's CSV (correlation.G2Trace)
+_G2_COLUMNS = "delay_ns,g2"
 
 
 def _csv_text(comments: dict, columns: str, x, y) -> str:
@@ -127,13 +131,13 @@ def _csv_text(comments: dict, columns: str, x, y) -> str:
 
 
 def _parse_csv(text: str) -> tuple:
-    """(fields, x, y) of a _csv_text CSV: fields holds the _CSV_FIELDS
-    comments present (meta decoded), x and y the rows after the first
-    non-comment line (the column names).  Blank lines and other comments are
-    skipped; a missing column-name row (a first line of numbers is a data row,
-    not one) or a malformed row is a ValueError."""
-    fields, x, y = {}, [], []
-    header_seen = False
+    """(fields, columns, x, y) of a _csv_text CSV: fields holds the
+    _CSV_FIELDS comments present (meta decoded), columns the first
+    non-comment line (the column names), x and y the rows after it.  Blank
+    lines and other comments are skipped; a missing column-name row (a first
+    line of numbers is a data row, not one) or a malformed row is a
+    ValueError."""
+    fields, columns, x, y = {}, None, [], []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -145,19 +149,19 @@ def _parse_csv(text: str) -> tuple:
                     value = body.split("=", 1)[1].strip()
                     fields[key] = json.loads(value) if key == "meta" else value
             continue
-        if not header_seen:
+        if columns is None:
             try:
                 [float(cell) for cell in line.split(",")]
             except ValueError:
-                header_seen = True
+                columns = line
                 continue
             break
         a, b = line.split(",")
         x.append(float(a))
         y.append(float(b))
-    if not header_seen:
+    if columns is None:
         raise ValueError("CSV trace is missing its header row")
-    return fields, np.array(x), np.array(y)
+    return fields, columns, np.array(x), np.array(y)
 
 
 # ---------------------------------------------------------------------------

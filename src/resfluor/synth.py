@@ -106,7 +106,7 @@ def noisy_g2_trace(
 
     delays = np.asarray(delays_ns, dtype=float)
     rate = _rate_trace((mol, drive, delays.shape, delays.tobytes()), delays,
-                       lambda: np.clip(g2(delays, mol, drive), 0.0, None),
+                       lambda: g2(delays, mol, drive),
                        plateau_coincidences, "delay_ns", {})
     n_tail = max(3, int(0.2 * delays.size))
     if not rate.values[-n_tail:].any():

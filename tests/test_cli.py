@@ -526,6 +526,23 @@ class TestAnalyze:
         assert main(["analyze", command, str(headerless), "--out", out]) == 2
         assert "CSV trace is missing its header row" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("command,text,name,message", [
+        ("g2-fit", "simulate extinction", "extinction.csv",
+         "freq_kind = detuning_MHz is not a g2 trace's delay_ns"),
+        ("fit-spectrum", "simulate g2", "g2.csv",
+         "columns delay_ns,g2 are a g2 trace's, not a spectrum's"),
+    ])
+    def test_a_trace_of_the_other_kind_is_exit_2(self, tmp_path, capsys, command, text, name,
+                                                 message):
+        # a transmission trace fitted as g2 (converged, 14.13 MHz) and a g2
+        # trace fitted as a spectrum (gamma 58.4 MHz) both exited 0
+        assert main([*text.split(), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", command, str(tmp_path / name), "--out", str(out)]) == 2
+        assert f"cannot parse trace {tmp_path / name}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_g2_fit_with_an_infinite_delay_is_exit_2_at_read(self, tmp_path, capsys):
         # it used to pass the reader, warn twice in the g2 shape and exit 2
         # only on a non-finite initial residual
@@ -572,6 +589,20 @@ class TestAnalyze:
         assert err.startswith(f"error: {tmp_path / 'g2.csv'}: gamma0 = {gammas[0]:g} and "
                               f"gamma = {gammas[1]:g} MHz put the g2 damping outside the "
                               "float range")
+        assert not out.exists()
+
+    def test_g2_fit_with_a_decay_time_outside_the_float_range_is_exit_2(self, tmp_path, capsys):
+        # subnormal linewidths overflow the decay time 1e3 / a: this said
+        # "trace too short: spans 400 ns, need >= inf ns"
+        assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
+        cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e-320\ngamma = 1e-320\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'g2.csv'}: gamma0 = {1e-320:g} and gamma = {1e-320:g} MHz put "
+            "the g2 decay time outside the float range")
         assert not out.exists()
 
     def test_g2_fit_with_a_runaway_initial_residual_is_exit_2_without_warning(self, tmp_path,

@@ -10,7 +10,6 @@ from oracles import g2_ode, g2_shape_mp, g2_shape_partials_mp
 from resfluor import correlation
 from resfluor.correlation import (
     G2Trace,
-    _g2_rates,
     _g2_shape,
     annotate,
     fit_rabi_from_g2,
@@ -25,6 +24,11 @@ MOL = MoleculeParams(gamma0=16.4, gamma=17.0, lambda21=590.0)
 LIFETIME_LIMITED = MoleculeParams(gamma0=16.4, gamma=16.4, lambda21=590.0)
 # gamma = 2 gamma0: the drive-free part of mu^2 is exactly 0
 MU_SQ_ZERO = MoleculeParams(gamma0=16.4, gamma=2.0 * 16.4, lambda21=590.0)
+
+
+def _plan(delays, mol=MOL):
+    """The g2 plan of the float delays (ns) for the molecule."""
+    return correlation._g2_plan(np.asarray(delays, dtype=float).tobytes(), mol.gamma0, mol.gamma)
 
 
 class TestClosedForm:
@@ -69,9 +73,9 @@ class TestClosedForm:
         # mu^2 = ratio * a^2 on both sides of the oscillation threshold,
         # where the overdamped sum 0.5 (1 +- a/nu) e^{-(a -+ nu) tau}
         # cancels as nu -> 0
-        a, _ = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
-        tau = np.linspace(0.0, 0.4, 81)
-        got = _g2_shape(tau, a, ratio * a * a)
+        plan = _plan(np.linspace(0.0, 400.0, 81))
+        tau, a = plan.tau, plan.a_rate
+        got = _g2_shape(plan, ratio * a * a)
         assert np.max(np.abs(got - g2_shape_mp(tau, a, ratio * a * a))) <= 1e-13
 
     @pytest.mark.parametrize("ratio", [0.0, 1e-20, -1e-20, 1e-6, -1e-6, 1e-3, -1e-3,
@@ -79,10 +83,10 @@ class TestClosedForm:
     def test_partials_match_high_precision_oracle(self, ratio):
         # d/dmu^2 comes from a Taylor series where mu^2 tau^2 is small,
         # including every delay at mu^2 = 0
-        a, _ = _g2_rates(MOL.gamma0, MOL.gamma, 0.0)
-        tau = np.linspace(0.0, 0.4, 41)
-        shape, d_mu_sq = _g2_shape(tau, a, ratio * a * a, partials=True)
-        assert np.array_equal(shape, _g2_shape(tau, a, ratio * a * a))
+        plan = _plan(np.linspace(0.0, 400.0, 41))
+        tau, a = plan.tau, plan.a_rate
+        shape, d_mu_sq = _g2_shape(plan, ratio * a * a, partials=True)
+        assert np.array_equal(shape, _g2_shape(plan, ratio * a * a))
         ref_mu_sq = g2_shape_partials_mp(tau, a, ratio * a * a)
         assert np.max(np.abs(d_mu_sq - ref_mu_sq)) <= 1e-12 * np.max(np.abs(ref_mu_sq))
 
@@ -90,13 +94,14 @@ class TestClosedForm:
     @pytest.mark.parametrize("delays", [np.linspace(0.0, 400.0, 801),
                                         np.linspace(-400.0, 400.0, 1601)],
                              ids=["forward", "mirrored"])
-    def test_fit_terms_match_g2_shape_bit_for_bit(self, delays, reverse):
-        # one fit's terms, called as LM calls them, against _g2_shape at each
-        # rabi.  mu^2 > 0 with the Taylor series at every positive delay
-        # (mu^2 = 1e-6 a^2: the cut is ~1.3 us), at the first one only (the
-        # cut at 1.5 steps) and at none (criterion 6: the cut, 0.32 ns, is
-        # below the 0.5-ns step); mu^2 < 0; mu^2 = 0 (gamma = 2 gamma0, no
-        # drive).  Reversed, the overdamped points come first.
+    def test_plan_terms_match_the_plain_expressions_bit_for_bit(self, delays, reverse):
+        # one fit's terms, called on one plan as LM calls them, against the
+        # plain expressions at each rabi.  mu^2 > 0 with the Taylor series
+        # at every positive delay (mu^2 = 1e-6 a^2: the cut is ~1.3 us), at
+        # the first one only (the cut at 1.5 steps) and at none (criterion
+        # 6: the cut, 0.32 ns, is below the 0.5-ns step); mu^2 < 0; mu^2 = 0
+        # (gamma = 2 gamma0, no drive).  Reversed, the overdamped points
+        # come first.
         tau = np.abs(delays) * 1e-3
         step = 0.5e-3
         every = np.count_nonzero(tau > 0.0)
@@ -104,32 +109,33 @@ class TestClosedForm:
         for mol, regimes in (
                 (MOL, {"every": "1e-6", "first": "1.5 steps", "none": 50.0, "overdamped": 2.0}),
                 (MU_SQ_ZERO, {"zero": 0.0, "every": "1e-6", "none": 50.0})):
-            a, off_sq = correlation._g2_damping(mol.gamma0, mol.gamma)
+            plan = _plan(delays, mol)
+            a, off_sq = plan.a_rate, plan.off_sq
             target = {"1e-6": 1e-6 * a * a, "1.5 steps": correlation._SERIES_X / (1.5 * step) ** 2}
             rabis = {name: math.sqrt(off_sq + target[r]) / (2.0 * math.pi) if r in target else r
                      for name, r in regimes.items()}
-            terms = correlation._g2_fit_terms(
-                correlation._g2_plan(delays.shape, delays.tobytes(), mol.gamma0, mol.gamma))
             for name in (reversed(rabis) if reverse else rabis):
-                _, mu_sq = _g2_rates(mol.gamma0, mol.gamma, rabis[name])
+                w = 2.0 * math.pi * rabis[name]
+                mu_sq = w * w - off_sq
+                assert plan.mu_sq(rabis[name]) == mu_sq, name
                 cut = math.sqrt(correlation._SERIES_X / abs(mu_sq)) if mu_sq else math.inf
                 in_series = np.count_nonzero((tau > 0.0) & (tau < cut))
                 assert {"every": mu_sq > 0 and in_series == every,
                         "first": mu_sq > 0 and in_series == first,
                         "none": mu_sq > 0 and in_series == 0,
                         "overdamped": mu_sq < 0, "zero": mu_sq == 0}[name], name
-                got = terms(rabis[name])
-                want = _g2_shape(tau, *_g2_rates(mol.gamma0, mol.gamma, rabis[name]),
-                                 partials=True)
+                got = _g2_shape(plan, plan.mu_sq(rabis[name]), partials=True)
+                want = _g2_shape_expressions(tau, a, mu_sq, partials=True)
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want], name
 
 
-def _g2_shape_expressions(tau, a_rate, mu_sq, partials=False, decay=None, tau_min=0.0):
-    """_g2_shape written as plain expressions, one temporary per operation:
-    the form whose bits the in-place kernel must keep."""
+def _g2_shape_expressions(tau, a_rate, mu_sq, partials=False):
+    """_g2_shape written as plain expressions, one temporary per operation,
+    computing e^{-a tau} itself and testing every delay against the series
+    cut: the form whose bits the in-place kernel on a plan must keep."""
     if mu_sq > 0.0:
         mu = math.sqrt(mu_sq)
-        e = np.exp(-a_rate * tau) if decay is None else decay
+        e = np.exp(-a_rate * tau)
         mu_tau = mu * tau
         c, s = np.cos(mu_tau), np.sin(mu_tau)
         damped = e * (c + (a_rate / mu) * s)
@@ -146,23 +152,24 @@ def _g2_shape_expressions(tau, a_rate, mu_sq, partials=False, decay=None, tau_mi
     if mu_sq:
         eds = (tau * ec - es) / (2.0 * mu_sq)
         cut = math.sqrt(correlation._SERIES_X / abs(mu_sq))
-        small = None if cut <= tau_min else (tau < cut) & (tau > 0.0)
+        small = (tau < cut) & (tau > 0.0)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             eds = (tau * ec - es) / (2.0 * mu_sq)
         small = tau < math.inf
-    if small is not None and small.any():
+    if small.any():
         t = tau[small]
         t2 = t * t
-        e = np.exp(-a_rate * t) if decay is None else decay[small]
+        e = np.exp(-a_rate * t)
         eds[small] = e * t * t2 * (np.power.outer(-mu_sq * t2, correlation._SERIES_POW)
                                    @ correlation._SERIES_DS)
     return 1.0 - damped, 0.5 * tau * es - a_rate * eds
 
 
 class TestInPlaceKernel:
-    """_g2_shape computes each step in place; it must keep the bits of the
-    plain expressions and never write into the plan it reads."""
+    """_g2_shape computes each step in place from the plan's cached e^{-a tau}
+    and smallest positive delay; it must keep the bits of the plain
+    expressions and never write into the plan it reads."""
 
     @pytest.mark.parametrize("mu_sq_of_a", [
         ("oscillatory", 50.0), ("oscillatory", 1.0), ("series cut", 1e-3), ("series cut", 1e-6),
@@ -172,18 +179,15 @@ class TestInPlaceKernel:
                                         np.linspace(-400.0, 400.0, 1601)[::-1]],
                              ids=["forward", "mirrored-reversed"])
     def test_bits_equal_the_plain_expressions(self, mu_sq_of_a, delays):
-        a = correlation._g2_damping(MOL.gamma0, MOL.gamma)[0]
+        plan = _plan(delays)
+        a = plan.a_rate
         mu_sq = mu_sq_of_a[1] * a * a
         tau = np.abs(delays) * 1e-3
-        tau.flags.writeable = False
-        decay = np.exp(-a * tau)
-        decay.flags.writeable = False
-        positive = tau[tau > 0.0].min()
-        for kwargs in ({}, {"decay": decay}, {"decay": decay, "tau_min": positive}):
-            for partials in (False, True):
-                got = _g2_shape(tau, a, mu_sq, partials, **kwargs)
-                want = _g2_shape_expressions(tau, a, mu_sq, partials, **kwargs)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), kwargs
+        assert plan.tau.tobytes() == tau.tobytes()
+        for partials in (False, True):
+            got = _g2_shape(plan, mu_sq, partials)
+            want = _g2_shape_expressions(tau, a, mu_sq, partials)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), partials
 
     def test_scalar_delay_takes_the_array_kernel(self):
         drive = DriveParams(rabi=40.0)
@@ -194,12 +198,12 @@ class TestInPlaceKernel:
 
     def test_plan_bytes_unchanged_after_fits(self):
         delays = np.linspace(-400.0, 400.0, 801)
+        traces = [noisy_g2_trace(delays, MOL, DriveParams(rabi=(0.0, 5.0, 50.0, 200.0, 300.0)[
+            seed % 5]), 1e4, seed=seed) for seed in range(50)]
         correlation._g2_plan.cache_clear()
-        plan = correlation._g2_plan(delays.shape, delays.tobytes(), MOL.gamma0, MOL.gamma)
+        plan = _plan(delays)
         before = [x.tobytes() if isinstance(x, np.ndarray) else x for x in plan]
-        for seed in range(50):
-            rabi = (0.0, 5.0, 50.0, 200.0, 300.0)[seed % 5]
-            tr = noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4, seed=seed)
+        for tr in traces:
             fit_rabi_from_g2(tr, MOL)
         assert correlation._g2_plan.cache_info().hits == 50
         assert [x.tobytes() if isinstance(x, np.ndarray) else x for x in plan] == before
@@ -229,6 +233,18 @@ class TestTraceIO:
                                                                        message):
         with pytest.raises(ValueError, match=message):
             G2Trace(np.array(delays), np.array(values))
+
+    @pytest.mark.parametrize("freq_kind,value_kind,message", [
+        ("detuning_MHz", "transmission", "freq_kind = detuning_MHz is not a g2 trace's delay_ns"),
+        ("delay_ns", "counts_per_s", "value_kind = counts_per_s is not a g2 trace's g2"),
+    ])
+    def test_csv_of_other_kinds_is_not_read_as_g2(self, freq_kind, value_kind, message):
+        text = SpectrumTrace([0.0, 1.0], [1.0, 1.0], freq_kind, value_kind).to_csv()
+        with pytest.raises(ValueError, match=message):
+            G2Trace.from_csv(text)
+        # kind comments that name the g2 kinds are read
+        assert G2Trace.from_csv(SpectrumTrace([0.0, 1.0], [1.0, 1.0], "delay_ns", "g2")
+                                .to_csv()).values.tolist() == [1.0, 1.0]
 
     def test_is_a_spectrum_trace_of_delay_and_g2_kinds(self):
         tr = g2_trace(np.linspace(0, 300, 301), MOL, DriveParams(rabi=50.0))
@@ -307,7 +323,7 @@ class TestRabiFit:
         # period from zero delay, here on a sample
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
         first_max = tr.grid[np.argmax(tr.values)]
-        assert _g2_rates(MOL.gamma0, MOL.gamma, 0.0)[0] * first_max * 1e-3 < 0.5
+        assert _plan(tr.grid).a_rate * first_max * 1e-3 < 0.5
         assert self._seeds(tr)["rabi"] == 0.5e3 / first_max == rabi
 
     @pytest.mark.parametrize("seed", [71, 74, 154, 213, 286])
@@ -335,7 +351,7 @@ class TestRabiFit:
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=5.0))
         v = tr.values.copy()
         v[5] = 1e300
-        plan = correlation._g2_plan(tr.grid.shape, tr.grid.tobytes(), MOL.gamma0, MOL.gamma)
+        plan = _plan(tr.grid)
         assert plan.seed_e.size > 5   # v[5] is in the seed's window
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -403,7 +419,7 @@ class TestRabiFit:
             assert res.nfev <= res.iterations + 2
 
     def test_short_trace_rejected(self):
-        # the same error on every call: a plan that raises is not cached
+        # the same error on every call, from a cached plan as from a new one
         delays = np.linspace(0.0, 20.0, 41)
         tr = g2_trace(delays, MOL, DriveParams(rabi=60.0))
         messages = set()
@@ -413,10 +429,21 @@ class TestRabiFit:
             messages.add(str(info.value))
         assert len(messages) == 1
 
+    def test_a_short_grid_evaluates_and_only_the_fit_rejects_it(self):
+        # three decay times is the fit's requirement, not the grid's: g2 on
+        # 0..20 ns (about one decay time) is the closed form there
+        delays = np.linspace(0.5, 20.0, 40)
+        correlation._g2_plan.cache_clear()
+        got = g2(delays, MOL, DriveParams(rabi=60.0))
+        assert np.max(np.abs(got - g2_ode(delays, MOL.gamma0, MOL.gamma, 60.0))) < 1e-9
+        with pytest.raises(ValueError, match="trace too short"):
+            fit_rabi_from_g2(G2Trace(delays, got), MOL)
+        assert correlation._g2_plan.cache_info().misses == 1
+
 
 class TestFitPlan:
-    """fit_rabi_from_g2 reads what only the delays and (gamma0, gamma) fix
-    from one cached plan per grid and molecule (correlation._g2_plan)."""
+    """g2 and fit_rabi_from_g2 read what only the delays and (gamma0, gamma)
+    fix from one cached plan per grid and molecule (correlation._g2_plan)."""
 
     @staticmethod
     def _fit_json(tr, mol=MOL):
@@ -445,8 +472,7 @@ class TestFitPlan:
         delays = np.linspace(0.0, 400.0, 801)
         other = MoleculeParams(gamma0=16.4, gamma=40.0, lambda21=590.0)
         correlation._g2_plan.cache_clear()
-        plans = [correlation._g2_plan(delays.shape, delays.tobytes(), mol.gamma0, mol.gamma)
-                 for mol in (MOL, other, MOL)]
+        plans = [_plan(delays, mol) for mol in (MOL, other, MOL)]
         assert plans[0] is plans[2] and plans[0] is not plans[1]
         assert plans[0].a_rate != plans[1].a_rate
         tr = noisy_g2_trace(delays, other, DriveParams(rabi=50.0), 1e4, seed=4)
@@ -454,9 +480,21 @@ class TestFitPlan:
         correlation._g2_plan.cache_clear()
         assert self._fit_json(tr, other) == warm
 
+    def test_g2_and_the_fit_share_one_plan(self):
+        # one miss for the trace's g2, then hits for the fit and for g2 at
+        # another drive on the same grid and molecule
+        delays = np.linspace(0.0, 400.0, 801)
+        correlation._g2_plan.cache_clear()
+        tr = g2_trace(delays, MOL, DriveParams(rabi=50.0))
+        assert correlation._g2_plan.cache_info().misses == 1
+        fit_rabi_from_g2(tr, MOL)
+        g2(delays, MOL, DriveParams(rabi=5.0))
+        info = correlation._g2_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_plan_arrays_are_read_only(self):
         delays = np.linspace(-400.0, 400.0, 1601)
-        plan = correlation._g2_plan(delays.shape, delays.tobytes(), MOL.gamma0, MOL.gamma)
+        plan = _plan(delays)
         arrays = [x for x in plan if isinstance(x, np.ndarray)]
         assert len(arrays) == 6
         for a in arrays:

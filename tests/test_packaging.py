@@ -233,9 +233,10 @@ def test_every_run_config_field_is_read():
 
 
 def _defaulted_options(path):
-    """(name, {option: position}) of each public function and public
-    dataclass in the module: its defaulted parameters or fields, with the
-    position a call can pass each by (inf for a keyword-only one)."""
+    """(name, {option: position}) of each module-level function, public or
+    private, and each public dataclass in the module: its defaulted
+    parameters or fields, with the position a call can pass each by (inf
+    for a keyword-only one)."""
     for node in _parse(path).body:
         if isinstance(node, ast.FunctionDef):
             args = node.args
@@ -250,7 +251,7 @@ def _defaulted_options(path):
             options = {f.target.id: k for k, f in enumerate(fields) if f.value is not None}
         else:
             continue
-        if options and not node.name.startswith("_"):
+        if options and (isinstance(node, ast.FunctionDef) or not node.name.startswith("_")):
             yield node.name, options
 
 
