@@ -71,12 +71,14 @@ def _write_trace(trace: SpectrumTrace, out_dir: str, stem: str):
     _write_text(trace.to_json(), out_dir, f"{stem}.json")
 
 
-def _read_trace(path: str, cls):
-    """Parse the CSV file at path as a cls (a SpectrumTrace class).  A
-    missing, unparseable or empty trace is a ConfigError."""
+def _read_trace(path: str, cls, *axis: str):
+    """Parse the CSV file at path as a cls (a SpectrumTrace class); axis,
+    for a SpectrumTrace, is the freq_kind the analysis reads.  A missing,
+    unparseable or empty trace, or one whose CSV names another axis, is a
+    ConfigError."""
     try:
         with open(path) as fh:
-            trace = cls.from_csv(fh.read())
+            trace = cls.from_csv(fh.read(), *axis)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse trace {path}: {exc}") from exc
     if trace.values.size == 0:
@@ -86,9 +88,9 @@ def _read_trace(path: str, cls):
 
 def _load_series(manifest_path: str, key: str) -> list:
     """(entry[key], trace) for each entry of a manifest's "series" list;
-    entry["file"] is relative to the manifest's directory.  A malformed
-    manifest or entry, or traces of differing units, is a ConfigError that
-    names it."""
+    entry["file"] is relative to the manifest's directory, and its trace is
+    read on the detuning axis.  A malformed manifest or entry, or traces of
+    differing units, is a ConfigError that names it."""
     try:
         with open(manifest_path) as fh:
             series = json.load(fh)["series"]
@@ -108,7 +110,7 @@ def _load_series(manifest_path: str, key: str) -> list:
             raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
         if not isinstance(path, str):
             raise ConfigError(f"{where}: 'file' must be a path, got {path!r}")
-        trace = _read_trace(os.path.join(base, path), SpectrumTrace)
+        trace = _read_trace(os.path.join(base, path), SpectrumTrace, "detuning_MHz")
         if pairs:
             try:
                 pairs[0][1].require_same_units(trace)
@@ -304,7 +306,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 def _fit_spectrum(inputs, cfg: RunConfig):
     from .estimation import fit_extinction
 
-    return fit_extinction(_read_trace(inputs[0], SpectrumTrace)), {}, []
+    return fit_extinction(_read_trace(inputs[0], SpectrumTrace, "detuning_MHz")), {}, []
 
 
 def _separate(inputs, cfg: RunConfig):
@@ -346,8 +348,8 @@ def _saturation_fit(inputs, cfg: RunConfig):
 
     if len(inputs) != 2:
         raise ConfigError("saturation-fit needs two inputs: coherent.csv total.csv")
-    coh = _read_trace(inputs[0], SpectrumTrace)
-    tot = _read_trace(inputs[1], SpectrumTrace)
+    coh = _read_trace(inputs[0], SpectrumTrace, "power_pW")
+    tot = _read_trace(inputs[1], SpectrumTrace, "power_pW")
     if coh.grid.size != tot.grid.size or not np.allclose(coh.grid, tot.grid):
         raise ConfigError("saturation-fit: power grids of the two channels differ")
     return fit_saturation_curves(coh.grid, coh.values, tot.values), {}, []

@@ -1,9 +1,10 @@
 """Second-order intensity correlation of the driven two-level system.
 
 The closed form follows from the optical Bloch equations at resonance with
-population decay 2*pi*gamma0 and coherence decay pi*gamma (angular rates):
-starting from the ground state the excited population relaxes as a damped
-oscillation, and g2(tau) is that population normalized to its steady state.
+population decay 2*pi*gamma0 and coherence decay pi*gamma (angular rates,
+physics.bloch_rates): starting from the ground state the excited population
+relaxes as a damped oscillation, and g2(tau) is that population normalized
+to its steady state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .physics import TWO_PI, DriveParams, MoleculeParams, cyclic_to_angular, saturation_parameter
+from .physics import (TWO_PI, DriveParams, MoleculeParams, bloch_rates, cyclic_to_angular,
+                      saturation_parameter)
 from .spectra import SpectrumTrace, _G2_COLUMNS, _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
@@ -168,13 +170,8 @@ def _g2_plan(data: bytes, gamma0: float, gamma: float) -> _G2Plan:
     decay gamma0 and linewidth gamma (cyclic MHz); a ValueError naming both
     when the damping rate a or the drive-free part of mu^2,
     ((Gamma_2 - Gamma_1)/2)^2, is beyond the float range."""
-    g1 = cyclic_to_angular(gamma0)
-    g2r = math.pi * gamma
-    a_rate = 0.5 * (g1 + g2r)
-    try:
-        off_sq = (0.5 * (g2r - g1)) ** 2
-    except OverflowError:
-        off_sq = math.inf
+    rates = bloch_rates(gamma0, gamma)
+    a_rate, off_sq = rates.a, rates.off_sq
     if not (math.isfinite(a_rate) and math.isfinite(off_sq)):
         raise ValueError(f"gamma0 = {gamma0:g} and gamma = {gamma:g} MHz put the g2 "
                          f"damping outside the float range")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,29 @@ TWO_PI = 2.0 * math.pi
 def cyclic_to_angular(f_mhz: float) -> float:
     """MHz (cyclic) -> rad/us (angular)."""
     return TWO_PI * f_mhz
+
+
+class BlochRates(NamedTuple):
+    """Angular rates (rad/us) of the resonant optical Bloch equations."""
+
+    g1: float       # population decay Gamma_1 = 2 pi gamma0
+    g2: float       # coherence decay Gamma_2 = pi gamma
+    gphi: float     # pure dephasing Gamma_2 - Gamma_1/2 = pi (gamma - gamma0)
+    a: float        # mean decay (Gamma_1 + Gamma_2)/2, the g2 damping rate
+    off_sq: float   # ((Gamma_2 - Gamma_1)/2)^2, inf past the float range
+
+
+def bloch_rates(gamma0: float, gamma: float) -> BlochRates:
+    """The BlochRates of natural linewidth gamma0 and homogeneous linewidth
+    gamma (cyclic MHz, FWHM); the pure dephasing comes from gamma - gamma0
+    itself, so it is exactly 0 for a lifetime-limited emitter."""
+    g1 = cyclic_to_angular(gamma0)
+    g2 = math.pi * gamma
+    try:
+        off_sq = (0.5 * (g2 - g1)) ** 2
+    except OverflowError:
+        off_sq = math.inf
+    return BlochRates(g1, g2, math.pi * (gamma - gamma0), 0.5 * (g1 + g2), off_sq)
 
 
 def normalize_phase(psi: float) -> float:

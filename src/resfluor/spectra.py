@@ -5,9 +5,10 @@ extinction (interference) spectrum, the incoherent resonance-fluorescence
 spectrum of a resonantly driven two-level system (Mollow triplet), and the
 Fabry-Perot instrument response with its convolution.
 
-The Mollow spectrum comes from the 4x4 Bloch Liouvillian through a linear
-solve for the steady state and a rational resolvent, with no eigenmodes, so
-it stays exact at the exceptional point (Omega = gamma0/4, lifetime limit).
+The Mollow spectrum is Mollow's closed form: one real rational function of
+the squared frequency, with coefficients from the resonant Bloch rates that
+g2 reads too (physics.bloch_rates).  It has no eigenmodes, so it stays exact
+at the exceptional point (Omega = gamma0/4, lifetime limit).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .physics import (
     DriveParams,
     MoleculeParams,
     TWO_PI,
+    bloch_rates,
     cyclic_to_angular,
     saturation_parameter,
 )
@@ -108,10 +110,15 @@ class SpectrumTrace:
                           "meta": self.meta}, "frequency_MHz,value", self.grid, self.values)
 
     @classmethod
-    def from_csv(cls, text: str) -> "SpectrumTrace":
+    def from_csv(cls, text: str, freq_kind: str | None = None) -> "SpectrumTrace":
+        """The trace of a to_csv text.  A g2 trace's CSV is a ValueError, and
+        so, given freq_kind, is a CSV whose freq_kind comment names another
+        axis; a CSV without that comment reads as without freq_kind."""
         fields, columns, grid, values = _parse_csv(text)
         if columns == _G2_COLUMNS:
             raise ValueError(f"columns {columns} are a g2 trace's, not a spectrum's")
+        if freq_kind is not None and fields.get("freq_kind", freq_kind) != freq_kind:
+            raise ValueError(f"freq_kind = {fields['freq_kind']} is not the expected {freq_kind}")
         return cls(grid, values, **fields)
 
 
@@ -227,48 +234,6 @@ def extinction_spectrum(model: ExtinctionModel, grid) -> SpectrumTrace:
 # Mollow triplet (resonant drive)
 # ---------------------------------------------------------------------------
 
-# |g><e| on the basis (g, e); column-stacked vec(X) = (X_gg, X_eg, X_ge, X_ee)
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_TRACE_ROW = np.array([1, 0, 0, 1], dtype=complex)   # Tr X = row . vec(X)
-
-
-def _bloch_liouvillian(gamma0_mhz: float, gamma_mhz: float, rabi_mhz: float) -> np.ndarray:
-    """Liouvillian of the resonantly driven two-level system, 4x4 on
-    column-stacked rho = (rho_gg, rho_eg, rho_ge, rho_ee).
-
-    Angular rates in rad/us: population decay 2*pi*gamma0, total coherence
-    decay pi*gamma (pure dephasing makes up the difference).
-    """
-    g1 = cyclic_to_angular(gamma0_mhz)          # population decay
-    g2 = math.pi * gamma_mhz                    # coherence decay
-    gphi = g2 - g1 / 2.0                        # pure dephasing (>= 0)
-    w = cyclic_to_angular(rabi_mhz)
-
-    sm = _SIGMA_MINUS
-    sz = np.array([[-1, 0], [0, 1]], dtype=complex)
-    ident = np.eye(2, dtype=complex)
-    h = (w / 2.0) * (sm + sm.T)
-
-    def lindblad(a, rate):
-        ada = a.conj().T @ a
-        return rate * (
-            np.kron(a.conj(), a)
-            - 0.5 * (np.kron(ident, ada) + np.kron(ada.T, ident))
-        )
-
-    liou = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
-    liou += lindblad(sm, g1)
-    liou += lindblad(sz, gphi / 2.0)
-    return liou
-
-
-def _stationary(mol: MoleculeParams, rabi: float):
-    """(L, vec rho_ss): the Liouvillian and its trace-one stationary state,
-    from L rho = 0 with the first equation replaced by Tr rho = 1."""
-    liou = _bloch_liouvillian(mol.gamma0, mol.gamma, rabi)
-    return liou, np.linalg.solve(np.vstack([_TRACE_ROW, liou[1:]]), [1, 0, 0, 0])
-
-
 def mollow_spectrum(
     mol: MoleculeParams,
     drive: DriveParams,
@@ -281,35 +246,38 @@ def mollow_spectrum(
     incoherent emitted-intensity factor (S^2/(1+S)^2 for a lifetime-limited
     emitter) times emission_scale.  Exactly even on symmetric grids.
     """
-    if drive.rabi < 0 or mol.gamma <= 0:
-        raise ValueError("rabi must be >= 0 and gamma > 0")
     grid = np.asarray(grid, dtype=float)
-    # C_inc(tau) = w . exp(L tau) x0 with x0 = vec(s- rho - <s-> rho) and
-    # w . vec(X) = Tr[s+ X] = X_ge; the density is 4 Re of its one-sided
-    # transform w . (i omega - L)^-1 x0.  x0 is traceless, so deflating the
-    # stationary mode, M = L - vec(rho_ss) Tr, leaves the transform unchanged
-    # for omega != 0 and makes i omega - M invertible at omega = 0 too.
-    liou, rho = _stationary(mol, drive.rabi)
-    rho_m = rho.reshape(2, 2, order="F")
-    x0 = (_SIGMA_MINUS @ rho_m - rho[1] * rho_m).flatten(order="F")
-    m = liou - np.outer(rho, _TRACE_ROW)
-    # Faddeev-LeVerrier: q(s) = det(sI - M) and p(s) = w . adj(sI - M) x0,
-    # with adj(sI - M) = sum_k B_k s^(3-k), B_0 = I, B_k = M B_k-1 + q_k I
-    q, p, b = [1.0], [], np.eye(4)
-    for k in range(1, 5):
-        p.append((b @ x0)[2])
-        mb = m @ b
-        q.append(-np.trace(mb) / k)
-        b = mb + q[-1] * np.eye(4)
-
-    # the density is even in the emission detuning: evaluating at |grid|
-    # makes that exact (bitwise) on symmetric grids
-    s_iw = 1j * TWO_PI * np.abs(grid)           # i omega, rad/us
+    g1, g2, gphi, _, _ = bloch_rates(mol.gamma0, mol.gamma)
+    w = cyclic_to_angular(drive.rabi)
+    # The density is 4 Re of the one-sided transform of C_inc (both sides,
+    # and the rate convention 2 rho_ee = S/(1+S)).  By Mollow (1969) that
+    # real part is one real rational function of x = omega^2, with
+    # c = Gamma_1 Gamma_2 + w^2: (w^2/c) (n0 + n1 x + 2 gphi x^2) /
+    # (4 (x + Gamma_2^2) ((c - x)^2 + (Gamma_1 + Gamma_2)^2 x)).  Written in
+    # gphi, the terms that cancel for a lifetime-limited emitter are exactly
+    # 0.  It is homogeneous of degree -1 in the rates and omega, so the rates
+    # are taken in units of r = Gamma_1 + Gamma_2 + w: the sixth-degree
+    # denominator then leaves the float range only where omega / r does.
+    # The scalars are products, not ** (which raises OverflowError).
+    r = g1 + g2 + w
+    g1, g2, gphi, w = g1 / r, g2 / r, gphi / r, w / r
+    w2 = w * w
+    c = g1 * g2 + w2
+    n0 = g2 * (w2 * (w2 + 2.0 * g1 * (g1 + 2.0 * gphi)) + g1 * g1 * gphi * (g1 + 2.0 * gphi))
+    n1 = g1 * w2 + gphi * (2.5 * g1 * g1 - 2.0 * w2) + 2.0 * gphi * gphi * (g1 + gphi)
+    s1 = g1 + g2
     # past the float range the density is inf or nan: SpectrumTrace rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        resolvent = np.polyval(p, s_iw) / np.polyval(q, s_iw)   # w . (s - M)^-1 x0
-        # + 0.0 turns the -0.0 of an undriven emitter (x0 = 0) into +0.0
-        vals = 4.0 * emission_scale * resolvent.real + 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # evaluating at |grid| makes the density exactly (bitwise) even on
+        # symmetric grids
+        x = np.square(TWO_PI / r * np.abs(grid))
+        num = n0 + x * (n1 + 2.0 * gphi * x)
+        den = (x + g2 * g2) * (np.square(c - x) + s1 * s1 * x)
+        re_transform = (w2 / c) / r * (num / (4.0 * den))
+        # an emission_scale past a quarter of the float range makes every
+        # value inf (nan for an undriven emitter); + 0.0 writes every zero
+        # as +0.0, also at emission_scale = -0.0
+        vals = 4.0 * emission_scale * re_transform + 0.0
     s = saturation_parameter(mol, drive)
     return SpectrumTrace(
         grid,

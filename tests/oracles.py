@@ -2,13 +2,15 @@
 
 The two ODE oracles integrate the optical Bloch equations written out
 explicitly as coupled scalar ODEs (quantum regression for two-time
-quantities), with tight integrator tolerances.  They deliberately avoid the
-package's Liouvillian and its resolvent, so the two computational paths
-share nothing but the physical model.  The g2 shape oracle evaluates the
-closed form in 40-digit arithmetic, with one complex square root in place of
-the package's regimes and series.  The Fabry-Perot oracle applies the Airy
-instrument by the dense N x N trapezoid sum, with the Airy formula written
-out here.
+quantities), with tight integrator tolerances.  The Liouvillian oracles
+hold the 4x4 Bloch Liouvillian, written out entry by entry: its stationary
+state and the resolvent that gives the Mollow spectrum, by linear solves in
+40-digit arithmetic.  The package evaluates the spectrum from Mollow's
+closed form instead, so the two paths share nothing but the physical model.
+The g2 shape oracle evaluates the closed form in 40-digit arithmetic, with
+one complex square root in place of the package's regimes and series.  The
+Fabry-Perot oracle applies the Airy instrument by the dense N x N trapezoid
+sum, with the Airy formula written out here.
 """
 
 import math
@@ -67,6 +69,54 @@ def g2_shape_partials_mp(tau_us, a_rate, mu_sq, dps=40):
         return np.array([
             float(mpmath.diff(lambda x: _g2_shape_mp(mpmath.mpf(float(t)), a, x), m))
             for t in np.asarray(tau_us, dtype=float)])
+
+
+def _bloch_mp(gamma0_mhz, gamma_mhz, rabi_mhz):
+    """(L, rho): the resonant Bloch Liouvillian on column-stacked
+    rho = (rho_gg, rho_eg, rho_ge, rho_ee), from the float inputs taken
+    exactly, and its trace-one stationary state, at the working precision.
+
+    Population decay G1 = 2 pi gamma0, coherence decay G2 = pi gamma and
+    H = (w/2) (|g><e| + |e><g|), w = 2 pi rabi (angular, per us)."""
+    g1 = 2 * mpmath.pi * mpmath.mpf(float(gamma0_mhz))
+    g2 = mpmath.pi * mpmath.mpf(float(gamma_mhz))
+    h = mpmath.pi * mpmath.mpf(float(rabi_mhz))          # w/2
+    ih = mpmath.mpc(0, 1) * h
+    liou = mpmath.matrix([[0, -ih, ih, g1],
+                          [-ih, -g2, 0, ih],
+                          [ih, 0, -g2, -ih],
+                          [0, ih, -ih, -g1]])
+    # L rho = 0 with its first row (the trace-preserving one) replaced by
+    # Tr rho = 1
+    trace_one = liou.copy()
+    for j, t in enumerate((1, 0, 0, 1)):
+        trace_one[0, j] = t
+    return liou, mpmath.lu_solve(trace_one, mpmath.matrix([1, 0, 0, 0]))
+
+
+def bloch_stationary_mp(gamma0_mhz, gamma_mhz, rabi_mhz, dps=40):
+    """(rho_ee, <s->) of the stationary state at dps digits, as a float and
+    a complex."""
+    with mpmath.workdps(dps):
+        _, rho = _bloch_mp(gamma0_mhz, gamma_mhz, rabi_mhz)
+        return float(mpmath.re(rho[3])), complex(rho[1])
+
+
+def mollow_resolvent_mp(freq_mhz, gamma0_mhz, gamma_mhz, rabi_mhz, dps=40):
+    """Incoherent emission spectral density per MHz at dps digits, with the
+    package's normalization: 4 Re of s+ . (i omega - M)^-1 x0 at omega =
+    2 pi freq, with x0 = s- rho - <s-> rho and M = L - rho Tr (the
+    stationary mode deflated, which leaves omega != 0 unchanged and makes
+    omega = 0 solvable).  The float inputs are taken exactly."""
+    with mpmath.workdps(dps):
+        liou, rho = _bloch_mp(gamma0_mhz, gamma_mhz, rabi_mhz)
+        x0 = mpmath.matrix([rho[1], 0, rho[3], 0]) - rho[1] * rho
+        m = liou - rho * mpmath.matrix([[1, 0, 0, 1]])
+        out = []
+        for f in np.asarray(freq_mhz, dtype=float):
+            s = mpmath.mpc(0, 2 * mpmath.pi * mpmath.mpf(float(f)))
+            out.append(float(4 * mpmath.re(mpmath.lu_solve(s * mpmath.eye(4) - m, x0)[2])))
+        return np.array(out)
 
 
 def mollow_ode(freq_mhz, gamma0_mhz, gamma_mhz, rabi_mhz,

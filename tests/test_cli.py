@@ -531,16 +531,46 @@ class TestAnalyze:
          "freq_kind = detuning_MHz is not a g2 trace's delay_ns"),
         ("fit-spectrum", "simulate g2", "g2.csv",
          "columns delay_ns,g2 are a g2 trace's, not a spectrum's"),
+        ("fit-spectrum", "simulate mollow --config {rabi100}", "mollow_emission.csv",
+         "freq_kind = emission_detuning_MHz is not the expected detuning_MHz"),
+        ("fit-spectrum", "simulate mollow --config {rabi100}", "mollow_detected.csv",
+         "freq_kind = fpc_scan_MHz is not the expected detuning_MHz"),
     ])
     def test_a_trace_of_the_other_kind_is_exit_2(self, tmp_path, capsys, command, text, name,
                                                  message):
-        # a transmission trace fitted as g2 (converged, 14.13 MHz) and a g2
-        # trace fitted as a spectrum (gamma 58.4 MHz) both exited 0
-        assert main([*text.split(), "--out", str(tmp_path)]) == 0
+        # a transmission trace fitted as g2 (converged, 14.13 MHz), a g2
+        # trace fitted as a spectrum (gamma 58.4 MHz) and both Mollow traces
+        # at Omega = 100 MHz fitted as an extinction line (converged) exited 0
+        rabi100 = _ini(tmp_path, "[drive]\nrabi = 100.0\n")
+        assert main([*text.format(rabi100=rabi100).split(), "--out", str(tmp_path)]) == 0
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["analyze", command, str(tmp_path / name), "--out", str(out)]) == 2
         assert f"cannot parse trace {tmp_path / name}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,inputs,message", [
+        ("saturation-fit", ["extinction.csv", "saturation_total.csv"],
+         "freq_kind = detuning_MHz is not the expected power_pW"),
+        ("separate", ["theta_deg"], "freq_kind = power_pW is not the expected detuning_MHz"),
+        ("linewidth-sweep", ["power_pw"],
+         "freq_kind = power_pW is not the expected detuning_MHz"),
+    ])
+    def test_a_trace_on_another_axis_is_exit_2(self, tmp_path, capsys, command, inputs,
+                                               message):
+        # saturation-fit reads a power axis; separate and linewidth-sweep
+        # read detunings, here from a manifest that names a power sweep
+        for run in ("extinction", "saturation-sweep"):
+            assert main(["simulate", run, "--out", str(tmp_path)]) == 0
+        if command != "saturation-fit":
+            (tmp_path / "series.json").write_text(json.dumps(
+                {"series": [{inputs[0]: v, "file": "saturation_total.csv"} for v in (0, 1, 2)]}))
+            inputs = ["series.json"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", command, *(str(tmp_path / n) for n in inputs),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_g2_fit_with_an_infinite_delay_is_exit_2_at_read(self, tmp_path, capsys):

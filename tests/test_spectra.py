@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import fpc_convolve_dense, mollow_ode
+from oracles import bloch_stationary_mp, fpc_convolve_dense, mollow_ode, mollow_resolvent_mp
 from resfluor.cli import _MOLLOW_GRID_MAX_POINTS, _mollow_grid
 from resfluor.physics import (
     DriveParams,
@@ -15,7 +17,6 @@ from resfluor.physics import (
     saturation_parameter,
 )
 from resfluor.spectra import (
-    _stationary,
     ExtinctionModel,
     FpcParams,
     SpectrumTrace,
@@ -123,8 +124,7 @@ class TestSteadyState:
         for mol in (MOL, LIFETIME_LIMITED):
             for s in (0.05, 1.0, 30.0):
                 rabi = rabi_for_saturation(mol, s)
-                _, rho = _stationary(mol, rabi)
-                ree, sm = rho[3].real, rho[1]
+                ree, sm = bloch_stationary_mp(mol.gamma0, mol.gamma, rabi)
                 assert ree == pytest.approx(0.5 * s / (1 + s), rel=1e-10)
                 # |<s->|^2 = (S Gamma1 / 4 Gamma2) / (1+S)^2
                 g1 = 2 * math.pi * mol.gamma0
@@ -160,6 +160,40 @@ class TestMollow:
         v = mollow_spectrum(mol, DriveParams(rabi=rabi), grid).values
         orc = mollow_ode(grid, mol.gamma0, mol.gamma, rabi)
         assert np.max(np.abs(v - orc)) / np.max(np.abs(orc)) < 2e-10
+
+    @pytest.mark.parametrize("mol,rabi", [
+        (LIFETIME_LIMITED, LIFETIME_LIMITED.gamma0 / 4.0),
+        (LIFETIME_LIMITED, 1e-4),
+        (MOL, 25.0),
+        (MOL, 300.0),
+        (MoleculeParams(gamma0=16.4, gamma=400.0), 10.0),
+    ], ids=["exceptional-point", "faint-lifetime-limited", "criterion-25", "criterion-300",
+            "dephased-400"])
+    def test_matches_liouvillian_oracle_to_100_ghz(self, mol, rabi):
+        # the 4x4 Liouvillian's Faddeev-LeVerrier expansion was 1.5e-7 off at
+        # 100 GHz at the exceptional point; for the faint drive it was 77%
+        # off at 10 GHz and 77 times the density at 100 GHz
+        grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 36)))
+        v = mollow_spectrum(mol, DriveParams(rabi=rabi), grid).values
+        want = mollow_resolvent_mp(grid, mol.gamma0, mol.gamma, rabi)
+        assert np.max(np.abs(v - want) / want) <= 1e-12
+
+    @given(log_gamma0=st.floats(-3.0, 3.0), log_dephasing=st.floats(-6.0, 6.0),
+           lifetime_limited=st.booleans(), log_drive=st.floats(-4.0, 2.0),
+           freqs=st.lists(st.floats(0.0, 1e5, exclude_min=True), min_size=1, max_size=8,
+                          unique=True))
+    def test_nonnegative_and_bitwise_even(self, log_gamma0, log_dephasing, lifetime_limited,
+                                          log_drive, freqs):
+        # gamma0 from 1e-3 to 1e3 MHz, gamma/gamma0 - 1 from 0 to 1e6,
+        # Omega from 1e-4 to 1e2 x gamma0/4, |nu| up to 100 GHz
+        gamma0 = 10.0 ** log_gamma0
+        gamma = gamma0 * (1.0 + (0.0 if lifetime_limited else 10.0 ** log_dephasing))
+        rabi = gamma0 / 4.0 * 10.0 ** log_drive
+        nu = np.sort(freqs)
+        grid = np.concatenate((-nu[::-1], [0.0], nu))
+        v = mollow_spectrum(MoleculeParams(gamma0, gamma), DriveParams(rabi), grid).values
+        assert (v >= 0.0).all()
+        assert np.array_equal(v, v[::-1])
 
     def test_sidebands_at_rabi(self):
         rabi = 200.0
