@@ -256,9 +256,15 @@ def mollow_spectrum(
     # (4 (x + Gamma_2^2) ((c - x)^2 + (Gamma_1 + Gamma_2)^2 x)).  Written in
     # gphi, the terms that cancel for a lifetime-limited emitter are exactly
     # 0.  It is homogeneous of degree -1 in the rates and omega, so the rates
-    # are taken in units of r = Gamma_1 + Gamma_2 + w: the sixth-degree
-    # denominator then leaves the float range only where omega / r does.
-    # The scalars are products, not ** (which raises OverflowError).
+    # are taken in units of r = Gamma_1 + Gamma_2 + w; past omega = r the
+    # ratio is taken in y = (r/omega)^2 (numerator and denominator times
+    # y^3) and its factor y/r as (r/omega)/omega: no power of omega/r leaves
+    # the float range.  The scalars are products, not ** (which raises
+    # OverflowError).  A grid whose omega^2 overflows is a ValueError.
+    omega_max = TWO_PI * float(np.abs(grid).max(initial=0.0))
+    if omega_max * omega_max == math.inf:
+        raise ValueError(f"an emission detuning of {omega_max / TWO_PI:g} MHz puts "
+                         f"omega^2 outside the float range")
     r = g1 + g2 + w
     g1, g2, gphi, w = g1 / r, g2 / r, gphi / r, w / r
     w2 = w * w
@@ -270,29 +276,25 @@ def mollow_spectrum(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # evaluating at |grid| makes the density exactly (bitwise) even on
         # symmetric grids
-        x = np.square(TWO_PI / r * np.abs(grid))
-        num = n0 + x * (n1 + 2.0 * gphi * x)
-        den = (x + g2 * g2) * (np.square(c - x) + s1 * s1 * x)
-        re_transform = (w2 / c) / r * (num / (4.0 * den))
+        omega = TWO_PI * np.abs(grid)
+        near = omega <= r
+        u = np.where(near, omega / r, r / omega)
+        x = u * u
+        num = np.where(near, (n0 + x * (n1 + 2.0 * gphi * x)) / r,
+                       (2.0 * gphi + x * (n1 + n0 * x)) * (u / omega))
+        den = np.where(near, (x + g2 * g2) * (np.square(c - x) + s1 * s1 * x),
+                       (1.0 + g2 * g2 * x) * (np.square(c * x - 1.0) + s1 * s1 * x))
+        re_transform = (w2 / c) * (num / (4.0 * den))
         # an emission_scale past a quarter of the float range makes every
         # value inf (nan for an undriven emitter); + 0.0 writes every zero
         # as +0.0, also at emission_scale = -0.0
         vals = 4.0 * emission_scale * re_transform + 0.0
-    s = saturation_parameter(mol, drive)
-    return SpectrumTrace(
-        grid,
-        vals,
-        freq_kind="emission_detuning_MHz",
-        value_kind="spectral_density_per_MHz",
-        meta={
-            "generator": "mollow_spectrum",
-            "rabi": drive.rabi,
-            "gamma0": mol.gamma0,
-            "gamma": mol.gamma,
-            "saturation": s,
-            "emission_scale": emission_scale,
-        },
-    )
+    return SpectrumTrace(grid, vals, freq_kind="emission_detuning_MHz",
+                         value_kind="spectral_density_per_MHz",
+                         meta={"generator": "mollow_spectrum", "rabi": drive.rabi,
+                               "gamma0": mol.gamma0, "gamma": mol.gamma,
+                               "saturation": saturation_parameter(mol, drive),
+                               "emission_scale": emission_scale})
 
 
 # ---------------------------------------------------------------------------

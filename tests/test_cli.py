@@ -306,6 +306,17 @@ class TestSimulate:
                 assert finite.any()
                 assert np.array_equal(tr.values[finite], want[finite])
 
+    def test_linewidths_near_the_float_range_floor_write_a_zero_mollow_spectrum(self,
+                                                                                  tmp_path):
+        # the emission grid is ~1e162 linewidths wide: omega / Gamma_1
+        # squared leaves the float range, but the undriven density is 0
+        cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e-160\ngamma = 1e-160\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "mollow", "--config", cfg, "--out", str(out)]) == 0
+        emission = _read(str(out / "mollow_emission.csv"))
+        assert emission.grid[-1] > 500.0
+        assert np.array_equal(emission.values, np.zeros(emission.grid.size))
+
     @pytest.mark.parametrize("text,values", [
         ("[molecule]\ngamma = 1e300", "gamma0 = 16.4, gamma = 1e+300 and [drive] Rabi "
                                       "frequency 0 MHz"),

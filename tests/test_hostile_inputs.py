@@ -129,10 +129,12 @@ class _Drawn:
         return next(self._values)
 
 
-def _near_float_limit(grid, values=1e308) -> str:
-    """CSV text of a trace of values (1e308 at every point) on grid."""
+def _near_float_limit(grid, values=1e308, freq_kind="detuning_MHz") -> str:
+    """CSV text of a trace of values (1e308 at every point) on grid, an
+    axis of freq_kind."""
     grid = np.asarray(grid, float)
-    return SpectrumTrace(grid, np.broadcast_to(values, grid.shape)).to_csv()
+    return SpectrumTrace(grid, np.broadcast_to(values, grid.shape),
+                         freq_kind=freq_kind).to_csv()
 
 
 def _check_outcome(traces, command, argv) -> None:
@@ -184,7 +186,7 @@ def test_g2_fit_csv(traces, data):
 
 # a coherent channel of 1e308 on the written power grid used to warn of an
 # overflow in the seed of its amplitude
-@example(data=_Drawn(0, _near_float_limit(np.geomspace(5.0, 1e4, 15))))
+@example(data=_Drawn(0, _near_float_limit(np.geomspace(5.0, 1e4, 15), freq_kind="power_pW")))
 @settings(max_examples=40)
 @given(data=st.data())
 def test_saturation_fit_csv(traces, data):

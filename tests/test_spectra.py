@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -176,6 +177,31 @@ class TestMollow:
         grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 36)))
         v = mollow_spectrum(mol, DriveParams(rabi=rabi), grid).values
         want = mollow_resolvent_mp(grid, mol.gamma0, mol.gamma, rabi)
+        assert np.max(np.abs(v - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("gamma0,gamma,rabi,freqs", [
+        (16.4, 17.0, 25.0, [1e10, 1e100, 1e150]),
+        (16.4, 16.4, 4.1, [1e10, 1e40, 1e70]),
+        (1e-136, 2e-136, 1e-133, [1e-120, 1e-20, 2e64]),
+        (1e-160, 1e-160, 1e-157, [1e-148, 1e-60]),
+    ], ids=["dephased", "lifetime-limited", "tiny-dephased", "tiny-lifetime-limited"])
+    def test_far_tail(self, gamma0, gamma, rabi, freqs):
+        # at omega >= 1e8 r, r = Gamma_1 + Gamma_2 + w, the density is its
+        # leading tail to 1e-16: 2 gphi w^2 / (c omega^2), or
+        # Gamma_1 w^4 / (c omega^4) without dephasing (c = Gamma_1 Gamma_2 + w^2).
+        # Evaluated in x = (omega / r)^2 alone it used to read 0 once x^3
+        # overflowed, and nan once x did
+        with mpmath.workdps(40):
+            g1, g2 = 2 * mpmath.pi * mpmath.mpf(gamma0), mpmath.pi * mpmath.mpf(gamma)
+            gphi = mpmath.pi * (mpmath.mpf(gamma) - mpmath.mpf(gamma0))
+            w = 2 * mpmath.pi * mpmath.mpf(rabi)
+            c = g1 * g2 + w * w
+            omega = [2 * mpmath.pi * mpmath.mpf(f) for f in freqs]
+            want = np.array([float(2 * gphi * w * w / (c * om * om) if gphi
+                                   else g1 * w ** 4 / (c * om ** 4)) for om in omega])
+        v = mollow_spectrum(MoleculeParams(gamma0, gamma), DriveParams(rabi),
+                            np.array(freqs)).values
+        assert (want >= np.finfo(float).tiny).all()   # normal floats
         assert np.max(np.abs(v - want) / want) <= 1e-12
 
     @given(log_gamma0=st.floats(-3.0, 3.0), log_dephasing=st.floats(-6.0, 6.0),
