@@ -28,6 +28,7 @@ from .physics import (
     DriveParams,
     coherent_emission_rate,
     rabi_for_saturation,
+    saturation_for_rabi,
     saturation_parameter,
 )
 from .spectra import (
@@ -163,20 +164,9 @@ def _mollow_traces(fpc, mol, drive: DriveParams, s: float, scale: float,
 def _saturation_traces(p_sat: float, powers, scale: float, generator: str) -> tuple:
     """Coherent S/(1+S)^2 and total S/(1+S) rate factors over powers (pW),
     times scale, at S = powers / p_sat."""
-    # S past ~1e154 overflows (1 + S)^2 to inf: the coherent factor is 0, its
-    # limit.  Where S or scale * S overflows, the factors are computed as
-    # scale * S/(1 + S) and scale * S/(1 + S) / (1 + S), with S/(1 + S) = 1
-    # at S = inf: total tends to the scale and coherent to 0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sat = powers / p_sat
-        coherent = scale * sat / (1 + sat) ** 2
-        total = scale * sat / (1 + sat)
-        bad = ~np.isfinite(total)
-        if bad.any():
-            s = sat[bad]
-            share = np.where(np.isinf(s), 1.0, s / (1 + s))
-            total[bad] = scale * share
-            coherent[bad] = scale * share / (1 + s)
+    sat = powers / p_sat
+    coherent = scale * sat / (1 + sat) ** 2
+    total = scale * sat / (1 + sat)
     return tuple(
         SpectrumTrace(powers, values, freq_kind="power_pW", value_kind="rate_factor",
                       meta={"generator": f"{generator}_{part}", "p_sat_pw": p_sat})
@@ -249,7 +239,12 @@ def _sim_g2(cfg: RunConfig, s: float):
                               f"no plateau to normalize by")
         from .synth import noisy_g2_trace
 
-        trace = noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
+        try:
+            trace = noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
+        except ValueError as exc:   # no coincidence on the plateau, or far too many
+            raise ConfigError(f"[simulate] tau_max_ns = {sim['tau_max_ns']:g}, "
+                              f"plateau_coincidences = {sim['plateau_coincidences']:g}: "
+                              f"{exc}") from None
     else:
         trace = g2_trace(delays, mol, drive)
     return [(trace, "g2")], f"g2: {annotate(drive.rabi, mol)}"
@@ -284,14 +279,7 @@ SIMULATIONS = {
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    mol, drive = cfg.molecule, cfg.drive
-    try:
-        s = saturation_parameter(mol, drive)
-    except ArithmeticError:  # an overflow, or gamma^2 underflowing to 0
-        raise ConfigError(
-            f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g} and [drive] Rabi "
-            f"frequency {drive.rabi:g} MHz: computing the saturation parameter "
-            f"S = 2 rabi^2 / (gamma0 gamma) leaves the float range") from None
+    s = saturation_parameter(cfg.molecule, cfg.drive)
     traces, line = SIMULATIONS[args.subcommand](cfg, s)
     for trace, stem in traces:
         _write_trace(trace, cfg.out_dir, stem)
@@ -326,9 +314,8 @@ def _g2_fit(inputs, cfg: RunConfig):
 
     mol = cfg.molecule
     res = fit_rabi_from_g2(_read_trace(inputs[0], G2Trace), mol)
-    rabi = res.params["rabi"]
-    saturation = saturation_parameter(mol, DriveParams(rabi=rabi))
-    return res, {"saturation": saturation}, [annotate(rabi, mol)]
+    rabi = res.params["rabi"]   # data: it need not lie in the drive's domain
+    return res, {"saturation": saturation_for_rabi(mol, rabi)}, [annotate(rabi, mol)]
 
 
 def _linewidth_sweep(inputs, cfg: RunConfig):
@@ -467,12 +454,7 @@ def _reproduce_fig5(cfg: RunConfig):
     traces = []
     delays = np.linspace(0.0, 400.0, 801)
     for i, s in enumerate(sats):
-        try:
-            drive = DriveParams(rabi=rabi_for_saturation(mol, s))
-        except ArithmeticError:  # gamma^2 overflows
-            raise ConfigError(
-                f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g}: computing the "
-                f"Rabi frequency at fig5's S = {s:g} leaves the float range") from None
+        drive = DriveParams(rabi=rabi_for_saturation(mol, s))
         _, detected = _mollow_traces(cfg.fpc, mol, drive, s, 1000.0, 50.0)
         traces.append((detected, f"fig5_spectrum_{i}", f"FPC scan, S={s}"))
         traces.append((g2_trace(delays, mol, drive), f"fig5_g2_{i}", f"g2(tau), S={s}"))

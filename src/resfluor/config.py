@@ -11,6 +11,10 @@ resonant: there is no detuning key.  [output] names only the directory.
 A RunConfig holds only what a command reads.  [drive] power_pw sets the
 Rabi frequency at S = power_pw / p_sat_pw.  [run] threads is parsed,
 checked and hashed but has no field: sampling runs in the calling thread.
+
+Every value lies in the physical domain: the parameter containers check the
+emitter, drive and cavity (physics), and _SCHEMA gives the values only a
+command reads their closed ranges.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .measurement import DetectorParams
-from .physics import DriveParams, MoleculeParams, SeparationGeometry, rabi_for_saturation
+from .physics import (COUNT_RATE, LINEWIDTH_MHZ, RABI_MHZ, DriveParams, MoleculeParams,
+                      SeparationGeometry, rabi_for_saturation)
 from .spectra import FpcParams
 
 
@@ -62,13 +67,18 @@ def _parse_value(section, key, raw, kind):
     return value
 
 
-# section -> key -> (kind, dbatt-paper value); power_pw is optional and has
-# no value, so [drive] rabi sets the drive unless the file gives power_pw
+_POWER_PW = (0.0, 1e12)
+_GRID_MHZ = (-LINEWIDTH_MHZ[1], LINEWIDTH_MHZ[1])
+
+# section -> key -> (kind, dbatt-paper value[, closed domain]); power_pw is
+# optional and has no value, so [drive] rabi sets the drive unless the file
+# gives power_pw
 _SCHEMA = {
     "molecule": {"gamma0": (float, "16.4"), "gamma": (float, "17.0")},
     "drive": {"rabi": (float, "0.0"), "psi_deg": (float, "90.0"),
               "incident_rate": (float, "127550.0"),
-              "power_pw": (float, None), "p_sat_pw": (float, "350.0")},
+              "power_pw": (float, None, _POWER_PW),
+              "p_sat_pw": (float, "350.0", (1e-12, _POWER_PW[1]))},
     "detector": {"dark_rate": (float, "150.0"), "quantum_efficiency": (float, "1.0"),
                  "integration_time": (float, "0.16")},
     "fpc": {"fsr": (float, "356.0"), "fwhm": (float, "14.0"),
@@ -76,13 +86,16 @@ _SCHEMA = {
     "geometry": {"dipole_angle_deg": (float, "45.0"), "polarizer_angle_deg": (float, "80.0"),
                  "polarizer_extinction_ratio": (float, "0.0"),
                  "qwp_angles_deg": ("float_list", "0, 36, 72, 108, 144")},
-    "simulate": {"grid_min": (float, "-150.0"), "grid_max": (float, "150.0"),
+    "simulate": {"grid_min": (float, "-150.0", _GRID_MHZ),
+                 "grid_max": (float, "150.0", _GRID_MHZ),
                  "points": (int, "301"), "noise": (bool, "false"),
                  "extinction_a": (float, "0.0"), "extinction_b_dip": (float, "0.115"),
-                 "emission_scale": (float, "1.0"), "laser_background_rate": (float, "0.0"),
-                 "tau_max_ns": (float, "400.0"), "tau_points": (int, "801"),
+                 "emission_scale": (float, "1.0", COUNT_RATE),
+                 "laser_background_rate": (float, "0.0"),
+                 "tau_max_ns": (float, "400.0", (0.0, 1e12)), "tau_points": (int, "801"),
                  "plateau_coincidences": (float, "10000"),
-                 "power_min_pw": (float, "5.0"), "power_max_pw": (float, "10000.0"),
+                 "power_min_pw": (float, "5.0", _POWER_PW),
+                 "power_max_pw": (float, "10000.0", _POWER_PW),
                  "power_points": (int, "25")},
     "output": {"dir": (str, "out")},
     "run": {"seed": (int, "1"), "threads": (int, "1")},
@@ -150,7 +163,7 @@ def _section(name: str):
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Build a validated RunConfig from the built-in profile, an optional
     INI file and programmatic overrides (section -> key -> string value)."""
-    raw = {section: {key: value for key, (_, value) in keys.items() if value is not None}
+    raw = {section: {key: spec[1] for key, spec in keys.items() if spec[1] is not None}
            for section, keys in _SCHEMA.items()}
     if path is not None:
         _read_ini(raw, path)
@@ -158,27 +171,29 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         _merge(raw, ((section, kv.items()) for section, kv in overrides.items()), "overrides")
 
     def get(section, key):
-        return _parse_value(section, key, raw[section][key], _SCHEMA[section][key][0])
+        kind, _, *domain = _SCHEMA[section][key]
+        value = _parse_value(section, key, raw[section][key], kind)
+        for lo, hi in domain:
+            if not lo <= value <= hi:
+                raise ConfigError(f"[{section}] {key}: {value:g} is outside the domain "
+                                  f"[{lo:g}, {hi:g}]")
+        return value
 
     with _section("molecule"):
         mol = MoleculeParams(gamma0=get("molecule", "gamma0"), gamma=get("molecule", "gamma"))
 
     with _section("drive"):
         p_sat = get("drive", "p_sat_pw")
-        if not p_sat > 0:
-            raise ValueError(f"P at S=1 must be positive and finite, got {p_sat}")
         rabi = get("drive", "rabi")
         if "power_pw" in raw["drive"]:
             power = get("drive", "power_pw")
-            if not power >= 0:
-                raise ValueError(f"power must be finite and >= 0, got {power}")
-            try:
-                rabi = rabi_for_saturation(mol, power / p_sat)
-            except ArithmeticError:  # gamma^2 overflows
+            rabi = rabi_for_saturation(mol, power / p_sat)
+            if rabi > RABI_MHZ[1]:
                 raise ConfigError(
-                    f"[molecule] gamma0 = {mol.gamma0:g}, gamma = {mol.gamma:g} and [drive] "
-                    f"power_pw = {power:g}, p_sat_pw = {p_sat:g}: computing the Rabi "
-                    f"frequency at S = power_pw / p_sat_pw leaves the float range") from None
+                    f"[drive] power_pw = {power:g}, p_sat_pw = {p_sat:g}: the Rabi frequency "
+                    f"at S = power_pw / p_sat_pw, {rabi:g} MHz with [molecule] gamma0 = "
+                    f"{mol.gamma0:g}, gamma = {mol.gamma:g}, is outside the domain "
+                    f"[{RABI_MHZ[0]:g}, {RABI_MHZ[1]:g}]")
         drive = DriveParams(
             rabi=rabi,
             psi=math.radians(get("drive", "psi_deg")),
@@ -228,7 +243,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     for key in ("tau_max_ns", "plateau_coincidences"):
         if sim[key] <= 0:
             raise ConfigError(f"[simulate] {key} must be > 0, got {sim[key]:g}")
-    for key in ("extinction_a", "extinction_b_dip", "emission_scale", "laser_background_rate"):
+    for key in ("extinction_a", "extinction_b_dip", "laser_background_rate"):
         if sim[key] < 0:
             raise ConfigError(f"[simulate] {key} must be >= 0, got {sim[key]:g}")
     if not 0 < sim["power_min_pw"] < sim["power_max_pw"]:

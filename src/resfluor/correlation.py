@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .physics import (TWO_PI, DriveParams, MoleculeParams, bloch_rates, cyclic_to_angular,
-                      saturation_parameter)
+                      saturation_for_rabi)
 from .spectra import SpectrumTrace, _G2_COLUMNS, _csv_text, _parse_csv
 from . import estimation
 from .estimation import FitProblem, FitResult, Parameter, minimize
@@ -167,14 +167,9 @@ class _G2Plan(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _g2_plan(data: bytes, gamma0: float, gamma: float) -> _G2Plan:
     """The _G2Plan of the float delays with these bytes, for population
-    decay gamma0 and linewidth gamma (cyclic MHz); a ValueError naming both
-    when the damping rate a or the drive-free part of mu^2,
-    ((Gamma_2 - Gamma_1)/2)^2, is beyond the float range."""
+    decay gamma0 and linewidth gamma (cyclic MHz)."""
     rates = bloch_rates(gamma0, gamma)
     a_rate, off_sq = rates.a, rates.off_sq
-    if not (math.isfinite(a_rate) and math.isfinite(off_sq)):
-        raise ValueError(f"gamma0 = {gamma0:g} and gamma = {gamma:g} MHz put the g2 "
-                         f"damping outside the float range")
     delays = np.abs(np.frombuffer(data))
     order = np.argsort(delays, kind="stable")
     tau = delays * 1e-3
@@ -255,17 +250,14 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
     gamma0 is fixed from the molecule (lifetime-derived) and reported as a
     fixed parameter.  Negative delays are mirrored, as in g2.  The result is
-    minimize's, whatever its status; a trace shorter than three decay times,
-    or a decay time beyond the float range, is a ValueError raised before
-    the fit runs.  What only the delays and (gamma0, gamma) fix comes from
-    their plan (_g2_plan), shared with g2() and every fit on that grid.
+    minimize's, whatever its status; a trace shorter than three decay times
+    is a ValueError raised before the fit runs.  What only the delays and
+    (gamma0, gamma) fix comes from their plan (_g2_plan), shared with g2()
+    and every fit on that grid.
     """
     grid = trace.grid
     plan = _g2_plan(grid.tobytes(), mol.gamma0, mol.gamma)
     decay_ns = 1e3 / plan.a_rate
-    if not math.isfinite(decay_ns):
-        raise ValueError(f"gamma0 = {mol.gamma0:g} and gamma = {mol.gamma:g} MHz put the g2 "
-                         f"decay time outside the float range")
     if plan.span_ns < 3.0 * decay_ns:
         raise ValueError(f"trace too short: spans {plan.span_ns:.3g} ns, "
                          f"need >= {3.0 * decay_ns:.3g} ns (three decay times)")
@@ -320,5 +312,5 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
 
 def annotate(rabi_mhz: float, mol: MoleculeParams) -> str:
     """Panel-style annotation string for a fitted Rabi frequency."""
-    s = saturation_parameter(mol, DriveParams(rabi=rabi_mhz))
+    s = saturation_for_rabi(mol, rabi_mhz)
     return f"Omega={rabi_mhz:.4g} MHz, S={s:.4g}"

@@ -10,6 +10,11 @@ Angle convention of the Jones builders: all angles are measured from the
 lab y-axis (the laser polarization axis), counterclockwise positive viewed
 along propagation.  Jones vectors live in the fixed (x, y) lab basis, where
 the laser is the constant (0, 1).
+
+Physical domain: each value a run sets lies in one closed range, checked
+once where it enters (the containers here and in spectra, config's schema).
+The ranges span every emitter, drive and cavity by decades; inside them
+S <= 2e42 and every rate, decay time and (1 + S)^2 is a finite float.
 """
 
 from __future__ import annotations
@@ -21,6 +26,20 @@ from typing import NamedTuple
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# closed ranges of the physical domain
+LINEWIDTH_MHZ = (1e-9, 1e9)   # gamma0, gamma, and the FPC's FSR and FWHM
+RABI_MHZ = (0.0, 1e12)        # fig5's S = 150 at gamma0 = gamma = 1e9 MHz needs 8.7e9
+COUNT_RATE = (0.0, 1e15)      # incident_rate (counts/s) and emission scales
+ANGLE_RAD = (-1e6, 1e6)       # a float resolves these to 1e-10 rad
+
+
+def require_in(name: str, value: float, bounds: tuple) -> None:
+    """ValueError naming name unless value lies in the closed range bounds
+    = (lo, hi); nan and +-inf lie in none."""
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} = {value:g} is outside the domain [{lo:g}, {hi:g}]")
 
 
 def cyclic_to_angular(f_mhz: float) -> float:
@@ -35,7 +54,7 @@ class BlochRates(NamedTuple):
     g2: float       # coherence decay Gamma_2 = pi gamma
     gphi: float     # pure dephasing Gamma_2 - Gamma_1/2 = pi (gamma - gamma0)
     a: float        # mean decay (Gamma_1 + Gamma_2)/2, the g2 damping rate
-    off_sq: float   # ((Gamma_2 - Gamma_1)/2)^2, inf past the float range
+    off_sq: float   # ((Gamma_2 - Gamma_1)/2)^2
 
 
 def bloch_rates(gamma0: float, gamma: float) -> BlochRates:
@@ -44,11 +63,8 @@ def bloch_rates(gamma0: float, gamma: float) -> BlochRates:
     itself, so it is exactly 0 for a lifetime-limited emitter."""
     g1 = cyclic_to_angular(gamma0)
     g2 = math.pi * gamma
-    try:
-        off_sq = (0.5 * (g2 - g1)) ** 2
-    except OverflowError:
-        off_sq = math.inf
-    return BlochRates(g1, g2, math.pi * (gamma - gamma0), 0.5 * (g1 + g2), off_sq)
+    return BlochRates(g1, g2, math.pi * (gamma - gamma0), 0.5 * (g1 + g2),
+                      (0.5 * (g2 - g1)) ** 2)
 
 
 def normalize_phase(psi: float) -> float:
@@ -61,20 +77,12 @@ def normalize_phase(psi: float) -> float:
     return psi
 
 
-def _require_finite(obj, *names):
-    """ValueError naming the first of the fields names of obj that is not finite."""
-    for name in names:
-        v = getattr(obj, name)
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 @dataclass(frozen=True)
 class MoleculeParams:
     """Emitter constants of the zero-phonon transition.
 
-    gamma0:   natural FWHM linewidth (MHz)
-    gamma:    homogeneous FWHM linewidth (MHz), >= gamma0
+    gamma0:   natural FWHM linewidth (MHz), in LINEWIDTH_MHZ
+    gamma:    homogeneous FWHM linewidth (MHz), in LINEWIDTH_MHZ, >= gamma0
 
     lambda21 (transition wavelength, nm), alpha_dw (Debye-Waller factor)
     and alpha_fc (Franck-Condon factor) are validated but read by no model
@@ -88,9 +96,8 @@ class MoleculeParams:
     alpha_fc: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma0 > 0 and math.isfinite(self.gamma0)):
-            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
-        _require_finite(self, "gamma")
+        require_in("gamma0", self.gamma0, LINEWIDTH_MHZ)
+        require_in("gamma", self.gamma, LINEWIDTH_MHZ)
         if self.gamma < self.gamma0:
             raise ValueError(f"gamma ({self.gamma}) must be >= gamma0 ({self.gamma0})")
         if not (self.lambda21 > 0):
@@ -105,9 +112,9 @@ class MoleculeParams:
 class DriveParams:
     """Excitation state of the laser drive, which is always on resonance.
 
-    rabi:          Rabi frequency (MHz, same FWHM-convention scale as gamma0)
-    psi:           interference phase (rad), stored wrapped into (-pi, pi]
-    incident_rate: detected incident photon rate (counts/s)
+    rabi:          Rabi frequency (MHz, FWHM scale as gamma0), in RABI_MHZ
+    psi:           interference phase (rad), in ANGLE_RAD, stored in (-pi, pi]
+    incident_rate: detected incident photon rate (counts/s), in COUNT_RATE
     """
 
     rabi: float
@@ -115,11 +122,9 @@ class DriveParams:
     incident_rate: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "rabi", "psi", "incident_rate")
-        if self.rabi < 0:
-            raise ValueError(f"rabi must be >= 0, got {self.rabi}")
-        if self.incident_rate < 0:
-            raise ValueError(f"incident_rate must be >= 0, got {self.incident_rate}")
+        require_in("rabi", self.rabi, RABI_MHZ)
+        require_in("psi", self.psi, ANGLE_RAD)
+        require_in("incident_rate", self.incident_rate, COUNT_RATE)
         object.__setattr__(self, "psi", normalize_phase(self.psi))
 
 
@@ -157,10 +162,9 @@ class SeparationGeometry:
     polarizer_extinction_ratio: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "dipole_angle", "polarizer_angle")
-        er = self.polarizer_extinction_ratio
-        if not 0.0 <= er <= 1.0:  # also false for nan
-            raise ValueError(f"polarizer extinction ratio must be in [0, 1], got {er}")
+        require_in("dipole_angle", self.dipole_angle, ANGLE_RAD)
+        require_in("polarizer_angle", self.polarizer_angle, ANGLE_RAD)
+        require_in("polarizer_extinction_ratio", self.polarizer_extinction_ratio, (0.0, 1.0))
 
     def laser_vector(self) -> np.ndarray:
         return np.array([0.0, 1.0], dtype=complex)
@@ -173,7 +177,13 @@ class SeparationGeometry:
 
 def saturation_parameter(mol: MoleculeParams, drive: DriveParams) -> float:
     """On-resonance S = (gamma*Omega^2 / 2*gamma0) / (gamma^2/4)."""
-    num = mol.gamma * drive.rabi**2 / (2.0 * mol.gamma0)
+    return saturation_for_rabi(mol, drive.rabi)
+
+
+def saturation_for_rabi(mol: MoleculeParams, rabi: float) -> float:
+    """saturation_parameter at the Rabi frequency rabi (MHz), a plain float
+    that need not lie in RABI_MHZ, such as a fitted one."""
+    num = mol.gamma * rabi**2 / (2.0 * mol.gamma0)
     return num / (mol.gamma**2 / 4.0)
 
 

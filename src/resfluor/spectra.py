@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .physics import (
+    LINEWIDTH_MHZ,
+    TWO_PI,
     DriveParams,
     MoleculeParams,
-    TWO_PI,
     bloch_rates,
     cyclic_to_angular,
+    require_in,
     saturation_parameter,
 )
 
@@ -202,9 +204,7 @@ def lorentzian_profile(delta, mol: MoleculeParams, rabi: float):
     if rabi < 0:
         raise ValueError(f"rabi must be >= 0, got {rabi}")
     delta = np.asarray(delta, dtype=float)
-    # a detuning past ~1e154 MHz overflows den to inf: L = 0, its limit
-    with np.errstate(over="ignore"):
-        den = delta**2 + mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0)
+    den = delta**2 + mol.gamma**2 / 4.0 + rabi**2 * mol.gamma / (2.0 * mol.gamma0)
     return 1.0 / den
 
 
@@ -250,21 +250,15 @@ def mollow_spectrum(
     g1, g2, gphi, _, _ = bloch_rates(mol.gamma0, mol.gamma)
     w = cyclic_to_angular(drive.rabi)
     # The density is 4 Re of the one-sided transform of C_inc (both sides,
-    # and the rate convention 2 rho_ee = S/(1+S)).  By Mollow (1969) that
-    # real part is one real rational function of x = omega^2, with
-    # c = Gamma_1 Gamma_2 + w^2: (w^2/c) (n0 + n1 x + 2 gphi x^2) /
-    # (4 (x + Gamma_2^2) ((c - x)^2 + (Gamma_1 + Gamma_2)^2 x)).  Written in
-    # gphi, the terms that cancel for a lifetime-limited emitter are exactly
-    # 0.  It is homogeneous of degree -1 in the rates and omega, so the rates
-    # are taken in units of r = Gamma_1 + Gamma_2 + w; past omega = r the
-    # ratio is taken in y = (r/omega)^2 (numerator and denominator times
-    # y^3) and its factor y/r as (r/omega)/omega: no power of omega/r leaves
-    # the float range.  The scalars are products, not ** (which raises
-    # OverflowError).  A grid whose omega^2 overflows is a ValueError.
-    omega_max = TWO_PI * float(np.abs(grid).max(initial=0.0))
-    if omega_max * omega_max == math.inf:
-        raise ValueError(f"an emission detuning of {omega_max / TWO_PI:g} MHz puts "
-                         f"omega^2 outside the float range")
+    # and the rate convention 2 rho_ee = S/(1+S)).  By Mollow (1969) it is
+    # one real rational function of x = omega^2, with c = Gamma_1 Gamma_2 +
+    # w^2: (w^2/c) (n0 + n1 x + 2 gphi x^2) / ((x + Gamma_2^2) ((c - x)^2 +
+    # (Gamma_1 + Gamma_2)^2 x)).  Written in gphi, the terms that cancel for
+    # a lifetime-limited emitter are exactly 0.  It is homogeneous of degree
+    # -1 in the rates and omega, so the rates are taken in units of r =
+    # Gamma_1 + Gamma_2 + w; past omega = r the ratio is taken in y =
+    # (r/omega)^2 (numerator and denominator times y^3) and its factor y/r
+    # as (r/omega)/omega: no power of omega/r leaves the float range.
     r = g1 + g2 + w
     g1, g2, gphi, w = g1 / r, g2 / r, gphi / r, w / r
     w2 = w * w
@@ -272,23 +266,22 @@ def mollow_spectrum(
     n0 = g2 * (w2 * (w2 + 2.0 * g1 * (g1 + 2.0 * gphi)) + g1 * g1 * gphi * (g1 + 2.0 * gphi))
     n1 = g1 * w2 + gphi * (2.5 * g1 * g1 - 2.0 * w2) + 2.0 * gphi * gphi * (g1 + gphi)
     s1 = g1 + g2
-    # past the float range the density is inf or nan: SpectrumTrace rejects it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # evaluating at |grid| makes the density exactly (bitwise) even on
-        # symmetric grids
-        omega = TWO_PI * np.abs(grid)
-        near = omega <= r
+    # evaluating at |grid| makes the density exactly (bitwise) even on
+    # symmetric grids
+    omega = TWO_PI * np.abs(grid)
+    near = omega <= r
+    # the far branch's divisions by omega leave the float range at and near
+    # omega = 0, where np.where discards them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.where(near, omega / r, r / omega)
-        x = u * u
-        num = np.where(near, (n0 + x * (n1 + 2.0 * gphi * x)) / r,
-                       (2.0 * gphi + x * (n1 + n0 * x)) * (u / omega))
-        den = np.where(near, (x + g2 * g2) * (np.square(c - x) + s1 * s1 * x),
-                       (1.0 + g2 * g2 * x) * (np.square(c * x - 1.0) + s1 * s1 * x))
-        re_transform = (w2 / c) * (num / (4.0 * den))
-        # an emission_scale past a quarter of the float range makes every
-        # value inf (nan for an undriven emitter); + 0.0 writes every zero
-        # as +0.0, also at emission_scale = -0.0
-        vals = 4.0 * emission_scale * re_transform + 0.0
+        u_over_omega = u / omega
+    x = u * u
+    num = np.where(near, (n0 + x * (n1 + 2.0 * gphi * x)) / r,
+                   (2.0 * gphi + x * (n1 + n0 * x)) * u_over_omega)
+    den = np.where(near, (x + g2 * g2) * (np.square(c - x) + s1 * s1 * x),
+                   (1.0 + g2 * g2 * x) * (np.square(c * x - 1.0) + s1 * s1 * x))
+    # + 0.0 writes every zero as +0.0, also at emission_scale = -0.0
+    vals = emission_scale * ((w2 / c) * (num / den)) + 0.0
     return SpectrumTrace(grid, vals, freq_kind="emission_detuning_MHz",
                          value_kind="spectral_density_per_MHz",
                          meta={"generator": "mollow_spectrum", "rabi": drive.rabi,
@@ -303,16 +296,18 @@ def mollow_spectrum(
 
 @dataclass(frozen=True)
 class FpcParams:
-    """Scanning Fabry-Perot cavity: free spectral range, instrument FWHM,
-    peak transmission."""
+    """Scanning Fabry-Perot cavity: free spectral range and instrument FWHM
+    (MHz, each in physics.LINEWIDTH_MHZ), peak transmission."""
 
     fsr: float
     fwhm: float
     peak_transmission: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.fwhm < self.fsr):
-            raise ValueError(f"need 0 < fwhm < fsr, got fwhm={self.fwhm}, fsr={self.fsr}")
+        require_in("fsr", self.fsr, LINEWIDTH_MHZ)
+        require_in("fwhm", self.fwhm, LINEWIDTH_MHZ)
+        if not self.fwhm < self.fsr:
+            raise ValueError(f"need fwhm < fsr, got fwhm={self.fwhm}, fsr={self.fsr}")
         if not (0 < self.peak_transmission <= 1):
             raise ValueError(f"peak_transmission must be in (0, 1], got {self.peak_transmission}")
 

@@ -188,6 +188,23 @@ class TestSimulate:
         assert "[simulate] " + text.split(" =")[0] in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("text,complaint", [
+        ("tau_max_ns = 1e-6", "plateau region has no coincidences; trace unusable"),
+        ("plateau_coincidences = 1e300", "lam value too large"),
+    ], ids=["window-before-the-plateau", "too-many-coincidences"])
+    def test_noisy_g2_without_a_drawable_plateau_is_exit_2(self, tmp_path, capsys, text,
+                                                            complaint):
+        # a window that ends long before the plateau draws no coincidence to
+        # normalize by, and the sampler cannot draw 1e300 per bin: both
+        # exited 3 with only the sampler's message
+        cfg = _ini(tmp_path, f"[simulate]\nnoise = true\n{text}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "g2", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [simulate] tau_max_ns = ") and "plateau_coincidences = " \
+            in err and err.endswith(f": {complaint}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["simulate", "extinction"], ["reproduce", "fig2"]])
     def test_zero_incident_rate_with_noise_is_exit_2(self, tmp_path, capsys, argv):
         # a noisy transmission divides by the incident rate: at 0 it used to
@@ -258,87 +275,71 @@ class TestSimulate:
             tr = _read(str(out / "extinction.csv"))
             assert 1.0 - tr.values.min() == pytest.approx(0.675, abs=1e-3)
 
-    @pytest.mark.parametrize("command,text,code,stems", [
-        ("extinction", "[simulate]\ngrid_min = -1e300\ngrid_max = 1e300", 0, ["extinction"]),
-        ("extinction", "[simulate]\ngrid_min = -1e300\ngrid_max = 1e300\nnoise = true", 0,
-         ["extinction"]),
-        ("saturation-sweep", "[simulate]\npower_min_pw = 1e-300\npower_max_pw = 1e300", 0,
-         ["saturation_coherent", "saturation_total"]),
+    @pytest.mark.parametrize("command,text,complaint", [
+        ("extinction", "[simulate]\ngrid_min = -1e300\ngrid_max = 1e300",
+         "[simulate] grid_min: -1e+300 is outside the domain [-1e+09, 1e+09]"),
+        ("extinction", "[simulate]\ngrid_min = -1e300\ngrid_max = 1e300\nnoise = true",
+         "[simulate] grid_min: -1e+300 is outside the domain [-1e+09, 1e+09]"),
+        ("saturation-sweep", "[simulate]\npower_min_pw = 1e-300\npower_max_pw = 1e300",
+         "[simulate] power_max_pw: 1e+300 is outside the domain [0, 1e+12]"),
         ("saturation-sweep", "[drive]\np_sat_pw = 1e-300\n[simulate]\npower_max_pw = 1e300",
-         0, ["saturation_coherent", "saturation_total"]),
-        ("saturation-sweep", "[simulate]\npower_max_pw = 1e300\nemission_scale = 1e12", 0,
-         ["saturation_coherent", "saturation_total"]),
-        ("mollow", "[simulate]\nemission_scale = 1e308", 3, []),
-        ("mollow", "[fpc]\nfsr = 1e300\nfwhm = 1e299", 3, []),
+         "[drive] p_sat_pw: 1e-300 is outside the domain [1e-12, 1e+12]"),
+        ("saturation-sweep", "[simulate]\npower_max_pw = 1e300\nemission_scale = 1e12",
+         "[simulate] power_max_pw: 1e+300 is outside the domain [0, 1e+12]"),
+        ("mollow", "[simulate]\nemission_scale = 1e308",
+         "[simulate] emission_scale: 1e+308 is outside the domain [0, 1e+15]"),
+        ("mollow", "[fpc]\nfsr = 1e300\nfwhm = 1e299",
+         "[fpc]: fsr = 1e+300 is outside the domain [1e-09, 1e+09]"),
     ], ids=["extinction", "extinction-noisy", "saturation-sweep", "saturation-sweep-S-inf",
             "saturation-sweep-scale-S-inf", "mollow-scale", "mollow-fpc"])
-    def test_values_near_the_float_range_end_without_a_warning(self, tmp_path, command,
-                                                                text, code, stems):
-        # each used to leak an overflow or invalid-value RuntimeWarning, which
-        # tier-1 turns into a failure; the exit codes and files are as before,
-        # except that a saturation sweep whose S = P / P_sat or scale * S
-        # overflows exited 3 and now ends at scale * S/(1 + S) and
-        # scale * S/(1 + S)^2 with S/(1 + S) = 1, while the factors at finite
-        # scale * S keep their bits
+    def test_values_near_the_float_range_end_without_a_warning(self, tmp_path, capsys,
+                                                                command, text, complaint):
+        # each used to leak an overflow or invalid-value RuntimeWarning, and
+        # then ended at a float-range guard of its own (exit 0 with the
+        # factors' limits, or exit 3); each is a value no emitter, drive or
+        # cavity has, so the config names it and its domain
         cfg = _ini(tmp_path, text + "\n")
         out = tmp_path / "out"
-        assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == code
-        written = sorted(os.listdir(out)) if out.exists() else []
-        assert written == sorted(f"{stem}.{ext}" for stem in stems for ext in ("csv", "json"))
-        if command == "extinction" and "noise" not in text:
-            tr = _read(str(out / "extinction.csv"))
-            assert tr.values[0] == tr.values[-1] == 1.0   # far from the line
-        if command == "saturation-sweep":
-            scale = 1e12 if "emission_scale" in text else 1.0
-            coherent = _read(str(out / "saturation_coherent.csv"))
-            total = _read(str(out / "saturation_total.csv"))
-            with np.errstate(over="ignore", invalid="ignore"):
-                sat = total.grid / (1e-300 if "p_sat_pw" in text else 350.0)
-                closed = {"coherent": scale * sat / (1 + sat) ** 2,
-                          "total": scale * sat / (1 + sat)}
-            if scale == 1.0:
-                assert coherent.values[-1] == 0.0
-            else:   # scale * S overflows at a finite S = 2.9e297
-                assert coherent.values[-1] == scale * 1.0 / (1 + sat[-1]) > 0.0
-            assert total.values[-1] == scale
-            for tr, want in ((coherent, closed["coherent"]), (total, closed["total"])):
-                finite = np.isfinite(want)
-                assert finite.any()
-                assert np.array_equal(tr.values[finite], want[finite])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not out.exists()
 
-    def test_linewidths_near_the_float_range_floor_write_a_zero_mollow_spectrum(self,
-                                                                                  tmp_path):
-        # the emission grid is ~1e162 linewidths wide: omega / Gamma_1
-        # squared leaves the float range, but the undriven density is 0
+    def test_linewidths_near_the_float_range_floor_are_exit_2(self, tmp_path, capsys):
+        # the emission grid was ~1e162 linewidths wide, and the undriven
+        # density 0 was written; such linewidths are outside the domain
         cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e-160\ngamma = 1e-160\n")
         out = tmp_path / "out"
-        assert main(["simulate", "mollow", "--config", cfg, "--out", str(out)]) == 0
-        emission = _read(str(out / "mollow_emission.csv"))
-        assert emission.grid[-1] > 500.0
-        assert np.array_equal(emission.values, np.zeros(emission.grid.size))
+        assert main(["simulate", "mollow", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: [molecule]: gamma0 = 1e-160 is outside the domain [1e-09, 1e+09]\n"
+        assert not out.exists()
 
-    @pytest.mark.parametrize("text,values", [
-        ("[molecule]\ngamma = 1e300", "gamma0 = 16.4, gamma = 1e+300 and [drive] Rabi "
-                                      "frequency 0 MHz"),
-        ("[drive]\nrabi = 1e200", "gamma0 = 16.4, gamma = 17 and [drive] Rabi "
-                                  "frequency 1e+200 MHz"),
-        ("[molecule]\ngamma0 = 1e-300\ngamma = 1e-300", "gamma0 = 1e-300, gamma = 1e-300"),
+    @pytest.mark.parametrize("text,complaint", [
+        ("[molecule]\ngamma = 1e300", "[molecule]: gamma = 1e+300 is outside the domain "
+                                      "[1e-09, 1e+09]"),
+        ("[drive]\nrabi = 1e200", "[drive]: rabi = 1e+200 is outside the domain [0, 1e+12]"),
+        ("[molecule]\ngamma0 = 1e-300\ngamma = 1e-300", "[molecule]: gamma0 = 1e-300 is "
+                                                        "outside the domain [1e-09, 1e+09]"),
     ], ids=["gamma-overflow", "rabi-overflow", "gamma-underflow"])
     def test_saturation_parameter_outside_the_float_range_is_exit_2(self, tmp_path, capsys,
-                                                                     text, values):
+                                                                     text, complaint):
         # these exited 3 printing only Python's float message, such as
-        # "(34, 'Numerical result out of range')" or "float division by zero"
+        # "(34, 'Numerical result out of range')" or "float division by zero",
+        # then 2 from simulate alone; the config is rejected as it loads, so
+        # analyze, which derives no saturation parameter, rejects it too
         cfg = _ini(tmp_path, text + "\n")
         out = tmp_path / "out"
         assert main(["simulate", "extinction", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [molecule] ") and values in err
-        assert "saturation parameter" in err and not out.exists()
-        # analyze derives no saturation parameter, so it still takes the config
+        assert capsys.readouterr().err == f"error: {complaint}\n"
         trace = tmp_path / "trace"
         assert main(["simulate", "extinction", "--out", str(trace)]) == 0
+        capsys.readouterr()
         assert main(["analyze", "fit-spectrum", str(trace / "extinction.csv"),
-                     "--config", cfg, "--out", str(out)]) == 0
+                     "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["simulate", "extinction"],
                                       ["analyze", "fit-spectrum", "trace.csv"],
@@ -346,14 +347,29 @@ class TestSimulate:
     def test_power_to_rabi_outside_the_float_range_is_exit_2(self, tmp_path, capsys, argv):
         # load_config's Rabi frequency at S = power_pw / p_sat_pw overflowed
         # (gamma^2) and every command exited 3 with only Python's
-        # "(34, 'Numerical result out of range')"
+        # "(34, 'Numerical result out of range')"; gamma is outside its domain
         cfg = _ini(tmp_path, "[molecule]\ngamma = 1e300\n[drive]\npower_pw = 10\n")
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [molecule] gamma0 = 16.4, gamma = 1e+300 and [drive] "
-                              "power_pw = 10, p_sat_pw = 350: ")
+        assert capsys.readouterr().err == \
+            "error: [molecule]: gamma = 1e+300 is outside the domain [1e-09, 1e+09]\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "extinction"],
+                                      ["analyze", "fit-spectrum", "trace.csv"],
+                                      ["reproduce", "fig5"]])
+    def test_power_whose_rabi_leaves_the_domain_is_exit_2(self, tmp_path, capsys, argv):
+        # every value is inside its domain, but S = power_pw / p_sat_pw =
+        # 1e24 at gamma0 = gamma = 1e9 MHz needs a Rabi frequency of 7e20 MHz
+        cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e9\ngamma = 1e9\n"
+                             "[drive]\npower_pw = 1e12\np_sat_pw = 1e-12\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [drive] power_pw = 1e+12, p_sat_pw = 1e-12: the Rabi "
+                              "frequency at S = power_pw / p_sat_pw, 7.07107e+20 MHz ")
+        assert err.endswith(" is outside the domain [0, 1e+12]\n")
+        assert "rabi =" not in err and not out.exists()
 
     @pytest.mark.parametrize("command,text,complaint", [
         ("extinction", "[output]\nformats = cvs", "[output] formats"),
@@ -615,42 +631,43 @@ class TestAnalyze:
         assert f"error: {bad}: initial cost is not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("gammas", [(16.4, 1e300), (1e300, 1e308)])
+    @pytest.mark.parametrize("gammas,complaint", [
+        ((16.4, 1e300), "gamma = 1e+300"), ((1e300, 1e308), "gamma0 = 1e+300")])
     def test_g2_fit_with_damping_outside_the_float_range_is_exit_2(self, tmp_path, capsys,
-                                                                    gammas):
+                                                                    gammas, complaint):
         # the g2 damping's square overflowed as a Python float: this exited
-        # 3 printing only "(34, 'Numerical result out of range')"
+        # 3 printing only "(34, 'Numerical result out of range')", then 2 at
+        # the fit's own damping check; the linewidths are outside the domain
         assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
         cfg = _ini(tmp_path, "[molecule]\ngamma0 = {}\ngamma = {}\n".format(*gammas))
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / 'g2.csv'}: gamma0 = {gammas[0]:g} and "
-                              f"gamma = {gammas[1]:g} MHz put the g2 damping outside the "
-                              "float range")
+        assert capsys.readouterr().err == \
+            f"error: [molecule]: {complaint} is outside the domain [1e-09, 1e+09]\n"
         assert not out.exists()
 
     def test_g2_fit_with_a_decay_time_outside_the_float_range_is_exit_2(self, tmp_path, capsys):
         # subnormal linewidths overflow the decay time 1e3 / a: this said
-        # "trace too short: spans 400 ns, need >= inf ns"
+        # "trace too short: spans 400 ns, need >= inf ns", then 2 at the
+        # fit's own decay-time check; they are outside the domain
         assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
         cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e-320\ngamma = 1e-320\n")
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {tmp_path / 'g2.csv'}: gamma0 = {1e-320:g} and gamma = {1e-320:g} MHz put "
-            "the g2 decay time outside the float range")
+        assert capsys.readouterr().err == (f"error: [molecule]: gamma0 = {1e-320:g} is "
+                                           "outside the domain [1e-09, 1e+09]\n")
         assert not out.exists()
 
     def test_g2_fit_with_a_runaway_initial_residual_is_exit_2_without_warning(self, tmp_path,
                                                                              capsys):
         # gamma0 = 1e300, gamma = 2e300: the seed's Rabi rate squared
-        # overflows, and the initial residual, evaluated outside minimize's
-        # errstate, warned four times before the exit
+        # overflowed, and the initial residual, evaluated outside minimize's
+        # errstate, warned four times before the exit; then the fit said
+        # "initial residual is not finite".  gamma0 is outside the domain
         assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
         cfg = _ini(tmp_path, "[molecule]\ngamma0 = 1e300\ngamma = 2e300\n")
         out = tmp_path / "out"
@@ -660,8 +677,29 @@ class TestAnalyze:
             assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--config", cfg,
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"error: {tmp_path / 'g2.csv'}: initial residual is not finite\n"
+            "error: [molecule]: gamma0 = 1e+300 is outside the domain [1e-09, 1e+09]\n"
         assert not out.exists()
+
+    def test_g2_fit_past_the_drive_domain_writes_its_json(self, tmp_path, capsys, monkeypatch):
+        # a fitted Rabi frequency is data: one past the drive's domain is
+        # reported with its saturation parameter and the status minimize gave
+        from resfluor import correlation
+
+        assert main(["simulate", "g2", "--out", str(tmp_path)]) == 0
+        fit = correlation.fit_rabi_from_g2
+
+        def runaway(trace, mol):
+            res = fit(trace, mol)
+            res.params["rabi"], res.status = 1e13, "max_iter"
+            return res
+
+        monkeypatch.setattr(correlation, "fit_rabi_from_g2", runaway)
+        out = tmp_path / "out"
+        assert main(["analyze", "g2-fit", str(tmp_path / "g2.csv"), "--out", str(out)]) == 4
+        payload = json.loads((out / "g2_fit.json").read_text())
+        assert payload["status"] == "max_iter" and payload["params"]["rabi"] == 1e13
+        assert payload["saturation"] == pytest.approx(2e26 / (16.4 * 17.0), rel=1e-14)
+        assert "Omega=1e+13 MHz" in capsys.readouterr().out
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["analyze", "fit-spectrum", str(tmp_path / "nope.csv"),
@@ -827,13 +865,14 @@ class TestReproduce:
 
     def test_fig5_rabi_outside_the_float_range_is_exit_2(self, tmp_path, capsys):
         # fig5's own rabi_for_saturation calls overflowed (gamma^2): exit 3
-        # with only Python's "(34, 'Numerical result out of range')"
+        # with only Python's "(34, 'Numerical result out of range')", then 2
+        # at fig5's own guard; gamma is outside the domain
         cfg = _ini(tmp_path, "[molecule]\ngamma = 1e300\n")
         out = tmp_path / "out"
         assert main(["reproduce", "fig5", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [molecule] gamma0 = 16.4, gamma = 1e+300: ")
-        assert "fig5's S = 0.05" in err and not (out / "fig5").exists()
+        assert capsys.readouterr().err == \
+            "error: [molecule]: gamma = 1e+300 is outside the domain [1e-09, 1e+09]\n"
+        assert not (out / "fig5").exists()
 
     @pytest.mark.parametrize("angles", ["0, 0.4, 36, 72", "36, 72, 71.6, 108", ""])
     def test_fig4_angles_without_distinct_file_names_are_exit_2(self, tmp_path, capsys,

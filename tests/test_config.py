@@ -33,14 +33,33 @@ def test_overrides_and_power_to_rabi():
 
 def test_power_to_rabi_outside_the_float_range_is_config_error():
     # gamma^2 overflows in rabi_for_saturation: this used to raise Python's
-    # "(34, 'Numerical result out of range')", an exit 3 naming no key
+    # "(34, 'Numerical result out of range')", an exit 3 naming no key;
+    # gamma is outside its domain
     with pytest.raises(ConfigError, match=re.escape(
-            "[molecule] gamma0 = 16.4, gamma = 1e+300 and [drive] power_pw = 10, "
-            "p_sat_pw = 350: ")):
+            "[molecule]: gamma = 1e+300 is outside the domain [1e-09, 1e+09]")):
         load_config(overrides={"molecule": {"gamma": "1e300"}, "drive": {"power_pw": "10"}})
-    # a finite Rabi frequency keeps its bits
-    cfg = load_config(overrides={"molecule": {"gamma": "1e150"}, "drive": {"power_pw": "10"}})
+    # a Rabi frequency at the linewidths' top keeps its bits
+    cfg = load_config(overrides={"molecule": {"gamma": "1e9"}, "drive": {"power_pw": "10"}})
     assert cfg.drive.rabi == rabi_for_saturation(cfg.molecule, 10.0 / 350.0)
+
+
+@pytest.mark.parametrize("gamma,power,p_sat", [
+    ("1e9", "1e12", "1e-12"), ("1e9", "1e6", "1e-12"), ("17", "1e12", "1e-12")])
+def test_power_whose_rabi_leaves_the_domain_is_config_error(gamma, power, p_sat):
+    # each value is in its domain, but not the Rabi frequency they set
+    mol = load_config(overrides={"molecule": {"gamma": gamma}}).molecule
+    rabi = rabi_for_saturation(mol, float(power) / float(p_sat))
+    assert rabi > 1e12
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"[drive] power_pw = {float(power):g}, p_sat_pw = {float(p_sat):g}: the Rabi "
+            f"frequency at S = power_pw / p_sat_pw, {rabi:g} MHz with [molecule] gamma0 = "
+            f"16.4, gamma = {float(gamma):g}, is outside the domain [0, 1e+12]") + "$"):
+        load_config(overrides={"molecule": {"gamma": gamma},
+                               "drive": {"power_pw": power, "p_sat_pw": p_sat}})
+    # at the smallest positive power the drive is inside its domain
+    cfg = load_config(overrides={"molecule": {"gamma": gamma},
+                                 "drive": {"power_pw": "1e-12", "p_sat_pw": p_sat}})
+    assert 0.0 < cfg.drive.rabi <= 1e12
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -2,7 +2,8 @@
 package imports; importing the package loads nothing else; each public
 name of the package has a caller outside its own tests; each option of
 the public API (a defaulted parameter or dataclass field) is passed by
-one; and every name an annotation reads is bound in its module."""
+one; every name an annotation reads is bound in its module; and no code
+but the CLI's last resort catches a float-range error."""
 
 import ast
 import builtins
@@ -300,3 +301,32 @@ def test_every_option_is_passed_by_a_caller():
                       for option, position in options.items()
                       if position >= npos and option not in keywords]
     assert never == []
+
+
+_FLOAT_RANGE_ERRORS = {"ArithmeticError", "OverflowError", "ZeroDivisionError"}
+
+
+def _float_range_handlers(path):
+    """(function, line) of each except clause in the file that names one of
+    _FLOAT_RANGE_ERRORS, alone or in a tuple; the function is the innermost
+    one that holds the clause, "<module>" if none does."""
+    tree = _parse(path)
+    owner = {}
+    for func in ast.walk(tree):   # outer functions first: inner ones overwrite
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return [(owner.get(node, "<module>"), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            & _FLOAT_RANGE_ERRORS]
+
+
+def test_no_float_range_guard_outside_the_last_resort():
+    # every configured value is bounded where it enters (physics' domain and
+    # the INI schema), so no model or command catches an overflow of its
+    # own; cli.main maps whatever escapes to exit 3
+    modules, _ = _modules_and_callers()
+    guards = [f"{os.path.basename(m)}:{name}:{line}" for m in modules
+              for name, line in _float_range_handlers(m)]
+    assert [g for g in guards if not g.startswith("cli.py:main:")] == []
+    assert len(guards) == 1

@@ -67,8 +67,8 @@ def test_drive_validation_and_psi_wrap():
 ], ids=["gamma", "rabi", "psi", "incident_rate", "dipole_angle", "polarizer_angle"])
 def test_non_finite_values_rejected(build, bad):
     # nan passed every ordering check (nan < gamma0 is False), and inf
-    # every lower bound
-    with pytest.raises(ValueError, match="finite"):
+    # every lower bound; both lie outside every range of the domain
+    with pytest.raises(ValueError, match="is outside the domain"):
         build(bad)
 
 

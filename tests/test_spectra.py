@@ -182,8 +182,8 @@ class TestMollow:
     @pytest.mark.parametrize("gamma0,gamma,rabi,freqs", [
         (16.4, 17.0, 25.0, [1e10, 1e100, 1e150]),
         (16.4, 16.4, 4.1, [1e10, 1e40, 1e70]),
-        (1e-136, 2e-136, 1e-133, [1e-120, 1e-20, 2e64]),
-        (1e-160, 1e-160, 1e-157, [1e-148, 1e-60]),
+        (1e-9, 2e-9, 1e-9, [0.5, 1e3, 1e9]),
+        (1e-9, 1e-9, 1e-9, [0.5, 1e3, 1e9]),
     ], ids=["dephased", "lifetime-limited", "tiny-dephased", "tiny-lifetime-limited"])
     def test_far_tail(self, gamma0, gamma, rabi, freqs):
         # at omega >= 1e8 r, r = Gamma_1 + Gamma_2 + w, the density is its
@@ -203,6 +203,14 @@ class TestMollow:
                             np.array(freqs)).values
         assert (want >= np.finfo(float).tiny).all()   # normal floats
         assert np.max(np.abs(v - want) / want) <= 1e-12
+
+    def test_rates_below_the_domain_are_a_value_error(self):
+        # the far tail was once pinned at rates of 1e-160 MHz; no emitter
+        # has them, and the smallest linewidth of the domain reaches the
+        # tail at |nu| < 1 MHz (test_far_tail)
+        with pytest.raises(ValueError, match=r"^gamma0 = 1e-160 is outside the domain "
+                                             r"\[1e-09, 1e\+09\]$"):
+            MoleculeParams(1e-160, 1e-160)
 
     @given(log_gamma0=st.floats(-3.0, 3.0), log_dephasing=st.floats(-6.0, 6.0),
            lifetime_limited=st.booleans(), log_drive=st.floats(-4.0, 2.0),
