@@ -16,7 +16,9 @@ import numpy as np
 
 # Only the layers that every command needs are imported here; each command
 # imports synth, correlation, estimation or polarization where it uses them,
-# so a fresh process compiles and loads no layer that its command does not run.
+# so a fresh process loads no layer that its command does not run, but one:
+# correlation binds estimation's minimize at import, so simulate g2 and
+# reproduce fig5 load estimation without fitting.
 from .config import ConfigError, RunConfig, load_config
 from .measurement import (
     DetectorParams,
@@ -44,6 +46,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NOCONV = 4
+
+# a noisy transmission is normalized by at least this many signal counts per pixel
+_MIN_SIGNAL_COUNTS = 1e-6
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -180,13 +185,15 @@ def _saturation_traces(p_sat: float, powers, scale: float, generator: str) -> tu
 
 def _noisy_extinction(cfg: RunConfig, model: ExtinctionModel, grid, det: DetectorParams):
     """synth.noisy_extinction_trace at [drive] incident_rate and [run] seed;
-    a zero rate, which the config allows, is a ConfigError here."""
+    fewer expected signal counts per pixel than _MIN_SIGNAL_COUNTS is a ConfigError."""
     from .synth import noisy_extinction_trace
 
-    rate = cfg.drive.incident_rate
-    if not rate > 0:
-        raise ConfigError(f"[drive] incident_rate must be > 0 to draw a noisy "
-                          f"extinction trace, got {rate:g}")
+    rate, qe, t = cfg.drive.incident_rate, det.quantum_efficiency, det.integration_time
+    if rate * qe * t < _MIN_SIGNAL_COUNTS:
+        raise ConfigError(
+            f"[drive] incident_rate = {rate:g} with quantum_efficiency = {qe:g} and "
+            f"integration_time = {t:g} s expects {rate * qe * t:g} signal counts per pixel; a "
+            f"noisy extinction trace divides by them and needs >= {_MIN_SIGNAL_COUNTS:g}")
     return noisy_extinction_trace(model, grid, rate, det, cfg.seed)
 
 
@@ -198,11 +205,13 @@ def _sim_extinction(cfg: RunConfig, s: float):
     model = _extinction_model(mol, drive, sim["extinction_a"], sim["extinction_b_dip"])
     grid = np.linspace(sim["grid_min"], sim["grid_max"], sim["points"])
     trace = extinction_spectrum(model, grid)
-    if trace.values.min() < 0.0:
+    lo, hi = trace.values.min(), trace.values.max()
+    if lo < 0.0 or hi > 4.0:   # (1 + 1)^2: a scattered field of at most the laser's
         raise ConfigError(
             f"[simulate] extinction_b_dip = {sim['extinction_b_dip']:g} with extinction_a = "
-            f"{sim['extinction_a']:g} makes the transmission negative "
-            f"({trace.values.min():.4g} at its minimum)")
+            f"{sim['extinction_a']:g} at [drive] rabi = {drive.rabi:g} MHz, psi = "
+            f"{math.degrees(drive.psi):g} deg: the noiseless transmission on the grid spans "
+            f"[{lo:.4g}, {hi:.4g}], outside [0, 4]")
     if sim["noise"]:
         trace = _noisy_extinction(cfg, model, grid, cfg.detector)
     dip = 1.0 - float(trace.values.min())
@@ -233,18 +242,14 @@ def _sim_g2(cfg: RunConfig, s: float):
     mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
     delays = np.linspace(0.0, sim["tau_max_ns"], sim["tau_points"])
     if sim["noise"]:
-        if sim["tau_points"] < 2:
-            raise ConfigError(f"[simulate] tau_points must be >= 2 to draw a noisy g2 trace, "
-                              f"got {sim['tau_points']}: the one delay, 0, has g2 = 0 and "
-                              f"no plateau to normalize by")
         from .synth import noisy_g2_trace
 
         try:
             trace = noisy_g2_trace(delays, mol, drive, sim["plateau_coincidences"], cfg.seed)
-        except ValueError as exc:   # no coincidence on the plateau, or far too many
-            raise ConfigError(f"[simulate] tau_max_ns = {sim['tau_max_ns']:g}, "
-                              f"plateau_coincidences = {sim['plateau_coincidences']:g}: "
-                              f"{exc}") from None
+        except ValueError as exc:   # no coincidence on the plateau (one delay: g2(0) = 0)
+            raise ConfigError(f"[simulate] tau_points = {sim['tau_points']}, tau_max_ns = "
+                              f"{sim['tau_max_ns']:g}, plateau_coincidences = "
+                              f"{sim['plateau_coincidences']:g}: {exc}") from None
     else:
         trace = g2_trace(delays, mol, drive)
     return [(trace, "g2")], f"g2: {annotate(drive.rabi, mol)}"

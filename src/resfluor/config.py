@@ -13,8 +13,8 @@ Rabi frequency at S = power_pw / p_sat_pw.  [run] threads is parsed,
 checked and hashed but has no field: sampling runs in the calling thread.
 
 Every value lies in the physical domain: the parameter containers check the
-emitter, drive and cavity (physics), and _SCHEMA gives the values only a
-command reads their closed ranges.
+emitter, drive, cavity and detector against physics' ranges, and _SCHEMA
+gives the values only a command reads their closed ranges.
 """
 
 from __future__ import annotations
@@ -88,15 +88,17 @@ _SCHEMA = {
                  "qwp_angles_deg": ("float_list", "0, 36, 72, 108, 144")},
     "simulate": {"grid_min": (float, "-150.0", _GRID_MHZ),
                  "grid_max": (float, "150.0", _GRID_MHZ),
-                 "points": (int, "301"), "noise": (bool, "false"),
-                 "extinction_a": (float, "0.0"), "extinction_b_dip": (float, "0.115"),
+                 "points": (int, "301", (1, _MAX_SAMPLES)), "noise": (bool, "false"),
+                 "extinction_a": (float, "0.0", (0.0, 1.0)),   # scattered field <= laser's
+                 "extinction_b_dip": (float, "0.115", (0.0, 2.0)),
                  "emission_scale": (float, "1.0", COUNT_RATE),
-                 "laser_background_rate": (float, "0.0"),
-                 "tau_max_ns": (float, "400.0", (0.0, 1e12)), "tau_points": (int, "801"),
-                 "plateau_coincidences": (float, "10000"),
+                 "laser_background_rate": (float, "0.0", COUNT_RATE),
+                 "tau_max_ns": (float, "400.0", (1e-9, 1e12)),
+                 "tau_points": (int, "801", (1, _MAX_SAMPLES)),
+                 "plateau_coincidences": (float, "10000", (1e-9, COUNT_RATE[1])),
                  "power_min_pw": (float, "5.0", _POWER_PW),
                  "power_max_pw": (float, "10000.0", _POWER_PW),
-                 "power_points": (int, "25")},
+                 "power_points": (int, "25", (1, _MAX_SAMPLES))},
     "output": {"dir": (str, "out")},
     "run": {"seed": (int, "1"), "threads": (int, "1")},
 }
@@ -173,10 +175,11 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     def get(section, key):
         kind, _, *domain = _SCHEMA[section][key]
         value = _parse_value(section, key, raw[section][key], kind)
+        fmt = "d" if kind is int else "g"   # an int past the float range has no :g
         for lo, hi in domain:
             if not lo <= value <= hi:
-                raise ConfigError(f"[{section}] {key}: {value:g} is outside the domain "
-                                  f"[{lo:g}, {hi:g}]")
+                raise ConfigError(f"[{section}] {key}: {value:{fmt}} is outside the domain "
+                                  f"[{lo:{fmt}}, {hi:{fmt}}]")
         return value
 
     with _section("molecule"):
@@ -234,18 +237,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         whole[deg] = math.degrees(theta)
 
     sim = {k: get("simulate", k) for k in _SCHEMA["simulate"]}
-    for key in ("points", "tau_points", "power_points"):
-        if not 1 <= sim[key] <= _MAX_SAMPLES:
-            raise ConfigError(f"[simulate] {key} must be in [1, {_MAX_SAMPLES}], got {sim[key]}")
     if sim["grid_min"] >= sim["grid_max"]:
         raise ConfigError(f"[simulate] grid_min ({sim['grid_min']:g}) must be below "
                           f"grid_max ({sim['grid_max']:g})")
-    for key in ("tau_max_ns", "plateau_coincidences"):
-        if sim[key] <= 0:
-            raise ConfigError(f"[simulate] {key} must be > 0, got {sim[key]:g}")
-    for key in ("extinction_a", "extinction_b_dip", "laser_background_rate"):
-        if sim[key] < 0:
-            raise ConfigError(f"[simulate] {key} must be >= 0, got {sim[key]:g}")
     if not 0 < sim["power_min_pw"] < sim["power_max_pw"]:
         raise ConfigError(f"[simulate] power_min_pw ({sim['power_min_pw']:g}) must be in "
                           f"(0, power_max_pw = {sim['power_max_pw']:g})")

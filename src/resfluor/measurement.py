@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .physics import COUNT_RATE, INTEGRATION_S, QUANTUM_EFFICIENCY, require_in
 from .spectra import SpectrumTrace
 
 RNG_NAME = "numpy-philox4x64 keyed by (seed, block index), 4096-pixel blocks"
@@ -46,22 +47,18 @@ def _keyed_generator(seed: int, b: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """dark_rate in counts/s, quantum_efficiency in (0, 1],
-    integration_time in seconds."""
+    """dark_rate (counts/s) in physics.COUNT_RATE, quantum_efficiency in
+    QUANTUM_EFFICIENCY and integration_time (s) in INTEGRATION_S: at a rate
+    of at most 4 * COUNT_RATE, as every simulation draws, a mean is <= 5e18."""
 
     dark_rate: float
     quantum_efficiency: float = 1.0
     integration_time: float = 1.0
 
     def __post_init__(self):
-        if self.dark_rate < 0:
-            raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
-        if not (0.0 < self.quantum_efficiency <= 1.0):
-            raise ValueError(
-                f"quantum_efficiency must be in (0, 1], got {self.quantum_efficiency}"
-            )
-        if self.integration_time <= 0:
-            raise ValueError(f"integration_time must be > 0, got {self.integration_time}")
+        require_in("dark_rate", self.dark_rate, COUNT_RATE)
+        require_in("quantum_efficiency", self.quantum_efficiency, QUANTUM_EFFICIENCY)
+        require_in("integration_time", self.integration_time, INTEGRATION_S)
 
 
 def simulate_counts(

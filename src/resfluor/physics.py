@@ -12,9 +12,9 @@ along propagation.  Jones vectors live in the fixed (x, y) lab basis, where
 the laser is the constant (0, 1).
 
 Physical domain: each value a run sets lies in one closed range, checked
-once where it enters (the containers here and in spectra, config's schema).
-The ranges span every emitter, drive and cavity by decades; inside them
-S <= 2e42 and every rate, decay time and (1 + S)^2 is a finite float.
+once where it enters (the parameter containers, config's schema).  The
+ranges span every emitter, drive, cavity and detector by decades; inside
+them S <= 2e42, every rate and (1 + S)^2 is finite and Poisson means stay <= 5e18.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ TWO_PI = 2.0 * math.pi
 # closed ranges of the physical domain
 LINEWIDTH_MHZ = (1e-9, 1e9)   # gamma0, gamma, and the FPC's FSR and FWHM
 RABI_MHZ = (0.0, 1e12)        # fig5's S = 150 at gamma0 = gamma = 1e9 MHz needs 8.7e9
-COUNT_RATE = (0.0, 1e15)      # incident_rate (counts/s) and emission scales
+COUNT_RATE = (0.0, 1e15)      # incident_rate, dark_rate (counts/s) and emission scales
+QUANTUM_EFFICIENCY = (1e-6, 1.0)
+INTEGRATION_S = (1e-9, 1e3)   # counts per pixel stay below numpy's Poisson ceiling, 9.2e18
 ANGLE_RAD = (-1e6, 1e6)       # a float resolves these to 1e-10 rad
 
 

@@ -189,8 +189,11 @@ class TestSimulate:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("text,complaint", [
-        ("tau_max_ns = 1e-6", "plateau region has no coincidences; trace unusable"),
-        ("plateau_coincidences = 1e300", "lam value too large"),
+        ("tau_max_ns = 1e-6", "[simulate] tau_points = 801, tau_max_ns = 1e-06, "
+                              "plateau_coincidences = 10000: plateau region has no "
+                              "coincidences; trace unusable"),
+        ("plateau_coincidences = 1e300",
+         "[simulate] plateau_coincidences: 1e+300 is outside the domain [1e-09, 1e+15]"),
     ], ids=["window-before-the-plateau", "too-many-coincidences"])
     def test_noisy_g2_without_a_drawable_plateau_is_exit_2(self, tmp_path, capsys, text,
                                                             complaint):
@@ -200,9 +203,7 @@ class TestSimulate:
         cfg = _ini(tmp_path, f"[simulate]\nnoise = true\n{text}\n")
         out = tmp_path / "out"
         assert main(["simulate", "g2", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [simulate] tau_max_ns = ") and "plateau_coincidences = " \
-            in err and err.endswith(f": {complaint}\n")
+        assert capsys.readouterr().err == f"error: {complaint}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["simulate", "extinction"], ["reproduce", "fig2"]])
@@ -214,7 +215,41 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
-        assert "[drive] incident_rate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: [drive] incident_rate = 0 with quantum_efficiency = 1 "
+                              "and integration_time = ") \
+            and err.endswith(" s expects 0 signal counts per pixel; a noisy extinction trace "
+                             "divides by them and needs >= 1e-06\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,complaint", [
+        ("counts", "[detector]\nintegration_time = 1e300",
+         "[detector]: integration_time = 1e+300 is outside the domain [1e-09, 1000]"),
+        ("extinction", "[drive]\nincident_rate = 1e-300\n[detector]\ndark_rate = 1e15\n"
+                       "integration_time = 1e-9\nquantum_efficiency = 1e-6\n"
+                       "[simulate]\nnoise = true",
+         "[drive] incident_rate = 1e-300 with quantum_efficiency = 1e-06 and "
+         "integration_time = 1e-09 s expects 1e-315 signal counts per pixel; a noisy "
+         "extinction trace divides by them and needs >= 1e-06"),
+        *[("extinction", "[molecule]\ngamma0 = 1e-9\ngamma = 1e-9\n[drive]\nrabi = 1e12\n"
+                         "psi_deg = 30\n[simulate]\nextinction_b_dip = 0.5\n"
+                         f"grid_min = -1e9\ngrid_max = -1e3\nnoise = {noise}",
+           "[simulate] extinction_b_dip = 0.5 with extinction_a = 0 at [drive] rabi = 1e+12 "
+           "MHz, psi = 30 deg: the noiseless transmission on the grid spans [8.66e+11, "
+           "8.66e+17], outside [0, 4]") for noise in ("false", "true")],
+    ], ids=["counts-integration-time", "normalization-floor", "strong-drive-dispersive-wing",
+            "strong-drive-dispersive-wing-noisy"])
+    def test_detector_and_transmission_outside_the_domain_are_exit_2(
+            self, tmp_path, capsys, command, text, complaint):
+        # the first exited 3 in the sampler (lam value too large), the second
+        # leaked an overflow RuntimeWarning and exited 3, and the last two
+        # exited 0 with transmissions of 8.7e11 to 8.7e17, or 3 in the sampler
+        cfg = _ini(tmp_path, text + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {complaint}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("points, code", [(1, 2), (2, 0)])

@@ -178,7 +178,8 @@ def test_sample_counts_bounded(key):
     bound = config._MAX_SAMPLES
     assert load_config(overrides={"simulate": {key: bound}}).simulate[key] == bound
     for count in (bound + 1, 100000000000):
-        with pytest.raises(ConfigError, match=rf"^\[simulate\] {key} must be in \[1, {bound}\]"):
+        with pytest.raises(ConfigError, match=rf"^\[simulate\] {key}: {count} is outside the "
+                                              rf"domain \[1, {bound}\]$"):
             load_config(overrides={"simulate": {key: count}})
 
 

@@ -1,8 +1,9 @@
-"""The physical domain (physics.LINEWIDTH_MHZ, RABI_MHZ, COUNT_RATE and the
-INI schema's ranges): at each of its corners the models stay inside the
-float range, and every config drawn from it runs each simulate command and
-reproduce fig5 to exit 0 or to a documented exit 2, never to exit 3 and
-never with a warning."""
+"""The physical domain (physics.LINEWIDTH_MHZ, RABI_MHZ, COUNT_RATE, the
+detector's ranges and the INI schema's): at each of its corners the models
+stay inside the float range and every Poisson mean below numpy's ceiling,
+and every config drawn from it runs each simulate command, reproduce fig2
+and fig5 to exit 0 or to a documented exit 2, never to exit 3 and never
+with a warning."""
 
 import contextlib
 import io
@@ -16,19 +17,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resfluor.cli import SIMULATIONS, _mollow_grid, main
+from resfluor.cli import (_MIN_SIGNAL_COUNTS, SIMULATIONS, _extinction_model, _mollow_grid,
+                          main)
 from resfluor.config import ConfigError, load_config
 from resfluor.correlation import g2
+from resfluor.measurement import DetectorParams, simulate_counts
 from resfluor.physics import (
+    COUNT_RATE,
+    INTEGRATION_S,
     LINEWIDTH_MHZ,
+    QUANTUM_EFFICIENCY,
     RABI_MHZ,
+    TWO_PI,
     DriveParams,
     MoleculeParams,
     bloch_rates,
     rabi_for_saturation,
     saturation_parameter,
 )
-from resfluor.spectra import FpcParams, lorentzian_profile, mollow_spectrum
+from resfluor.spectra import FpcParams, SpectrumTrace, extinction_spectrum, lorentzian_profile, \
+    mollow_spectrum
+from resfluor.synth import noisy_extinction_trace, noisy_g2_trace
 
 LO, HI = LINEWIDTH_MHZ
 # (gamma0, gamma) corners, gamma >= gamma0
@@ -91,17 +100,70 @@ def _check_corners(mol):
             assert np.isfinite(mollow_spectrum(mol, drive, grid, 1e15).values).all()
 
 
+# numpy's Generator.poisson rejects a mean above this, ~9.22e18
+POISSON_CEILING = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _g2_delays(mol, rabi):
+    """10 001 delays (ns) over 40 times the shorter of the damping time and
+    the Rabi period over 2 pi: g2's peaks lie in them."""
+    rates = bloch_rates(mol.gamma0, mol.gamma)
+    return np.linspace(0.0, 40.0 * 1e3 / max(rates.a, TWO_PI * rabi), 10001)
+
+
+def test_every_poisson_mean_stays_below_the_sampler_ceiling():
+    rate, dark = COUNT_RATE[1], COUNT_RATE[1]
+    det = DetectorParams(dark, QUANTUM_EFFICIENCY[1], INTEGRATION_S[1])
+    # extinction: the CLI passes a noiseless transmission up to 4, which the
+    # model reaches at extinction_a = 1, extinction_b_dip = 2 and psi = -90 deg
+    mol = MoleculeParams(16.4, 17.0)
+    model = _extinction_model(mol, DriveParams(rabi=0.0, psi=-math.pi / 2), 1.0, 2.0)
+    grid = np.array([-10.0, 0.0, 10.0])
+    transmission = extinction_spectrum(model, grid).values.max()
+    assert transmission == 4.0
+    # g2: plateau_coincidences times the largest g2 at any corner, counted
+    # without dark counts in unit time
+    corners = [(MoleculeParams(*gammas), DriveParams(rabi=float(rabi))) for gammas in MOLECULES
+               for rabi in (*RABI_MHZ, *np.geomspace(1e-12, RABI_MHZ[1], 25))]
+    peaks = [g2(_g2_delays(m, d.rabi), m, d).max() for m, d in corners]
+    peak = max(peaks)
+    assert peak <= 2.0
+    means = {"extinction": (rate * transmission * det.quantum_efficiency + dark)
+             * det.integration_time,
+             "counts": (rate * det.quantum_efficiency + dark) * det.integration_time,
+             "g2": COUNT_RATE[1] * peak}
+    assert all(mean < POISSON_CEILING for mean in means.values()), means
+    # a noisy transmission divides by at least _MIN_SIGNAL_COUNTS
+    assert means["extinction"] / _MIN_SIGNAL_COUNTS < 1e25
+
+    # and each path draws at its largest mean, without a warning
+    m_peak, d_peak = corners[peaks.index(peak)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = [noisy_extinction_trace(model, grid, rate, det, 1),
+                  simulate_counts(SpectrumTrace(grid, np.full(3, rate), "pixel_index",
+                                                "counts_per_s"), det, 1),
+                  noisy_g2_trace(_g2_delays(m_peak, d_peak.rabi), m_peak, d_peak,
+                                 COUNT_RATE[1], 1)]
+        floor = DetectorParams(dark, QUANTUM_EFFICIENCY[0], INTEGRATION_S[1])
+        traces.append(noisy_extinction_trace(
+            model, grid, _MIN_SIGNAL_COUNTS / (QUANTUM_EFFICIENCY[0] * INTEGRATION_S[1]),
+            floor, 1))
+    assert all(np.isfinite(tr.values).all() for tr in traces)
+
+
 # the exit-2 messages a config drawn from the domain may end in (README,
 # exit codes): gamma below gamma0, fwhm not below fsr, a power whose Rabi
 # frequency leaves the domain, an empty grid or power range, a Mollow grid
-# past its point bound, a zero incident rate for noisy counts, noise for a
-# simulation that draws no counts, and a noisy g2 window whose plateau
-# draws no coincidence
+# past its point bound, a noiseless transmission outside [0, 4], fewer
+# expected signal counts per pixel than a noisy transmission is normalized
+# by, noise for a simulation that draws no counts, and a noisy g2 window
+# whose plateau draws no coincidence
 DOCUMENTED_EXIT_2 = (
     "[molecule]: gamma (", "[fpc]: need fwhm < fsr", "[drive] power_pw = ",
     "[simulate] grid_min (", "[simulate] power_min_pw (", "Mollow emission grid of ",
-    "[drive] incident_rate must be > 0", "[simulate] noise = true: simulate ",
-    "[simulate] tau_max_ns = ",
+    "[simulate] extinction_b_dip = ", "[drive] incident_rate = ",
+    "[simulate] noise = true: simulate ", "[simulate] tau_points = ",
 )
 
 
@@ -136,13 +198,23 @@ _SCALED = st.tuples(_in(LINEWIDTH_MHZ), _in((1.0, 10.0)), _in((1e-3, 50.0), 0.0)
                     _in((1.0, 1e2)), _in((1.01, 1e2))).map(
     lambda f: (f[0], _clip(f[0] * f[1]), _clip(f[0] * f[2], RABI_MHZ),
                _clip(f[0] * f[3] * f[4]), _clip(f[0] * f[3])))
+# ANGLE_RAD in degrees, rounded inwards: radians() of the exact bound
+# lands one ulp outside it
+_PSI_DEG = (-5.7295779e7, 5.7295779e7)
+# counts per second: 0, then log-uniform from 1e-300 to COUNT_RATE's bound
+_RATE = _in((1e-300, COUNT_RATE[1]), 0.0)
 _CONFIGS = st.fixed_dictionaries({
     "emitter_and_cavity": st.one_of(_FREE, _SCALED),
     "power": st.one_of(st.none(), st.tuples(_in(_POWER, 0.0), _in((1e-12, 1e12), 350.0))),
-    "incident_rate": _in((1.0, 1e15), 0.0),
+    "psi_deg": _in(_PSI_DEG, 90.0, -90.0, 30.0, 0.0),
+    "incident_rate": _RATE,
+    "detector": st.tuples(_RATE, _in(QUANTUM_EFFICIENCY), _in(INTEGRATION_S, 0.16)),
     "grid": _pair(_in((-HI, HI), 0.0), (-HI, HI)),
+    "extinction": st.tuples(_in((0.0, 1.0)), _in((0.0, 2.0), 0.115)),
     "emission_scale": _in((1e-15, 1e15), 0.0),
+    "laser_background_rate": _RATE,
     "tau_max_ns": _in((1e-9, 1e12)),
+    "plateau_coincidences": _in((1e-9, COUNT_RATE[1]), 1e4),
     "powers": _pair(_in(_POWER), _POWER),
     "noise": st.sampled_from([False, False, True]),
 })
@@ -155,12 +227,21 @@ def _ini(c) -> str:
     (g_lo, g_hi), (p_lo, p_hi) = sorted(c["grid"]), sorted(c["powers"])
     drive = (f"rabi = {rabi!r}" if c["power"] is None
              else "power_pw = {!r}\np_sat_pw = {!r}".format(*c["power"]))
+    dark, qe, t = c["detector"]
+    a, b_dip = c["extinction"]
     return (f"[molecule]\ngamma0 = {gamma0!r}\ngamma = {max(gamma, gamma0)!r}\n"
-            f"[drive]\n{drive}\nincident_rate = {c['incident_rate']!r}\n"
+            f"[drive]\n{drive}\npsi_deg = {c['psi_deg']!r}\n"
+            f"incident_rate = {c['incident_rate']!r}\n"
+            f"[detector]\ndark_rate = {dark!r}\nquantum_efficiency = {qe!r}\n"
+            f"integration_time = {t!r}\n"
             f"[fpc]\nfsr = {max(fsr, fwhm)!r}\nfwhm = {min(fsr, fwhm)!r}\n"
             f"[simulate]\ngrid_min = {g_lo!r}\ngrid_max = {g_hi!r}\npoints = 61\n"
-            f"emission_scale = {c['emission_scale']!r}\ntau_max_ns = {c['tau_max_ns']!r}\n"
-            f"tau_points = 161\npower_min_pw = {p_lo!r}\npower_max_pw = {p_hi!r}\n"
+            f"extinction_a = {a!r}\nextinction_b_dip = {b_dip!r}\n"
+            f"emission_scale = {c['emission_scale']!r}\n"
+            f"laser_background_rate = {c['laser_background_rate']!r}\n"
+            f"tau_max_ns = {c['tau_max_ns']!r}\ntau_points = 161\n"
+            f"plateau_coincidences = {c['plateau_coincidences']!r}\n"
+            f"power_min_pw = {p_lo!r}\npower_max_pw = {p_hi!r}\n"
             f"power_points = 15\nnoise = {str(c['noise']).lower()}\n")
 
 
@@ -170,7 +251,8 @@ def test_configs_from_the_domain_exit_0_or_a_documented_2(c):
         cfg = os.path.join(root, "run.ini")
         with open(cfg, "w") as fh:
             fh.write(_ini(c))
-        runs = [["simulate", name] for name in SIMULATIONS] + [["reproduce", "fig5"]]
+        runs = [["simulate", name] for name in SIMULATIONS] + [["reproduce", "fig2"],
+                                                               ["reproduce", "fig5"]]
         for k, argv in enumerate(runs):
             out = os.path.join(root, f"out{k}")
             err = io.StringIO()

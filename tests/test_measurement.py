@@ -185,3 +185,9 @@ def test_detector_validation():
         DetectorParams(dark_rate=0.0, quantum_efficiency=0.0)
     with pytest.raises(ValueError):
         DetectorParams(dark_rate=0.0, integration_time=0.0)
+    # nan and inf passed here and failed later in the sampler
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^dark_rate = .* is outside the domain "):
+            DetectorParams(dark_rate=bad)
+        with pytest.raises(ValueError, match=r"^integration_time = .* is outside the domain "):
+            DetectorParams(dark_rate=0.0, integration_time=bad)

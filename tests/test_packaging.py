@@ -90,10 +90,17 @@ def test_cli_import_loads_only_the_base_modules():
     assert _loaded_modules() == (None, BASE_MODULES)
 
 
+# correlation binds estimation's minimize at import (the benchmark's tracer
+# reads correlation.minimize), so the g2 commands load the fit engine too
+G2_MODULES = {"resfluor.correlation", "resfluor.estimation"}
+
+
 @pytest.mark.parametrize("argv,extra", [
     (["reproduce", "fig3"], set()),
     (["simulate", "mollow"], set()),
     (["analyze", "fit-spectrum", "{sim}/extinction.csv"], {"resfluor.estimation"}),
+    (["simulate", "g2"], G2_MODULES),
+    (["reproduce", "fig5"], G2_MODULES),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, extra):
     from resfluor.cli import main
