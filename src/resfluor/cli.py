@@ -16,9 +16,10 @@ import numpy as np
 
 # Only the layers that every command needs are imported here; each command
 # imports synth, correlation, estimation or polarization where it uses them,
-# so a fresh process loads no layer that its command does not run, but one:
-# correlation binds estimation's minimize at import, so simulate g2 and
-# reproduce fig5 load estimation without fitting.
+# so a fresh process loads no layer that its command does not run, but two:
+# correlation and polarization bind estimation's minimize at import, so
+# simulate g2 and reproduce fig5 (correlation) and reproduce fig4
+# (polarization) load estimation without fitting.
 from .config import ConfigError, RunConfig, load_config
 from .measurement import (
     DetectorParams,
@@ -197,13 +198,25 @@ def _noisy_extinction(cfg: RunConfig, model: ExtinctionModel, grid, det: Detecto
     return noisy_extinction_trace(model, grid, rate, det, cfg.seed)
 
 
+def _sampled_axis(space, sim: dict, lo: str, hi: str, points: str) -> np.ndarray:
+    """space(sim[lo], sim[hi], sim[points]), the axis a simulation samples; a
+    range too narrow for its points repeats a float, a ConfigError."""
+    axis = space(sim[lo], sim[hi], sim[points])
+    if not (axis[1:] > axis[:-1]).all():
+        raise ConfigError(
+            f"[simulate] {lo} = {sim[lo]!r}, {hi} = {sim[hi]!r}, {points} = {sim[points]}: "
+            f"neighbouring points of the sampled axis round to one float; widen the range "
+            f"or sample fewer points")
+    return axis
+
+
 # each simulation returns its (trace, stem) pairs and its stdout line; s is
 # the drive's saturation parameter
 
 def _sim_extinction(cfg: RunConfig, s: float):
     mol, drive, sim = cfg.molecule, cfg.drive, cfg.simulate
     model = _extinction_model(mol, drive, sim["extinction_a"], sim["extinction_b_dip"])
-    grid = np.linspace(sim["grid_min"], sim["grid_max"], sim["points"])
+    grid = _sampled_axis(np.linspace, sim, "grid_min", "grid_max", "points")
     trace = extinction_spectrum(model, grid)
     lo, hi = trace.values.min(), trace.values.max()
     if lo < 0.0 or hi > 4.0:   # (1 + 1)^2: a scattered field of at most the laser's
@@ -258,7 +271,7 @@ def _sim_g2(cfg: RunConfig, s: float):
 def _sim_saturation_sweep(cfg: RunConfig, s: float):
     _require_noiseless(cfg, "saturation-sweep")
     sim = cfg.simulate
-    powers = np.geomspace(sim["power_min_pw"], sim["power_max_pw"], sim["power_points"])
+    powers = _sampled_axis(np.geomspace, sim, "power_min_pw", "power_max_pw", "power_points")
     coh, tot = _saturation_traces(cfg.p_sat_pw, powers, sim["emission_scale"],
                                   "saturation_sweep")
     return [(coh, "saturation_coherent"), (tot, "saturation_total")], \

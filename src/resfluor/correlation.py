@@ -248,8 +248,8 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     """Least-squares fit of the closed form plus amplitude and flat
     background; returns rabi (MHz) with its standard error.
 
-    gamma0 is fixed from the molecule (lifetime-derived) and reported as a
-    fixed parameter.  Negative delays are mirrored, as in g2.  The result is
+    gamma0 is the molecule's (lifetime-derived), not fitted: reported last,
+    with error 0.0.  Negative delays are mirrored, as in g2.  The result is
     minimize's, whatever its status; a trace shorter than three decay times
     is a ValueError raised before the fit runs.  What only the delays and
     (gamma0, gamma) fix comes from their plan (_g2_plan), shared with g2()
@@ -283,7 +283,6 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         Parameter("rabi", rabi0, lo=0.0),
         Parameter("amplitude", max(plateau, 1e-6), lo=1e-300),
         Parameter("background", 0.0, lo=-1.0),
-        Parameter("gamma0", mol.gamma0, fixed=True),
     ]
 
     # the shape and its derivative in mu^2, shared by the residual and the
@@ -300,14 +299,15 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         rabi, amp = p[0], p[1]
         shape, d_mu_sq = terms(p)
         dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
-        jac = np.empty((grid.size, 4), order="F")   # minimize's layout: no copy
+        jac = np.empty((grid.size, 3), order="F")   # minimize's layout: no copy
         np.multiply(d_mu_sq, amp * dmu_drabi, out=jac[:, 0])   # rabi
         jac[:, 1] = shape                           # amplitude
         jac[:, 2] = 1.0                             # background
-        jac[:, 3] = 0.0                             # gamma0: the residual does not read it
         return jac
 
-    return minimize(FitProblem(residual, pars, jacobian=jacobian))
+    res = minimize(FitProblem(residual, pars, jacobian=jacobian))
+    res.params["gamma0"], res.errors["gamma0"] = float(mol.gamma0), 0.0
+    return res
 
 
 def annotate(rabi_mhz: float, mol: MoleculeParams) -> str:

@@ -38,7 +38,6 @@ class Parameter:
     name: str
     value: float
     lo: float = -math.inf
-    fixed: bool = False
 
     def __post_init__(self):
         if not self.lo <= self.value:
@@ -48,22 +47,18 @@ class Parameter:
 
 @dataclass
 class FitProblem:
-    """residual(p) maps the full parameter vector (declared order, fixed
-    entries included) to a residual vector.
+    """residual(p) maps the parameter vector (declared order) to a residual
+    vector.
 
     jacobian(p) returns the closed-form d residual / d p at the same vector:
-    one row per residual entry, one column per declared parameter (fixed
-    ones included).  minimize works on the free columns in Fortran order: a
-    Fortran-ordered float array whose free columns lead is used without a
+    one row per residual entry, one column per parameter.  minimize works on
+    it in Fortran order: a Fortran-ordered float array is used without a
     copy, and then scaled in place, so return a fresh array from each call.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     params: list
     jacobian: Callable[[np.ndarray], np.ndarray]
-
-    def free_indices(self):
-        return [i for i, p in enumerate(self.params) if not p.fixed]
 
 
 # LM engine settings
@@ -112,8 +107,7 @@ class FitResult:
     def table(self) -> str:
         rows = [f"{'parameter':<14}{'value':>16}{'std error':>16}"]
         for k in self.params:
-            e = self.errors.get(k, float("nan"))
-            rows.append(f"{k:<14}{self.params[k]:>16.8g}{e:>16.3g}")
+            rows.append(f"{k:<14}{self.params[k]:>16.8g}{self.errors[k]:>16.3g}")
         rows.append(f"status: {self.status}  iterations: {self.iterations}  "
                     f"cost: {self.cost:.6g}")
         return "\n".join(rows)
@@ -195,38 +189,27 @@ def minimize(problem: FitProblem) -> FitResult:
     else converged), and, for a run that exhausts MAX_ITER, at every
     iteration (one above COND_MAX makes it rank_deficient instead of
     max_iter).  It raises only before iterating: RankDeficientError for fewer
-    residuals than free parameters, ValueError for a non-finite residual or cost.
+    residuals than parameters, ValueError for no parameters or a non-finite
+    residual or cost.
     """
     pars = problem.params
-    free = problem.free_indices()
-    nfree = len(free)
-    if nfree == 0:
+    npar = len(pars)
+    if npar == 0:
         raise ValueError("no free parameters")
-    leading = free == list(range(nfree))
-
-    full = np.array([p.value for p in pars], dtype=float).tolist()
-    # (internal index, declared index, lower bound) of each bounded free parameter
-    bounded = [(k, i, pars[i].lo) for k, i in enumerate(free) if math.isfinite(pars[i].lo)]
+    bounded = [(k, q.lo) for k, q in enumerate(pars) if math.isfinite(q.lo)]
 
     def point(theta):
         """The external parameter vector at theta and d external / d
         internal, from one exp per bounded parameter: shared by the
         residual, the Jacobian's chain rule and the reported values."""
-        t = theta.tolist()
-        p = full.copy()
-        if leading:
-            p[:nfree] = t
-        else:
-            for k, i in enumerate(free):
-                p[i] = t[k]
-        scale = [1.0] * nfree
-        for k, i, lo in bounded:
-            scale[k] = e = _safe_exp(t[k])
-            p[i] = lo + e
+        p = theta.tolist()
+        scale = [1.0] * npar
+        for k, lo in bounded:
+            scale[k] = e = _safe_exp(p[k])
+            p[k] = lo + e
         return np.array(p), np.array(scale)
 
-    nfev = 0
-    njev = 0
+    nfev = njev = 0
 
     def residual(p):
         nonlocal nfev
@@ -235,18 +218,15 @@ def minimize(problem: FitProblem) -> FitResult:
 
     def jacobian(p, scale):
         """The problem's Jacobian at p chained through the bound transforms
-        into internal coordinates.  Its free columns are taken in Fortran
-        order, the layout _normal_matrix's gemm and the fit outputs depend
-        on: a view when they lead and are already in that order, else a
-        copy."""
+        into internal coordinates, in the Fortran order that _normal_matrix's
+        gemm and the fit outputs depend on (a view when it already is)."""
         nonlocal njev
         njev += 1
-        J = np.asarray(problem.jacobian(p), dtype=float)
-        J = np.asfortranarray(J[:, :nfree]) if leading else J[:, free]
+        J = np.asfortranarray(problem.jacobian(p), dtype=float)
         J *= scale
         return J
 
-    theta = np.array([_to_internal(pars[i].value, pars[i].lo) for i in free])
+    theta = np.array([_to_internal(q.value, q.lo) for q in pars])
     p, scale = point(theta)
 
     mu = 0.0
@@ -261,10 +241,8 @@ def minimize(problem: FitProblem) -> FitResult:
     # normal matrix has cond inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = residual(p)
-        if r.size < nfree:
-            raise RankDeficientError(
-                f"residual dimension {r.size} < free parameter count {nfree}"
-            )
+        if r.size < npar:
+            raise RankDeficientError(f"residual dimension {r.size} < parameter count {npar}")
         if not np.isfinite(r).all():
             raise ValueError("initial residual is not finite")
         cost = float(np.sum(r * r))
@@ -292,7 +270,7 @@ def minimize(problem: FitProblem) -> FitResult:
                         diag = A.diagonal()
                         diag = np.where(diag <= 0, 1.0, diag)
                     damped = A.copy()
-                    damped.flat[::nfree + 1] += mu * diag
+                    damped.flat[::npar + 1] += mu * diag
                 try:
                     step = _solve(damped, neg_g)
                 except np.linalg.LinAlgError:
@@ -330,21 +308,15 @@ def minimize(problem: FitProblem) -> FitResult:
 
         # curvature-based errors at the solution, mapped to external coordinates
         A = _normal_matrix(jacobian(p, scale))
-        dof = max(r.size - nfree, 1)
+        dof = max(r.size - npar, 1)
         inverse, cond = _inverse_and_cond(A)
         cov = inverse * (cost / dof) * np.outer(scale, scale)
+        errors = np.sqrt(cov.diagonal()).tolist()   # nan where a variance is negative
 
-    params = {q.name: float(p[i]) for i, q in enumerate(pars)}
-    errors = {}
-    for k, i in enumerate(free):
-        v = cov[k, k]
-        errors[pars[i].name] = float(math.sqrt(v)) if v >= 0 else float("nan")
-    for q in pars:
-        if q.fixed:
-            errors[q.name] = 0.0
+    names = [q.name for q in pars]
     return FitResult(
-        params=params,
-        errors=errors,
+        params=dict(zip(names, p.tolist())),
+        errors=dict(zip(names, errors)),
         cost=cost,
         status=status,
         iterations=it,
@@ -353,7 +325,7 @@ def minimize(problem: FitProblem) -> FitResult:
         grad_norm=grad_norm,
         cond=cond,
         covariance=cov,
-        param_order=[pars[i].name for i in free],
+        param_order=names,
     )
 
 
@@ -519,27 +491,15 @@ def fit_extinction(
     fixed: Sequence[str] = (),
 ) -> FitResult:
     """Fit {A, B, psi, gamma, center, baseline} to a transmission trace:
-    the line of separate_components with k_A = k_B = 1, times a baseline."""
+    the line of separate_components with k_A = k_B = 1, times a baseline.
+    Those named in fixed are held at their start (init, else the seed) and
+    follow the free ones in errors, at 0.0."""
     names = ("A", "B", "psi", "gamma", "center", "baseline")
-    nfree = sum(name not in fixed for name in names)
-    if data.grid.size < nfree:
+    free = [i for i, name in enumerate(names) if name not in fixed]
+    if data.grid.size < len(free):
         raise ValueError(
-            f"trace has {data.grid.size} points, fewer than the {nfree} free parameters"
+            f"trace has {data.grid.size} points, fewer than the {len(free)} free parameters"
         )
-    terms = _cache_last(lambda p: _line_terms(data.grid, 1.0, 1.0, *p[:5]))
-
-    def residual(p):
-        a, b, _, _, _, baseline = p
-        return _transmission(terms(p), a, b, baseline) - data.values
-
-    def jacobian(p):
-        _, b, _, gamma, _, baseline = p
-        t = terms(p)
-        lor, m = t[1], t[5]
-        jac = np.empty((data.grid.size, 6), order="F")  # minimize's layout: no copy
-        _line_jacobian(jac, baseline * lor, t, 1.0, b, gamma)
-        jac[:, 5] = 1.0 + lor * m                        # baseline
-        return jac
 
     # gamma/center/baseline from the grid heuristic, then (A, B, psi) from
     # the Jacobian of the unit-baseline line
@@ -550,7 +510,7 @@ def fit_extinction(
     if base0 < lows[5] and "baseline" not in (init or {}):
         raise ValueError(f"trace median {base0:g} is below the baseline floor "
                          f"{lows[5]:g}: rescale the trace")
-    seed = terms(np.array([0.0, 1.0, 0.0, gamma0, center0, 1.0]))
+    seed = _line_terms(data.grid, 1.0, 1.0, 0.0, 1.0, 0.0, gamma0, center0)
     basis = _line_jacobian(np.empty((data.grid.size, 3), order="F"), seed[1], seed,
                            1.0, 1.0, gamma0)   # scale 1 * lor: lor's bits
     with np.errstate(over="ignore"):
@@ -559,9 +519,35 @@ def fit_extinction(
         raise ValueError("trace values exceed the float range relative to their median")
     a0, b0, psi0 = _seed_triple(basis, target, 1e-9)
     start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
-    pars = [Parameter(name, start[name], lo=lo, fixed=name in fixed)
-            for name, lo in zip(names, lows)]
-    return minimize(FitProblem(residual, pars, jacobian))
+    pars = [Parameter(name, start[name], lo=lo) for name, lo in zip(names, lows)]
+    held = np.array([q.value for q in pars], dtype=float)
+    terms = _cache_last(lambda p: _line_terms(data.grid, 1.0, 1.0, *p[:5]))
+
+    def at(q):
+        """The six-vector at the free values q, the fixed entries held."""
+        p = held.copy()
+        p[free] = q
+        return p
+
+    def residual(q):
+        p = at(q)
+        a, b, _, _, _, baseline = p
+        return _transmission(terms(p), a, b, baseline) - data.values
+
+    def jacobian(q):
+        p = at(q)
+        _, b, _, gamma, _, baseline = p
+        t = terms(p)
+        lor, m = t[1], t[5]
+        jac = np.empty((data.grid.size, 6), order="F")  # minimize's layout
+        _line_jacobian(jac, baseline * lor, t, 1.0, b, gamma)
+        jac[:, 5] = 1.0 + lor * m                        # baseline
+        return jac[:, free]                              # a copy, in that layout
+
+    res = minimize(FitProblem(residual, [pars[i] for i in free], jacobian))
+    res.params = dict(zip(names, held.tolist()), **res.params)   # declared order
+    res.errors.update((name, 0.0) for name in names if name in fixed)
+    return res
 
 
 def fit_linewidth_vs_power(spectra: Sequence[tuple]):

@@ -398,11 +398,11 @@ class TestRabiFit:
             with pytest.raises(Captured) as info:
                 fit_rabi_from_g2(tr, mol)
         problem = info.value.args[0]
-        p = np.array([rabi, 0.9, 0.05, mol.gamma0])
+        p = np.array([rabi, 0.9, 0.05])
         jac = problem.jacobian(p)
-        assert jac.shape == (801, 4)
+        assert jac.shape == (801, 3)
         for j, h in enumerate(1e-4 * np.ones(3)):   # rabi, amplitude, background
-            dp = np.zeros(4)
+            dp = np.zeros(3)
             dp[j] = h
             fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)
             assert np.max(np.abs(jac[:, j] - fd)) <= 1e-6 * np.max(np.abs(jac[:, j]))
@@ -417,6 +417,18 @@ class TestRabiFit:
             assert res.converged
             assert res.njev == res.iterations + 1
             assert res.nfev <= res.iterations + 2
+
+    def test_gamma0_is_reported_but_not_fitted(self):
+        # the molecule's gamma0 follows the three fitted parameters, with
+        # error 0.0, outside param_order and the covariance
+        tr = noisy_g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0), 1e4,
+                            seed=0)
+        res = fit_rabi_from_g2(tr, MOL)
+        assert list(res.params) == list(res.errors) == ["rabi", "amplitude", "background",
+                                                        "gamma0"]
+        assert res.params["gamma0"] == MOL.gamma0 and res.errors["gamma0"] == 0.0
+        assert res.param_order == ["rabi", "amplitude", "background"]
+        assert res.covariance.shape == (3, 3)
 
     def test_short_trace_rejected(self):
         # the same error on every call, from a cached plan as from a new one

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resfluor.cli import (_MIN_SIGNAL_COUNTS, SIMULATIONS, _extinction_model, _mollow_grid,
@@ -157,13 +157,15 @@ def test_every_poisson_mean_stays_below_the_sampler_ceiling():
 # frequency leaves the domain, an empty grid or power range, a Mollow grid
 # past its point bound, a noiseless transmission outside [0, 4], fewer
 # expected signal counts per pixel than a noisy transmission is normalized
-# by, noise for a simulation that draws no counts, and a noisy g2 window
-# whose plateau draws no coincidence
+# by, noise for a simulation that draws no counts, a noisy g2 window
+# whose plateau draws no coincidence, and a grid or power range too narrow
+# for its points
 DOCUMENTED_EXIT_2 = (
     "[molecule]: gamma (", "[fpc]: need fwhm < fsr", "[drive] power_pw = ",
     "[simulate] grid_min (", "[simulate] power_min_pw (", "Mollow emission grid of ",
     "[simulate] extinction_b_dip = ", "[drive] incident_rate = ",
     "[simulate] noise = true: simulate ", "[simulate] tau_points = ",
+    "[simulate] grid_min = ", "[simulate] power_min_pw = ",
 )
 
 
@@ -245,6 +247,18 @@ def _ini(c) -> str:
             f"power_points = 15\nnoise = {str(c['noise']).lower()}\n")
 
 
+# the dbatt-paper profile, as a draw of _CONFIGS
+_PROFILE = {"emitter_and_cavity": (16.4, 17.0, 0.0, 356.0, 14.0), "power": None,
+            "psi_deg": 90.0, "incident_rate": 127550.0, "detector": (150.0, 1.0, 0.16),
+            "grid": (-150.0, 150.0), "extinction": (0.0, 0.115), "emission_scale": 1.0,
+            "laser_background_rate": 0.0, "tau_max_ns": 400.0, "plateau_coincidences": 1e4,
+            "powers": (5.0, 1e4), "noise": False}
+
+
+# a grid or power range too narrow for its points: the sampled axis
+# repeated a float, which exited 3 (grid must be strictly increasing)
+@example(c={**_PROFILE, "grid": (999999999.9999999, 1e9)})
+@example(c={**_PROFILE, "powers": (999999999999.999, 1e12)})
 @given(c=_CONFIGS)
 def test_configs_from_the_domain_exit_0_or_a_documented_2(c):
     with tempfile.TemporaryDirectory() as root:

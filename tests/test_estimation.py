@@ -44,7 +44,7 @@ def _fits(fit, *args, **kwargs):
 
 
 def _assert_jacobian_matches_central_differences(problem, p):
-    """Every column of problem.jacobian(p), fixed ones included, against
+    """Every column of problem.jacobian(p), one per parameter, against
     central differences of the residual with steps 1e-4 * (1 + |p|)."""
     jac = problem.jacobian(p)
     assert jac.shape == (problem.residual(p).size, p.size)
@@ -107,30 +107,18 @@ class TestMinimize:
                                   lambda p: np.ones((2, 1))))
         assert res.params["x"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_fixed_parameters_do_not_move(self):
-        x = np.linspace(0, 1, 20)
-
-        def residual(p):
-            return p[0] + p[1] * x - (5.0 + 0.5 * x)
-
-        pars = [Parameter("c0", 0.0), Parameter("c1", 0.25, fixed=True)]
-        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 2, increasing=True)))
-        assert res.params["c1"] == 0.25
-        assert res.errors["c1"] == 0.0
-        assert res.params["c0"] == pytest.approx(5.0 + 0.5 * 0.5 - 0.25 * 0.5, rel=1e-6)
-
     def test_diagnostics_in_result_and_json(self):
+        # the quadratic term is held by the caller, outside the parameters
         x = np.linspace(0, 1, 20)
         y = 1.0 - 2.0 * x + 0.5 * x * x
         calls = []
 
         def residual(p):
             calls.append(1)
-            return p[0] + p[1] * x + p[2] * x * x - y
+            return p[0] + p[1] * x + 0.5 * x * x - y
 
-        pars = [Parameter("c0", 0.0), Parameter("c1", 0.0),
-                Parameter("c2", 0.5, fixed=True)]
-        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 3, increasing=True)))
+        pars = [Parameter("c0", 0.0), Parameter("c1", 0.0)]
+        res = minimize(FitProblem(residual, pars, lambda p: np.vander(x, 2, increasing=True)))
         payload = json.loads(res.to_json())
         # nfev counts residual calls, njev Jacobian calls: one per iteration
         # plus one for the errors
@@ -150,40 +138,31 @@ class TestMinimize:
         assert json.loads(singular.to_json())["cond"] is None
 
     def test_bounded_fit_matches_scipy_least_squares(self, monkeypatch):
-        # one parameter per bound kind, plus a fixed one between them whose
-        # column the engine must drop: the chain rule through the bound
-        # transforms must reach scipy's solution and covariance
+        # unbounded and bounded parameters in turn, and an offset the caller
+        # holds at 0.2: the chain rule through the bound transforms must
+        # reach scipy's solution and covariance
         x = np.linspace(0.0, 2.0, 60)
         y = (1.5 * np.exp(-0.8 * x) - 0.7 * x * x + 0.3 * np.cos(3.0 * x) + 0.2
              + 0.01 * np.sin(17.0 * x))
 
         def residual(p):
-            a, k, z, c, f = p
-            return a * np.exp(-k * x) + c * x * x + f * np.cos(3.0 * x) + z - y
+            a, k, c, f = p
+            return a * np.exp(-k * x) + c * x * x + f * np.cos(3.0 * x) + 0.2 - y
 
         def jacobian(p):
-            a, k, z, c, f = p
+            a, k, c, f = p
             e = np.exp(-k * x)
-            return np.column_stack([e, -a * x * e, np.ones_like(x), x * x, np.cos(3.0 * x)])
+            return np.column_stack([e, -a * x * e, x * x, np.cos(3.0 * x)])
 
-        pars = [Parameter("a", 1.0), Parameter("k", 0.5, lo=0.0),
-                Parameter("z", 0.2, fixed=True), Parameter("c", 0.0),
+        pars = [Parameter("a", 1.0), Parameter("k", 0.5, lo=0.0), Parameter("c", 0.0),
                 Parameter("f", 0.5, lo=0.0)]
         monkeypatch.setattr(estimation, "GTOL", 1e-13)
         monkeypatch.setattr(estimation, "XTOL", 1e-15)
         res = minimize(FitProblem(residual, pars, jacobian))
         assert res.converged and res.njev == res.iterations + 1
-        assert res.params["z"] == 0.2 and res.errors["z"] == 0.0
+        assert res.param_order == ["a", "k", "c", "f"]
 
-        free = [0, 1, 3, 4]
-
-        def at(q):
-            p = np.array([0.0, 0.0, 0.2, 0.0, 0.0])
-            p[free] = q
-            return p
-
-        ref = least_squares(lambda q: residual(at(q)), [1.0, 0.5, 0.0, 0.5],
-                            jac=lambda q: jacobian(at(q))[:, free],
+        ref = least_squares(residual, [1.0, 0.5, 0.0, 0.5], jac=jacobian,
                             bounds=([-np.inf, 0.0, -np.inf, 0.0], np.inf),
                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
         assert ref.success and (ref.x[[1, 3]] > 0.0).all()  # an interior optimum
@@ -192,28 +171,34 @@ class TestMinimize:
             assert res.params[name] == pytest.approx(ref.x[k], rel=1e-8)
             assert res.errors[name] == pytest.approx(math.sqrt(cov[k, k]), rel=1e-5)
 
-    @pytest.mark.parametrize("fixed", [(), ("a",)])
-    def test_jacobian_memory_order_changes_no_bit(self, fixed):
-        # minimize takes the free columns of a closed-form Jacobian in
-        # Fortran order, without a copy when they lead and already are: the
-        # normal matrix's gemm, and so every fit output, sees one layout
-        # whichever order the problem returns
+    @pytest.mark.parametrize("held", [False, True], ids=["all-fitted", "offset-held"])
+    def test_jacobian_memory_order_changes_no_bit(self, held):
+        # minimize takes a closed-form Jacobian in Fortran order, without a
+        # copy when it already is: the normal matrix's gemm, and so every fit
+        # output, sees one layout whichever order the problem returns.  A
+        # caller that holds the offset a at 0.3, as fit_extinction holds its
+        # fixed sets, passes the other columns, a slice in either order
         x = np.linspace(-3.0, 3.0, 201)
         y = 0.4 + 1.3 * np.exp(-0.7 * x * x) + 0.2 * x + 0.01 * np.sin(11.0 * x)
+        cols = slice(1 if held else 0, None)
+
+        def full(p):
+            return np.concatenate(([0.3], p)) if held else p
 
         def residual(p):
-            a, b, k, c = p
+            a, b, k, c = full(p)
             return a + b * np.exp(-k * x * x) + c * x - y
 
         def fit(order):
             def jacobian(p):
-                a, b, k, c = p
+                a, b, k, c = full(p)
                 e = np.exp(-k * x * x)
-                return np.array(np.column_stack([np.ones_like(x), e, -b * x * x * e, x]),
-                                order=order)
+                jac = np.array(np.column_stack([np.ones_like(x), e, -b * x * x * e, x]),
+                               order=order)
+                return jac[:, cols]
 
-            pars = [Parameter("a", 0.3, fixed="a" in fixed), Parameter("b", 1.0, lo=0.0),
-                    Parameter("k", 0.5, lo=0.0), Parameter("c", 0.0)]
+            pars = [Parameter("a", 0.3), Parameter("b", 1.0, lo=0.0),
+                    Parameter("k", 0.5, lo=0.0), Parameter("c", 0.0)][cols]
             return minimize(FitProblem(residual, pars, jacobian=jacobian))
 
         c_res, f_res = fit("C"), fit("F")
@@ -285,8 +270,7 @@ class TestMinimize:
 
     def test_no_free_parameters_raises(self):
         with pytest.raises(ValueError, match="no free parameters"):
-            minimize(FitProblem(lambda p: p - 1.0, [Parameter("a", 0.0, fixed=True)],
-                                lambda p: np.eye(1)))
+            minimize(FitProblem(lambda p: np.ones(1), [], lambda p: np.empty((1, 0))))
 
     def test_parameter_init_below_bound_raises(self):
         with pytest.raises(ValueError, match="outside bounds"):
@@ -409,14 +393,16 @@ class TestMinimize:
 
     def test_table_lists_parameters_and_status(self):
         x = np.linspace(0, 1, 20)
-        res = minimize(FitProblem(lambda p: p[0] + p[1] * x - (2.0 - 3.0 * x),
-                                  [Parameter("c0", 0.0), Parameter("c1", 0.5, fixed=True)],
+        y = 2.0 - 3.0 * x + 0.01 * np.sin(7.0 * x)
+        res = minimize(FitProblem(lambda p: p[0] + p[1] * x - y,
+                                  [Parameter("c0", 0.0), Parameter("c1", 0.5)],
                                   lambda p: np.vander(x, 2, increasing=True)))
         lines = res.table().splitlines()
         assert lines[0].split() == ["parameter", "value", "std", "error"]
         assert [ln.split()[0] for ln in lines[1:3]] == ["c0", "c1"]
-        assert float(lines[2].split()[1]) == 0.5
-        assert float(lines[2].split()[2]) == 0.0
+        for line, name in zip(lines[1:3], ("c0", "c1")):
+            assert float(line.split()[1]) == pytest.approx(res.params[name], rel=1e-7)
+            assert float(line.split()[2]) == pytest.approx(res.errors[name], rel=1e-2)
         assert lines[3].startswith(f"status: {res.status}  iterations: {res.iterations}")
 
     def test_nan_gradient_entry_is_not_converged(self):
@@ -559,6 +545,41 @@ class TestExtinctionFit:
         assert res.params["gamma"] == pytest.approx(
             MOL.gamma * math.sqrt(1 + s), rel=1e-6)
 
+    def test_fixed_parameters_do_not_move(self):
+        # B = 0 makes psi unidentifiable: both held at their init, exactly,
+        # and the other four fitted to the line
+        tr = self._trace(2.0, 0.0, 0.0)
+        res = fit_extinction(tr, fixed=("B", "psi"), init={"B": 0.0, "psi": 0.25})
+        assert res.converged
+        assert (res.params["B"], res.params["psi"]) == (0.0, 0.25)
+        assert (res.errors["B"], res.errors["psi"]) == (0.0, 0.0)
+        assert res.params["A"] == pytest.approx(2.0, rel=1e-6)
+        assert res.params["gamma"] == pytest.approx(MOL.gamma, rel=1e-6)
+        assert res.params["baseline"] == pytest.approx(1.0, rel=1e-8)
+
+    def test_fixed_set_result_layout(self):
+        # params in declared order; errors free first, then the fixed ones
+        # at exactly 0.0; param_order and the covariance free only
+        res = fit_extinction(self._trace(2.0, 0.0, 0.0), fixed=("B", "psi"),
+                             init={"B": 0.0, "psi": 0.0})
+        free = ["A", "gamma", "center", "baseline"]
+        assert list(res.params) == ["A", "B", "psi", "gamma", "center", "baseline"]
+        assert list(res.errors) == free + ["B", "psi"]
+        assert [res.errors[n] for n in ("B", "psi")] == [0.0, 0.0]
+        assert all(type(v) is float for v in [*res.params.values(), *res.errors.values()])
+        assert all(res.errors[n] > 0.0 for n in free)
+        assert res.param_order == free
+        assert res.covariance.shape == (4, 4)
+        payload = json.loads(res.to_json())
+        assert list(payload["params"]) == list(res.params)
+        assert [ln.split()[0] for ln in res.table().splitlines()[1:7]] == list(res.params)
+
+    def test_fixed_init_outside_bounds_raises(self):
+        # a fixed parameter is checked against its bound as a free one is
+        with pytest.raises(ValueError, match=r"^parameter gamma: init -1\.0 outside bounds "
+                                             r"\[1e-12, inf\]$"):
+            fit_extinction(self._trace(2.0, 0.0, 0.0), fixed=("gamma",), init={"gamma": -1.0})
+
     def test_narrow_window_rejected(self):
         tr = self._trace(0.0, 5.0, math.pi / 2.0, grid=np.linspace(-8, 8, 33))
         with pytest.raises(ValueError):
@@ -618,9 +639,9 @@ class TestExtinctionFit:
          {"A": 0.0, "psi": math.pi / 2.0, "baseline": 1.0}),
     ], ids=["criterion-2", "criterion-8", "criterion-9"])
     def test_jacobian_with_fixed_parameters(self, line, fixed, init):
-        # the acceptance criteria's fixed sets: every column checked at the
-        # start point, where B = 0 makes the psi column vanish, and the fit
-        # takes the free columns only
+        # the acceptance criteria's fixed sets: the problem minimize sees
+        # has the free parameters only, and each of its columns is checked
+        # at the start point and off it
         ((problem, res),) = _fits(fit_extinction, self._trace(*line), fixed=fixed, init=init)
         start = np.array([par.value for par in problem.params])
         _assert_jacobian_matches_central_differences(problem, start)
@@ -723,10 +744,10 @@ class TestModelCache:
     # the cached model terms do not read
     @pytest.mark.parametrize("recipe, p1, p2", [
         (_separation_problem, [10.0, 3.0, 1.5, 17.5, 0.3], [11.0, 3.5, 1.6, 16.5, -0.2]),
-        (_g2_problem, [48.0, 1.0, 0.01, 16.4], [52.0, 1.05, -0.01, 16.4]),
+        (_g2_problem, [48.0, 1.0, 0.01], [52.0, 1.05, -0.01]),
         (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
          [2.2, 2.8, 1.1, 22.0, -1.0, 0.98]),
-        (_g2_problem, [50.0, 1.0, 0.0, 16.4], [50.0, 1.1, 0.0, 16.4]),
+        (_g2_problem, [50.0, 1.0, 0.0], [50.0, 1.1, 0.0]),
         (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
          [2.0, 3.0, 1.2, 24.0, 1.0, 0.98]),
     ], ids=["separation", "g2", "extinction", "g2-amplitude", "extinction-baseline"])

@@ -323,3 +323,31 @@ def test_ini_file(ini_path, blob):
         return
     assert isinstance(cfg, RunConfig)
 
+
+
+_NARROW = "neighbouring points of the sampled axis round to one float; widen the range or " \
+          "sample fewer points"
+
+
+@pytest.mark.parametrize("command, text, complaint", [
+    ("extinction", "grid_min = 999999999.9999999\ngrid_max = 1e9\npoints = 61",
+     "grid_min = 999999999.9999999, grid_max = 1000000000.0, points = 61"),
+    ("saturation-sweep", "power_min_pw = 999999999999.999\npower_max_pw = 1e12\n"
+                         "power_points = 61",
+     "power_min_pw = 999999999999.999, power_max_pw = 1000000000000.0, power_points = 61"),
+    ("extinction", "grid_min = 999999999.9999999\ngrid_max = 1e9\npoints = 2", None),
+], ids=["grid", "powers", "grid-of-its-two-ends"])
+def test_range_too_narrow_for_its_points(tmp_path, capsys, command, text, complaint):
+    # load_config accepts both ranges (min below max, inside the domain);
+    # the axis the command samples repeats a float, which exited 3 with
+    # `grid must be strictly increasing`.  Two points, the range's ends, run
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text(f"[simulate]\n{text}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if complaint is None:
+        assert (code, err) == (0, "")
+        return
+    assert code == 2 and err == f"error: [simulate] {complaint}: {_NARROW}\n"
+    assert not out.exists()

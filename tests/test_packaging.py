@@ -90,8 +90,9 @@ def test_cli_import_loads_only_the_base_modules():
     assert _loaded_modules() == (None, BASE_MODULES)
 
 
-# correlation binds estimation's minimize at import (the benchmark's tracer
-# reads correlation.minimize), so the g2 commands load the fit engine too
+# correlation and polarization bind estimation's minimize at import (the
+# benchmark's tracer reads it there), so the g2 commands and reproduce fig4,
+# which fit nothing, load the fit engine too
 G2_MODULES = {"resfluor.correlation", "resfluor.estimation"}
 
 
@@ -101,6 +102,7 @@ G2_MODULES = {"resfluor.correlation", "resfluor.estimation"}
     (["analyze", "fit-spectrum", "{sim}/extinction.csv"], {"resfluor.estimation"}),
     (["simulate", "g2"], G2_MODULES),
     (["reproduce", "fig5"], G2_MODULES),
+    (["reproduce", "fig4"], {"resfluor.polarization", "resfluor.estimation"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, extra):
     from resfluor.cli import main

@@ -25,7 +25,8 @@ diffed.  A fifth file, ``extinction_fixed.json``, holds 20 noisy
 extinction fits for each fixed set of EXTINCTION_FIXED, keyed by it:
 the (B, psi) set of criterion 2 (a Lorentzian at S = 1) and the (A, psi,
 baseline) set of criterion 9 (its 11.5% dip).  Their free Jacobian
-columns do not lead, so these fits diff the engine's column-copy path.
+columns do not lead, so these fits diff ``fit_extinction``'s free-column
+copy.
 At criterion 2's A = 1 the peak dip (0.7%) sits at the shot-noise level:
 those fits take 12 to 29 iterations, so they also diff the damping path.
 The tool then writes ``OUT/SHA256SUMS``: a header of ``# <name> <version>``
