@@ -209,13 +209,13 @@ def g2_trace(delays_ns, mol: MoleculeParams, drive: DriveParams) -> G2Trace:
     )
 
 
-# a * (delay of the first maximum) below which that maximum seeds rabi
+# a * (delay of the first maximum) below which that maximum seeds rabi_sq
 _FIRST_MAX_DECAY = 0.5
 
 
-def _integral_rabi_seed(plan: _G2Plan, v, plateau, fallback):
-    """Rabi frequency (MHz) of the g2 samples v in the plan's order of
-    |delay|, from one weighted linear solve (regression on integral
+def _integral_rabi_seed(plan: _G2Plan, v, plateau):
+    """Squared Rabi frequency (MHz^2) of the g2 samples v in the plan's
+    order of |delay|, from one weighted linear solve (regression on integral
     equations; Jacquelin 2009).
 
     With P the plateau and a the damping rate, q = e^{a tau} (P - g2) =
@@ -223,9 +223,9 @@ def _integral_rabi_seed(plan: _G2Plan, v, plateau, fallback):
     q = amp (1 + a tau) - mu^2 Q2, Q2 the trapezoid double integral of q.
     The rows cover tau <= 4/a (the plan's seed window), weighted by
     e^{-a tau} against the growth of the noise in q.  The squared angular
-    Rabi rate is mu^2 - mu^2(rabi = 0) = mu^2 + off_sq; a negative one
-    (noise about rabi = 0) seeds at its magnitude, the scale the solve
-    resolves.  Returns fallback when the solve is singular."""
+    Rabi rate is mu^2 - mu^2(rabi = 0) = mu^2 + off_sq; a negative one is
+    noise about rabi = 0, a point of the model.  Returns 0 when the solve is
+    singular or not finite."""
     e, dt, x1 = plan.seed_e, plan.seed_dt, plan.seed_x1
     y = plateau - v[:e.size]      # e^{-a tau} q
     # samples near the float limit give inf or nan: the checks fall back
@@ -237,23 +237,45 @@ def _integral_rabi_seed(plan: _G2Plan, v, plateau, fallback):
         s11, s12, s22 = plan.seed_s11, float(x1 @ x2), float(x2 @ x2)
         det = s11 * s22 - s12 * s12
         if not det > 0.0:
-            return fallback
+            return 0.0
         w_sq = (s12 * float(x1 @ y) - s11 * float(x2 @ y)) / det + plan.off_sq
-    if w_sq == 0.0 or not math.isfinite(w_sq):
-        return fallback
-    return math.sqrt(abs(w_sq)) / TWO_PI
+    u = w_sq / (TWO_PI * TWO_PI)
+    return u if math.isfinite(u) else 0.0
+
+
+def _rabi_sq_seed(plan: _G2Plan, trace: G2Trace):
+    """(u0, plateau): the seeds of rabi_sq (MHz^2) and of the plateau, read
+    in order of |delay|.  The plateau is the fifth at the largest |delay|
+    (the tail of a forward trace, the head of a mirrored one).  The first
+    interior maximum, if any, sits near half a Rabi period; that seeds u when
+    the oscillation is fast against the decay, and the integral seed does
+    otherwise."""
+    v = trace.values[plan.order]
+    tail = v[-max(3, v.size // 5):]
+    plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
+    i_max = int(np.argmax(v))
+    t_first = math.inf
+    if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
+        t_first = abs(trace.grid[plan.order[i_max]])
+    if t_first > 0 and plan.a_rate * t_first * 1e-3 < _FIRST_MAX_DECAY:
+        return (0.5e3 / t_first) ** 2, plateau
+    return _integral_rabi_seed(plan, v, plateau), plateau
 
 
 def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
     """Least-squares fit of the closed form plus amplitude and flat
-    background; returns rabi (MHz) with its standard error.
+    background in u = rabi^2 (MHz^2), unbounded: g2 is entire in mu^2 =
+    (2 pi)^2 u - off_sq, so u < 0 (noise about rabi = 0) is a point of the
+    model.  Returns rabi_sq (first in param_order), then rabi =
+    sqrt(max(u, 0)) with error sigma_u / (2 rabi), None when u <= 0.
 
-    gamma0 is the molecule's (lifetime-derived), not fitted: reported last,
-    with error 0.0.  Negative delays are mirrored, as in g2.  The result is
-    minimize's, whatever its status; a trace shorter than three decay times
-    is a ValueError raised before the fit runs.  What only the delays and
-    (gamma0, gamma) fix comes from their plan (_g2_plan), shared with g2()
-    and every fit on that grid.
+    minimize takes u in units of max(|u0|, gamma0^2), u0 its seed, which
+    keeps the fit's conditioning that of rabi's.  gamma0 is the molecule's
+    (lifetime-derived), not fitted: reported last, with error 0.0.  Negative
+    delays are mirrored, as in g2.  The result is minimize's, whatever its
+    status; a trace shorter than three decay times is a ValueError raised
+    before the fit runs.  What only the delays and (gamma0, gamma) fix comes
+    from their plan (_g2_plan), shared with g2() and every fit on that grid.
     """
     grid = trace.grid
     plan = _g2_plan(grid.tobytes(), mol.gamma0, mol.gamma)
@@ -262,32 +284,20 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         raise ValueError(f"trace too short: spans {plan.span_ns:.3g} ns, "
                          f"need >= {3.0 * decay_ns:.3g} ns (three decay times)")
 
-    # The seeds read the trace in order of |delay|: the plateau is the fifth
-    # at the largest |delay| (the tail of a forward trace, the head of a
-    # mirrored one).  The first interior maximum, if any, sits near half a
-    # Rabi period; that seeds rabi when the oscillation is fast against the
-    # decay, and the integral seed does otherwise.
-    v = trace.values[plan.order]
-    tail = v[-max(3, v.size // 5):]
-    plateau = float(np.add.reduce(tail) / tail.size)   # np.mean's bits
-    i_max = int(np.argmax(v))
-    t_first = math.inf
-    if 0 < i_max < v.size - 1 and v[i_max] > 1.05 * plateau:
-        t_first = abs(grid[plan.order[i_max]])
-    if t_first > 0 and plan.a_rate * t_first * 1e-3 < _FIRST_MAX_DECAY:
-        rabi0 = max(0.5e3 / t_first, mol.gamma0)
-    else:
-        rabi0 = _integral_rabi_seed(plan, v, plateau, mol.gamma0)
+    u0, plateau = _rabi_sq_seed(plan, trace)
+    unit = max(abs(u0), mol.gamma0 * mol.gamma0)   # MHz^2 per internal unit
+    k = TWO_PI * TWO_PI * unit                     # d mu^2 / d (internal u)
 
     pars = [
-        Parameter("rabi", rabi0, lo=0.0),
+        Parameter("rabi_sq", u0 / unit),
         Parameter("amplitude", max(plateau, 1e-6), lo=1e-300),
         Parameter("background", 0.0, lo=-1.0),
     ]
 
     # the shape and its derivative in mu^2, shared by the residual and the
     # Jacobian
-    terms = estimation._cache_last(lambda p: _g2_shape(plan, plan.mu_sq(p[0]), partials=True))
+    terms = estimation._cache_last(
+        lambda p: _g2_shape(plan, k * p[0] - plan.off_sq, partials=True))
 
     def residual(p):
         r = np.multiply(p[1], terms(p)[0])   # bg + amp shape - values
@@ -296,17 +306,20 @@ def fit_rabi_from_g2(trace: G2Trace, mol: MoleculeParams) -> FitResult:
         return r
 
     def jacobian(p):
-        rabi, amp = p[0], p[1]
         shape, d_mu_sq = terms(p)
-        dmu_drabi = 2.0 * TWO_PI * TWO_PI * rabi
         jac = np.empty((grid.size, 3), order="F")   # minimize's layout: no copy
-        np.multiply(d_mu_sq, amp * dmu_drabi, out=jac[:, 0])   # rabi
+        np.multiply(d_mu_sq, p[1] * k, out=jac[:, 0])   # rabi_sq
         jac[:, 1] = shape                           # amplitude
         jac[:, 2] = 1.0                             # background
         return jac
 
     res = minimize(FitProblem(residual, pars, jacobian=jacobian))
-    res.params["gamma0"], res.errors["gamma0"] = float(mol.gamma0), 0.0
+    u, err = res.params["rabi_sq"] * unit, res.errors["rabi_sq"] * unit
+    res.covariance[0] *= unit
+    res.covariance[:, 0] *= unit
+    rabi = math.sqrt(max(u, 0.0))
+    res.params.update(rabi_sq=u, rabi=rabi, gamma0=float(mol.gamma0))
+    res.errors.update(rabi_sq=err, rabi=err / (2.0 * rabi) if u > 0.0 else None, gamma0=0.0)
     return res
 
 

@@ -7,8 +7,10 @@ and polarization.separate_components (a QWP-angle series): _line_terms,
 _line_jacobian and _seed_triple give its terms, its five Jacobian columns
 (the first three of them are the seed's basis) and its (A, B, psi) seed.
 
-Lower bounds are enforced by a smooth log transform, so the curvature-based
-standard errors stay meaningful at the solution.
+Lower bounds are enforced by a smooth log transform, which keeps steps
+inside the bound but zeroes a parameter's Jacobian column at it (a singular
+fit, an error of 0).  So the recipes take coordinates in which their fits
+stay regular: the g2 fit fits rabi^2 unbounded, the one-trace line holds A.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ class FitResult:
     def table(self) -> str:
         rows = [f"{'parameter':<14}{'value':>16}{'std error':>16}"]
         for k in self.params:
-            rows.append(f"{k:<14}{self.params[k]:>16.8g}{self.errors[k]:>16.3g}")
+            err = self.errors[k]   # None: a derived value without an error
+            rows.append(f"{k:<14}{self.params[k]:>16.8g}"
+                        + (f"{'null':>16}" if err is None else f"{err:>16.3g}"))
         rows.append(f"status: {self.status}  iterations: {self.iterations}  "
                     f"cost: {self.cost:.6g}")
         return "\n".join(rows)
@@ -397,14 +401,18 @@ def _line_jacobian(jac, scale, terms, k_a, b, gamma):
     return jac
 
 
-def _seed_triple(basis, target, floor):
+def _seed_triple(basis, target, floor, a=None):
     """(a, b, psi) from one least-squares solve.  At fixed (gamma, center)
     the line is linear in (a, b cos psi, b sin psi), and the a, b and psi
     columns of its Jacobian at b = 1, psi = 0 are that basis; a and b are
-    held at floor or above."""
-    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    return (max(float(coef[0]), floor), max(math.hypot(coef[1], coef[2]), floor),
-            math.atan2(coef[2], coef[1]))
+    held at floor or above.  A given a is held: (b, psi) come from the b and
+    psi columns alone, against target - a times the a column."""
+    if a is None:
+        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+        a, coef = max(float(coef[0]), floor), coef[1:]
+    else:
+        coef, *_ = np.linalg.lstsq(basis[:, 1:], target - a * basis[:, 0], rcond=None)
+    return a, max(math.hypot(coef[0], coef[1]), floor), math.atan2(coef[1], coef[0])
 
 
 def _transmission(terms, a, b, baseline):
@@ -488,26 +496,34 @@ def _refine_line(trace: SpectrumTrace, center: float, gamma: float):
 def fit_extinction(
     data: SpectrumTrace,
     init: Optional[dict] = None,
-    fixed: Sequence[str] = (),
+    fixed: Sequence[str] = ("A",),
 ) -> FitResult:
     """Fit {A, B, psi, gamma, center, baseline} to a transmission trace:
     the line of separate_components with k_A = k_B = 1, times a baseline.
-    Those named in fixed are held at their start (init, else the seed) and
-    follow the free ones in errors, at 0.0."""
+    One trace determines only A - B (gamma/2) sin psi and B cos psi, so by
+    default A is held at 0 (the dip carried by the B-term) and the fit is
+    regular; fixed=() frees all six, a singular fit.  Those named in fixed
+    are held at their start (init, else the seed; A at 0) and follow the
+    free ones in errors, at 0.0.  An unknown name is a ValueError."""
     names = ("A", "B", "psi", "gamma", "center", "baseline")
+    init = init or {}
+    unknown = sorted(set(fixed).union(init) - set(names))
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(unknown)}: the parameters are "
+                         f"{', '.join(names)}")
     free = [i for i, name in enumerate(names) if name not in fixed]
     if data.grid.size < len(free):
         raise ValueError(
             f"trace has {data.grid.size} points, fewer than the {len(free)} free parameters"
         )
 
-    # gamma/center/baseline from the grid heuristic, then (A, B, psi) from
-    # the Jacobian of the unit-baseline line
+    # gamma/center/baseline from the grid heuristic, then (A, B, psi) (or,
+    # with A held, (B, psi)) from the Jacobian of the unit-baseline line
     center0, gamma0, base0 = _init_line(data)
     lows = (0.0, 0.0, -math.inf, 1e-12, -math.inf, 1e-12)
     if data.grid[-1] - data.grid[0] < 3.0 * gamma0:
         raise ValueError("trace must cover at least three linewidths")
-    if base0 < lows[5] and "baseline" not in (init or {}):
+    if base0 < lows[5] and "baseline" not in init:
         raise ValueError(f"trace median {base0:g} is below the baseline floor "
                          f"{lows[5]:g}: rescale the trace")
     seed = _line_terms(data.grid, 1.0, 1.0, 0.0, 1.0, 0.0, gamma0, center0)
@@ -517,8 +533,9 @@ def fit_extinction(
         target = data.values / base0 - 1.0
     if not np.isfinite(target).all():
         raise ValueError("trace values exceed the float range relative to their median")
-    a0, b0, psi0 = _seed_triple(basis, target, 1e-9)
-    start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **(init or {}))
+    held_a = init.get("A", 0.0) if "A" in fixed else None
+    a0, b0, psi0 = _seed_triple(basis, target, 1e-9, held_a)
+    start = dict(zip(names, (a0, b0, psi0, gamma0, center0, base0)), **init)
     pars = [Parameter(name, start[name], lo=lo) for name, lo in zip(names, lows)]
     held = np.array([q.value for q in pars], dtype=float)
     terms = _cache_last(lambda p: _line_terms(data.grid, 1.0, 1.0, *p[:5]))

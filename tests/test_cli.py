@@ -755,14 +755,14 @@ class TestAnalyze:
         assert main(["analyze", "g2-fit", str(g2_empty), "--out", out]) == 2
         assert main(["analyze", "fit-spectrum", str(one), "--out", out]) == 2
         err = capfd.readouterr().err
-        assert "fewer than the 6 free parameters" in err
+        assert "fewer than the 5 free parameters" in err
         assert "DLASCL" not in err
         # linewidth-sweep fits each trace of the series as fit-spectrum does
         manifest = tmp_path / "sweep.json"
         manifest.write_text(json.dumps({"series": [
             {"power_pw": p, "file": "one.csv"} for p in (50.0, 350.0, 2500.0)]}))
         assert main(["analyze", "linewidth-sweep", str(manifest), "--out", out]) == 2
-        assert (f"{manifest}: trace at power 50.0: trace has 1 points, fewer than the 6 "
+        assert (f"{manifest}: trace at power 50.0: trace has 1 points, fewer than the 5 "
                 "free parameters") in capfd.readouterr().err
         assert not os.path.exists(out)
 

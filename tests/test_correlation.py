@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import g2_ode, g2_shape_mp, g2_shape_partials_mp
-from resfluor import correlation
+from resfluor import correlation, estimation
 from resfluor.correlation import (
     G2Trace,
     _g2_shape,
@@ -271,10 +271,33 @@ class TestRabiFit:
             assert res.params["amplitude"] == pytest.approx(1.0, rel=1e-6)
 
     def test_weak_drive_consistent_with_zero(self):
+        # the noiseless undriven trace: u = rabi^2 is a regular coordinate at
+        # 0, so the fit is well conditioned there.  Its residuals are
+        # rounding, so no test in units of the error is made
         delays = np.linspace(0.0, 400.0, 801)
         tr = g2_trace(delays, MOL, DriveParams(rabi=0.0))
         res = fit_rabi_from_g2(tr, MOL)
-        assert res.params["rabi"] < 1e-2 or res.params["rabi"] < 3 * res.errors["rabi"]
+        assert res.converged and res.cond < estimation.COND_MAX
+        assert abs(res.params["rabi_sq"]) <= 1e-6
+        # it stops at u <= 0: rabi 0, whose error is null
+        assert res.params["rabi"] == 0.0 and res.errors["rabi"] is None
+        assert json.loads(res.to_json())["errors"]["rabi"] is None
+        assert res.table().splitlines()[4].split() == ["rabi", "0", "null"]
+
+    @pytest.mark.parametrize("rabi", [0.0, 1.0, 2.0, 50.0])
+    def test_weak_drive_pull(self, rabi):
+        # criterion-6 settings, 200 noisy traces: every fit is regular and
+        # the scatter of u matches its reported error
+        delays = np.linspace(0.0, 400.0, 801)
+        fits = [fit_rabi_from_g2(noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4,
+                                                seed), MOL) for seed in range(200)]
+        assert all(r.converged for r in fits)
+        assert all(r.cond < estimation.COND_MAX for r in fits)
+        errors = np.array([r.errors["rabi_sq"] for r in fits])
+        assert np.isfinite(errors).all() and (errors > 0.0).all()
+        u = np.array([r.params["rabi_sq"] for r in fits])
+        pull = np.std(u, ddof=1) / np.median(errors)
+        assert 0.85 <= pull <= 1.15, pull
 
     def test_noisy_recovery(self):
         delays = np.linspace(0.0, 400.0, 801)
@@ -299,7 +322,7 @@ class TestRabiFit:
         fwd = noisy_g2_trace(delays, MOL, DriveParams(rabi=50.0), 1e4, seed=seed)
         mirrored = G2Trace(-delays[::-1], fwd.values[::-1])
         assert self._seeds(mirrored) == self._seeds(fwd)
-        assert self._seeds(fwd)["rabi"] == pytest.approx(50.0, rel=0.05)
+        assert self._seed(mirrored) == self._seed(fwd) == pytest.approx(2500.0, rel=0.1)
         assert fit_rabi_from_g2(mirrored, MOL).nfev == fit_rabi_from_g2(fwd, MOL).nfev
 
     @staticmethod
@@ -310,12 +333,17 @@ class TestRabiFit:
                 fit_rabi_from_g2(tr, MOL)
         return {p.name: p.value for p in m.call_args.args[0].params}
 
+    @staticmethod
+    def _seed(tr):
+        """The rabi_sq seed (MHz^2) of fit_rabi_from_g2."""
+        return correlation._rabi_sq_seed(_plan(tr.grid), tr)[0]
+
     @pytest.mark.parametrize("rabi", [2.0, 5.0, 20.0, 50.0])
     def test_integral_seed_of_a_slow_oscillation(self, rabi):
-        # a * (first maximum) >= 0.5: one linear solve seeds rabi, off only
-        # by the trapezoid rule's error on the noiseless trace
+        # a * (first maximum) >= 0.5: one linear solve seeds rabi_sq, off
+        # only by the trapezoid rule's error on the noiseless trace
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
-        assert self._seeds(tr)["rabi"] == pytest.approx(rabi, rel=2e-3)
+        assert self._seed(tr) == pytest.approx(rabi * rabi, rel=4e-3)
 
     @pytest.mark.parametrize("rabi", [100.0, 200.0])
     def test_first_maximum_seeds_a_fast_oscillation(self, rabi):
@@ -324,7 +352,7 @@ class TestRabiFit:
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=rabi))
         first_max = tr.grid[np.argmax(tr.values)]
         assert _plan(tr.grid).a_rate * first_max * 1e-3 < 0.5
-        assert self._seeds(tr)["rabi"] == 0.5e3 / first_max == rabi
+        assert self._seed(tr) == (0.5e3 / first_max) ** 2 == rabi * rabi
 
     @pytest.mark.parametrize("seed", [71, 74, 154, 213, 286])
     def test_rounding_floor_costs_at_most_two_extra_evaluations(self, seed):
@@ -347,7 +375,7 @@ class TestRabiFit:
 
     def test_integral_seed_past_the_float_range_falls_back(self):
         # a sample near the float limit overflows the solve's sums: it used
-        # to warn twice, and now returns the fallback silently
+        # to warn twice, and now seeds rabi_sq = 0 silently
         tr = g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=5.0))
         v = tr.values.copy()
         v[5] = 1e300
@@ -355,12 +383,12 @@ class TestRabiFit:
         assert plan.seed_e.size > 5   # v[5] is in the seed's window
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            seed = correlation._integral_rabi_seed(plan, v, 1.0, -1.0)
-        assert seed == -1.0
+            seed = correlation._integral_rabi_seed(plan, v, 1.0)
+        assert seed == 0.0
 
     def test_seed_sweep_no_worse_than_the_first_maximum(self):
         # mean iterations over 20 noisy traces per Rabi frequency, against
-        # the seed that always reads the first maximum (gamma0 without one)
+        # the seed that always reads the first maximum (gamma0^2 without one)
         delays = np.linspace(0.0, 400.0, 801)
         for rabi in (0.0, 5.0, 20.0, 50.0, 100.0, 200.0, 300.0):
             traces = [noisy_g2_trace(delays, MOL, DriveParams(rabi=rabi), 1e4, seed)
@@ -368,7 +396,7 @@ class TestRabiFit:
             seeded = np.mean([fit_rabi_from_g2(tr, MOL).iterations for tr in traces])
             with mock.patch.object(correlation, "_FIRST_MAX_DECAY", math.inf), \
                     mock.patch.object(correlation, "_integral_rabi_seed",
-                                      lambda *args: args[-1]):
+                                      lambda *args: MOL.gamma0 ** 2):
                 first_max = np.mean([fit_rabi_from_g2(tr, MOL).iterations for tr in traces])
             assert seeded <= first_max, rabi
             if rabi <= 50.0:
@@ -398,10 +426,14 @@ class TestRabiFit:
             with pytest.raises(Captured) as info:
                 fit_rabi_from_g2(tr, mol)
         problem = info.value.args[0]
-        p = np.array([rabi, 0.9, 0.05])
+        # the fit's internal rabi_sq is u in units of max(|u0|, gamma0^2)
+        unit = max(abs(self._seed(tr)), mol.gamma0 ** 2)
+        p = np.array([rabi * rabi / unit, 0.9, 0.05])
         jac = problem.jacobian(p)
         assert jac.shape == (801, 3)
-        for j, h in enumerate(1e-4 * np.ones(3)):   # rabi, amplitude, background
+        # steps of 1e-5 internal units (0.025 MHz^2 here) keep the
+        # differences' truncation error below 1e-7 relative
+        for j, h in enumerate(1e-5 * np.ones(3)):   # rabi_sq, amplitude, background
             dp = np.zeros(3)
             dp[j] = h
             fd = (problem.residual(p + dp) - problem.residual(p - dp)) / (2.0 * h)
@@ -419,16 +451,21 @@ class TestRabiFit:
             assert res.nfev <= res.iterations + 2
 
     def test_gamma0_is_reported_but_not_fitted(self):
-        # the molecule's gamma0 follows the three fitted parameters, with
-        # error 0.0, outside param_order and the covariance
+        # rabi (derived from rabi_sq) and the molecule's gamma0 follow the
+        # three fitted parameters, outside param_order and the covariance;
+        # gamma0 with error 0.0
         tr = noisy_g2_trace(np.linspace(0.0, 400.0, 801), MOL, DriveParams(rabi=50.0), 1e4,
                             seed=0)
         res = fit_rabi_from_g2(tr, MOL)
-        assert list(res.params) == list(res.errors) == ["rabi", "amplitude", "background",
-                                                        "gamma0"]
+        assert list(res.params) == list(res.errors) == ["rabi_sq", "amplitude", "background",
+                                                        "rabi", "gamma0"]
         assert res.params["gamma0"] == MOL.gamma0 and res.errors["gamma0"] == 0.0
-        assert res.param_order == ["rabi", "amplitude", "background"]
+        assert res.param_order == ["rabi_sq", "amplitude", "background"]
         assert res.covariance.shape == (3, 3)
+        u, rabi = res.params["rabi_sq"], res.params["rabi"]
+        assert rabi == math.sqrt(u)
+        assert res.errors["rabi"] == res.errors["rabi_sq"] / (2.0 * rabi)
+        assert res.covariance[0, 0] == pytest.approx(res.errors["rabi_sq"] ** 2, rel=1e-12)
 
     def test_short_trace_rejected(self):
         # the same error on every call, from a cached plan as from a new one
@@ -463,7 +500,7 @@ class TestFitPlan:
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "mirrored"])
     def test_cold_and_warm_plans_give_the_same_bytes(self, mirrored):
-        # Omega = 0 and 5 MHz take the integral seed's fallback and solve,
+        # Omega = 0 and 5 MHz take the integral seed,
         # 50 MHz is criterion 6, 200 MHz takes the first-maximum seed
         delays = np.linspace(0.0, 400.0, 801)
         for rabi in (0.0, 5.0, 50.0, 200.0):
@@ -478,7 +515,7 @@ class TestFitPlan:
             assert warm == cold, rabi
         with mock.patch.object(correlation, "_integral_rabi_seed",
                                side_effect=AssertionError("integral seed")):
-            self._fit_json(tr)   # 200 MHz: the first maximum seeds rabi
+            self._fit_json(tr)   # 200 MHz: the first maximum seeds rabi_sq
 
     def test_molecules_sharing_a_grid_get_separate_plans(self):
         delays = np.linspace(0.0, 400.0, 801)

@@ -506,7 +506,8 @@ class TestExtinctionFit:
                                 drive=DriveParams(rabi=0.0))
         det = DetectorParams(dark_rate=0.0, integration_time=0.16)
         grid = np.linspace(-140.0, 140.0, 201)
-        fits = [fit_extinction(noisy_extinction_trace(model, grid, 127550.0, det, seed))
+        fits = [fit_extinction(noisy_extinction_trace(model, grid, 127550.0, det, seed),
+                               fixed=())
                 for seed in range(20)]
         assert all(r.converged for r in fits)
         assert max(r.nfev for r in fits) <= 12
@@ -580,17 +581,57 @@ class TestExtinctionFit:
                                              r"\[1e-12, inf\]$"):
             fit_extinction(self._trace(2.0, 0.0, 0.0), fixed=("gamma",), init={"gamma": -1.0})
 
+    def test_default_holds_a_in_the_gauge_of_the_six_free_fit(self):
+        # criterion-9 noisy traces: one trace determines only
+        # C = A - B (gamma/2) sin psi and D = B cos psi.  The default (A held
+        # at 0) finds the six-free fit's line, and is regular where that is
+        # singular
+        depth = 0.115
+        model = ExtinctionModel(A=0.0, B=depth * MOL.gamma / 2.0, psi=math.pi / 2.0,
+                                mol=MOL, drive=DriveParams(rabi=0.0, psi=math.pi / 2.0))
+        grid = np.linspace(-100.0, 100.0, 801)
+        det = DetectorParams(dark_rate=0.0, integration_time=0.16)
+        for seed in range(50):
+            tr = noisy_extinction_trace(model, grid, 127550.0, det, seed)
+            held, free = fit_extinction(tr), fit_extinction(tr, fixed=())
+            assert held.converged and free.converged
+            assert (held.params["A"], held.errors["A"]) == (0.0, 0.0)
+            assert held.cond < estimation.COND_MAX and not free.cond < estimation.COND_MAX
+            # C and D as the dips they give (at the centre, half a width off
+            # it) in units of the depth; gamma and the centre in widths
+            lines = []
+            for res in (held, free):
+                a, b, psi, gamma, center, _ = res.params.values()
+                c, d = a - b * gamma / 2.0 * math.sin(psi), b * math.cos(psi)
+                lines.append(np.array([4.0 * c / gamma ** 2 / depth, d / gamma / depth,
+                                       gamma / MOL.gamma, center / MOL.gamma]))
+            assert np.max(np.abs(lines[0] - lines[1])) <= 1e-4, seed
+
+    def test_unknown_parameter_names_raise(self):
+        # a misspelt name used to be ignored: the fit ran with every
+        # parameter free
+        tr = self._trace(2.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^unknown parameter Psi, gama: the parameters "
+                                             r"are A, B, psi, gamma, center, baseline$"):
+            fit_extinction(tr, fixed=("gama",), init={"gama": 5.0, "Psi": 1.0})
+        with pytest.raises(ValueError, match="^unknown parameter gama:"):
+            fit_extinction(tr, fixed=("A", "gama"))
+
     def test_narrow_window_rejected(self):
         tr = self._trace(0.0, 5.0, math.pi / 2.0, grid=np.linspace(-8, 8, 33))
         with pytest.raises(ValueError):
             fit_extinction(tr)
 
     def test_fewer_points_than_free_parameters_rejected(self):
-        # rejected before the line-shape seed, which would reach LAPACK
-        for n in (0, 1, 5):
+        # rejected before the line-shape seed, which would reach LAPACK; the
+        # default holds A, fixed=() frees all six
+        for n in (0, 1, 4):
             tr = SpectrumTrace(np.arange(float(n)), np.ones(n))
-            with pytest.raises(ValueError, match=f"{n} points, fewer than the 6 free"):
+            with pytest.raises(ValueError, match=f"{n} points, fewer than the 5 free"):
                 fit_extinction(tr)
+        tr = SpectrumTrace(np.arange(5.0), np.ones(5))
+        with pytest.raises(ValueError, match="5 points, fewer than the 6 free"):
+            fit_extinction(tr, fixed=())
         tr = SpectrumTrace(np.arange(3.0), np.ones(3))
         with pytest.raises(ValueError, match="fewer than the 4 free"):
             fit_extinction(tr, fixed=("A", "psi"), init={"A": 0.0, "psi": 0.0})
@@ -625,11 +666,15 @@ class TestExtinctionFit:
 
     @pytest.mark.parametrize("psi", [0.4, 2.0, -2.5, -0.7])   # one per quadrant
     def test_jacobian_matches_central_differences(self, psi):
+        # the six-free problem and the default one (A held), off the
+        # trace's line: another centre, width and baseline
         tr = self._trace(2.0, 5.0, psi)
-        ((problem, _),) = _fits(fit_extinction, tr)
-        # off the trace's line: another centre, width and baseline
+        ((problem, _),) = _fits(fit_extinction, tr, fixed=())
         _assert_jacobian_matches_central_differences(
             problem, np.array([1.5, 4.0, psi, 24.0, -7.0, 0.9]))
+        ((problem, _),) = _fits(fit_extinction, tr)
+        _assert_jacobian_matches_central_differences(
+            problem, np.array([4.0, psi, 24.0, -7.0, 0.9]))
 
     @pytest.mark.parametrize("line, fixed, init", [
         ((1.0, 0.0, 0.0), ("B", "psi"), {"B": 0.0, "psi": 0.0}),
@@ -653,14 +698,15 @@ class TestExtinctionFit:
         # one Jacobian per iteration plus one for the errors; a noisy
         # six-free line at S = 1 (singular: one trace cannot separate A, B
         # and psi) takes at most 20 residual calls
-        res = fit_extinction(self._trace(2.0, 5.0, 0.4))
+        res = fit_extinction(self._trace(2.0, 5.0, 0.4), fixed=())
         assert res.converged and res.njev == res.iterations + 1
         line = ExtinctionModel(A=2.0, B=3.0, psi=1.2, mol=MOL,
                                drive=DriveParams(rabi=rabi_for_saturation(MOL, 1.0)))
         det = DetectorParams(dark_rate=0.0, integration_time=0.16)
         grid = np.linspace(-140.0, 140.0, 201)
         for seed in range(10):
-            res = fit_extinction(noisy_extinction_trace(line, grid, 127550.0, det, seed))
+            res = fit_extinction(noisy_extinction_trace(line, grid, 127550.0, det, seed),
+                                 fixed=())
             assert res.converged and res.njev == res.iterations + 1
             assert res.nfev <= 20
 
@@ -718,9 +764,9 @@ class TestRecipeOutcomes:
         with monkeypatch.context() as m:
             m.setattr(estimation, "MAX_ITER", 1)
             table, res = fit_linewidth_vs_power(spectra)
-        # a one-trace line is singular (cond inf), so the stop reads rank_deficient
+        # the line fit holds A, so it is regular and the stop reads max_iter
         assert table == []
-        assert res.status == "rank_deficient" and res.iterations == 1
+        assert res.status == "max_iter" and res.iterations == 1
         assert "center" in res.params
         # the third of four line fits ends unconverged
         fits = []
@@ -744,12 +790,10 @@ class TestModelCache:
     # the cached model terms do not read
     @pytest.mark.parametrize("recipe, p1, p2", [
         (_separation_problem, [10.0, 3.0, 1.5, 17.5, 0.3], [11.0, 3.5, 1.6, 16.5, -0.2]),
-        (_g2_problem, [48.0, 1.0, 0.01], [52.0, 1.05, -0.01]),
-        (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
-         [2.2, 2.8, 1.1, 22.0, -1.0, 0.98]),
-        (_g2_problem, [50.0, 1.0, 0.0], [50.0, 1.1, 0.0]),
-        (_extinction_problem, [2.0, 3.0, 1.2, 24.0, 1.0, 1.0],
-         [2.0, 3.0, 1.2, 24.0, 1.0, 0.98]),
+        (_g2_problem, [0.92, 1.0, 0.01], [1.08, 1.05, -0.01]),
+        (_extinction_problem, [3.0, 1.2, 24.0, 1.0, 1.0], [2.8, 1.1, 22.0, -1.0, 0.98]),
+        (_g2_problem, [1.0, 1.0, 0.0], [1.0, 1.1, 0.0]),
+        (_extinction_problem, [3.0, 1.2, 24.0, 1.0, 1.0], [3.0, 1.2, 24.0, 1.0, 0.98]),
     ], ids=["separation", "g2", "extinction", "g2-amplitude", "extinction-baseline"])
     def test_jacobian_after_residual_elsewhere_is_fresh(self, recipe, p1, p2):
         # residual and Jacobian share one cached model evaluation: a

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from resfluor.estimation import COND_MAX
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "golden.py")
 # the sums of the committed tree; a change that moves an output updates it
@@ -55,6 +57,9 @@ EXPECTED = {
 # files of the Monte Carlo fit run, which calls no command (no stdout.txt)
 MC_FILES = ["mc-fits/extinction.json", "mc-fits/extinction_fixed.json", "mc-fits/g2_fit.json",
             "mc-fits/g2_fit_regimes.json", "mc-fits/separation.json"]
+# the one MC file of singular fits: six-free extinction fits (fixed=()),
+# kept as the run's coverage of the engine's damping and singular-solve paths
+SINGULAR_FIXTURE = "mc-fits/extinction.json"
 # keys of the MC files that hold 20 fits per key: Rabi frequency (MHz) or
 # fixed parameter set
 MC_KEYS = {"mc-fits/g2_fit_regimes.json": ["0", "5", "200"],
@@ -124,6 +129,23 @@ def test_golden_tool_writes_sorted_sums_of_every_output(golden):
     assert max(f["iterations"] for f in separations) <= 3
     g2_fits = json.loads((out / "mc-fits/g2_fit.json").read_text())
     assert max(f["iterations"] for f in g2_fits) <= 4
+
+
+def test_every_shipped_fit_is_regular(golden):
+    # every analyze fit, and every MC fit but the singular fixture, has a
+    # finite cond below COND_MAX: cond null means degenerate data
+    fits = {run: [json.loads((golden / run / name).read_text())]
+            for run, names in EXPECTED.items() if run.startswith("analyze-")
+            for name in names}
+    for path in MC_FILES:
+        if path != SINGULAR_FIXTURE:
+            loaded = json.loads((golden / path).read_text())
+            fits[path] = [f for group in loaded.values() for f in group] \
+                if path in MC_KEYS else loaded
+    irregular = [(where, f["cond"]) for where, group in fits.items() for f in group
+                 if f["cond"] is None or not f["cond"] < COND_MAX]
+    assert not irregular, irregular
+    assert all(f["cond"] is None for f in json.loads((golden / SINGULAR_FIXTURE).read_text()))
 
 
 def test_compare_prints_the_largest_relative_change_of_each_moved_file(tmp_path):

@@ -13,20 +13,21 @@ reads.  Each run writes into its own directory ``OUT/<run>/``, plus
 One more run, ``mc-fits``, calls the fit engine the way the Monte Carlo
 studies do: it writes the ``FitResult.to_json()`` of 20 seeded noisy
 component separations (acceptance criterion 10), 20 seeded noisy g2 fits
-(criterion 6) and 20 seeded noisy six-parameter extinction fits (a
-criterion-2 line at S = 1) as three JSON arrays.  One trace cannot
-separate A, B and psi, so the extinction fits are singular (cond is inf on
-all 20); 17 of the 20 reject a trial step and 3 meet a singular solve, so
-they diff the engine's damping and conditioning paths.  A fourth file,
-``g2_fit_regimes.json``, holds 20 noisy g2 fits at each Rabi frequency of
-G2_REGIMES_MHZ, keyed by it: at 0 and 5 MHz the fit seeds rabi from one
-linear solve, at 200 MHz from the first maximum, so both seeds are
-diffed.  A fifth file, ``extinction_fixed.json``, holds 20 noisy
-extinction fits for each fixed set of EXTINCTION_FIXED, keyed by it:
-the (B, psi) set of criterion 2 (a Lorentzian at S = 1) and the (A, psi,
-baseline) set of criterion 9 (its 11.5% dip).  Their free Jacobian
-columns do not lead, so these fits diff ``fit_extinction``'s free-column
-copy.
+(criterion 6) and 20 seeded noisy six-free extinction fits (a criterion-2
+line at S = 1, ``fixed=()``) as three JSON arrays.  One trace cannot
+separate A, B and psi, so those extinction fits are singular (cond is inf
+on all 20); 17 of the 20 reject a trial step and 3 meet a singular solve,
+so they diff the engine's damping and conditioning paths.  They are the
+only singular fits of the run: every other fit, and every ``analyze`` one,
+is regular by construction.  A fourth file, ``g2_fit_regimes.json``, holds
+20 noisy g2 fits at each Rabi frequency of G2_REGIMES_MHZ, keyed by it: at
+0 and 5 MHz the fit seeds rabi_sq from one linear solve, at 200 MHz from
+the first maximum, so both seeds are diffed.  A fifth file,
+``extinction_fixed.json``, holds 20 noisy extinction fits for each fixed
+set of EXTINCTION_FIXED, keyed by it: the (B, psi) set of criterion 2 (a
+Lorentzian at S = 1) and the (A, psi, baseline) set of criterion 9 (its
+11.5% dip).  Their free Jacobian columns do not lead, so these fits diff
+``fit_extinction``'s free-column copy.
 At criterion 2's A = 1 the peak dip (0.7%) sits at the shot-noise level:
 those fits take 12 to 29 iterations, so they also diff the damping path.
 The tool then writes ``OUT/SHA256SUMS``: a header of ``# <name> <version>``
@@ -182,7 +183,7 @@ def run_monte_carlo():
         trace = synth.noisy_g2_trace(delays, mol, drive, 1e4, t)
         g2_fits.append(correlation.fit_rabi_from_g2(trace, mol).to_json())
         trace = synth.noisy_extinction_trace(line, grid, 127550.0, det, 1000 + t)
-        extinctions.append(estimation.fit_extinction(trace).to_json())
+        extinctions.append(estimation.fit_extinction(trace, fixed=()).to_json())
 
     regimes = {
         f"{rabi:g}": [json.loads(correlation.fit_rabi_from_g2(
